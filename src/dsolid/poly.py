@@ -4,15 +4,27 @@ A polynomial is a mapping from exponent tuples to nonzero Fraction
 coefficients.  The zero polynomial stores no terms.  All arithmetic is
 exact; equality of polynomials is literal equality of canonical term
 dictionaries, which makes identity testing fully reliable.
+
+A product scales each operand to integer numerators over the lcm of its
+denominators, multiplies and accumulates in ``int``, and divides by the
+product of the two denominators once per output term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
+
+
+def _integral(terms: Mapping[Exponent, Fraction]) -> tuple[int, list[tuple[Exponent, int]]]:
+    """The lcm ``den`` of the denominators and the terms scaled by it to ints."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 @dataclass(frozen=True)
@@ -84,16 +96,15 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(exp, Fraction(0)) + ca * cb
-                if v == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = v
-        return MultiPoly(self.nvars, out)
+        da, na = _integral(self.terms)
+        db, nb = _integral(other.terms)
+        acc: dict[Exponent, int] = {}
+        for ea, ca in na:
+            for eb, cb in nb:
+                exp = tuple(map(add, ea, eb))
+                acc[exp] = acc.get(exp, 0) + ca * cb
+        den = da * db
+        return MultiPoly(self.nvars, {e: Fraction(v, den) for e, v in acc.items() if v})
 
     def scale(self, c: int | Fraction) -> "MultiPoly":
         c = Fraction(c)

@@ -96,22 +96,34 @@ def sqrt_fraction(x: Fraction) -> Fraction | QuadExt:
 
 
 def eval_poly_at(poly, values: list) -> "QuadExt | Fraction":
-    """Evaluate a MultiPoly at a point with Fraction or QuadExt coordinates."""
+    """Evaluate a MultiPoly at a point with Fraction or QuadExt coordinates.
+
+    The rational coordinates are evaluated in Q first: the terms are grouped
+    by their exponents in the QuadExt coordinates, and each group's rational
+    sum is lifted into Q(sqrt(d)) once.
+    """
     d = next((v.d for v in values if isinstance(v, QuadExt)), None)
     if d is None:
         return poly.evaluate([Fraction(v) for v in values])
-    lift = lambda v: v if isinstance(v, QuadExt) else QuadExt(Fraction(v), Fraction(0), d)
-    pt = [lift(v) for v in values]
-    powers: dict[tuple[int, int], QuadExt] = {}
-    total = QuadExt(Fraction(0), Fraction(0), d)
+    quad = [i for i, v in enumerate(values) if isinstance(v, QuadExt)]
+    rat = [(i, Fraction(v)) for i, v in enumerate(values) if not isinstance(v, QuadExt)]
+    rpowers: dict[tuple[int, int], Fraction] = {}
+    groups: dict[tuple[int, ...], Fraction] = {}
     for exp, c in poly.terms.items():
-        term = QuadExt(Fraction(c), Fraction(0), d)
-        for i, k in enumerate(exp):
+        for i, v in rat:
+            k = exp[i]
             if k:
-                key = (i, k)
-                p = powers.get(key)
+                p = rpowers.get((i, k))
                 if p is None:
-                    p = powers[key] = pt[i] ** k
-                term = term * p
+                    p = rpowers[(i, k)] = v**k
+                c = c * p
+        key = tuple(exp[i] for i in quad)
+        groups[key] = groups.get(key, Fraction(0)) + c
+    total = QuadExt(Fraction(0), Fraction(0), d)
+    for key, c in groups.items():
+        term = QuadExt(c, Fraction(0), d)
+        for i, k in zip(quad, key):
+            if k:
+                term = term * values[i] ** k
         total = total + term
     return total

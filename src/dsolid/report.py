@@ -31,6 +31,8 @@ class RunConfig:
         for n in self.ns:
             if n < 4:
                 raise ValueError(f"n must be at least 4, got {n}")
+        if self.instances < 1:
+            raise ValueError(f"instances must be at least 1, got {self.instances}")
         if self.fmt not in ("json", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
 

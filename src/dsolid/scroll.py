@@ -252,14 +252,18 @@ def double_conic_verify(inst: QuarticInstance, rng: random.Random | None = None)
     fiber must not be a perfect square (the residual is nonzero); both
     cone sections satisfy the same identity; the splitting conic has
     symmetric rank exactly two.
+
+    Restriction to a fiber or a cone substitutes a monomial for every
+    variable, which is a ring homomorphism, so F|_L + (Q|_L)^2 equals
+    (F + Q^2)|_L.  The residual F + Q^2 is therefore formed once and only it
+    is restricted; for a correct F it is z0 z_{n-1} z_n f, at most n-1 terms.
     """
     n = inst.n
     rng = rng or random.Random(0)
+    residual = inst.big_f + inst.q * inst.q
     specials = list(inst.roots) + [(Fraction(0), Fraction(1))]
     for lam in specials:
-        fr = fiber_restrict(inst.big_f, n, lam)
-        qr = fiber_restrict(inst.q, n, lam)
-        if not (fr + qr * qr).is_zero():
+        if not fiber_restrict(residual, n, lam).is_zero():
             return False
     # generic fiber: the residual is z0 z_{n-1} z_n f, nonzero off the roots
     for _ in range(64):
@@ -268,18 +272,13 @@ def double_conic_verify(inst: QuarticInstance, rng: random.Random | None = None)
             break
     else:
         raise RuntimeError("no generic fiber point found")
-    fr = fiber_restrict(inst.big_f, n, lam)
-    qr = fiber_restrict(inst.q, n, lam)
-    if (fr + qr * qr).is_zero():
+    if fiber_restrict(residual, n, lam).is_zero():
         return False
     # cone sections: z_{n-1} = 0 and z_n = 0
     for drop in (n - 1, n):
         images = ScrollParam(n).monomial_images()
-        images = dict(images)
         images[drop] = (Fraction(0), (0, 0, 0, 0, 0))
-        cf = inst.big_f.substitute_monomials(5, images)
-        cq = inst.q.substitute_monomials(5, images)
-        if not (cf + cq * cq).is_zero():
+        if not residual.substitute_monomials(5, images).is_zero():
             return False
     return _matrix_rank3(splitting_matrix(n, inst.q)) == 2
 

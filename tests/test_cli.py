@@ -33,6 +33,20 @@ def test_verify_unmatched_filter_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "check, count", [("scroll.instances", "0"), ("scroll.tangency", "-5")]
+)
+def test_verify_nonpositive_instances_usage_error(check, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "5", "--filter", check, "--instances", count])
+    assert exc.value.code == 2
+
+
+def test_run_config_rejects_nonpositive_instances():
+    with pytest.raises(ValueError):
+        RunConfig(ns=(5,), instances=0)
+
+
 def test_verify_range_with_filter(capsys):
     code = main([
         "verify", "--range", "4..5", "--filter", "scroll.hankel", "--format", "json",

@@ -164,6 +164,76 @@ def test_double_conic_verify_instances(n):
         assert splitting_conic_rank(inst) == 2
 
 
+def _mono(nv, *idxs):
+    e = [0] * nv
+    for j in idxs:
+        e[j] += 1
+    return MultiPoly.monomial(nv, tuple(e))
+
+
+def _with_big_f(inst, big_f, q=None):
+    return QuarticInstance(n=inst.n, roots=inst.roots, f=inst.f,
+                           q=inst.q if q is None else q, big_f=big_f)
+
+
+def _vanishes_on(p, n, fibers):
+    return all(fiber_restrict(p, n, lam).is_zero() for lam in fibers)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_double_conic_verify_root_fiber_can_fail(n):
+    inst = _valid_instance(n, 11)
+    nv = n + 1
+    # g vanishes over every root but the first, so only that fiber breaks
+    g = linear_form_from_roots(n, list(inst.roots[1:]) + [(1, 997)])
+    bump = _mono(nv, 0, n - 1, n) * g
+    assert _vanishes_on(bump, n, list(inst.roots[1:]) + [(Fraction(0), Fraction(1))])
+    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump), random.Random(0))
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_double_conic_verify_splitting_fiber_can_fail(n):
+    inst = _valid_instance(n, 12)
+    nv = n + 1
+    # z_{n-2} z_{n-1} z_n f vanishes over every root and on both cones, not over (0:1)
+    bump = _mono(nv, n - 2, n - 1, n) * inst.f
+    assert _vanishes_on(bump, n, inst.roots)
+    assert not _vanishes_on(bump, n, [(Fraction(0), Fraction(1))])
+    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump), random.Random(0))
+    bump4 = _mono(nv, n - 2, n - 2, n - 2, n - 2)
+    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump4), random.Random(0))
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_double_conic_verify_generic_fiber_can_fail(n):
+    inst = _valid_instance(n, 13)
+    # F = -Q^2 is tangent everywhere: a double quadric, not a branch quartic
+    assert not double_conic_verify(_with_big_f(inst, -(inst.q * inst.q)), random.Random(0))
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("square", ["z_n", "z_{n-1}"])
+def test_double_conic_verify_cone_can_fail(n, square):
+    inst = _valid_instance(n, 14)
+    nv = n + 1
+    # z0 z_n^2 f survives on the cone z_{n-1} = 0, z0 z_{n-1}^2 f on z_n = 0
+    sq = n if square == "z_n" else n - 1
+    residual = _mono(nv, 0, sq, sq) * inst.f
+    assert _vanishes_on(residual, n, list(inst.roots) + [(Fraction(0), Fraction(1))])
+    bad = residual - inst.q * inst.q
+    assert not double_conic_verify(_with_big_f(inst, bad), random.Random(0))
+
+
+def test_double_conic_verify_rank_can_fail():
+    n, nv = 5, 6
+    inst = _valid_instance(n, 15)
+    # a rank-3 splitting conic with the matching quartic passes every identity
+    q = inst.q + _mono(nv, n - 2, n - 1)
+    assert splitting_conic_rank(_with_big_f(inst, inst.big_f, q)) != 2
+    big_f = _mono(nv, 0, n - 1, n) * inst.f - q * q
+    assert not double_conic_verify(_with_big_f(inst, big_f, q), random.Random(0))
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10**6), k=st.integers(0, 2))
 def test_member_invariance(seed, k):
