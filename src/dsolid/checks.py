@@ -179,7 +179,7 @@ def check_half_bundle_surface(n: int, ctx: CheckContext) -> list[CheckRecord]:
     fixed = sys_.half_bundle_fixed_part(tower).fixed_nonzero()
     need = sys_.expected_half_bundle_fixed(n)
     contains = all(fixed.get(kk, 0) >= v for kk, v in need.items())
-    arcs_ok = all(sys_.half_cycle_chern_check(tower, i)[0] for i in range(1, n))
+    arcs_ok = all(sys_.half_cycle_matches(tower).values())
     return [
         _record("systems.half-bundle-table", n, want, table,
                 "degrees of the half bundle on the cycle: -(n-2)(n-3), 0.., 1; 0.., n-3"),

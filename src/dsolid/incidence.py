@@ -24,6 +24,7 @@ integral; anything else is a hard error.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -277,12 +278,14 @@ class PairingTable:
         return self.entries[(div, c)]
 
     def degree(self, coeffs: dict[str, int | Fraction], c: Curve) -> Fraction:
-        """Degree of a formal divisor combination on a curve."""
-        total = Fraction(0)
-        for d, co in coeffs.items():
-            if co:
-                total += Fraction(co) * self.entries[(d, c)]
-        return total
+        """Degree of a formal divisor combination on a curve.
+
+        Sums integer numerators over the lcm of the coefficient denominators
+        and builds one Fraction at the end.
+        """
+        terms = [(co, self.entries[(d, c)]) for d, co in coeffs.items() if co]
+        den = math.lcm(*(co.denominator for co, _ in terms))
+        return Fraction(sum(co.numerator * (den // co.denominator) * e for co, e in terms), den)
 
     def section_self_intersection(self, c: Curve) -> int:
         """(c^2) inside the degree-one surface through c, via the cross rule."""
@@ -375,43 +378,62 @@ def _solve(
     unknowns: list[tuple[str, str]],
     eqs: list[tuple[str, dict[tuple[str, str], int], int]],
 ) -> dict[tuple[str, str], int]:
-    """Gaussian elimination over Q with uniqueness and integrality checks."""
+    """Fraction-free elimination over Z with uniqueness and integrality checks.
+
+    Rows are sparse ``{column: int}`` maps, the right-hand side in column
+    ``len(unknowns)``.  For each column in turn the pivot is the first row
+    at or after ``r`` that is nonzero there, swapped into place with its
+    label; every later row nonzero in that column is replaced by
+    ``pivot * row - entry * pivot_row`` and divided by the gcd of its
+    entries.  Each row below the pivots is thus a nonzero integer multiple
+    of the row Gauss-Jordan elimination over Q would leave there, so the
+    pivots, the swaps and the labels in every error are the same.  The
+    triangular system is back-substituted exactly at the end.
+    """
+    m = len(unknowns)
     index = {u: k for k, u in enumerate(unknowns)}
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, int]] = []
     labels: list[str] = []
     for label, lhs, rhs in eqs:
-        row = [Fraction(0)] * (len(unknowns) + 1)
-        for u, c in lhs.items():
-            row[index[u]] += c
-        row[-1] = Fraction(rhs)
+        row = {index[u]: c for u, c in lhs.items() if c}
+        if rhs:
+            row[m] = rhs
         rows.append(row)
         labels.append(label)
-    m = len(unknowns)
-    pivots: dict[int, int] = {}
+    pivots: list[int] = []
     r = 0
     for col in range(m):
-        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        piv = next((k for k in range(r, len(rows)) if col in rows[k]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         labels[r], labels[piv] = labels[piv], labels[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots[col] = r
+        top = rows[r]
+        p = top[col]
+        for k in range(r + 1, len(rows)):
+            f = rows[k].get(col)
+            if f:
+                acc = {j: p * x for j, x in rows[k].items()}
+                for j, x in top.items():
+                    acc[j] = acc.get(j, 0) - f * x
+                g = math.gcd(*acc.values()) or 1
+                rows[k] = {j: x // g for j, x in acc.items() if x}
+        pivots.append(col)
         r += 1
-    bad = [labels[k] for k in range(r, len(rows)) if rows[k][-1] != 0]
+    bad = [labels[k] for k in range(r, len(rows)) if rows[k].get(m)]
     if bad:
         raise CompletionError(f"inconsistent constraints: {bad}")
-    free = [unknowns[c] for c in range(m) if c not in pivots]
+    pivoted = set(pivots)
+    free = [unknowns[c] for c in range(m) if c not in pivoted]
     if free:
         raise CompletionError(f"under-determined completion; free unknowns: {free}")
+    # every column is a pivot: row k is the pivot row of column k
+    x: list[Fraction] = [Fraction(0)] * m
+    for k in reversed(range(m)):
+        row = rows[k]
+        x[k] = Fraction(row.get(m, 0) - sum(c * x[j] for j, c in row.items() if k < j < m), row[k])
     out = {}
-    for col, rr in pivots.items():
-        v = rows[rr][-1]
+    for col, v in enumerate(x):
         if v.denominator != 1:
             raise CompletionError(f"non-integral solution for {unknowns[col]}: {v}")
         out[unknowns[col]] = int(v)

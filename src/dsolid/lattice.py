@@ -15,7 +15,7 @@ distinct n can be built and shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
 
 class LatticeError(ValueError):
@@ -42,6 +42,11 @@ class LatticeBasis:
     def rank(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero ``(column, entry)`` pairs of each row of the form."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.form)
+
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -63,25 +68,37 @@ class LatticeBasis:
         return DivisorClass(self, tuple(v))
 
     def determinant(self) -> int:
-        """Exact determinant of the pairing matrix (Fraction elimination)."""
+        """Exact determinant of the pairing matrix (Bareiss elimination over Z).
+
+        After step k every remaining entry is a (k+1)-minor of the row-permuted
+        form, so each division by the previous pivot is exact.  A row swap
+        flips the sign; a column without a pivot means the form is singular.
+        """
         m = self.rank
-        a = [[Fraction(x) for x in row] for row in self.form]
-        det = Fraction(1)
-        for col in range(m):
-            piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        rows = [dict(r) for r in self.sparse_rows]
+        sign, prev = 1, 1
+        for k in range(m):
+            piv = next((r for r in range(k, m) if rows[r].get(k)), None)
             if piv is None:
                 return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, m):
-                f = a[r][col] * inv
+            if piv != k:
+                rows[k], rows[piv] = rows[piv], rows[k]
+                sign = -sign
+            top = rows[k]
+            p = top[k]
+            for r in range(k + 1, m):
+                row = rows[r]
+                f = row.pop(k, 0)
                 if f:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        assert det.denominator == 1
-        return int(det)
+                    acc = {j: p * x for j, x in row.items()}
+                    for j, x in top.items():
+                        if j != k:
+                            acc[j] = acc.get(j, 0) - f * x
+                    rows[r] = {j: x // prev for j, x in acc.items() if x}
+                elif p != prev:
+                    rows[r] = {j: p * x // prev for j, x in row.items()}
+            prev = p
+        return sign * prev
 
     def is_unimodular(self) -> bool:
         return abs(self.determinant()) == 1
@@ -99,6 +116,8 @@ class DivisorClass:
             raise LatticeError("coefficient length does not match basis rank")
 
     def _same(self, other: "DivisorClass") -> None:
+        if self.basis is other.basis:
+            return
         if self.basis.names != other.basis.names or self.basis.form != other.basis.form:
             raise LatticeError("divisor classes live in different lattices")
 
@@ -116,15 +135,19 @@ class DivisorClass:
     def scale(self, c: int) -> "DivisorClass":
         return DivisorClass(self.basis, tuple(c * a for a in self.coeffs))
 
+    @cached_property
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero ``(index, coefficient)`` pairs."""
+        return tuple((i, a) for i, a in enumerate(self.coeffs) if a)
+
     def dot(self, other: "DivisorClass") -> int:
+        """The pairing, walking only the nonzero entries of ``self`` and of the form."""
         self._same(other)
-        form = self.basis.form
+        rows = self.basis.sparse_rows
+        b = other.coeffs
         total = 0
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            row = form[i]
-            total += a * sum(row[j] * b for j, b in enumerate(other.coeffs) if b)
+        for i, a in self.support:
+            total += a * sum(x * b[j] for j, x in rows[i])
         return total
 
     def is_zero(self) -> bool:
@@ -256,10 +279,6 @@ def build_surface(n: int) -> BlowupTower:
         blow(f"eb{k}", ["Cb1", prev_b])
         tr[f"C{k-1}"] = basis.unit(f"eb{k}")
     return tower
-
-
-# kept under the name the rest of the package uses in prose
-build_surface_s = build_surface
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:

@@ -92,7 +92,17 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            v = out.get(exp)
+            if v is None:
+                out[exp] = -c
+            elif v == c:
+                del out[exp]
+            else:
+                out[exp] = v - c
+        return MultiPoly(self.nvars, out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)

@@ -67,31 +67,68 @@ def strip_fixed_components(
     """Greedy negative-pairing fixpoint.
 
     While some component pairs negatively with the running class, add one
-    copy of it to the fixed part and subtract.  ``order`` only changes the
-    selection sequence; the fixpoint itself is order independent.  A
-    per-component multiplicity cap of 4n (the cycle has 2(n-1) components)
-    guards against divergent inputs.
+    copy of it to the fixed part and subtract; the first name in ``order``
+    that pairs negatively is the one hit.  A per-component multiplicity cap
+    of ``cap_factor * (len(components)/2 + 1)`` guards against divergent
+    inputs.
+
+    Only the pairings of the running class with the components are ever
+    read, so they are kept as an integer vector: it starts as ``cls.c`` and
+    a strip of component ``c`` subtracts the Gram row ``c.c'``, which for
+    the cycle is nonzero only at ``c`` and its two neighbours.  The movable
+    class is formed once, at the end.
+
+    ``order`` only changes the selection sequence, not the fixpoint, as
+    long as distinct components pair non-negatively (true for the cycle).
+    This is the minimality of the negative part of a Zariski decomposition
+    (Bauer, J. Algebraic Geom. 18, 2009): let ``y >= 0`` be any multiplicity
+    vector whose remainder ``cls - y`` pairs non-negatively with every
+    component.  A run that has stripped ``x <= y`` and now hits ``c`` cannot
+    have ``x_c = y_c``, since then ``(cls - y).c <= (cls - x).c < 0``; so
+    every run stays below every such ``y``.  A finished run is itself such a
+    ``y``, hence any two finished runs agree, and if one run finishes no
+    run diverges.  The test suite also checks this under random orders.
     """
     names = order if order is not None else sorted(components)
     if set(names) != set(components):
         raise LatticeError("order must be a permutation of the component names")
     cap = cap_factor * (len(components) // 2 + 1)
-    fixed = {nm: 0 for nm in components}
-    current = cls
-    while True:
-        hit = None
-        for nm in names:
-            if current.dot(components[nm]) < 0:
-                hit = nm
-                break
-        if hit is None:
-            return StrippingResult(fixed, current)
-        fixed[hit] += 1
-        if fixed[hit] > cap:
+    # a repeated name is never reached again before its first occurrence
+    keys = list(dict.fromkeys(names))
+    comps = [components[nm] for nm in keys]
+    pairing = [c.dot(cls) for c in comps]
+    gram: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for p, a in enumerate(comps):
+        for q in range(p, len(comps)):
+            g = a.dot(comps[q])
+            if g:
+                gram[p].append((q, g))
+                if q != p:
+                    gram[q].append((p, g))
+    negative = {p for p, v in enumerate(pairing) if v < 0}
+    mult = [0] * len(keys)
+    while negative:
+        hit = min(negative)
+        mult[hit] += 1
+        if mult[hit] > cap:
             raise StrippingDivergence(
-                f"component {hit} stripped more than {cap} times; input is not bounded below"
+                f"component {keys[hit]} stripped more than {cap} times; "
+                "input is not bounded below"
             )
-        current = current - components[hit]
+        for q, g in gram[hit]:
+            v = pairing[q] - g
+            pairing[q] = v
+            if v < 0:
+                negative.add(q)
+            else:
+                negative.discard(q)
+    fixed = {nm: 0 for nm in components}
+    movable = cls
+    for nm, f in zip(keys, mult):
+        fixed[nm] = f
+        if f:
+            movable = movable - components[nm].scale(f)
+    return StrippingResult(fixed, movable)
 
 
 def anticanonical_fixed_part(tower: BlowupTower) -> dict[str, int]:
@@ -229,15 +266,17 @@ def cycle_arcs(tower: BlowupTower) -> dict[tuple[int, ...], list[tuple[str, ...]
     return out
 
 
-def half_cycle_chern_check(tower: BlowupTower, i: int) -> tuple[bool, tuple[str, ...]]:
-    """Match the i-th degree-one class against a contiguous half of the cycle.
+def half_cycle_matches(tower: BlowupTower) -> dict[int, tuple[str, ...]]:
+    """Match every degree-one class (i = 1..n-1) against a contiguous half of the cycle.
 
-    Returns (found, arc).  The matching arc is located by exhaustive search
-    and must contain C1; no orientation is guessed.
+    Maps each i to its matching arc, or to ``()`` when there is none.  The
+    arcs are built once and searched exhaustively; a match must contain C1,
+    and no orientation is guessed.
     """
-    target = degree_one_restriction(tower, i).half
-    arcs = cycle_arcs(tower).get(target.coeffs, [])
-    with_c1 = [a for a in arcs if "C1" in a]
-    if not with_c1:
-        return False, ()
-    return True, with_c1[0]
+    arcs = cycle_arcs(tower)
+    out = {}
+    for i in range(1, tower.n):
+        target = degree_one_restriction(tower, i).half
+        with_c1 = [a for a in arcs.get(target.coeffs, []) if "C1" in a]
+        out[i] = with_c1[0] if with_c1 else ()
+    return out

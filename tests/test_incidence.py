@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,20 @@ def test_cylinder_examples_n7():
     assert table.degree(l1.coeffs, ("G", 2)) == 3
     assert table.degree(l1.coeffs, ("C", 4, 4)) == -1
     assert table.degree(l1.coeffs, ("D", 6)) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_degree_matches_per_term_fractions(data):
+    # mixed denominators: the lcm scaling must match a Fraction per term
+    table = completed_table(6)
+    divs = ["T"] + table.complex.exceptional_divisors()
+    coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    coeffs = {d: data.draw(coeff) for d in data.draw(st.lists(st.sampled_from(divs), unique=True))}
+    c = data.draw(st.sampled_from(table.complex.curves))
+    got = table.degree(coeffs, c)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(co) * table.entries[(d, c)] for d, co in coeffs.items()), Fraction(0))
 
 
 def test_anchor_cells():
@@ -295,3 +310,134 @@ def test_irreducibility_guard():
     assert res5["phi_half"] == -2 and res5["ok"]
     assert res5["phi_degree_one"][3] == 0
     assert irreducibility_guard(7)["phi_half_swapped"] == 2
+
+
+# -- the solver: exact errors and a Fraction Gauss-Jordan reference -------------
+
+
+def _reference_solve(unknowns, eqs):
+    """Dense Gauss-Jordan over Q, the solver fraction-free elimination replaced."""
+    from dsolid.incidence import CompletionError
+
+    index = {u: k for k, u in enumerate(unknowns)}
+    rows, labels = [], []
+    for label, lhs, rhs in eqs:
+        row = [Fraction(0)] * (len(unknowns) + 1)
+        for u, c in lhs.items():
+            row[index[u]] += c
+        row[-1] = Fraction(rhs)
+        rows.append(row)
+        labels.append(label)
+    m = len(unknowns)
+    pivots = {}
+    r = 0
+    for col in range(m):
+        piv = next((k for k in range(r, len(rows)) if rows[k][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        labels[r], labels[piv] = labels[piv], labels[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots[col] = r
+        r += 1
+    bad = [labels[k] for k in range(r, len(rows)) if rows[k][-1] != 0]
+    if bad:
+        raise CompletionError(f"inconsistent constraints: {bad}")
+    free = [unknowns[c] for c in range(m) if c not in pivots]
+    if free:
+        raise CompletionError(f"under-determined completion; free unknowns: {free}")
+    out = {}
+    for col, rr in pivots.items():
+        v = rows[rr][-1]
+        if v.denominator != 1:
+            raise CompletionError(f"non-integral solution for {unknowns[col]}: {v}")
+        out[unknowns[col]] = int(v)
+    return out
+
+
+def _assert_solve_matches_reference(unknowns, eqs):
+    from dsolid.incidence import CompletionError, _solve
+
+    try:
+        want = _reference_solve(unknowns, eqs)
+    except CompletionError as exc:
+        with pytest.raises(CompletionError, match=f"^{re.escape(str(exc))}$"):
+            _solve(unknowns, eqs)
+        return str(exc).split()[0]
+    assert _solve(unknowns, eqs) == want
+    return "solved"
+
+
+@st.composite
+def linear_systems(draw):
+    k = draw(st.integers(1, 4))
+    unknowns = [("E1", f"u{i}") for i in range(k)]
+    eqs = []
+    for i in range(draw(st.integers(0, 7))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        lhs = {u: c for u, c in zip(unknowns, coeffs) if c or draw(st.booleans())}
+        eqs.append((f"eq{i}", lhs, draw(st.integers(-6, 6))))
+    return unknowns, eqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=linear_systems())
+def test_solve_matches_reference_on_random_systems(system):
+    _assert_solve_matches_reference(*system)
+
+
+def _captured_system(monkeypatch, cx, shuffle_seed=None):
+    """The (unknowns, equations) complete_pairings hands to the solver."""
+    import dsolid.incidence as inc
+
+    seen = []
+    real = inc._solve
+
+    def spy(unknowns, eqs):
+        seen.append((list(unknowns), list(eqs)))
+        return real(unknowns, eqs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(inc, "_solve", spy)
+        try:
+            complete_pairings(cx, shuffle_seed=shuffle_seed)
+        except inc.CompletionError:
+            pass
+    return seen[0]
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_solve_matches_reference_on_table_systems(monkeypatch, n):
+    outcomes = []
+    for seed in (None, 1, 2):
+        outcomes.append(_assert_solve_matches_reference(*_captured_system(
+            monkeypatch, build_incidence(n), seed)))
+        bad = build_incidence(n)
+        bad.section_rhs["C1"] += 1
+        outcomes.append(_assert_solve_matches_reference(*_captured_system(
+            monkeypatch, bad, seed)))
+    assert outcomes == ["solved", "inconsistent"] * 3
+
+
+def test_solve_reports_non_integral_solution():
+    from dsolid.incidence import CompletionError, _solve
+
+    unknowns = [("E1", "s"), ("E1", "f")]
+    eqs = [("sum", {("E1", "s"): 1, ("E1", "f"): 1}, 2), ("double", {("E1", "f"): 2}, 3)]
+    with pytest.raises(CompletionError, match=r"^non-integral solution for \('E1', 's'\): 1/2$"):
+        _solve(unknowns, eqs)
+
+
+def test_solve_reports_inconsistent_labels_in_pivot_order():
+    # the pivot for u1 is d, swapped with b: the clashing rows then read c, b
+    from dsolid.incidence import CompletionError, _solve
+
+    x, y = ("E1", "u0"), ("E1", "u1")
+    eqs = [("a", {x: 1}, 1), ("b", {x: 1}, 2), ("c", {x: 1}, 3), ("d", {y: 1}, 1)]
+    with pytest.raises(CompletionError, match=r"^inconsistent constraints: \['c', 'b'\]$"):
+        _solve([x, y], eqs)

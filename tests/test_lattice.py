@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -129,3 +131,131 @@ def test_pairing_bilinear_symmetric(data):
 def test_form_must_be_symmetric():
     with pytest.raises(LatticeError):
         LatticeBasis(("x", "y"), ((0, 1), (0, 0)))
+
+
+# -- reference oracles: the dense pairing and the Fraction determinant ----------
+
+
+def _dense_dot(a: DivisorClass, b: DivisorClass) -> int:
+    """The O(rank^2) pairing over the dense form that the sparse one replaced."""
+    form = a.basis.form
+    total = 0
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        row = form[i]
+        total += x * sum(row[j] * y for j, y in enumerate(b.coeffs) if y)
+    return total
+
+
+def _fraction_determinant(form: tuple[tuple[int, ...], ...]) -> int:
+    """Gaussian elimination over Q, the determinant Bareiss elimination replaced."""
+    m = len(form)
+    a = [[Fraction(x) for x in row] for row in form]
+    det = Fraction(1)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, m):
+            f = a[r][col] * inv
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+@st.composite
+def symmetric_forms(draw, max_size=6, zero_diagonal=False):
+    m = draw(st.integers(1, max_size))
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + (1 if zero_diagonal else 0), m):
+            a[i][j] = a[j][i] = draw(st.integers(-3, 3))
+    return tuple(tuple(r) for r in a)
+
+
+@st.composite
+def singular_forms(draw, max_size=6):
+    """B B^T for an m x (m-1) integer matrix B: symmetric of rank below m."""
+    m = draw(st.integers(1, max_size))
+    b = [draw(st.lists(st.integers(-3, 3), min_size=m - 1, max_size=m - 1)) for _ in range(m)]
+    return tuple(tuple(sum(x * y for x, y in zip(b[i], b[j])) for j in range(m)) for i in range(m))
+
+
+def _names(m: int) -> tuple[str, ...]:
+    return tuple(f"x{i}" for i in range(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dot_matches_dense_on_stage_subbases(data):
+    tower = build_surface(data.draw(st.integers(4, 8)))
+    r = data.draw(st.integers(2, tower.basis.rank))
+    sub = LatticeBasis(tower.basis.names[:r], tuple(row[:r] for row in tower.basis.form[:r]))
+    vec = st.lists(st.integers(-5, 5), min_size=r, max_size=r)
+    a = DivisorClass(sub, tuple(data.draw(vec)))
+    b = DivisorClass(sub, tuple(data.draw(vec)))
+    assert a.dot(b) == _dense_dot(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dot_matches_dense_on_random_form(data):
+    form = data.draw(symmetric_forms())
+    basis = LatticeBasis(_names(len(form)), form)
+    vec = st.lists(st.integers(-5, 5), min_size=len(form), max_size=len(form))
+    a = DivisorClass(basis, tuple(data.draw(vec)))
+    b = DivisorClass(basis, tuple(data.draw(vec)))
+    assert a.dot(b) == _dense_dot(a, b) == b.dot(a)
+
+
+def test_dot_accepts_an_equal_basis_object():
+    t1, t2 = build_surface(5), build_surface(5)
+    assert t1.basis is not t2.basis
+    assert t1.tracked["C1"].dot(t2.tracked["C1"]) == -4
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_stage_determinants_match_fraction_elimination(n):
+    basis = build_surface(n).basis
+    want = [
+        _fraction_determinant(tuple(row[:r] for row in basis.form[:r]))
+        for r in (2, *range(3, basis.rank + 1))
+    ]
+    assert build_surface(n).stage_determinants() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(form=symmetric_forms())
+def test_determinant_matches_fraction_elimination(form):
+    assert LatticeBasis(_names(len(form)), form).determinant() == _fraction_determinant(form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=symmetric_forms(zero_diagonal=True))
+def test_determinant_with_row_swaps(form):
+    # a zero diagonal forces a row swap wherever the form is not singular
+    assert LatticeBasis(_names(len(form)), form).determinant() == _fraction_determinant(form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=singular_forms())
+def test_determinant_of_singular_form_is_zero(form):
+    assert _fraction_determinant(form) == 0
+    assert LatticeBasis(_names(len(form)), form).determinant() == 0
+
+
+def test_determinant_examples():
+    def det(form):
+        return LatticeBasis(_names(len(form)), form).determinant()
+
+    assert det(((0, 1), (1, 0))) == -1
+    assert det(((0, 2, 1), (2, 0, 3), (1, 3, 0))) == 12
+    assert det(((0, 0), (0, 5))) == 0
+    assert det(((2, 1), (1, 2))) == 3

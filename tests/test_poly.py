@@ -32,6 +32,26 @@ def test_zero_coefficients_never_stored(a):
     assert all(c != 0 for c in a.terms.values())
 
 
+@settings(max_examples=80, deadline=None)
+@given(a=_mk(), b=_mk())
+def test_sub_matches_add_negated(a, b):
+    for left, right in ((a, b), (a, a), (a + b, b), (b, a + b)):
+        diff = left - right
+        assert diff == left + (-right)
+        assert all(type(c) is Fraction and c != 0 for c in diff.terms.values())
+    assert (a - a).terms == {}
+    assert (a + b) - b == a
+
+
+def test_sub_cancels_completely_and_partially():
+    p = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 1), 3)])
+    q = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 2), -1)])
+    assert p - p == MultiPoly.zero(2)
+    assert (p - q).terms == {(0, 1): Fraction(3), (0, 2): Fraction(1)}
+    with pytest.raises(ValueError):
+        p - MultiPoly.zero(3)
+
+
 def test_substitute_monomials_matches_general():
     p = MultiPoly.from_terms(2, [((2, 1), 3), ((0, 2), Fraction(1, 2))])
     images = {0: (Fraction(2), (1, 0)), 1: (Fraction(-1), (0, 1))}

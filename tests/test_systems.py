@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from dsolid.systems import (
     expected_m_restrictions,
     half_bundle_fixed_part,
     half_bundle_on_surface,
-    half_cycle_chern_check,
+    half_cycle_matches,
     m_restriction_table,
     movable_invariants,
     pluri_anticanonical_stripping,
@@ -146,10 +147,10 @@ def test_half_bundle_fixed_contains_staircase(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 10])
 def test_half_cycle_arcs_found(n):
-    tower = build_surface(n)
-    for i in range(1, n):
-        found, arc = half_cycle_chern_check(tower, i)
-        assert found
+    matches = half_cycle_matches(build_surface(n))
+    assert list(matches) == list(range(1, n))
+    for arc in matches.values():
+        assert arc
         assert "C1" in arc
 
 
@@ -174,3 +175,96 @@ def test_half_cycle_index_out_of_range():
 
     with pytest.raises(LatticeError):
         degree_one_restriction(build_surface(5), 5)
+
+
+# -- reference oracle: the stripping loop with one pairing per candidate --------
+
+
+def _reference_strip(cls, components, order=None, cap_factor=4):
+    """The greedy loop that re-paired the running class with every candidate."""
+    names = order if order is not None else sorted(components)
+    cap = cap_factor * (len(components) // 2 + 1)
+    fixed = {nm: 0 for nm in components}
+    current = cls
+    while True:
+        hit = None
+        for nm in names:
+            if current.dot(components[nm]) < 0:
+                hit = nm
+                break
+        if hit is None:
+            return fixed, current
+        fixed[hit] += 1
+        if fixed[hit] > cap:
+            raise StrippingDivergence(
+                f"component {hit} stripped more than {cap} times; input is not bounded below"
+            )
+        current = current - components[hit]
+
+
+def _assert_strip_matches_reference(cls, components, order):
+    try:
+        fixed, movable = _reference_strip(cls, components, order)
+    except StrippingDivergence as exc:
+        with pytest.raises(StrippingDivergence, match=f"^{re.escape(str(exc))}$"):
+            strip_fixed_components(cls, components, order=order)
+        return "diverged"
+    res = strip_fixed_components(cls, components, order=order)
+    assert list(res.fixed.items()) == list(fixed.items())
+    assert res.movable == movable
+    return "finished"
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stripping_matches_reference_on_random_classes(data):
+    tower = build_surface(data.draw(st.integers(4, 7)))
+    rank = tower.basis.rank
+    noise = data.draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+    cls = (-tower.canonical).scale(data.draw(st.integers(0, tower.n))) + DivisorClass(
+        tower.basis, tuple(noise)
+    )
+    names = tower.cycle_names()
+    order = data.draw(st.none() | st.permutations(names).map(list))
+    _assert_strip_matches_reference(cls, tower.cycle_classes(), order)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 11])
+def test_stripping_matches_reference_on_check_inputs(n):
+    # every class the checks strip (m(-K) for m < n-1, the half bundle) and K, shuffled
+    tower = build_surface(n)
+    k = tower.canonical
+    classes = [(-k).scale(m) for m in range(n - 1)] + [k, half_bundle_on_surface(tower).half]
+    rng = random.Random(n)
+    outcomes = set()
+    for cls in classes:
+        for _ in range(3):
+            order = tower.cycle_names()
+            rng.shuffle(order)
+            outcomes.add(_assert_strip_matches_reference(cls, tower.cycle_classes(), order))
+    assert outcomes == {"diverged", "finished"}
+
+
+def test_stripping_repeated_names_in_order():
+    tower = build_surface(6)
+    names = tower.cycle_names()
+    order = names[::-1] + names
+    cls = (-tower.canonical).scale(4)
+    _assert_strip_matches_reference(cls, tower.cycle_classes(), order)
+
+
+def test_stripping_rejects_foreign_components():
+    t5, t6 = build_surface(5), build_surface(6)
+    with pytest.raises(LatticeError):
+        strip_fixed_components(-t5.canonical, t6.cycle_classes())
+
+
+def test_light_surface_checks_at_n32():
+    from dsolid.checks import CHECKS
+    from dsolid.report import RunConfig, run
+
+    for pattern in ("lattice.*", "systems.*"):
+        assert not any(CHECKS[cid].heavy for cid in CHECKS if cid.startswith(pattern[:-1]))
+        report = run(RunConfig(ns=(32,), filter=pattern))
+        assert report.checks
+        assert [r.id for r in report.checks if r.status == "fail"] == []
