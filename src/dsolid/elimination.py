@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .axioms import AxiomRegistry
 from .incidence import (
     BundleExpression,
     Curve,
     IncidenceComplex,
     PairingTable,
     adjusted_bundle,
-    completed_table,
     curve_name,
 )
 
@@ -67,7 +65,6 @@ class BlowupState:
     # tracking surface of blown centers: "S" (degree-one surface) or an E-symbol
     tracking: dict[Curve, str] = field(default_factory=dict)
     blow_counts: dict[Curve, int] = field(default_factory=dict)
-    divisor_registry: list[str] = field(default_factory=list)
     bundles: list[BundleExpression] = field(default_factory=list)
     odp_census: list[tuple[str, int]] = field(default_factory=list)
 
@@ -76,9 +73,9 @@ class BlowupState:
         return self.table.complex
 
 
-def _initial_state(n: int) -> BlowupState:
-    table = completed_table(n)
+def _initial_state(table: PairingTable) -> BlowupState:
     cx = table.complex
+    n = cx.n
     state = BlowupState(n=n, table=table)
     l1 = adjusted_bundle(n)
     for i in range(1, n):
@@ -191,7 +188,6 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
         kind, i, j = c
         name = f"D{stage}[{i},{j}]" if kind == "C" else f"Db{stage}[{i},{j}]"
         new_divisors.append(name)
-    state.divisor_registry.extend(new_divisors)
 
     # bundle update: pull back and subtract each new exceptional once
     co = {f"pull:{stage}": 1}
@@ -245,7 +241,6 @@ class EliminationTrace:
     per_family_counts: dict[int, list[int]]
     multiplicity_one: bool
     blow_counts: dict[str, int]
-    axioms_used: tuple[str, ...]
 
     def to_json(self) -> dict:
         return {
@@ -274,16 +269,17 @@ class EliminationTrace:
         }
 
 
-def run_elimination(n: int, registry: AxiomRegistry | None = None) -> EliminationTrace:
-    """Run the full elimination for a given n and record the trace.
+def run_elimination(table: PairingTable) -> EliminationTrace:
+    """Run the full elimination on a completed pairing table and record the trace.
 
     Ends at stage n-2 with an empty scan; per-stage invariants (component
     counts dropping by one, per-family curve counts dropping by one) are
-    recorded for the test suite to assert.
+    recorded for the checks to assert.  The ladder's ruled types are
+    metadata resting on the registry axiom ``assert.ladder-ruled-types``,
+    which the checks reading them consume.
     """
-    if n < 4:
-        raise ValueError(f"n must be at least 4, got {n}")
-    state = _initial_state(n)
+    state = _initial_state(table)
+    n = state.n
     stages: list[StageRecord] = []
     component_counts: list[int] = []
     per_family: dict[int, list[int]] = {i: [] for i in range(3, n - 1)}
@@ -308,9 +304,6 @@ def run_elimination(n: int, registry: AxiomRegistry | None = None) -> Eliminatio
     count = state.blow_counts.get(seed, 0)
     components = tuple(f"D{k}[{n-1},1]" for k in range(2, 2 + count))
     types = tuple(f"ruled-degree-{n-k-1}" for k in range(2, 2 + count))
-    axioms: tuple[str, ...] = ()
-    if registry is not None:
-        axioms = (registry.consume("assert.ladder-ruled-types", "elimination-ladder").id,)
     ladder = LadderProfile(
         base_curve=curve_name(seed),
         components=components,
@@ -336,7 +329,6 @@ def run_elimination(n: int, registry: AxiomRegistry | None = None) -> Eliminatio
         per_family_counts=per_family,
         multiplicity_one=mult_one,
         blow_counts={curve_name(k): v for k, v in sorted(state.blow_counts.items(), key=repr)},
-        axioms_used=axioms,
     )
 
 
@@ -350,21 +342,22 @@ class TwistorLineDegrees:
     matches_formula: bool
 
 
-def twistor_line_degree(n: int, i: int) -> TwistorLineDegrees:
+def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) -> TwistorLineDegrees:
     """Degree bookkeeping of the i-th fixed line under the elimination.
 
-    The initial degree comes from the completed pairing table; decrements
-    of two happen exactly at the stages whose centers contain the diagonal
-    curves of fiber i (stages 2..i-1).  The closed formula 2(i-1) misses
+    The initial degree comes from the completed pairing table; the degree
+    drops by two at each stage of the trace whose centers contain the
+    diagonal curve C[i,i] of fiber i.  The closed formula 2(i-1) misses
     the first line, whose computed initial degree is 2; the mismatch is
     surfaced, never forced.
     """
+    n = table.complex.n
     if not 1 <= i < n - 1:
         raise ValueError(f"line index {i} must satisfy 1 <= i < n-1 (the end line splits)")
-    table = completed_table(n)
     l1 = adjusted_bundle(n)
     initial = int(table.degree(l1.coeffs, ("L", i)))
-    decrement_stages = tuple(m for m in range(2, n - 1) if m <= i - 1)
+    diagonal = curve_name(("C", i, i))
+    decrement_stages = tuple(s.stage for s in trace.stages if diagonal in s.centers)
     final = initial - 2 * len(decrement_stages)
     formula = 2 * (i - 1)
     return TwistorLineDegrees(
@@ -375,8 +368,3 @@ def twistor_line_degree(n: int, i: int) -> TwistorLineDegrees:
         final=final,
         matches_formula=initial == formula,
     )
-
-
-def double_curve_degree_ladder(n: int) -> int:
-    """Degree of the double curves on the two cone sections: 2(n-2)."""
-    return 2 * (n - 2)

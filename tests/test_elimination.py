@@ -1,10 +1,16 @@
 import pytest
 
+from dsolid import scroll
 from dsolid.axioms import MissingAxiom, default_registry
+from dsolid.checks import (
+    CheckContext,
+    Model,
+    check_cone_degree,
+    check_elimination_ladder,
+    check_elimination_run,
+)
 from dsolid.elimination import (
     base_curve_scan,
-    double_curve_degree_ladder,
-    run_elimination,
     twistor_line_degree,
     _initial_state,
 )
@@ -15,7 +21,7 @@ def _scan_names(state):
 
 
 def test_stage1_scan_n7():
-    comps = _scan_names(_initial_state(7))
+    comps = _scan_names(_initial_state(Model(7).table))
     expected = set()
     for i in range(3, 6):
         expected.add(frozenset(("C", i, j) for j in range(3, i + 1)))
@@ -26,12 +32,12 @@ def test_stage1_scan_n7():
 
 
 def test_stage1_scan_n4_only_isolated_pair():
-    comps = _scan_names(_initial_state(4))
+    comps = _scan_names(_initial_state(Model(4).table))
     assert set(comps) == {frozenset([("C", 3, 1)]), frozenset([("Cb", 3, 1)])}
 
 
 def test_stage2_scan_n7():
-    trace = run_elimination(7)
+    trace = Model(7).trace
     # the second scan (before the stage-3 blowup) consists of the shortened
     # chains plus the isolated seeds
     comps = {frozenset(tuple(c) for c in comp) for comp in
@@ -54,7 +60,7 @@ def _parse(name):
 
 
 def test_stage2_degrees_n6():
-    trace = run_elimination(6)
+    trace = Model(6).trace
     after = trace.stages[0].degrees_after
     for i in range(4, 5):
         assert after[f"C[{i},3]"] == 1
@@ -64,7 +70,7 @@ def test_stage2_degrees_n6():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_termination_and_counts(n):
-    trace = run_elimination(n)
+    trace = Model(n).trace
     assert trace.terminated
     assert len(trace.stages) == n - 3
     counts = trace.component_counts + [0]
@@ -78,12 +84,12 @@ def test_termination_and_counts(n):
 
 @pytest.mark.parametrize("n,stop_stage", [(4, 2), (5, 3)])
 def test_small_n_stop_stages(n, stop_stage):
-    trace = run_elimination(n)
+    trace = Model(n).trace
     assert trace.stages[-1].stage == stop_stage
 
 
 def test_ladder_components_n8():
-    trace = run_elimination(8, default_registry())
+    trace = Model(8).trace
     assert trace.ladder.count == 5
     assert trace.ladder.components == tuple(f"D{k}[7,1]" for k in range(2, 7))
     assert trace.ladder.adjacent_sections == 4
@@ -91,13 +97,14 @@ def test_ladder_components_n8():
 
 
 def test_ladder_requires_type_axiom():
-    with pytest.raises(MissingAxiom):
-        run_elimination(6, default_registry().stripped())
+    for check in (check_elimination_run, check_elimination_ladder):
+        with pytest.raises(MissingAxiom):
+            check(6, CheckContext(registry=default_registry().stripped()))
 
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_odp_census(n):
-    trace = run_elimination(n)
+    trace = Model(n).trace
     census = dict(trace.odp_census)
     assert census["initial"] == 2 * (n - 1)
     for stage in range(2, n - 1):
@@ -113,23 +120,28 @@ def test_odp_census(n):
 
 def test_odp_example_n7_stage2():
     # quadruple points at ranges 4 <= i <= 5, 3 <= j <= i-1: three per half
-    trace = run_elimination(7)
+    trace = Model(7).trace
     census = dict(trace.odp_census)
     pairs = [(i, j) for i in range(4, 6) for j in range(3, i)]
     assert len(pairs) == 3
     assert census["stage2"] == 2 * len(pairs)
 
 
+def _line(n, i):
+    model = Model(n)
+    return twistor_line_degree(model.table, model.trace, i)
+
+
 def test_twistor_line_degrees():
-    d = twistor_line_degree(9, 5)
+    d = _line(9, 5)
     assert d.initial == 8 and d.final == 2
     assert d.decrement_stages == (2, 3, 4)
-    d = twistor_line_degree(6, 2)
+    d = _line(6, 2)
     assert d.initial == 2 and d.decrement_stages == () and d.final == 2
 
 
 def test_twistor_first_line_flagged_value():
-    d = twistor_line_degree(4, 1)
+    d = _line(4, 1)
     assert d.initial == 2  # computed from the table
     assert d.formula_value == 0  # the closed form misses the first line
     assert not d.matches_formula
@@ -138,30 +150,35 @@ def test_twistor_first_line_flagged_value():
 
 def test_twistor_line_rejects_end_index():
     with pytest.raises(ValueError):
-        twistor_line_degree(6, 5)
+        _line(6, 5)
 
 
-def test_decrement_stages_match_machine():
-    n = 9
-    trace = run_elimination(n)
-    for i in range(2, n - 1):
-        stages_hit = [
-            rec.stage
-            for rec in trace.stages
-            if f"C[{i},{i}]" in rec.centers
-        ]
-        assert tuple(stages_hit) == twistor_line_degree(n, i).decrement_stages
+@pytest.mark.parametrize("n", range(4, 13))
+def test_decrement_stages_match_machine(n):
+    # the stages come from the trace; the diagonal C[i,i] is a center at stages 2..i-1
+    model = Model(n)
+    for i in range(1, n - 1):
+        d = twistor_line_degree(model.table, model.trace, i)
+        assert d.decrement_stages == tuple(range(2, i))
 
 
-@pytest.mark.parametrize("n,want", [(5, 6), (4, 4), (10, 16)])
-def test_cone_degree_ladder(n, want):
-    assert double_curve_degree_ladder(n) == want
+def test_cone_degree_fails_on_a_wrong_side(monkeypatch):
+    real = scroll.double_curve_degree
+
+    def off_on_second_side(inst, side, rng):
+        return real(inst, side, rng) + 2 * (side == "n+1")
+
+    ctx = CheckContext(registry=default_registry(), seed=42)
+    assert [r.status for r in check_cone_degree(5, ctx)] == ["pass"]
+    monkeypatch.setattr(scroll, "double_curve_degree", off_on_second_side)
+    [rec] = check_cone_degree(5, ctx)
+    assert rec.status == "fail" and rec.computed == (6, 8)
 
 
 def test_trace_serializes_to_json():
     import json
 
-    trace = run_elimination(6)
+    trace = Model(6).trace
     blob = json.dumps(trace.to_json(), sort_keys=True)
     data = json.loads(blob)
     assert data["n"] == 6 and data["terminated"]
@@ -172,7 +189,7 @@ def test_trace_serializes_to_json():
 @pytest.mark.parametrize("n", [5, 8, 11])
 def test_ladder_degree_sequence(n):
     # the isolated seed's degree climbs by one per stage: (4-n) + (stage-2)
-    trace = run_elimination(n)
+    trace = Model(n).trace
     seed = f"C[{n-1},1]"
     for rec in trace.stages:
         assert rec.degrees_after[seed] == (4 - n) + (rec.stage - 2)

@@ -8,16 +8,15 @@ import hypothesis.strategies as st
 from dsolid.axioms import MissingAxiom, default_registry
 from dsolid.incidence import (
     adjusted_bundle,
-    build_incidence,
     bundle_algebra_verify,
     cascade_precondition_check,
     cascade_schedule,
     complete_pairings,
-    completed_table,
     conjugate_curve,
     conjugate_divisor,
     divisor_trivial,
     irreducibility_guard,
+    is_equivariant,
     kernel_bundle,
     cylinder_tables_verify,
     m1_tables_verify,
@@ -27,12 +26,13 @@ from dsolid.incidence import (
     seam_anchor_resolution,
     triviality_check,
 )
+from dsolid.checks import CheckContext, Model, check_completion
 from dsolid.lattice import build_surface
 from dsolid.systems import m_restriction_table
 
 
 def test_conjugation_involution():
-    cx = build_incidence(7)
+    cx = Model(7).complex
     for c in cx.curves:
         assert conjugate_curve(conjugate_curve(c)) == c
     for d in cx.divisors:
@@ -40,24 +40,24 @@ def test_conjugation_involution():
 
 
 def test_odp_count_n7():
-    assert len(build_incidence(7).odps) == 12
+    assert len(Model(7).complex.odps) == 12
 
 
 def test_end_component_unblown_n4():
-    cx = build_incidence(4)
+    cx = Model(4).complex
     assert cx.blown["E3"] == []
     assert cx.pic_basis("E3") == ["s", "f"]
 
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_cylinder_tables(n):
-    table = completed_table(n)
+    table = Model(n).table
     tables, ok = cylinder_tables_verify(table)
     assert ok, tables
 
 
 def test_cylinder_examples_n7():
-    table = completed_table(7)
+    table = Model(7).table
     l1 = adjusted_bundle(7)
     assert table.degree(l1.coeffs, ("G", 2)) == 3
     assert table.degree(l1.coeffs, ("C", 4, 4)) == -1
@@ -68,7 +68,7 @@ def test_cylinder_examples_n7():
 @given(data=st.data())
 def test_degree_matches_per_term_fractions(data):
     # mixed denominators: the lcm scaling must match a Fraction per term
-    table = completed_table(6)
+    table = Model(6).table
     divs = ["T"] + table.complex.exceptional_divisors()
     coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=12)
     coeffs = {d: data.draw(coeff) for d in data.draw(st.lists(st.sampled_from(divs), unique=True))}
@@ -80,7 +80,7 @@ def test_degree_matches_per_term_fractions(data):
 
 def test_anchor_cells():
     n = 7
-    table = completed_table(n)
+    table = Model(n).table
     # transversal: the section of the next component crosses back
     for i in range(3, n - 1):
         assert table.value(f"E{i-1}", ("C", i, i)) == 1
@@ -100,7 +100,7 @@ def test_anchor_cells():
 def test_table_serializes_to_json():
     import json
 
-    table = completed_table(4)
+    table = Model(4).table
     data = json.loads(json.dumps(table.to_json(), sort_keys=True))
     assert data["n"] == 4
     assert data["entries"]["E1|D[1]"] == -1
@@ -109,7 +109,7 @@ def test_table_serializes_to_json():
 
 
 def test_seam_anchor_resolution():
-    table = completed_table(6)
+    table = Model(6).table
     res = seam_anchor_resolution(table)
     assert res["solved"] == -1
     assert res["literal_reading_consistent"]
@@ -119,7 +119,7 @@ def test_seam_anchor_resolution():
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_completion_order_invariant(seed):
-    cx = build_incidence(5)
+    cx = Model(5).complex
     ref = complete_pairings(cx)
     other = complete_pairings(cx, shuffle_seed=seed)
     assert other.entries == ref.entries
@@ -129,7 +129,7 @@ def test_completion_rejects_corrupted_anchor():
     # a wrong anticanonical degree makes the over-determined system clash
     from dsolid.incidence import CompletionError
 
-    cx = build_incidence(5)
+    cx = Model(5).complex
     cx.section_rhs["C1"] += 1
     with pytest.raises(CompletionError, match="inconsistent"):
         complete_pairings(cx)
@@ -138,24 +138,39 @@ def test_completion_rejects_corrupted_anchor():
 def test_completion_rejects_underdetermined():
     from dsolid.incidence import CompletionError, _anchor_equations, _solve
 
-    cx = build_incidence(4)
+    cx = Model(4).complex
     unknowns = [(d, s) for d in cx.exceptional_divisors() for s in cx.pic_basis(d)]
     with pytest.raises(CompletionError, match="under-determined"):
         _solve(unknowns, _anchor_equations(cx))  # anchors alone cannot pin everything
 
 
-@pytest.mark.parametrize("n", [4, 6, 9])
+@pytest.mark.parametrize("n", range(4, 17))
 def test_equivariance(n):
-    table = completed_table(n)
+    table = Model(n).table
     for (d, c), v in table.entries.items():
         assert table.entries[(conjugate_divisor(d), conjugate_curve(c))] == v
+    assert is_equivariant(table)
+
+
+def test_conjugation_record_fails_on_one_flipped_entry():
+    n = 6
+    ctx = CheckContext(registry=default_registry(), seed=42)
+
+    def conjugation():
+        [rec] = [r for r in check_completion(n, ctx) if r.id == "incidence.conjugation"]
+        return rec.status
+
+    assert conjugation() == "pass"
+    ctx.model(n).table.entries[("E2", ("C", 3, 2))] += 1
+    assert not is_equivariant(ctx.model(n).table)
+    assert conjugation() == "fail"
 
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_projection_formula_all_curves(n):
     # mu*F = T + full cylinder pairs to zero on contracted curves and to the
     # anticanonical degree of the image on sections
-    table = completed_table(n)
+    table = Model(n).table
     cx = table.complex
     tower = build_surface(n)
     pull = {"T": 1}
@@ -175,29 +190,29 @@ def test_projection_formula_all_curves(n):
 
 @pytest.mark.parametrize("n", [5, 9])
 def test_triviality(n):
-    assert triviality_check(completed_table(n))
+    assert triviality_check(Model(n).table)
 
 
 def test_triviality_fails_on_interior():
-    table = completed_table(6)
+    table = Model(6).table
     assert not divisor_trivial(table, adjusted_bundle(6), "E2")
 
 
 def test_cascade_n7_first_step():
-    table = completed_table(7)
+    table = Model(7).table
     ok, trace = cascade_precondition_check(table)
     assert ok
     assert trace[0] == (1, 6, -1)
 
 
 def test_cascade_n5_full():
-    ok, trace = cascade_precondition_check(completed_table(5))
+    ok, trace = cascade_precondition_check(Model(5).table)
     assert ok
     assert [t[2] for t in trace] == [-1, -1, -1]
 
 
 def test_cascade_n4_single_step():
-    ok, trace = cascade_precondition_check(completed_table(4))
+    ok, trace = cascade_precondition_check(Model(4).table)
     assert ok
     assert len(trace) == 1
 
@@ -214,7 +229,7 @@ def test_cascade_schedule_orders():
 @pytest.mark.parametrize("n,total", [(7, 8), (4, 5)])
 def test_restriction_ledger(n, total):
     reg = default_registry()
-    res = restriction_ledger_h0(completed_table(n), reg)
+    res = restriction_ledger_h0(Model(n).table, reg)
     assert res.value == n
     assert res.total == total
     assert res.axioms_used
@@ -223,26 +238,26 @@ def test_restriction_ledger(n, total):
 def test_restriction_ledger_member_removed():
     n = 7
     reg = default_registry()
-    res = restriction_ledger_h0(completed_table(n), reg, members=n - 3)
+    res = restriction_ledger_h0(Model(n).table, reg, members=n - 3)
     assert res.value == 2 + 3 * (n - 3) - 2 * (n - 3) == n - 1
 
 
 def test_restriction_ledger_requires_axioms():
     reg = default_registry().stripped()
     with pytest.raises(MissingAxiom):
-        restriction_ledger_h0(completed_table(5), reg)
+        restriction_ledger_h0(Model(5).table, reg)
 
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_half_bundle_tables(n):
     tower = build_surface(n)
-    tables, ok = m1_tables_verify(completed_table(n), m_restriction_table(tower))
+    tables, ok = m1_tables_verify(Model(n).table, m_restriction_table(tower))
     assert ok, tables
 
 
 def test_half_bundle_examples_n6():
     tower = build_surface(6)
-    tables, ok = m1_tables_verify(completed_table(6), m_restriction_table(tower))
+    tables, ok = m1_tables_verify(Model(6).table, m_restriction_table(tower))
     assert ok
     assert tables["Db"][5] == (3, 3)
     assert tables["G"][2] == (2, 2)
@@ -292,7 +307,7 @@ def test_rr_threefold():
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_pencil_ledgers(n):
     reg = default_registry()
-    res = nonvan_ledgers(completed_table(n), reg)
+    res = nonvan_ledgers(Model(n).table, reg)
     assert res["tec_ok"] and res["rest_ok"]
     assert all(v == 0 for v in res["ledgers"].values())
     assert res["tec_end_coeff"] == n - 4
@@ -301,7 +316,7 @@ def test_pencil_ledgers(n):
 
 def test_pencil_ledger_example_n6():
     reg = default_registry()
-    res = nonvan_ledgers(completed_table(6), reg)
+    res = nonvan_ledgers(Model(6).table, reg)
     assert res["ledgers"][2] == 0
 
 
@@ -416,8 +431,8 @@ def test_solve_matches_reference_on_table_systems(monkeypatch, n):
     outcomes = []
     for seed in (None, 1, 2):
         outcomes.append(_assert_solve_matches_reference(*_captured_system(
-            monkeypatch, build_incidence(n), seed)))
-        bad = build_incidence(n)
+            monkeypatch, Model(n).complex, seed)))
+        bad = Model(n).complex
         bad.section_rhs["C1"] += 1
         outcomes.append(_assert_solve_matches_reference(*_captured_system(
             monkeypatch, bad, seed)))

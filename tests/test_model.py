@@ -1,0 +1,82 @@
+"""The per-n model: built once per n, shared by every check, never changed by one."""
+
+import hashlib
+
+from dsolid import elimination, incidence, lattice
+from dsolid.axioms import default_registry
+from dsolid.checks import CHECKS, CheckContext, Model
+from dsolid.cli import main
+from dsolid.report import RunConfig, run
+
+# sha256 of `dsolid verify --range 4..7 --seed 42 --instances 2 --format json`,
+# recorded before the checks shared a model; any change to it must be deliberate
+REPORT_4_7_SHA256 = "9b5a4030280335313b48391d2c282a97140cccf1d66ddceedb009c6bf2f35f5f"
+
+
+def test_report_bytes_frozen(capsys):
+    code = main(["verify", "--range", "4..7", "--seed", "42", "--instances", "2",
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_4_7_SHA256
+
+
+def test_full_run_equals_runs_of_single_checks():
+    ns = (4, 5, 6, 7)
+    full = run(RunConfig(ns=ns, seed=42, instances=2))
+    records, axioms = [], []
+    for n in ns:
+        for cid in CHECKS:
+            alone = run(RunConfig(ns=(n,), filter=cid, seed=42, instances=2))
+            records += [rec.to_json() for rec in alone.checks]
+            axioms += alone.registry.consumed_records()
+    assert [rec.to_json() for rec in full.checks] == records
+    assert full.registry.consumed_records() == axioms
+
+
+def test_checks_leave_the_model_unchanged():
+    n = 6
+    ctx = CheckContext(registry=default_registry(), seed=42, instances=2)
+    for spec in CHECKS.values():
+        spec.fn(n, ctx)
+    used, fresh = ctx.model(n), Model(n)
+    for name in ("tower", "stripping", "m_table", "complex", "table", "trace"):
+        assert getattr(used, name) == getattr(fresh, name), name
+
+
+def test_each_object_is_built_once_per_n(monkeypatch):
+    calls = {"tower": 0, "solve": 0, "trace": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(lattice, "build_surface", counting("tower", lattice.build_surface))
+    monkeypatch.setattr(incidence, "complete_pairings",
+                        counting("solve", incidence.complete_pairings))
+    monkeypatch.setattr(elimination, "run_elimination",
+                        counting("trace", elimination.run_elimination))
+    run(RunConfig(ns=(5, 6), seed=42, instances=1))
+    # incidence.completion solves three shuffled systems besides the model's table
+    assert calls == {"tower": 2, "solve": 2 * 4, "trace": 2}
+
+
+def test_a_failed_build_fails_every_check_that_needs_it(monkeypatch):
+    def broken(cx, shuffle_seed=None):
+        raise incidence.CompletionError("broken solver")
+
+    monkeypatch.setattr(incidence, "complete_pairings", broken)
+    report = run(RunConfig(ns=(5,), filter="elimination.[!c]*"))
+    crashed = [rec.id for rec in report.checks if rec.status == "fail"]
+    assert crashed == [cid for cid in CHECKS if cid.startswith("elimination.")
+                       and cid != "elimination.cone-degree"]
+    assert all(rec.computed == "CompletionError: broken solver" for rec in report.checks)
+
+
+def test_context_keeps_one_model_at_a_time():
+    ctx = CheckContext(registry=default_registry())
+    model = ctx.model(5)
+    assert ctx.model(5) is model
+    assert ctx.model(6) is not model and ctx.model(6).n == 6
