@@ -177,7 +177,8 @@ def check_fixed_components(n: int, ctx: CheckContext) -> list[CheckRecord]:
     model = ctx.model(n)
     tower, res = model.tower, model.stripping
     want = sys_.anticanonical_fixed_part(tower)
-    confluent = sys_.confluence_orders(tower, shuffles=20, seed=ctx.rng("fixed", n).randrange(10**6))
+    confluent = sys_.confluence_orders(tower, shuffles=20, seed=ctx.rng("fixed", n).randrange(10**6),
+                                       ref=res)
     return [
         _record("systems.fixed-components", n, want, res.fixed,
                 "fixed part of the (n-2)-fold anticanonical system: "
@@ -189,9 +190,8 @@ def check_fixed_components(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 def check_movable(n: int, ctx: CheckContext) -> list[CheckRecord]:
     model = ctx.model(n)
-    tower = model.tower
-    inv = sys_.movable_invariants(tower)
-    res = model.stripping
+    tower, res = model.tower, model.stripping
+    inv = sys_.movable_invariants(tower, res)
     k = tower.canonical
     lp = res.movable + k + tower.tracked["C2"] + tower.tracked["Cb2"]
     chi_lp = sys_.riemann_roch(tower, lp)
@@ -572,9 +572,9 @@ def check_tangency(n: int, ctx: CheckContext) -> list[CheckRecord]:
     ok = True
     detail = ""
     for k in range(count):
-        inst = scr.random_instance(n, rng)
+        probe = scr.TangencyProbe.of(scr.random_instance(n, rng))
         for ridx in range(n - 2):
-            if not scr.smoothness_probe(inst, ridx, samples=8, rng=rng):
+            if not scr.smoothness_probe(probe, ridx, samples=8, rng=rng):
                 ok, detail = False, f"instance {k}, root {ridx}"
                 break
         if not ok:

@@ -1,13 +1,19 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from exponent tuples to nonzero Fraction
-coefficients.  The zero polynomial stores no terms.  All arithmetic is
-exact; equality of polynomials is literal equality of canonical term
-dictionaries, which makes identity testing fully reliable.
+A polynomial is a mapping from exponent tuples to nonzero rational
+coefficients.  A coefficient is stored as an ``int`` when it is integral
+and as a ``Fraction`` with denominator > 1 otherwise, so integral work
+stays in ``int`` arithmetic; since ``int`` and ``Fraction`` compare and
+hash equal, this canonical form does not change equality or hashing.
+The zero polynomial stores no terms.  All arithmetic is exact; equality
+of polynomials is literal equality of canonical term dictionaries, which
+makes identity testing fully reliable.
 
 A product scales each operand to integer numerators over the lcm of its
-denominators, multiplies and accumulates in ``int``, and divides by the
-product of the two denominators once per output term.
+denominators, packs every exponent tuple into one ``int`` (one digit per
+variable, in a base above the largest product exponent) so that a
+monomial product is one integer addition, and divides by the product of
+the two denominators once per output term.
 """
 
 from __future__ import annotations
@@ -15,24 +21,63 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
 
 
-def _integral(terms: Mapping[Exponent, Fraction]) -> tuple[int, list[tuple[Exponent, int]]]:
-    """The lcm ``den`` of the denominators and the terms scaled by it to ints."""
+def _canonical(c: int | Fraction) -> Coeff:
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _integral(terms: Mapping[Exponent, Coeff]) -> tuple[int, list[int]]:
+    """The lcm ``den`` of the denominators and the coefficients scaled by it to ints."""
     den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+    if den == 1:
+        return 1, list(terms.values())
+    return den, [c.numerator * (den // c.denominator) for c in terms.values()]
+
+
+def _pack(exps: Iterable[Exponent], top: int) -> list[int]:
+    """Each exponent tuple as one ``int``, one digit per variable, first lowest.
+
+    The digits are wide enough for entries up to ``top``, so adding packed
+    tuples adds them entrywise as long as no entry of a sum exceeds ``top``.
+    Digits are bytes when ``top < 256``.
+    """
+    if top < 256:
+        return [int.from_bytes(bytes(e), "little") for e in exps]
+    bits = top.bit_length()
+    return [sum([k << (bits * i) for i, k in enumerate(e)]) for e in exps]
+
+
+def _unpack(keys: Iterable[int], top: int, nvars: int) -> list[Exponent]:
+    """Inverse of ``_pack`` for tuples of length ``nvars``."""
+    if top < 256:
+        return [tuple(k.to_bytes(nvars, "little")) for k in keys]
+    bits = top.bit_length()
+    mask = (1 << bits) - 1
+    shifts = range(0, bits * nvars, bits)
+    return [tuple([(k >> s) & mask for s in shifts]) for k in keys]
+
+
+def _quotient(v: int, den: int) -> Coeff:
+    """``v / den`` in canonical form."""
+    q, r = divmod(v, den)
+    return q if r == 0 else Fraction(v, den)
 
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse polynomial in ``nvars`` variables with Fraction coefficients."""
+    """Sparse polynomial in ``nvars`` variables with rational coefficients."""
 
     nvars: int
-    terms: Mapping[Exponent, Fraction]
+    terms: Mapping[Exponent, Coeff]
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
@@ -40,7 +85,7 @@ class MultiPoly:
 
     @staticmethod
     def const(nvars: int, value: int | Fraction) -> "MultiPoly":
-        c = Fraction(value)
+        c = _canonical(value)
         return MultiPoly(nvars, {} if c == 0 else {(0,) * nvars: c})
 
     @staticmethod
@@ -49,26 +94,28 @@ class MultiPoly:
             raise ValueError(f"variable index {idx} out of range for nvars={nvars}")
         exp = [0] * nvars
         exp[idx] = power
-        return MultiPoly(nvars, {tuple(exp): Fraction(1)})
+        return MultiPoly(nvars, {tuple(exp): 1})
 
     @staticmethod
     def monomial(nvars: int, exp: Exponent, coeff: int | Fraction = 1) -> "MultiPoly":
-        c = Fraction(coeff)
+        c = _canonical(coeff)
         if len(exp) != nvars:
             raise ValueError("exponent length mismatch")
         return MultiPoly(nvars, {} if c == 0 else {tuple(exp): c})
 
     @staticmethod
     def from_terms(nvars: int, terms: Iterable[tuple[Exponent, int | Fraction]]) -> "MultiPoly":
-        acc: dict[Exponent, Fraction] = {}
+        acc: dict[Exponent, Coeff] = {}
         for exp, c in terms:
-            c = Fraction(c)
+            c = _canonical(c)
             if c == 0:
                 continue
             exp = tuple(exp)
-            acc[exp] = acc.get(exp, Fraction(0)) + c
-            if acc[exp] == 0:
+            v = acc.get(exp, 0) + c
+            if v == 0:
                 del acc[exp]
+            else:
+                acc[exp] = _canonical(v)
         return MultiPoly(nvars, acc)
 
     # -- ring operations ---------------------------------------------------
@@ -81,11 +128,13 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            v = out.get(exp, Fraction(0)) + c
-            if v == 0:
-                out.pop(exp, None)
+            v = out.get(exp)
+            if v is None:
+                out[exp] = c
+            elif v == -c:
+                del out[exp]
             else:
-                out[exp] = v
+                out[exp] = _canonical(v + c)
         return MultiPoly(self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -101,26 +150,35 @@ class MultiPoly:
             elif v == c:
                 del out[exp]
             else:
-                out[exp] = v - c
+                out[exp] = _canonical(v - c)
         return MultiPoly(self.nvars, out)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
+        nv = self.nvars
+        if not self.terms or not other.terms:
+            return MultiPoly(nv, {})
         da, na = _integral(self.terms)
         db, nb = _integral(other.terms)
-        acc: dict[Exponent, int] = {}
-        for ea, ca in na:
-            for eb, cb in nb:
-                exp = tuple(map(add, ea, eb))
-                acc[exp] = acc.get(exp, 0) + ca * cb
+        top = max(map(max, self.terms)) + max(map(max, other.terms)) if nv else 0
+        pa = list(zip(_pack(self.terms, top), na))
+        pb = list(zip(_pack(other.terms, top), nb))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, ca in pa:
+            for kb, cb in pb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        acc = {k: v for k, v in acc.items() if v}
         den = da * db
-        return MultiPoly(self.nvars, {e: Fraction(v, den) for e, v in acc.items() if v})
+        vals = acc.values() if den == 1 else [_quotient(v, den) for v in acc.values()]
+        return MultiPoly(nv, dict(zip(_unpack(acc, top, nv), vals)))
 
     def scale(self, c: int | Fraction) -> "MultiPoly":
-        c = Fraction(c)
+        c = _canonical(c)
         if c == 0:
             return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return MultiPoly(self.nvars, {e: _canonical(c * v) for e, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -153,29 +211,24 @@ class MultiPoly:
         """Maximum total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.terms))) <= 1
 
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coefficient(self, exp: Exponent) -> Coeff:
+        return self.terms.get(tuple(exp), 0)
 
     def derivative(self, idx: int) -> "MultiPoly":
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exp, c in self.terms.items():
             k = exp[idx]
             if k == 0:
                 continue
             new = list(exp)
             new[idx] = k - 1
-            ne = tuple(new)
-            v = out.get(ne, Fraction(0)) + c * k
-            if v == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = v
+            # distinct exponents stay distinct after the decrement
+            out[tuple(new)] = _canonical(c * k)
         return MultiPoly(self.nvars, out)
 
     # -- substitution ------------------------------------------------------
@@ -186,39 +239,37 @@ class MultiPoly:
         """Substitute each variable by a monomial ``coeff * x^exp``.
 
         Fast path used for parametrizations; every variable of self must
-        have an image.  Exact, term by term.
+        have an image.  Exact, term by term.  Output exponents are packed
+        into one ``int`` as in ``__mul__``, so each factor adds one integer.
         """
-        out: dict[Exponent, Fraction] = {}
-        powers: dict[tuple[int, int], Fraction] = {}
-        norm = {i: (Fraction(ic), ie) for i, (ic, ie) in images.items()}
+        if not self.terms:
+            return MultiPoly(nvars_out, {})
+        # an output entry is at most the degree times the largest image entry
+        top = max(1, self.total_degree()) * max(
+            (max(ie, default=0) for _, ie in images.values()), default=0)
+        keys = _pack([ie for _, ie in images.values()], top)
+        norm = {i: (_canonical(ic), k) for (i, (ic, _)), k in zip(images.items(), keys)}
+        powers: dict[tuple[int, int], Coeff] = {}
+        acc: dict[int, Coeff] = {}
         for exp, c in self.terms.items():
-            coeff = c
-            acc = [0] * nvars_out
-            dead = False
+            key = 0
             for i, k in enumerate(exp):
                 if k == 0:
                     continue
-                ic, ie = norm[i]
+                ic, ik = norm[i]
                 if ic == 0:
-                    dead = True
                     break
-                key = (i, k)
-                p = powers.get(key)
-                if p is None:
-                    p = powers[key] = ic**k
-                coeff *= p
-                for t, pw in enumerate(ie):
-                    if pw:
-                        acc[t] += pw * k
-            if dead:
-                continue
-            mono = tuple(acc)
-            v = out.get(mono, Fraction(0)) + coeff
-            if v == 0:
-                out.pop(mono, None)
+                if ic != 1:
+                    p = powers.get((i, k))
+                    if p is None:
+                        p = powers[(i, k)] = ic**k
+                    c = c * p
+                key += k * ik
             else:
-                out[mono] = v
-        return MultiPoly(nvars_out, out)
+                acc[key] = acc.get(key, 0) + c
+        acc = {k: c for k, c in acc.items() if c != 0}
+        vals = [_canonical(c) for c in acc.values()]
+        return MultiPoly(nvars_out, dict(zip(_unpack(acc, top, nvars_out), vals)))
 
     def substitute(self, images: list["MultiPoly"]) -> "MultiPoly":
         """General composition: variable i is replaced by images[i]."""
@@ -244,18 +295,17 @@ class MultiPoly:
             out = out + term
         return out
 
-    def evaluate(self, values: list[Fraction | int]) -> Fraction:
+    def evaluate(self, values: list[Fraction | int]) -> Coeff:
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
+        vals = [_canonical(v) for v in values]
+        total: Coeff = 0
         for exp, c in self.terms.items():
-            t = c
             for v, k in zip(vals, exp):
                 if k:
-                    t *= v**k
-            total += t
-        return total
+                    c = c * v**k
+            total += c
+        return _canonical(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.terms:

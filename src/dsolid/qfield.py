@@ -95,35 +95,60 @@ def sqrt_fraction(x: Fraction) -> Fraction | QuadExt:
     return QuadExt(Fraction(0), Fraction(1, den), d)
 
 
-def eval_poly_at(poly, values: list) -> "QuadExt | Fraction":
-    """Evaluate a MultiPoly at a point with Fraction or QuadExt coordinates.
+def _integer_pair(v: "QuadExt | Fraction | int") -> tuple[int, int, int]:
+    """``v`` as ``(x, y, den)`` with ``v = (x + y sqrt(d)) / den`` and ``den > 0``."""
+    if not isinstance(v, QuadExt):
+        v = Fraction(v)
+        return v.numerator, 0, v.denominator
+    den = math.lcm(v.a.denominator, v.b.denominator)
+    return (v.a.numerator * (den // v.a.denominator),
+            v.b.numerator * (den // v.b.denominator), den)
 
-    The rational coordinates are evaluated in Q first: the terms are grouped
-    by their exponents in the QuadExt coordinates, and each group's rational
-    sum is lifted into Q(sqrt(d)) once.
+
+def eval_poly_at(poly, values: list) -> "QuadExt | Fraction | int":
+    """Evaluate a MultiPoly at a point with rational or QuadExt coordinates.
+
+    At a point with a QuadExt coordinate every coordinate is written as an
+    integer pair over an integer denominator, ``(x + y sqrt(d)) / den``, so
+    each term is a product of integers; the terms are summed over the lcm
+    of their denominators and one QuadExt is built at the end.  At a
+    rational point the value is ``poly.evaluate(values)``.
     """
-    d = next((v.d for v in values if isinstance(v, QuadExt)), None)
-    if d is None:
-        return poly.evaluate([Fraction(v) for v in values])
     quad = [i for i, v in enumerate(values) if isinstance(v, QuadExt)]
-    rat = [(i, Fraction(v)) for i, v in enumerate(values) if not isinstance(v, QuadExt)]
-    rpowers: dict[tuple[int, int], Fraction] = {}
-    groups: dict[tuple[int, ...], Fraction] = {}
+    if not quad:
+        return poly.evaluate(values)
+    d = values[quad[0]].d
+    if any(values[i].d != d for i in quad):
+        raise ValueError("mixed quadratic fields")
+    rat = [i for i, v in enumerate(values) if not isinstance(v, QuadExt)]
+    coords = [_integer_pair(v) for v in values]
+    powers: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+    def power(i: int, k: int) -> tuple[int, int, int]:
+        p = powers.get((i, k))
+        if p is None:
+            x, y, den = coords[i]
+            a, b, e = power(i, k - 1) if k > 1 else (1, 0, 1)
+            p = powers[(i, k)] = (a * x + b * y * d, a * y + b * x, e * den)
+        return p
+
+    ta, tb, tden = 0, 0, 1
     for exp, c in poly.terms.items():
-        for i, v in rat:
+        a, b, den = c.numerator, 0, c.denominator
+        for i in rat:
             k = exp[i]
             if k:
-                p = rpowers.get((i, k))
-                if p is None:
-                    p = rpowers[(i, k)] = v**k
-                c = c * p
-        key = tuple(exp[i] for i in quad)
-        groups[key] = groups.get(key, Fraction(0)) + c
-    total = QuadExt(Fraction(0), Fraction(0), d)
-    for key, c in groups.items():
-        term = QuadExt(c, Fraction(0), d)
-        for i, k in zip(quad, key):
+                x, _, e = power(i, k)
+                a, den = a * x, den * e
+        for i in quad:
+            k = exp[i]
             if k:
-                term = term * values[i] ** k
-        total = total + term
-    return total
+                x, y, e = power(i, k)
+                a, b, den = a * x + b * y * d, a * y + b * x, den * e
+        if den != tden:
+            lcm = math.lcm(tden, den)
+            ta, tb = ta * (lcm // tden), tb * (lcm // tden)
+            a, b, tden = a * (lcm // den), b * (lcm // den), lcm
+        ta += a
+        tb += b
+    return QuadExt(Fraction(ta, tden), Fraction(tb, tden), d)

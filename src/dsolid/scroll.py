@@ -19,14 +19,13 @@ quadratic extension).
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .poly import Exponent, MultiPoly
+from .poly import Exponent, MultiPoly, _canonical
 from .qfield import QuadExt, eval_poly_at, sqrt_fraction
 
 # parametrization variable order
@@ -41,12 +40,12 @@ class RidgeDegenerate(RuntimeError):
     """The quadric vanishes on the ridge line; cone-curve count excluded."""
 
 
-Root = tuple[Fraction, Fraction]
+# coordinates are ints when integral, as polynomial coefficients are
+Root = tuple[int | Fraction, int | Fraction]
 
 
 def _norm_root(r) -> Root:
-    p, q = r
-    p, q = Fraction(p), Fraction(q)
+    p, q = map(_canonical, r)
     if p == 0 and q == 0:
         raise InstanceError("(0:0) is not a point")
     return (p, q)
@@ -66,15 +65,15 @@ class ScrollParam:
     def nvars(self) -> int:
         return self.n + 1
 
-    def monomial_images(self) -> dict[int, tuple[Fraction, Exponent]]:
+    def monomial_images(self) -> dict[int, tuple[int, Exponent]]:
         n = self.n
-        out: dict[int, tuple[Fraction, Exponent]] = {}
+        out: dict[int, tuple[int, Exponent]] = {}
         for j in range(n - 1):
             exp = [0, 0, 0, 0, 0]
             exp[U0], exp[U1], exp[S] = n - 2 - j, j, 1
-            out[j] = (Fraction(1), tuple(exp))
-        out[n - 1] = (Fraction(1), (0, 0, 0, 1, 0))
-        out[n] = (Fraction(1), (0, 0, 0, 0, 1))
+            out[j] = (1, tuple(exp))
+        out[n - 1] = (1, (0, 0, 0, 1, 0))
+        out[n] = (1, (0, 0, 0, 0, 1))
         return out
 
     def compose(self, p: MultiPoly) -> MultiPoly:
@@ -83,15 +82,15 @@ class ScrollParam:
             raise InstanceError("polynomial does not live on the ambient space")
         return p.substitute_monomials(5, self.monomial_images())
 
-    def fiber_images(self, lam: Root) -> dict[int, tuple[Fraction, Exponent]]:
+    def fiber_images(self, lam: Root) -> dict[int, tuple[int | Fraction, Exponent]]:
         """Substitution onto the plane over a fiber point: variables (s,a,b)."""
         n = self.n
         p, q = _norm_root(lam)
-        out: dict[int, tuple[Fraction, Exponent]] = {}
+        out: dict[int, tuple[int | Fraction, Exponent]] = {}
         for j in range(n - 1):
             out[j] = (p ** (n - 2 - j) * q**j, (1, 0, 0))
-        out[n - 1] = (Fraction(1), (0, 1, 0))
-        out[n] = (Fraction(1), (0, 0, 1))
+        out[n - 1] = (1, (0, 1, 0))
+        out[n] = (1, (0, 0, 1))
         return out
 
 
@@ -174,7 +173,7 @@ def splitting_matrix(n: int, q: MultiPoly) -> list[list[Fraction]]:
             e = [0] * (n + 1)
             e[idxs[r]] += 1
             e[idxs[c]] += 1
-            v = q.coefficient(tuple(e))
+            v = Fraction(q.coefficient(tuple(e)))
             if r == c:
                 m[r][r] = v
             else:
@@ -277,7 +276,7 @@ def double_conic_verify(inst: QuarticInstance, rng: random.Random | None = None)
     # cone sections: z_{n-1} = 0 and z_n = 0
     for drop in (n - 1, n):
         images = ScrollParam(n).monomial_images()
-        images[drop] = (Fraction(0), (0, 0, 0, 0, 0))
+        images[drop] = (0, (0, 0, 0, 0, 0))
         if not residual.substitute_monomials(5, images).is_zero():
             return False
     return _matrix_rank3(splitting_matrix(n, inst.q)) == 2
@@ -307,11 +306,11 @@ def double_curve_degree(
     if ridge.is_zero():
         raise RidgeDegenerate("Q contains the ridge line; degree count excluded")
     # pull Q to the cone chart (u0, u1, s, c): c is the kept last coordinate
-    images: dict[int, tuple[Fraction, Exponent]] = {}
+    images: dict[int, tuple[int, Exponent]] = {}
     for j in range(n - 1):
-        images[j] = (Fraction(1), (n - 2 - j, j, 1, 0))
-    images[drop] = (Fraction(0), (0, 0, 0, 0))
-    images[keep] = (Fraction(1), (0, 0, 0, 1))
+        images[j] = (1, (n - 2 - j, j, 1, 0))
+    images[drop] = (0, (0, 0, 0, 0))
+    images[keep] = (1, (0, 0, 0, 1))
     qc = inst.q.substitute_monomials(4, images)
     # coefficients of s^2, s c, c^2 as binary forms in (u0, u1)
     spans = {2: {}, 1: {}, 0: {}}
@@ -336,11 +335,11 @@ def double_curve_degree(
 
 def _ridge_restriction(q: MultiPoly, n: int) -> MultiPoly:
     """Q restricted to the ridge line z0 = .. = z_{n-2} = 0."""
-    images: dict[int, tuple[Fraction, Exponent]] = {}
+    images: dict[int, tuple[int, Exponent]] = {}
     for j in range(n - 1):
-        images[j] = (Fraction(0), (0, 0))
-    images[n - 1] = (Fraction(1), (1, 0))
-    images[n] = (Fraction(1), (0, 1))
+        images[j] = (0, (0, 0))
+    images[n - 1] = (1, (1, 0))
+    images[n] = (1, (0, 1))
     return q.substitute_monomials(2, images)
 
 
@@ -348,14 +347,38 @@ class ProbeExcluded(ValueError):
     """The splitting fiber is excluded from the tangency probe."""
 
 
-@functools.lru_cache(maxsize=32)
-def _pullback_fiber_derivative(inst: "QuarticInstance") -> MultiPoly:
-    """d/du1 of the quartic pulled back to the parametrization chart."""
-    return ScrollParam(inst.n).compose(inst.big_f).derivative(U1)
+@dataclass(frozen=True)
+class TangencyProbe:
+    """One instance with d/du1 of its quartic pulled back to the chart.
+
+    The pullback is computed once per instance and serves the probe of
+    every root of that instance.
+    """
+
+    inst: QuarticInstance
+    derivative: MultiPoly
+
+    @staticmethod
+    def of(inst: QuarticInstance) -> "TangencyProbe":
+        return TangencyProbe(inst, ScrollParam(inst.n).compose(inst.big_f).derivative(U1))
+
+    def on_fiber(self, lam: Root) -> MultiPoly:
+        """The derivative on the plane over ``lam``, in variables (s, a, b)."""
+        p, q = lam
+        return self.derivative.substitute_monomials(
+            3,
+            {
+                U0: (p, (0, 0, 0)),
+                U1: (q, (0, 0, 0)),
+                S: (1, (1, 0, 0)),
+                A: (1, (0, 1, 0)),
+                B: (1, (0, 0, 1)),
+            },
+        )
 
 
 def smoothness_probe(
-    inst: QuarticInstance,
+    inst: QuarticInstance | TangencyProbe,
     root_index: int,
     samples: int = 8,
     rng: random.Random | None = None,
@@ -367,28 +390,20 @@ def smoothness_probe(
     the fiber direction must not vanish; with a simple root it reduces to
     a nonzero constant times s^2 a b, so failures detect repeated roots.
     Sample points are exact, possibly in a quadratic extension; points on
-    coordinate degeneracies are resampled.
+    coordinate degeneracies are resampled.  Pass a ``TangencyProbe`` to
+    probe several roots of one instance with a single pullback.
     """
+    probe = inst if isinstance(inst, TangencyProbe) else TangencyProbe.of(inst)
+    inst = probe.inst
     n = inst.n
     rng = rng or random.Random(2)
     if not 0 <= root_index < len(inst.roots):
         raise ProbeExcluded("probe only runs over the simple tangency fibers")
     lam = inst.roots[root_index]
-    p, qq = lam
-    if p == 0:
+    if lam[0] == 0:
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
     # derivative of the pulled-back quartic along u1, evaluated at the fiber
-    dbig = _pullback_fiber_derivative(inst)
-    h = dbig.substitute_monomials(
-        3,
-        {
-            U0: (p, (0, 0, 0)),
-            U1: (qq, (0, 0, 0)),
-            S: (Fraction(1), (1, 0, 0)),
-            A: (Fraction(1), (0, 1, 0)),
-            B: (Fraction(1), (0, 0, 1)),
-        },
-    )
+    h = probe.on_fiber(lam)
     conic = fiber_restrict(inst.q, n, lam)  # in (s, a, b)
     got = 0
     for _ in range(max_attempts):
@@ -399,7 +414,7 @@ def smoothness_probe(
             continue
         # solve conic(1, t, b) = 0 for b
         line = conic.substitute_monomials(
-            1, {0: (Fraction(1), (0,)), 1: (t, (0,)), 2: (Fraction(1), (1,))}
+            1, {0: (1, (0,)), 1: (t, (0,)), 2: (1, (1,))}
         )
         gamma = line.coefficient((2,))
         beta = line.coefficient((1,))
@@ -408,7 +423,7 @@ def smoothness_probe(
         if gamma == 0:
             if beta == 0:
                 continue
-            points = [-alpha / beta]
+            points = [Fraction(-alpha, beta)]
         else:
             disc = beta * beta - 4 * gamma * alpha
             root = sqrt_fraction(disc)
@@ -426,7 +441,7 @@ def smoothness_probe(
             bz = b.is_zero() if isinstance(b, QuadExt) else b == 0
             if bz:
                 continue  # coordinate degeneracy: resample
-            pt = [Fraction(1), t, b]
+            pt = [1, t, b]
             check = eval_poly_at(conic, pt)
             cz = check.is_zero() if isinstance(check, QuadExt) else check == 0
             assert cz, "sample point is not on the conic"

@@ -147,10 +147,16 @@ def pluri_anticanonical_stripping(tower: BlowupTower, order: list[str] | None = 
     return strip_fixed_components(cls, tower.cycle_classes(), order=order)
 
 
-def confluence_orders(tower: BlowupTower, shuffles: int, seed: int = 0) -> bool:
-    """Re-run the pluri-anticanonical stripping under random orders; all agree."""
+def confluence_orders(
+    tower: BlowupTower, shuffles: int, seed: int = 0, ref: StrippingResult | None = None
+) -> bool:
+    """Re-run the pluri-anticanonical stripping under random orders; all agree.
+
+    ``ref`` is the stripping in the default order, computed when not given.
+    """
     rng = random.Random(seed)
-    ref = pluri_anticanonical_stripping(tower)
+    if ref is None:
+        ref = pluri_anticanonical_stripping(tower)
     names = tower.cycle_names()
     for _ in range(shuffles):
         order = names[:]
@@ -169,10 +175,16 @@ class MovableInvariants:
     component_degrees: tuple[int, ...]
 
 
-def movable_invariants(tower: BlowupTower) -> MovableInvariants:
-    """Numerical invariants of the movable part of the (n-2)-fold system."""
-    res = pluri_anticanonical_stripping(tower)
-    mov = res.movable
+def movable_invariants(
+    tower: BlowupTower, stripping: StrippingResult | None = None
+) -> MovableInvariants:
+    """Numerical invariants of the movable part of the (n-2)-fold system.
+
+    ``stripping`` is that system's stripping, computed when not given.
+    """
+    if stripping is None:
+        stripping = pluri_anticanonical_stripping(tower)
+    mov = stripping.movable
     k = tower.canonical
     square = mov.dot(mov)
     pa = 1 + Fraction(square + mov.dot(k), 2)

@@ -31,6 +31,7 @@ from dsolid.incidence import (
 from dsolid.lattice import build_surface, self_intersection_profile
 from dsolid.report import RunConfig, run as run_report
 from dsolid.scroll import (
+    TangencyProbe,
     double_conic_verify,
     double_curve_degree,
     moduli_formulas,
@@ -175,8 +176,9 @@ def test_criterion_7_quartic_instances(n):
         if double_curve_degree(inst, "n+1", rng) != 2 * (n - 2):
             ok = False
             break
+        probe = TangencyProbe.of(inst)
         for r in range(n - 2):
-            if not smoothness_probe(inst, r, samples=8, rng=rng):
+            if not smoothness_probe(probe, r, samples=8, rng=rng):
                 ok = False
                 break
         if not ok:

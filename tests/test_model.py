@@ -2,6 +2,8 @@
 
 import hashlib
 
+import pytest
+
 from dsolid import elimination, incidence, lattice
 from dsolid.axioms import default_registry
 from dsolid.checks import CHECKS, CheckContext, Model
@@ -19,6 +21,26 @@ def test_report_bytes_frozen(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_4_7_SHA256
+
+
+# sha256 of the file written by `dsolid emit-instance --n N --seed S --verify-roundtrip`,
+# recorded while every coefficient was still stored as a Fraction
+EMITTED_INSTANCE_SHA256 = {
+    (4, 1): "02e5c84bff1d70b4e592dffa0eac233bac847f18f375dbe1c6b335b2b4eb062a",
+    (7, 42): "a1ce248265f0083fc8beb4ba4eadb7de71ec1f75b53e44706e924fec2e9dfbb2",
+    (10, 3): "1c55a26f009416145cb2dece406e573cbd71b8a3ffadd3ab42560eabf02aae08",
+    (12, 7): "7704a57989085a968f5a09cf169d2183e9a9e6b5d06dc30aae1403c171f7f7c9",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(EMITTED_INSTANCE_SHA256))
+def test_emitted_instance_bytes_frozen(n, seed, tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    code = main(["emit-instance", "--n", str(n), "--seed", str(seed), "--out", str(out),
+                 "--verify-roundtrip"])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EMITTED_INSTANCE_SHA256[(n, seed)]
 
 
 def test_full_run_equals_runs_of_single_checks():

@@ -8,6 +8,17 @@ from dsolid.poly import MultiPoly
 from dsolid.qfield import QuadExt, eval_poly_at, sqrt_fraction
 
 
+def _is_canonical(c):
+    """An int exactly when integral, else a Fraction with denominator > 1; never 0."""
+    if type(c) is int:
+        return c != 0
+    return type(c) is Fraction and c.denominator > 1
+
+
+def _canonical_terms(p):
+    return all(_is_canonical(c) for c in p.terms.values())
+
+
 def _mk(nvars=3):
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
     coeffs = st.fractions(min_value=-5, max_value=5)
@@ -38,7 +49,7 @@ def test_sub_matches_add_negated(a, b):
     for left, right in ((a, b), (a, a), (a + b, b), (b, a + b)):
         diff = left - right
         assert diff == left + (-right)
-        assert all(type(c) is Fraction and c != 0 for c in diff.terms.values())
+        assert _canonical_terms(diff)
     assert (a - a).terms == {}
     assert (a + b) - b == a
 
@@ -145,7 +156,7 @@ def test_mul_matches_fraction_reference(left, right, data):
     a, b = data.draw(left), data.draw(right)
     prod = a * b
     assert dict(prod.terms) == _reference_product(a, b)
-    assert all(type(c) is Fraction and c != 0 for c in prod.terms.values())
+    assert _canonical_terms(prod)
 
 
 def test_mul_cancellation_stores_no_zero():
@@ -154,17 +165,23 @@ def test_mul_cancellation_stores_no_zero():
     b = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(-1, 3))])
     prod = a * b
     assert dict(prod.terms) == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
-    assert all(type(c) is Fraction for c in prod.terms.values())
+    assert _canonical_terms(prod)
     assert (a * MultiPoly.zero(2)).terms == {}
     assert (MultiPoly.zero(2) * MultiPoly.zero(2)).terms == {}
 
 
-def test_integral_product_stores_fractions():
+def test_integral_product_stores_ints():
     a = MultiPoly.from_terms(2, [((1, 0), 3), ((0, 1), -2)])
     prod = a**3
     assert prod.coefficient((2, 1)) == 3 * 9 * -2
-    assert all(type(c) is Fraction for c in prod.terms.values())
-    assert hash(prod) == hash(MultiPoly.from_terms(2, list(prod.terms.items())))
+    assert all(type(c) is int for c in prod.terms.values())
+    # the same polynomial with Fraction coefficients is equal and hashes equal
+    as_fractions = MultiPoly(2, {e: Fraction(c) for e, c in prod.terms.items()})
+    assert prod == as_fractions and hash(prod) == hash(as_fractions)
+    # a product of rational polynomials with integral coefficients stores ints
+    half = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(3, 2))])
+    assert dict((half * MultiPoly.const(2, 2)).terms) == {(1, 0): 1, (0, 1): 3}
+    assert all(type(c) is int for c in (half * MultiPoly.const(2, 2)).terms.values())
 
 
 def _naive_eval(p, values, d):
@@ -198,3 +215,187 @@ def test_eval_poly_at_matches_per_term_lift(p, d, coords):
     want = _naive_eval(p, values, d)
     assert isinstance(got, QuadExt)
     assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
+# -- the canonical coefficient form, operation by operation ---------------------
+
+# ints, integral Fractions such as 4/2, and Fractions with denominator > 1
+_coeff = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.integers(-9, 9).map(lambda k: Fraction(2 * k, 2)),
+)
+
+
+def _mixed(nvars=3):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.lists(st.tuples(exps, _coeff), max_size=6).map(
+        lambda ts: MultiPoly.from_terms(nvars, ts)
+    )
+
+
+def _canonical_scalar(x):
+    return type(x) is int if Fraction(x).denominator == 1 else type(x) is Fraction
+
+
+def _fraction_terms(pairs):
+    """Sum (exponent, coefficient) pairs in Fraction arithmetic; drop zeros."""
+    out = {}
+    for e, c in pairs:
+        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + Fraction(c)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=_coeff)
+def test_constructors_are_canonical(v):
+    for p, exp in ((MultiPoly.const(3, v), (0, 0, 0)),
+                   (MultiPoly.monomial(3, (1, 2, 0), v), (1, 2, 0))):
+        assert dict(p.terms) == _fraction_terms([(exp, v)])
+        assert _canonical_terms(p)
+    assert MultiPoly.const(0, v).terms == _fraction_terms([((), v)])
+    x = MultiPoly.var(3, 1, 2)
+    assert dict(x.terms) == {(0, 2, 0): 1} and _canonical_terms(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ts=st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 2), _coeff), max_size=8))
+def test_from_terms_is_canonical(ts):
+    p = MultiPoly.from_terms(2, ts)
+    assert dict(p.terms) == _fraction_terms(ts)
+    assert _canonical_terms(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_mixed(), b=_mixed())
+def test_add_sub_neg_are_canonical(a, b):
+    plus = _fraction_terms(list(a.terms.items()) + list(b.terms.items()))
+    minus = _fraction_terms(list(a.terms.items()) + [(e, -c) for e, c in b.terms.items()])
+    for got, want in ((a + b, plus), (a - b, minus), (-a, _fraction_terms(
+            [(e, -c) for e, c in a.terms.items()])), (a + (-a), {})):
+        assert dict(got.terms) == want
+        assert _canonical_terms(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_mixed(), c=_coeff, idx=st.integers(0, 2))
+def test_scale_and_derivative_are_canonical(a, c, idx):
+    scaled = a.scale(c)
+    assert dict(scaled.terms) == _fraction_terms([(e, Fraction(c) * v) for e, v in a.terms.items()])
+    deriv = a.derivative(idx)
+    want = _fraction_terms(
+        [(e[:idx] + (e[idx] - 1,) + e[idx + 1:], v * e[idx]) for e, v in a.terms.items() if e[idx]]
+    )
+    assert dict(deriv.terms) == want
+    assert _canonical_terms(scaled) and _canonical_terms(deriv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=_mixed(),
+    images=st.lists(
+        st.tuples(_coeff, st.tuples(*[st.integers(0, 2)] * 2)), min_size=3, max_size=3
+    ),
+)
+def test_substitute_monomials_is_canonical(a, images):
+    got = a.substitute_monomials(2, dict(enumerate(images)))
+    pairs = []
+    for e, c in a.terms.items():
+        coeff, mono = Fraction(c), [0, 0]
+        for (ic, ie), k in zip(images, e):
+            coeff *= Fraction(ic) ** k
+            mono = [m + k * t for m, t in zip(mono, ie)]
+        pairs.append((tuple(mono), coeff))
+    assert dict(got.terms) == _fraction_terms(pairs)
+    assert _canonical_terms(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_mixed(), values=st.lists(_coeff, min_size=3, max_size=3))
+def test_evaluate_is_canonical(a, values):
+    got = a.evaluate(values)
+    want = sum((Fraction(c) * Fraction(values[0]) ** e[0] * Fraction(values[1]) ** e[1]
+                * Fraction(values[2]) ** e[2] for e, c in a.terms.items()), Fraction(0))
+    assert got == want
+    assert _canonical_scalar(got)
+
+
+# -- packed exponents: one int per monomial --------------------------------------
+
+
+@pytest.mark.parametrize("top", [254, 255, 256, 257, 1000])
+def test_packed_product_at_the_base_boundary(top):
+    # the largest exponents of the operands add up to `top`, and the product
+    # reaches it in the first and in the second variable next to nonzero
+    # neighbours; a digit too narrow for `top` would carry into the next one
+    a, b = top // 2, top - top // 2
+    x = MultiPoly.from_terms(3, [((a, 1, 2), 2), ((0, a, 1), -1), ((1, 1, 1), Fraction(1, 3))])
+    y = MultiPoly.from_terms(3, [((b, 2, 0), 3), ((1, b, 1), 1), ((0, 0, 0), 1)])
+    prod = x * y
+    assert dict(prod.terms) == _reference_product(x, y)
+    assert prod.coefficient((top, 3, 2)) == 6 and prod.coefficient((1, top, 2)) == -1
+    assert _canonical_terms(prod)
+    # a linear form whose images have entries up to `top`
+    z = MultiPoly.from_terms(2, [((1, 0), 1), ((0, 1), -1)])
+    sub = z.substitute_monomials(2, {0: (2, (top, 1)), 1: (Fraction(1, 2), (0, top))})
+    assert dict(sub.terms) == {(top, 1): 2, (0, top): Fraction(-1, 2)}
+    assert _canonical_terms(sub)
+
+
+def test_packed_product_zero_operand_and_no_variables():
+    a = MultiPoly.from_terms(2, [((3, 1), 2), ((0, 0), Fraction(1, 2))])
+    assert (a * MultiPoly.zero(2)).terms == {}
+    assert (MultiPoly.zero(2) * a).terms == {}
+    two, half = MultiPoly.const(0, 2), MultiPoly.const(0, Fraction(1, 2))
+    assert dict((two * half).terms) == {(): 1} and type((two * half).terms[()]) is int
+    assert dict((half * half).terms) == {(): Fraction(1, 4)}
+    assert (two * MultiPoly.zero(0)).terms == {}
+    assert MultiPoly.const(0, 3).substitute_monomials(2, {}).terms == {(0, 0): 3}
+
+
+def test_packed_product_cancels_to_ints():
+    # (x + 2y)(x - 2y) = x^2 - 4y^2: the xy terms cancel and are not stored
+    a = MultiPoly.from_terms(2, [((1, 0), 1), ((0, 1), 2)])
+    b = MultiPoly.from_terms(2, [((1, 0), 1), ((0, 1), -2)])
+    prod = a * b
+    assert dict(prod.terms) == {(2, 0): 1, (0, 2): -4}
+    assert all(type(c) is int for c in prod.terms.values())
+    # (x/2 + y)(2x - 4y) = x^2 - 4y^2 as well, from rational operands
+    c = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 1), 1)])
+    d = MultiPoly.from_terms(2, [((1, 0), 2), ((0, 1), -4)])
+    assert (c * d).terms == prod.terms and _canonical_terms(c * d)
+
+
+# -- eval_poly_at on integer pairs ------------------------------------------------
+
+
+def _coordinate(component):
+    return st.tuples(st.booleans(), component, component)
+
+
+@pytest.mark.parametrize(
+    "component",
+    [st.integers(-4, 4).map(Fraction), _small_fraction,
+     st.one_of(st.integers(-4, 4).map(Fraction), _small_fraction)],
+    ids=["integral", "rational", "mixed"],
+)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eval_poly_at_matches_naive_eval(component, data):
+    p = data.draw(_mixed())
+    d = data.draw(st.sampled_from([2, 3, 5, -1, -7]))
+    coords = data.draw(st.lists(_coordinate(component), min_size=3, max_size=3))
+    values = [QuadExt(a, b, d) if is_quad else a for is_quad, a, b in coords]
+    got = eval_poly_at(p, values)
+    if any(is_quad for is_quad, _, _ in coords):
+        want = _naive_eval(p, values, d)
+        assert isinstance(got, QuadExt)
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    else:
+        assert got == p.evaluate(values) and _canonical_scalar(got)
+
+
+def test_eval_poly_at_rejects_mixed_fields():
+    p = MultiPoly.from_terms(2, [((1, 1), 1)])
+    with pytest.raises(ValueError):
+        eval_poly_at(p, [sqrt_fraction(Fraction(2)), sqrt_fraction(Fraction(3))])

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dsolid.poly import MultiPoly
+from dsolid.qfield import QuadExt, eval_poly_at, sqrt_fraction
 from dsolid.scroll import (
     InstanceError,
     ProbeExcluded,
     QuarticInstance,
     RidgeDegenerate,
     ScrollParam,
+    TangencyProbe,
+    U1,
     build_instance,
     double_conic_verify,
     double_curve_degree,
@@ -272,7 +275,7 @@ def test_smoothness_probe_generic(n):
         assert smoothness_probe(inst, r, samples=8, rng=rng)
 
 
-def test_smoothness_probe_detects_double_root():
+def _double_root_instance():
     # assemble an instance with a doubled root by hand (the constructor
     # rejects it, so the probe must see the degeneracy)
     n = 5
@@ -291,7 +294,83 @@ def test_smoothness_probe_detects_double_root():
         q=good.q,
         big_f=z0zn1zn * f - good.q * good.q,
     )
+    return bad
+
+
+def test_smoothness_probe_detects_double_root():
+    bad = _double_root_instance()
     assert smoothness_probe(bad, 0, samples=4, rng=random.Random(3)) is False
+
+
+def _closed_form_constant(inst, lam):
+    """c = d/du1 (u0^{n-2} g) at lam, g = prod (p_i u1 - q_i u0), in Fractions."""
+    p, q = map(Fraction, lam)
+    factors = [Fraction(pi) * q - Fraction(qi) * p for pi, qi in inst.roots]
+    total = Fraction(0)
+    for i, (pi, _) in enumerate(inst.roots):
+        term = Fraction(pi)
+        for j, val in enumerate(factors):
+            if j != i:
+                term *= val
+        total += term
+    return p ** (inst.n - 2) * total
+
+
+def _conic_points(conic, rng, count):
+    """Exact points (1, t, b) of a conic in (s, a, b), b possibly in Q(sqrt d)."""
+    points = []
+    while len(points) < count:
+        t = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+        line = conic.substitute_monomials(1, {0: (1, (0,)), 1: (t, (0,)), 2: (1, (1,))})
+        gamma, beta, alpha = (Fraction(line.coefficient((k,))) for k in (2, 1, 0))
+        if gamma == 0:
+            continue
+        root = sqrt_fraction(beta * beta - 4 * gamma * alpha)
+        points += [(t, (root * sign + (-beta)) * (Fraction(1, 2) / gamma)) for sign in (1, -1)]
+    return points
+
+
+def _is_zero(x):
+    return x.is_zero() if isinstance(x, QuadExt) else x == 0
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_probe_derivative_matches_closed_form(n):
+    # on the conic over a simple root the pulled-back fiber derivative is
+    # c s^2 a b, with c from the roots alone and nonzero
+    rng = random.Random(300 + n)
+    inst = random_instance(n, rng)
+    probe = TangencyProbe.of(inst)
+    for lam in inst.roots:
+        c = _closed_form_constant(inst, lam)
+        assert c != 0
+        h = probe.on_fiber(lam)
+        conic = fiber_restrict(inst.q, n, lam)
+        for t, b in _conic_points(conic, rng, 6):
+            assert _is_zero(eval_poly_at(conic, [1, t, b]))
+            assert _is_zero(eval_poly_at(h, [1, t, b]) - b * (c * t))
+
+
+def test_probe_closed_form_fails_for_double_root():
+    bad = _double_root_instance()
+    lam = bad.roots[0]
+    assert _closed_form_constant(bad, lam) == 0
+    h = TangencyProbe.of(bad).on_fiber(lam)
+    conic = fiber_restrict(bad.q, bad.n, lam)
+    points = _conic_points(conic, random.Random(4), 6)
+    assert all(_is_zero(eval_poly_at(h, [1, t, b])) for t, b in points)
+    assert smoothness_probe(TangencyProbe.of(bad), 0, samples=4, rng=random.Random(3)) is False
+
+
+def test_tangency_probe_agrees_with_instance_probe():
+    inst = _valid_instance(6, 8)
+    probe = TangencyProbe.of(inst)
+    assert probe.derivative == ScrollParam(6).compose(inst.big_f).derivative(U1)
+    for r in range(4):
+        ra, rb = random.Random(r), random.Random(r)
+        assert smoothness_probe(probe, r, samples=8, rng=ra) == smoothness_probe(
+            inst, r, samples=8, rng=rb)
+        assert ra.getstate() == rb.getstate()
 
 
 def test_smoothness_probe_excludes_splitting_fiber():
