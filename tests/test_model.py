@@ -1,6 +1,7 @@
 """The per-n model: built once per n, shared by every check, never changed by one."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -21,6 +22,35 @@ def test_report_bytes_frozen(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_4_7_SHA256
+
+
+# sha256 of `dsolid verify --range 4..16 --seed 42 --format json --filter F`,
+# recorded while the pairing table stored every cell, zeros included
+MODULE_REPORT_4_16_SHA256 = {
+    "incidence.*": "d35b0ca6c5609d377cde8ab6800e4e040c02725ebe43069e9f8ef7a8677b62f8",
+    "elimination.[!c]*": "9305243e97d340f21697dda3b1a3ad7df1a0ee01895e5ec43bfe308ef37e14a4",
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(MODULE_REPORT_4_16_SHA256))
+def test_module_report_bytes_frozen(pattern, capsys):
+    code = main(["verify", "--range", "4..16", "--seed", "42", "--format", "json",
+                 "--filter", pattern])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODULE_REPORT_4_16_SHA256[pattern]
+
+
+def test_light_threefold_checks_at_n32():
+    # no other test reaches the incidence and elimination checks above n=16
+    ctx = CheckContext(registry=default_registry(), seed=42)
+    t0 = time.perf_counter()
+    failed = [rec.id for cid, spec in CHECKS.items()
+              if cid.startswith(("incidence.", "elimination.")) and not spec.heavy
+              for rec in spec.fn(32, ctx) if rec.status == "fail"]
+    elapsed = time.perf_counter() - t0
+    assert failed == []
+    assert elapsed < 10.0
 
 
 # sha256 of the file written by `dsolid emit-instance --n N --seed S --verify-roundtrip`,
@@ -67,7 +97,7 @@ def test_checks_leave_the_model_unchanged():
 
 
 def test_each_object_is_built_once_per_n(monkeypatch):
-    calls = {"tower": 0, "solve": 0, "trace": 0}
+    calls = {"tower": 0, "solve": 0, "table": 0, "trace": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -76,13 +106,15 @@ def test_each_object_is_built_once_per_n(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(lattice, "build_surface", counting("tower", lattice.build_surface))
+    monkeypatch.setattr(incidence, "solve_pairings",
+                        counting("solve", incidence.solve_pairings))
     monkeypatch.setattr(incidence, "complete_pairings",
-                        counting("solve", incidence.complete_pairings))
+                        counting("table", incidence.complete_pairings))
     monkeypatch.setattr(elimination, "run_elimination",
                         counting("trace", elimination.run_elimination))
     run(RunConfig(ns=(5, 6), seed=42, instances=1))
     # incidence.completion solves three shuffled systems besides the model's table
-    assert calls == {"tower": 2, "solve": 2 * 4, "trace": 2}
+    assert calls == {"tower": 2, "solve": 2 * 4, "table": 2, "trace": 2}
 
 
 def test_a_failed_build_fails_every_check_that_needs_it(monkeypatch):
