@@ -3,7 +3,7 @@
 Ledger-style operations never bake in a dimension or a surjectivity fact
 silently: they must consume it from a registry, and every consumption is
 recorded so reports can list exactly which assumptions a run used.
-Stripping the registry makes those operations fail, which the test suite
+Against an empty registry those operations fail, which the test suite
 checks.
 """
 
@@ -48,10 +48,6 @@ class AxiomRegistry:
                 {"id": ax.id, "kind": ax.kind, "statement": ax.statement, "consumed_by": consumer}
             )
         return out
-
-    def stripped(self) -> "AxiomRegistry":
-        """An empty registry, for honesty testing."""
-        return AxiomRegistry()
 
 
 _DEFAULTS = [

@@ -74,10 +74,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))  # exits 2
-        from .report import selected_checks
-
-        if not selected_checks(config.filter):
-            parser.error(f"filter {config.filter!r} matches no checks")
         report = run(config)
         print(render(report))
         return 0 if report.ok else 1

@@ -12,16 +12,11 @@ outcome, not an assumption.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .incidence import (
-    BundleExpression,
-    Curve,
-    IncidenceComplex,
-    PairingTable,
-    adjusted_bundle,
-    curve_name,
-)
+from .incidence import Curve, IncidenceComplex, PairingTable, adjusted_bundle, curve_name
 
 
 class EliminationFailure(RuntimeError):
@@ -33,8 +28,6 @@ class StageRecord:
     stage: int
     components: list[list[str]]
     centers: list[str]
-    odp_added: int
-    odp_points: list[str]
     degrees_after: dict[str, int]
 
 
@@ -42,11 +35,9 @@ class StageRecord:
 class LadderProfile:
     """Chain of exceptional components over the isolated base curve."""
 
-    base_curve: str
     components: tuple[str, ...]
     adjacent_sections: int
     ruled_types: tuple[str, ...]  # metadata; degrees are asserted, not derived
-    final_component_blowdown: str
 
     @property
     def count(self) -> int:
@@ -62,10 +53,9 @@ class BlowupState:
     stage: int = 1
     degrees: dict[Curve, int] = field(default_factory=dict)
     adjacency: dict[Curve, set[Curve]] = field(default_factory=dict)
-    # tracking surface of blown centers: "S" (degree-one surface) or an E-symbol
-    tracking: dict[Curve, str] = field(default_factory=dict)
     blow_counts: dict[Curve, int] = field(default_factory=dict)
-    bundles: list[BundleExpression] = field(default_factory=list)
+    # the running bundle of each stage, as {divisor symbol: coefficient}
+    bundles: list[dict[str, int | Fraction]] = field(default_factory=list)
     odp_census: list[tuple[str, int]] = field(default_factory=list)
 
     @property
@@ -82,7 +72,7 @@ def _initial_state(table: PairingTable) -> BlowupState:
         nodes = cx.fiber_cycle(i)
         m = len(nodes)
         for k, nd in enumerate(nodes):
-            state.degrees[nd] = int(table.degree(l1.coeffs, nd))
+            state.degrees[nd] = int(table.degree(l1, nd))
             state.adjacency.setdefault(nd, set())
         for k in range(m):
             a, b = nodes[k], nodes[(k + 1) % m]
@@ -174,26 +164,15 @@ def base_curve_scan(state: BlowupState) -> list[list[Curve]]:
 
 def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
     """Blow up the given centers and update the tracked state in place."""
-    n = state.n
     stage = state.stage + 1
     centers = set(curves)
-    # ODPs appear over the nodes of reducible centers: adjacent center pairs
-    odp_pts = []
-    for c in sorted(centers, key=repr):
-        for nb in state.adjacency[c]:
-            if nb in centers and repr(nb) > repr(c):
-                odp_pts.append(f"node({curve_name(c)},{curve_name(nb)})@stage{stage}")
-    new_divisors = []
-    for c in sorted(centers, key=repr):
-        kind, i, j = c
-        name = f"D{stage}[{i},{j}]" if kind == "C" else f"Db{stage}[{i},{j}]"
-        new_divisors.append(name)
+    ordered = sorted(centers, key=repr)
 
     # bundle update: pull back and subtract each new exceptional once
     co = {f"pull:{stage}": 1}
-    for name in new_divisors:
-        co[name] = -1
-    state.bundles.append(BundleExpression.make(f"Z{stage}", **co))
+    for kind, i, j in ordered:
+        co[f"D{stage}[{i},{j}]" if kind == "C" else f"Db{stage}[{i},{j}]"] = -1
+    state.bundles.append(co)
 
     decrements: dict[Curve, int] = {}
     for c in centers:
@@ -201,10 +180,12 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
             if nb not in centers:
                 decrements[nb] = decrements.get(nb, 0) + 1
     successor_deg: dict[Curve, int] = {}
+    # ODPs appear over the nodes of reducible centers: one per adjacent center pair
+    inner_total = 0
     for c in centers:
         inner = sum(1 for nb in state.adjacency[c] if nb in centers)
+        inner_total += inner
         successor_deg[c] = state.degrees[c] - _self_intersection(state, c) - inner
-        state.tracking[c] = _tracking_surface(state, c)
         state.blow_counts[c] = state.blow_counts.get(c, 0) + 1
     for nd, dv in decrements.items():
         state.degrees[nd] -= dv
@@ -212,20 +193,18 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
         state.degrees[c] = v
     # sever adjacency across surfaces the successor no longer touches
     for c in centers:
-        surf = state.tracking[c]
+        surf = _tracking_surface(state, c)
         for nb in list(state.adjacency[c]):
             if surf not in _surfaces_of(state, nb):
                 state.adjacency[c].discard(nb)
                 state.adjacency[nb].discard(c)
     state.stage = stage
-    state.odp_census.append((f"stage{stage}", len(odp_pts)))
+    state.odp_census.append((f"stage{stage}", inner_total // 2))
     return StageRecord(
         stage=stage,
         components=[],
-        centers=[curve_name(c) for c in sorted(centers, key=repr)],
-        odp_added=len(odp_pts),
-        odp_points=odp_pts,
-        degrees_after={curve_name(k): v for k, v in sorted(state.degrees.items(), key=repr) if v != 0 or k in centers},
+        centers=[curve_name(c) for c in ordered],
+        degrees_after={curve_name(k): v for k, v in state.degrees.items() if v != 0 or k in centers},
     )
 
 
@@ -236,37 +215,10 @@ class EliminationTrace:
     terminated: bool
     odp_census: list[tuple[str, int]]
     ladder: LadderProfile
-    ladder_conjugate: LadderProfile
     component_counts: list[int]
     per_family_counts: dict[int, list[int]]
     multiplicity_one: bool
     blow_counts: dict[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terminated": self.terminated,
-            "odp_census": list(self.odp_census),
-            "component_counts": self.component_counts,
-            "ladder": {
-                "base": self.ladder.base_curve,
-                "components": list(self.ladder.components),
-                "adjacent_sections": self.ladder.adjacent_sections,
-                "ruled_types": list(self.ladder.ruled_types),
-                "final": self.ladder.final_component_blowdown,
-            },
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "components": s.components,
-                    "centers": s.centers,
-                    "odp_added": s.odp_added,
-                    "degrees_after": s.degrees_after,
-                }
-                for s in self.stages
-            ],
-            "blow_counts": self.blow_counts,
-        }
 
 
 def run_elimination(table: PairingTable) -> EliminationTrace:
@@ -287,8 +239,9 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         comps = base_curve_scan(state)
         component_counts.append(len(comps))
         centers = sorted({c for comp in comps for c in comp}, key=repr)
+        family = Counter(c[1] for c in centers if c[0] == "C")
         for i in range(3, n - 1):
-            per_family[i].append(sum(1 for c in centers if c[0] == "C" and c[1] == i))
+            per_family[i].append(family[i])
         rec = blow_up_curves(state, centers)
         rec.components = [[curve_name(c) for c in comp] for comp in comps]
         stages.append(rec)
@@ -297,26 +250,15 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         raise EliminationFailure(f"n={n}: scan not empty at stage {n-2}: {final}")
 
     mult_one = all(
-        all(v == -1 for k, v in b.coeffs.items() if not k.startswith("pull:"))
+        all(v == -1 for k, v in b.items() if not k.startswith("pull:"))
         for b in state.bundles[1:]
     )
     seed = ("C", n - 1, 1)
     count = state.blow_counts.get(seed, 0)
-    components = tuple(f"D{k}[{n-1},1]" for k in range(2, 2 + count))
-    types = tuple(f"ruled-degree-{n-k-1}" for k in range(2, 2 + count))
     ladder = LadderProfile(
-        base_curve=curve_name(seed),
-        components=components,
+        components=tuple(f"D{k}[{n-1},1]" for k in range(2, 2 + count)),
         adjacent_sections=max(count - 1, 0),
-        ruled_types=types,
-        final_component_blowdown="plane-one-point-blowup",
-    )
-    ladder_b = LadderProfile(
-        base_curve=curve_name(("Cb", n - 1, 1)),
-        components=tuple(f"Db{k}[{n-1},1]" for k in range(2, 2 + count)),
-        adjacent_sections=max(count - 1, 0),
-        ruled_types=types,
-        final_component_blowdown="plane-one-point-blowup",
+        ruled_types=tuple(f"ruled-degree-{n-k-1}" for k in range(2, 2 + count)),
     )
     return EliminationTrace(
         n=n,
@@ -324,7 +266,6 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         terminated=True,
         odp_census=state.odp_census,
         ladder=ladder,
-        ladder_conjugate=ladder_b,
         component_counts=component_counts,
         per_family_counts=per_family,
         multiplicity_one=mult_one,
@@ -339,7 +280,6 @@ class TwistorLineDegrees:
     formula_value: int
     decrement_stages: tuple[int, ...]
     final: int
-    matches_formula: bool
 
 
 def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) -> TwistorLineDegrees:
@@ -355,16 +295,14 @@ def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) ->
     if not 1 <= i < n - 1:
         raise ValueError(f"line index {i} must satisfy 1 <= i < n-1 (the end line splits)")
     l1 = adjusted_bundle(n)
-    initial = int(table.degree(l1.coeffs, ("L", i)))
+    initial = int(table.degree(l1, ("L", i)))
     diagonal = curve_name(("C", i, i))
     decrement_stages = tuple(s.stage for s in trace.stages if diagonal in s.centers)
     final = initial - 2 * len(decrement_stages)
-    formula = 2 * (i - 1)
     return TwistorLineDegrees(
         i=i,
         initial=initial,
-        formula_value=formula,
+        formula_value=2 * (i - 1),
         decrement_stages=decrement_stages,
         final=final,
-        matches_formula=initial == formula,
     )

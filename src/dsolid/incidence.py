@@ -23,8 +23,6 @@ integral; anything else is a hard error.
 The table is sparse: it stores only the nonzero cells, and a missing cell
 pairs to 0.  Each curve has O(1) nonzero cells (T on seams, the one or two
 components containing it, the components it meets), out of 2n-1 divisors.
-The provenance of a cell (anchored, derived or inferred) is not stored; it
-depends only on the complex and the cell, and is derived when read.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from .axioms import AxiomRegistry
 # build_surface is not called here; it stays importable from this module
 # because the benchmark's tracing self-test checks this binding site
 from .lattice import BlowupTower, anticanonical_degree, build_surface  # noqa: F401
+from .poly import _canonical
 
 Curve = tuple  # ("C", i, j) | ("Cb", i, j) | ("G", i) | ("Gb", i) | ("D", i) | ("Db", i) | ("L", i)
 
@@ -206,10 +205,6 @@ class IncidenceComplex:
             return {f"E{i}": 1, f"Eb{i}": 1}
         raise ValueError(c)
 
-    def is_contracted(self, c: Curve) -> bool:
-        """True iff the blowdown to the original threefold contracts the curve."""
-        return c[0] in ("G", "Gb", "D", "Db")
-
     def t_degree(self, c: Curve) -> int:
         """Degree of the pencil pullback T on the curve: 1 on seams, 0 in fibers."""
         return 1 if c[0] in ("G", "Gb") else 0
@@ -283,7 +278,7 @@ class PairingTable:
 
     ``entries`` holds only the nonzero cells over the divisors T, E_j and
     Eb_j; a missing cell pairs to 0.  ``nu`` holds the solved normal-bundle
-    degrees.  Provenance is derived per cell by ``provenance``.
+    degrees.
     """
 
     complex: IncidenceComplex
@@ -292,19 +287,6 @@ class PairingTable:
 
     def value(self, div: str, c: Curve) -> int:
         return self.entries.get((div, c), 0)
-
-    def provenance(self, div: str, c: Curve) -> str:
-        """How the cell is known, a function of the complex and the cell alone.
-
-        T cells are "anchored"; a cell on a divisor containing the curve is
-        "anchored" when an anchor equation pins it and "derived" otherwise;
-        every other cell is a transversality count (or 0) and "inferred".
-        """
-        if div == "T":
-            return "anchored"
-        if div in self.complex.hosts(c):
-            return "anchored" if (div, c) in _anchored_cells(self.complex) else "derived"
-        return "inferred"
 
     def degree(self, coeffs: dict[str, int | Fraction], c: Curve) -> Fraction:
         """Degree of a formal divisor combination on a curve.
@@ -321,15 +303,6 @@ class PairingTable:
     def section_self_intersection(self, c: Curve) -> int:
         """(c^2) inside the degree-one surface through c, via the cross rule."""
         return self.value(self.complex.home(c), c)
-
-    def to_json(self) -> dict:
-        """The stored (nonzero) cells with their values and provenance."""
-        cells = sorted(self.entries.items(), key=repr)
-        return {
-            "n": self.complex.n,
-            "entries": {f"{d}|{curve_name(c)}": v for (d, c), v in cells},
-            "provenance": {f"{d}|{curve_name(c)}": self.provenance(d, c) for (d, c), _ in cells},
-        }
 
 
 def _anchor_equations(cx: IncidenceComplex) -> list[tuple[str, dict[tuple[str, str], int], int]]:
@@ -510,25 +483,6 @@ def complete_pairings(cx: IncidenceComplex) -> PairingTable:
     return PairingTable(complex=cx, entries=entries, nu=nu)
 
 
-def _anchored_cells(cx: IncidenceComplex) -> set[tuple[str, Curve]]:
-    n = cx.n
-    cells: set[tuple[str, Curve]] = set()
-    for i in range(2, n - 1):
-        cells.add((f"E{i}", ("D", i)))
-        cells.add((f"E{i}", ("C", i, i)))
-        cells.add((f"Eb{i}", ("Db", i)))
-        cells.add((f"Eb{i}", ("Cb", i, i)))
-    for dv, dcurve in (("E1", ("D", 1)), ("Eb1", ("Db", 1))):
-        cells.add((dv, dcurve))
-    cells.add(("E1", ("G", 1)))
-    cells.add(("E1", ("Gb", n - 1)))
-    cells.add(("Eb1", ("Gb", 1)))
-    cells.add(("Eb1", ("G", n - 1)))
-    cells.add((f"E{n-1}", ("C", n - 1, n - 1)))
-    cells.add((f"Eb{n-1}", ("Cb", n - 1, n - 1)))
-    return cells
-
-
 def is_equivariant(table: PairingTable) -> bool:
     """Whether every cell equals the cell at its barred/unbarred conjugate.
 
@@ -563,55 +517,25 @@ def seam_anchor_resolution(table: PairingTable) -> dict:
 
 
 # ----------------------------------------------------------------------------
-# Formal bundle expressions on the resolved threefold
+# Formal bundle expressions: {divisor symbol: Fraction}, zero entries dropped
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BundleExpression:
-    """Formal rational combination of divisor symbols on a named stage."""
-
-    stage: str
-    coeffs: dict[str, Fraction]
-
-    @staticmethod
-    def make(stage: str, **coeffs: int | Fraction) -> "BundleExpression":
-        return BundleExpression(stage, {k: Fraction(v) for k, v in coeffs.items() if v})
-
-    def __add__(self, other: "BundleExpression") -> "BundleExpression":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-            if out[k] == 0:
-                del out[k]
-        return BundleExpression(self.stage, out)
-
-    def __sub__(self, other: "BundleExpression") -> "BundleExpression":
-        return self + other.scale(-1)
-
-    def scale(self, c: int | Fraction) -> "BundleExpression":
-        c = Fraction(c)
-        return BundleExpression(self.stage, {k: c * v for k, v in self.coeffs.items() if c * v})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BundleExpression)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.stage, frozenset(self.coeffs.items())))
-
-    def diff(self, other: "BundleExpression") -> dict[str, Fraction]:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return {
-            k: self.coeffs.get(k, Fraction(0)) - other.coeffs.get(k, Fraction(0))
-            for k in keys
-            if self.coeffs.get(k, Fraction(0)) != other.coeffs.get(k, Fraction(0))
-        }
+def _vec(**co: int | Fraction) -> dict[str, Fraction]:
+    return {k: Fraction(v) for k, v in co.items() if v}
 
 
-def adjusted_bundle(n: int) -> BundleExpression:
+def _vadd(a: dict[str, Fraction], b: dict[str, Fraction], s: int | Fraction = 1) -> dict[str, Fraction]:
+    out = dict(a)
+    s = Fraction(s)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + s * v
+        if out[k] == 0:
+            del out[k]
+    return out
+
+
+def adjusted_bundle(n: int) -> dict[str, Fraction]:
     """The adjusted pluri-anticanonical bundle on the resolved space.
 
     Written directly over T and the cylinder components: (n-2)T + (E1+Eb1)
@@ -621,31 +545,30 @@ def adjusted_bundle(n: int) -> BundleExpression:
     for j in range(2, n):
         co[f"E{j}"] = j - 1
         co[f"Eb{j}"] = j - 1
-    return BundleExpression.make("Z1", **co)
+    return _vec(**co)
 
 
-def adjusted_bundle_from_definition(n: int) -> BundleExpression:
+def adjusted_bundle_from_definition(n: int) -> dict[str, Fraction]:
     """Same bundle from its definition: (n-2) mu*F minus the fixed multiplicities,
     with mu*F expanded as T + sum of all cylinder components."""
-    co: dict[str, Fraction] = {"T": Fraction(n - 2)}
+    co: dict[str, int] = {"T": n - 2}
     for j in range(1, n):
-        co[f"E{j}"] = Fraction(n - 2)
-        co[f"Eb{j}"] = Fraction(n - 2)
-    expr = BundleExpression("Z1", co)
+        co[f"E{j}"] = n - 2
+        co[f"Eb{j}"] = n - 2
     sub: dict[str, int] = {"E1": n - 3, "Eb1": n - 3}
     for j in range(2, n - 1):
         sub[f"E{j}"] = n - 1 - j
         sub[f"Eb{j}"] = n - 1 - j
-    return expr - BundleExpression.make("Z1", **sub)
+    return _vadd(_vec(**co), _vec(**sub), -1)
 
 
-def kernel_bundle(n: int) -> BundleExpression:
+def kernel_bundle(n: int) -> dict[str, Fraction]:
     """The kernel of restriction to the pencil members plus the cylinder."""
     co = {}
     for i in range(3, n):
         co[f"E{i}"] = i - 2
         co[f"Eb{i}"] = i - 2
-    return BundleExpression.make("Z1", **co)
+    return _vec(**co)
 
 
 # ----------------------------------------------------------------------------
@@ -678,8 +601,8 @@ def cylinder_tables_verify(table: PairingTable) -> tuple[dict[str, dict[int, tup
     ok = True
     for i in range(1, n):
         for kind, curve in (("C", ("C", i, i)), ("D", ("D", i)), ("G", ("G", i))):
-            got = int(table.degree(l1.coeffs, curve))
-            gotb = int(table.degree(l1.coeffs, conjugate_curve(curve)))
+            got = int(table.degree(l1, curve))
+            gotb = int(table.degree(l1, conjugate_curve(curve)))
             want = exp[kind][i]
             out[kind][i] = (got, want)
             if got != want or gotb != want:
@@ -687,11 +610,11 @@ def cylinder_tables_verify(table: PairingTable) -> tuple[dict[str, dict[int, tup
     return out, ok
 
 
-def divisor_trivial(table: PairingTable, expr: BundleExpression, div: str) -> bool:
+def divisor_trivial(table: PairingTable, expr: dict[str, Fraction], div: str) -> bool:
     """True iff the expression has degree zero on every curve inside ``div``."""
     cx = table.complex
     for c in cx.curves:
-        if div in cx.hosts(c) and table.degree(expr.coeffs, c) != 0:
+        if div in cx.hosts(c) and table.degree(expr, c) != 0:
             return False
     return True
 
@@ -713,9 +636,7 @@ def cascade_schedule(n: int) -> list[tuple[int, int]]:
     return steps
 
 
-def cascade_precondition_check(
-    table: PairingTable, expr: BundleExpression | None = None
-) -> tuple[bool, list[tuple[int, int, int]]]:
+def cascade_precondition_check(table: PairingTable) -> tuple[bool, list[tuple[int, int, int]]]:
     """Replay the kernel-bundle subtraction schedule.
 
     At each step the running expression must have degree -1 on the generic
@@ -724,18 +645,18 @@ def cascade_precondition_check(
     """
     cx = table.complex
     n = cx.n
-    current = expr if expr is not None else kernel_bundle(n)
+    current = kernel_bundle(n)
     trace = []
     ok = True
     for r, j in cascade_schedule(n):
         gen = cx.generic_fiber_index(f"E{j}")
-        deg = table.degree(current.coeffs, ("C", gen, j))
-        degb = table.degree(current.coeffs, ("Cb", gen, j))
+        deg = table.degree(current, ("C", gen, j))
+        degb = table.degree(current, ("Cb", gen, j))
         trace.append((r, j, int(deg)))
         if deg != -1 or degb != -1:
             ok = False
-        current = current - BundleExpression.make("Z1", **{f"E{j}": 1, f"Eb{j}": 1})
-    if any(current.coeffs.values()):
+        current = _vadd(current, _vec(**{f"E{j}": 1, f"Eb{j}": 1}), -1)
+    if current:
         ok = False
     return ok, trace
 
@@ -747,20 +668,18 @@ class LedgerResult:
     axioms_used: tuple[str, ...]
 
 
-def restriction_ledger_h0(
-    table: PairingTable, registry: AxiomRegistry, members: int | None = None
-) -> LedgerResult:
+def restriction_ledger_h0(table: PairingTable, registry: AxiomRegistry) -> LedgerResult:
     """Section count over the normal-crossing restriction divisor.
 
     Bookkeeping: 2 (cylinder sections) + 3 per pencil member - 2 glueing
-    conditions per member; the member count defaults to n-2.  The kernel
+    conditions per member, over the n-2 members.  The kernel
     contributes one more section for the total.  Degree preconditions that
     are mechanically checkable are checked; the genuinely cohomological
     inputs are consumed from the axiom registry and reported.
     """
     cx = table.complex
     n = cx.n
-    k = members if members is not None else n - 2
+    k = n - 2
     l1 = adjusted_bundle(n)
     if not triviality_check(table):
         raise CompletionError("cylinder end components are not trivial for the adjusted bundle")
@@ -769,7 +688,7 @@ def restriction_ledger_h0(
     for j in range(1, n - 1):
         gen = cx.generic_fiber_index(f"E{j}")
         want = 1 if j == 2 else 0
-        if table.degree(l1.coeffs, ("C", gen, j)) != want:
+        if table.degree(l1, ("C", gen, j)) != want:
             raise CompletionError(f"extension degree precondition fails on E{j}")
     used = [
         registry.consume("rank.h0-net-on-member", "restriction-ledger").id,
@@ -836,20 +755,6 @@ def m1_tables_verify(
 # -- formal bundle algebra ----------------------------------------------------
 
 
-def _vec(**co: int | Fraction) -> dict[str, Fraction]:
-    return {k: Fraction(v) for k, v in co.items() if v}
-
-
-def _vadd(a: dict[str, Fraction], b: dict[str, Fraction], s: int | Fraction = 1) -> dict[str, Fraction]:
-    out = dict(a)
-    s = Fraction(s)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + s * v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
 def degree_one_chern(n: int, i: int) -> dict[str, Fraction]:
     """Global class of the i-th degree-one divisor containing C1: half of F
     minus the signed half-sum of the alpha generators (sign flip at n-i+1;
@@ -873,11 +778,17 @@ def half_bundle_class(n: int, swap_first_two: bool = False) -> dict[str, Fractio
 
 def end_divisor_rewrite(n: int) -> dict:
     """The half bundle rewritten through the end degree-one divisor:
-    (n-2)/2 F - alpha/2 = F + (n-4) Sm_{n-1} - a1, as {"ok", "diff"}."""
+    (n-2)/2 F - alpha/2 = F + w Sm_{n-1} - a1, as {"ok", "diff", "weight"}.
+
+    The weight w (n-4 when the identity holds) is solved from the F
+    coefficients of both sides; the whole identity is then checked with it.
+    """
     lhs = half_bundle_class(n)
-    rhs = _vadd(_vec(F=1), degree_one_chern(n, n - 1), n - 4)
+    end = degree_one_chern(n, n - 1)
+    weight = (lhs.get("F", Fraction(0)) - 1) / end["F"]
+    rhs = _vadd(_vec(F=1), end, weight)
     rhs = _vadd(rhs, _vec(a1=1), -1)
-    return {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1)}
+    return {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1), "weight": weight}
 
 
 def bundle_algebra_verify(n: int) -> dict[str, dict]:
@@ -893,7 +804,7 @@ def bundle_algebra_verify(n: int) -> dict[str, dict]:
     res: dict[str, dict] = {}
 
     # 1. adjusted bundle: definition vs direct form
-    d = adjusted_bundle_from_definition(n).diff(adjusted_bundle(n))
+    d = _vadd(adjusted_bundle_from_definition(n), adjusted_bundle(n), -1)
     res["adjusted-direct"] = {"ok": not d, "diff": d}
 
     # 2. sum of degree-one classes over i = 1..n-2
@@ -941,12 +852,10 @@ def bundle_algebra_verify(n: int) -> dict[str, dict]:
 
     # 5. kernel bundle: L1 - sum_k S_k - cylinder = sum_{i>=3} (i-2)(E_i + Eb_i),
     #    with the strict member class S_k = mu*F - cylinder = T
-    l1 = dict(adjusted_bundle_from_definition(n).coeffs)
-    kk = dict(l1)
-    kk = _vadd(kk, _vec(T=1), -(n - 2))
+    kk = _vadd(adjusted_bundle_from_definition(n), _vec(T=1), -(n - 2))
     kk = _vadd(kk, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
     kk = _vadd(kk, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
-    want5 = dict(kernel_bundle(n).coeffs)
+    want5 = kernel_bundle(n)
     res["kernel-bundle"] = {"ok": kk == want5, "diff": _vadd(kk, want5, -1)}
 
     # 6. rewrite of the half bundle through the end degree-one divisor
@@ -977,12 +886,16 @@ def nonvan_ledgers(table: PairingTable, registry: AxiomRegistry) -> dict:
     on the shared arc, 1 on the complementary arc, -1 on the auxiliary
     (-1)-curve), the adjusted form with staircase weights j-2, and the
     degree-zero ledger against the last barred component, for every i.
+    The reported weights are computed: the rewrite weight solved by
+    ``end_divisor_rewrite``, and the C1 weight of the restriction assembled
+    with it.
     """
     cx = table.complex
     n = cx.n
     registry.consume("anchor.deg-one-pairings", "pencil-ledgers")
     registry.consume("rank.h0-half-bundle-on-deg-one", "pencil-ledgers")
-    tec_ok = end_divisor_rewrite(n)["ok"]
+    rewrite = end_divisor_rewrite(n)
+    weight = rewrite["weight"]
 
     rest_ok = True
     ledger_values = {}
@@ -991,12 +904,12 @@ def nonvan_ledgers(table: PairingTable, registry: AxiomRegistry) -> dict:
         rest9 = _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)})
         rest9 = _vadd(rest9, _vec(**{f"C{j}": n - 3 for j in range(1, i + 1)}))
         rest9 = _vadd(rest9, _vec(e1p=1), -1)
-        # assembled: arc + (n-4) * shared arc - e1'
+        # assembled: arc + w * shared arc - e1', with the rewrite weight w
         asm = _vadd(
             _vec(**{f"C{j}": 1 for j in range(1, i + 1)}),
             _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)}),
         )
-        asm = _vadd(asm, _vec(**{f"C{j}": 1 for j in range(1, i + 1)}), n - 4)
+        asm = _vadd(asm, _vec(**{f"C{j}": 1 for j in range(1, i + 1)}), weight)
         asm = _vadd(asm, _vec(e1p=1), -1)
         if rest9 != asm:
             rest_ok = False
@@ -1018,11 +931,12 @@ def nonvan_ledgers(table: PairingTable, registry: AxiomRegistry) -> dict:
         if ledger != 0:
             rest_ok = False
     return {
-        "tec_ok": tec_ok,
+        "tec_ok": rewrite["ok"],
         "rest_ok": rest_ok,
         "ledgers": ledger_values,
-        "tec_end_coeff": n - 4,
-        "rest_arc_coeff": n - 3,
+        # ints when integral, so the report renders them as before
+        "tec_end_coeff": _canonical(weight),
+        "rest_arc_coeff": _canonical(asm.get("C1", 0)),
     }
 
 

@@ -100,9 +100,6 @@ class LatticeBasis:
             prev = p
         return sign * prev
 
-    def is_unimodular(self) -> bool:
-        return abs(self.determinant()) == 1
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -149,16 +146,6 @@ class DivisorClass:
         for i, a in self.support:
             total += a * sum(x * b[j] for j, x in rows[i])
         return total
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def coefficient(self, name: str) -> int:
-        return self.coeffs[self.basis.index(name)]
-
-    def to_json(self) -> dict[str, int]:
-        """Serialize as {basis symbol: integer} with zero entries kept."""
-        return {nm: c for nm, c in zip(self.basis.names, self.coeffs)}
 
     def __repr__(self) -> str:
         bits = []
@@ -218,11 +205,6 @@ class BlowupTower:
         return dets
 
 
-def new_quadric_lattice() -> LatticeBasis:
-    """Rank-2 lattice of P1 x P1 with the hyperbolic pairing."""
-    return LatticeBasis(("H1", "H2"), ((0, 1), (1, 0)))
-
-
 def _full_basis(n: int) -> LatticeBasis:
     names = ("H1", "H2") + tuple(f"e{j}" for j in range(1, n + 1)) + tuple(
         f"eb{j}" for j in range(1, n + 1)
@@ -279,11 +261,6 @@ def build_surface(n: int) -> BlowupTower:
         blow(f"eb{k}", ["Cb1", prev_b])
         tr[f"C{k-1}"] = basis.unit(f"eb{k}")
     return tower
-
-
-def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    """Symmetric bilinear pairing; raises LatticeError on basis mismatch."""
-    return a.dot(b)
 
 
 def anticanonical_cycle_check(tower: BlowupTower) -> bool:

@@ -80,21 +80,9 @@ class MultiPoly:
     terms: Mapping[Exponent, Coeff]
 
     @staticmethod
-    def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars, {})
-
-    @staticmethod
     def const(nvars: int, value: int | Fraction) -> "MultiPoly":
         c = _canonical(value)
         return MultiPoly(nvars, {} if c == 0 else {(0,) * nvars: c})
-
-    @staticmethod
-    def var(nvars: int, idx: int, power: int = 1) -> "MultiPoly":
-        if not 0 <= idx < nvars:
-            raise ValueError(f"variable index {idx} out of range for nvars={nvars}")
-        exp = [0] * nvars
-        exp[idx] = power
-        return MultiPoly(nvars, {tuple(exp): 1})
 
     @staticmethod
     def monomial(nvars: int, exp: Exponent, coeff: int | Fraction = 1) -> "MultiPoly":
@@ -174,24 +162,6 @@ class MultiPoly:
         vals = acc.values() if den == 1 else [_quotient(v, den) for v in acc.values()]
         return MultiPoly(nv, dict(zip(_unpack(acc, top, nv), vals)))
 
-    def scale(self, c: int | Fraction) -> "MultiPoly":
-        c = _canonical(c)
-        if c == 0:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: _canonical(c * v) for e, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -270,30 +240,6 @@ class MultiPoly:
         acc = {k: c for k, c in acc.items() if c != 0}
         vals = [_canonical(c) for c in acc.values()]
         return MultiPoly(nvars_out, dict(zip(_unpack(acc, top, nvars_out), vals)))
-
-    def substitute(self, images: list["MultiPoly"]) -> "MultiPoly":
-        """General composition: variable i is replaced by images[i]."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        nv = images[0].nvars if images else 0
-        for im in images:
-            if im.nvars != nv:
-                raise ValueError("images live in different rings")
-        out = MultiPoly.zero(nv)
-        powers: list[dict[int, MultiPoly]] = [dict() for _ in range(self.nvars)]
-
-        def pw(i: int, k: int) -> MultiPoly:
-            if k not in powers[i]:
-                powers[i][k] = images[i] ** k
-            return powers[i][k]
-
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(nv, c)
-            for i, k in enumerate(exp):
-                if k:
-                    term = term * pw(i, k)
-            out = out + term
-        return out
 
     def evaluate(self, values: list[Fraction | int]) -> Coeff:
         if len(values) != self.nvars:

@@ -35,6 +35,8 @@ class RunConfig:
             raise ValueError(f"instances must be at least 1, got {self.instances}")
         if self.fmt not in ("json", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if not selected_checks(self.filter):
+            raise ValueError(f"filter {self.filter!r} matches no checks")
 
 
 @dataclass

@@ -286,15 +286,14 @@ def splitting_conic_rank(inst: QuarticInstance) -> int:
     return _matrix_rank3(splitting_matrix(inst.n, inst.q))
 
 
-def double_curve_degree(
-    inst: QuarticInstance, side: str, rng: random.Random | None = None, attempts: int = 12
-) -> int:
+def double_curve_degree(inst: QuarticInstance, side: str, rng: random.Random | None = None) -> int:
     """Degree of the double curve on a cone section of the scroll.
 
     side 'n' is the cone z_{n-1} = 0, side 'n+1' the cone z_n = 0.  The
     curve {Q = 0} on the cone is intersected with a generic hyperplane by
     eliminating the fiber coordinates with a resultant; the count (with
-    multiplicity) is the degree of the resulting binary form.
+    multiplicity) is the degree of the resulting binary form.  Up to 12
+    random hyperplanes are tried.
     """
     n = inst.n
     rng = rng or random.Random(1)
@@ -319,7 +318,7 @@ def double_curve_degree(
     aa = MultiPoly(2, dict(spans[2]))
     bb = MultiPoly(2, dict(spans[1]))
     cc = MultiPoly(2, dict(spans[0]))
-    for _ in range(attempts):
+    for _ in range(12):
         dd = MultiPoly.from_terms(
             2, [((n - 2 - j, j), rng.randint(-9, 9)) for j in range(n - 1)]
         )

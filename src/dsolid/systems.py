@@ -198,18 +198,16 @@ def alpha_restriction(tower: BlowupTower, j: int) -> DivisorClass:
     return tower.basis.unit(f"e{j}") - tower.basis.unit(f"eb{j}")
 
 
-def half_bundle_on_surface(tower: BlowupTower, swap_first_two: bool = False) -> HalfClass:
+def half_bundle_on_surface(tower: BlowupTower) -> HalfClass:
     """The distinguished non-real half of the (n-2)-fold system, restricted to S.
 
     Its double is (n-2)(-K) minus the weighted alpha combination with
-    weight n-2 on the first generator (or the second when swapped) and
-    n-4 on all others.
+    weight n-2 on the first generator and n-4 on all others.
     """
     n = tower.n
-    special = 2 if swap_first_two else 1
     alpha = tower.basis.zero()
     for j in range(1, n + 1):
-        w = n - 2 if j == special else n - 4
+        w = n - 2 if j == 1 else n - 4
         alpha = alpha + alpha_restriction(tower, j).scale(w)
     double = (-tower.canonical).scale(n - 2) - alpha
     return HalfClass.of(double)

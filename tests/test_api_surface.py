@@ -1,0 +1,43 @@
+"""Every function, method and class in ``src/dsolid`` has a reader there.
+
+A name whose only appearance in the package is its own definition is
+reachable from tests alone; the engine does not need it.  Names are
+matched by identifier, in the AST of every module: a ``Name``, an
+``Attribute`` or an imported alias counts as a use.  Dunders (called by
+the language) and ``cli.main`` (the console entry point) are exempt.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dsolid"
+EXEMPT = {("cli", "main")}
+
+
+def _definitions_and_uses():
+    defs, uses = [], Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, node.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                uses[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                uses[node.name] += 1
+    return defs, uses
+
+
+def test_every_definition_is_read_inside_the_package():
+    defs, uses = _definitions_and_uses()
+    assert len(defs) > 100  # the scan saw the package
+    unread = [
+        f"{module}.py:{line} {name}"
+        for module, name, line in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and (module, name) not in EXEMPT
+        and not uses[name]
+    ]
+    assert unread == []

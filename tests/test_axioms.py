@@ -2,7 +2,7 @@
 
 import pytest
 
-from dsolid.axioms import MissingAxiom, default_registry
+from dsolid.axioms import AxiomRegistry, MissingAxiom, default_registry
 from dsolid.checks import CheckContext, Model, check_euler, check_moduli, check_net_ledger
 from dsolid.incidence import nonvan_ledgers, restriction_ledger_h0
 from dsolid.report import RunConfig, run
@@ -15,7 +15,7 @@ def test_default_registry_complete():
 
 
 def test_ledger_ops_fail_without_registry():
-    empty = default_registry().stripped()
+    empty = AxiomRegistry()
     table = Model(5).table
     with pytest.raises(MissingAxiom):
         restriction_ledger_h0(table, empty)

@@ -27,10 +27,11 @@ def test_verify_bad_range_usage_error():
     assert exc.value.code == 2
 
 
-def test_verify_unmatched_filter_usage_error():
+def test_verify_unmatched_filter_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "5", "--filter", "nothing.*"])
     assert exc.value.code == 2
+    assert "error: filter 'nothing.*' matches no checks" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -45,6 +46,12 @@ def test_verify_nonpositive_instances_usage_error(check, count):
 def test_run_config_rejects_nonpositive_instances():
     with pytest.raises(ValueError):
         RunConfig(ns=(5,), instances=0)
+
+
+def test_run_config_rejects_unmatched_filter():
+    # an empty selection would make an empty report with ok == True
+    with pytest.raises(ValueError, match=r"^filter 'typo' matches no checks$"):
+        RunConfig(ns=(5,), filter="typo")
 
 
 def test_verify_range_with_filter(capsys):

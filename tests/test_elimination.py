@@ -1,7 +1,7 @@
 import pytest
 
 from dsolid import scroll
-from dsolid.axioms import MissingAxiom, default_registry
+from dsolid.axioms import AxiomRegistry, MissingAxiom, default_registry
 from dsolid.checks import (
     CheckContext,
     Model,
@@ -93,13 +93,14 @@ def test_ladder_components_n8():
     assert trace.ladder.count == 5
     assert trace.ladder.components == tuple(f"D{k}[7,1]" for k in range(2, 7))
     assert trace.ladder.adjacent_sections == 4
-    assert trace.ladder_conjugate.count == 5
+    # the conjugate seed is blown up as often
+    assert trace.blow_counts["Cb[7,1]"] == 5
 
 
 def test_ladder_requires_type_axiom():
     for check in (check_elimination_run, check_elimination_ladder):
         with pytest.raises(MissingAxiom):
-            check(6, CheckContext(registry=default_registry().stripped()))
+            check(6, CheckContext(registry=AxiomRegistry()))
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -144,7 +145,6 @@ def test_twistor_first_line_flagged_value():
     d = _line(4, 1)
     assert d.initial == 2  # computed from the table
     assert d.formula_value == 0  # the closed form misses the first line
-    assert not d.matches_formula
     assert d.final == 2
 
 
@@ -173,17 +173,6 @@ def test_cone_degree_fails_on_a_wrong_side(monkeypatch):
     monkeypatch.setattr(scroll, "double_curve_degree", off_on_second_side)
     [rec] = check_cone_degree(5, ctx)
     assert rec.status == "fail" and rec.computed == (6, 8)
-
-
-def test_trace_serializes_to_json():
-    import json
-
-    trace = Model(6).trace
-    blob = json.dumps(trace.to_json(), sort_keys=True)
-    data = json.loads(blob)
-    assert data["n"] == 6 and data["terminated"]
-    assert data["ladder"]["components"] == ["D2[5,1]", "D3[5,1]", "D4[5,1]"]
-    assert [s["stage"] for s in data["stages"]] == [2, 3, 4]
 
 
 @pytest.mark.parametrize("n", [5, 8, 11])

@@ -11,15 +11,13 @@ from dsolid.lattice import (
     anticanonical_cycle_check,
     build_surface,
     exceptional_chain_relations,
-    intersect,
-    new_quadric_lattice,
     self_intersection_profile,
 )
 
 
 def test_quadric_lattice_form():
-    basis = new_quadric_lattice()
-    assert basis.form == ((0, 1), (1, 0))
+    # P1 x P1 with the hyperbolic pairing
+    basis = LatticeBasis(("H1", "H2"), ((0, 1), (1, 0)))
     h1, h2 = basis.unit("H1"), basis.unit("H2")
     assert h1.dot(h1) == 0
     assert (h1 + h2).dot(h1 + h2) == 2
@@ -87,32 +85,25 @@ def test_exceptional_relations(n):
 @pytest.mark.parametrize("n", [4, 5, 8, 11])
 def test_adjacent_components_pair_to_one(n):
     tower = build_surface(n)
-    assert intersect(tower.tracked["C1"], tower.tracked["C2"]) == 1
+    assert tower.tracked["C1"].dot(tower.tracked["C2"]) == 1
 
 
 def test_intersection_examples():
     tower = build_surface(6)
     c1 = tower.tracked["C1"]
-    assert intersect(c1, c1) == -5
-    assert intersect(tower.basis.zero(), c1) == 0
+    assert c1.dot(c1) == -5
+    assert tower.basis.zero().dot(c1) == 0
 
 
 def test_basis_mismatch_rejected():
     t4, t5 = build_surface(4), build_surface(5)
     with pytest.raises(LatticeError):
-        intersect(t4.tracked["C1"], t5.tracked["C1"])
+        t4.tracked["C1"].dot(t5.tracked["C1"])
 
 
 def test_small_n_rejected():
     with pytest.raises(LatticeError):
         build_surface(3)
-
-
-def test_serialization_keys():
-    tower = build_surface(4)
-    js = tower.tracked["C1"].to_json()
-    assert set(js) == set(tower.basis.names)
-    assert js["H1"] == 1 and js["e1"] == -1
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,7 +34,7 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
-    assert a - a == MultiPoly.zero(3)
+    assert a - a == MultiPoly(3, {})
 
 
 @settings(max_examples=30, deadline=None)
@@ -57,20 +57,26 @@ def test_sub_matches_add_negated(a, b):
 def test_sub_cancels_completely_and_partially():
     p = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 1), 3)])
     q = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 2), -1)])
-    assert p - p == MultiPoly.zero(2)
+    assert p - p == MultiPoly(2, {})
     assert (p - q).terms == {(0, 1): Fraction(3), (0, 2): Fraction(1)}
     with pytest.raises(ValueError):
-        p - MultiPoly.zero(3)
+        p - MultiPoly(3, {})
 
 
 def test_substitute_monomials_matches_general():
+    # general composition, term by term with ring products: -12 x^2 y + y^2/2
     p = MultiPoly.from_terms(2, [((2, 1), 3), ((0, 2), Fraction(1, 2))])
     images = {0: (Fraction(2), (1, 0)), 1: (Fraction(-1), (0, 1))}
-    fast = p.substitute_monomials(2, images)
-    gen = p.substitute(
-        [MultiPoly.monomial(2, (1, 0), 2), MultiPoly.monomial(2, (0, 1), -1)]
-    )
-    assert fast == gen
+    polys = [MultiPoly.monomial(2, (1, 0), 2), MultiPoly.monomial(2, (0, 1), -1)]
+    gen = MultiPoly(2, {})
+    for exp, c in p.terms.items():
+        term = MultiPoly.const(2, c)
+        for image, k in zip(polys, exp):
+            for _ in range(k):
+                term = term * image
+        gen = gen + term
+    assert gen == MultiPoly.from_terms(2, [((2, 1), -12), ((0, 2), Fraction(1, 2))])
+    assert p.substitute_monomials(2, images) == gen
 
 
 def test_derivative():
@@ -88,11 +94,6 @@ def test_homogeneity_and_degree():
 def test_evaluate_exact():
     p = MultiPoly.from_terms(2, [((1, 1), Fraction(1, 3)), ((2, 0), 1)])
     assert p.evaluate([Fraction(3), Fraction(2)]) == 2 + 9
-
-
-def test_var_bounds():
-    with pytest.raises(ValueError):
-        MultiPoly.var(2, 5)
 
 
 def test_quadext_field_ops():
@@ -166,13 +167,13 @@ def test_mul_cancellation_stores_no_zero():
     prod = a * b
     assert dict(prod.terms) == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
     assert _canonical_terms(prod)
-    assert (a * MultiPoly.zero(2)).terms == {}
-    assert (MultiPoly.zero(2) * MultiPoly.zero(2)).terms == {}
+    assert (a * MultiPoly(2, {})).terms == {}
+    assert (MultiPoly(2, {}) * MultiPoly(2, {})).terms == {}
 
 
 def test_integral_product_stores_ints():
     a = MultiPoly.from_terms(2, [((1, 0), 3), ((0, 1), -2)])
-    prod = a**3
+    prod = a * a * a
     assert prod.coefficient((2, 1)) == 3 * 9 * -2
     assert all(type(c) is int for c in prod.terms.values())
     # the same polynomial with Fraction coefficients is equal and hashes equal
@@ -254,8 +255,6 @@ def test_constructors_are_canonical(v):
         assert dict(p.terms) == _fraction_terms([(exp, v)])
         assert _canonical_terms(p)
     assert MultiPoly.const(0, v).terms == _fraction_terms([((), v)])
-    x = MultiPoly.var(3, 1, 2)
-    assert dict(x.terms) == {(0, 2, 0): 1} and _canonical_terms(x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -280,7 +279,7 @@ def test_add_sub_neg_are_canonical(a, b):
 @settings(max_examples=80, deadline=None)
 @given(a=_mixed(), c=_coeff, idx=st.integers(0, 2))
 def test_scale_and_derivative_are_canonical(a, c, idx):
-    scaled = a.scale(c)
+    scaled = a * MultiPoly.const(a.nvars, c)
     assert dict(scaled.terms) == _fraction_terms([(e, Fraction(c) * v) for e, v in a.terms.items()])
     deriv = a.derivative(idx)
     want = _fraction_terms(
@@ -344,12 +343,12 @@ def test_packed_product_at_the_base_boundary(top):
 
 def test_packed_product_zero_operand_and_no_variables():
     a = MultiPoly.from_terms(2, [((3, 1), 2), ((0, 0), Fraction(1, 2))])
-    assert (a * MultiPoly.zero(2)).terms == {}
-    assert (MultiPoly.zero(2) * a).terms == {}
+    assert (a * MultiPoly(2, {})).terms == {}
+    assert (MultiPoly(2, {}) * a).terms == {}
     two, half = MultiPoly.const(0, 2), MultiPoly.const(0, Fraction(1, 2))
     assert dict((two * half).terms) == {(): 1} and type((two * half).terms[()]) is int
     assert dict((half * half).terms) == {(): Fraction(1, 4)}
-    assert (two * MultiPoly.zero(0)).terms == {}
+    assert (two * MultiPoly(0, {})).terms == {}
     assert MultiPoly.const(0, 3).substitute_monomials(2, {}).terms == {(0, 0): 3}
 
 
