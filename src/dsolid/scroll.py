@@ -540,13 +540,10 @@ def read_instance(path: str | Path) -> QuarticInstance:
 @dataclass(frozen=True)
 class ModuliRecord:
     n: int
-    k: int
     h1_tangent_threefold: int
     h1_tangent_surface: int
-    h0_anticanonical: int
     h1_anticanonical: int
     stratum_dim: int
-    smallest_stratum_dim: int
     pencil_member_family_dim: int
     moduli_dim: int
     consistent: bool
@@ -584,13 +581,10 @@ def moduli_formulas(n: int, k: int) -> ModuliRecord:
     )
     return ModuliRecord(
         n=n,
-        k=k,
         h1_tangent_threefold=h1_theta_z,
         h1_tangent_surface=h1_theta_s,
-        h0_anticanonical=h0_antik,
         h1_anticanonical=h1_antik,
         stratum_dim=stratum,
-        smallest_stratum_dim=smallest,
         pencil_member_family_dim=family,
         moduli_dim=moduli,
         consistent=consistent,

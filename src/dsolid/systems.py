@@ -62,15 +62,13 @@ def strip_fixed_components(
     cls: DivisorClass,
     components: dict[str, DivisorClass],
     order: list[str] | None = None,
-    cap_factor: int = 4,
 ) -> StrippingResult:
     """Greedy negative-pairing fixpoint.
 
     While some component pairs negatively with the running class, add one
     copy of it to the fixed part and subtract; the first name in ``order``
     that pairs negatively is the one hit.  A per-component multiplicity cap
-    of ``cap_factor * (len(components)/2 + 1)`` guards against divergent
-    inputs.
+    of ``4 * (len(components)/2 + 1)`` guards against divergent inputs.
 
     Only the pairings of the running class with the components are ever
     read, so they are kept as an integer vector: it starts as ``cls.c`` and
@@ -92,7 +90,7 @@ def strip_fixed_components(
     names = order if order is not None else sorted(components)
     if set(names) != set(components):
         raise LatticeError("order must be a permutation of the component names")
-    cap = cap_factor * (len(components) // 2 + 1)
+    cap = 4 * (len(components) // 2 + 1)
     # a repeated name is never reached again before its first occurrence
     keys = list(dict.fromkeys(names))
     comps = [components[nm] for nm in keys]
@@ -147,16 +145,12 @@ def pluri_anticanonical_stripping(tower: BlowupTower, order: list[str] | None = 
     return strip_fixed_components(cls, tower.cycle_classes(), order=order)
 
 
-def confluence_orders(
-    tower: BlowupTower, shuffles: int, seed: int = 0, ref: StrippingResult | None = None
-) -> bool:
+def confluence_orders(tower: BlowupTower, shuffles: int, seed: int, ref: StrippingResult) -> bool:
     """Re-run the pluri-anticanonical stripping under random orders; all agree.
 
-    ``ref`` is the stripping in the default order, computed when not given.
+    ``ref`` is the stripping in the default order.
     """
     rng = random.Random(seed)
-    if ref is None:
-        ref = pluri_anticanonical_stripping(tower)
     names = tower.cycle_names()
     for _ in range(shuffles):
         order = names[:]
@@ -175,15 +169,11 @@ class MovableInvariants:
     component_degrees: tuple[int, ...]
 
 
-def movable_invariants(
-    tower: BlowupTower, stripping: StrippingResult | None = None
-) -> MovableInvariants:
+def movable_invariants(tower: BlowupTower, stripping: StrippingResult) -> MovableInvariants:
     """Numerical invariants of the movable part of the (n-2)-fold system.
 
-    ``stripping`` is that system's stripping, computed when not given.
+    ``stripping`` is that system's stripping.
     """
-    if stripping is None:
-        stripping = pluri_anticanonical_stripping(tower)
     mov = stripping.movable
     k = tower.canonical
     square = mov.dot(mov)

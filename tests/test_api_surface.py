@@ -1,10 +1,12 @@
-"""Every function, method and class in ``src/dsolid`` has a reader there.
+"""Every function, method, class and class field in ``src/dsolid`` has a reader there.
 
 A name whose only appearance in the package is its own definition is
 reachable from tests alone; the engine does not need it.  Names are
 matched by identifier, in the AST of every module: a ``Name``, an
 ``Attribute`` or an imported alias counts as a use.  Dunders (called by
 the language) and ``cli.main`` (the console entry point) are exempt.
+A class field is written when its object is built, so only an attribute
+load counts as a read of it.
 """
 
 import ast
@@ -13,6 +15,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dsolid"
 EXEMPT = {("cli", "main")}
+# perfbench and the tests select the instance-driven checks by this flag
+FIELD_EXEMPT = {("CheckSpec", "heavy")}
 
 
 def _definitions_and_uses():
@@ -39,5 +43,25 @@ def test_every_definition_is_read_inside_the_package():
         if not (name.startswith("__") and name.endswith("__"))
         and (module, name) not in EXEMPT
         and not uses[name]
+    ]
+    assert unread == []
+
+
+def test_every_class_field_is_read_inside_the_package():
+    fields, loads = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields += [(path.stem, node.name, item.target.id, item.lineno)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+    assert len(fields) > 50  # the scan saw the dataclasses
+    unread = [
+        f"{module}.py:{line} {cls}.{name}"
+        for module, cls, name, line in fields
+        if (cls, name) not in FIELD_EXEMPT and name not in loads
     ]
     assert unread == []

@@ -1,6 +1,6 @@
 import pytest
 
-from dsolid import scroll
+from dsolid import elimination, scroll
 from dsolid.axioms import AxiomRegistry, MissingAxiom, default_registry
 from dsolid.checks import (
     CheckContext,
@@ -14,6 +14,7 @@ from dsolid.elimination import (
     twistor_line_degree,
     _initial_state,
 )
+from dsolid.report import RunConfig, run
 
 
 def _scan_names(state):
@@ -68,18 +69,41 @@ def test_stage2_degrees_n6():
     assert after["C[5,1]"] == 4 - 6
 
 
+def _times_blown(trace, name):
+    return sum(name in s.centers for s in trace.stages)
+
+
 @pytest.mark.parametrize("n", range(4, 13))
 def test_termination_and_counts(n):
     trace = Model(n).trace
-    assert trace.terminated
+    assert trace.stages[-1].stage == n - 2
     assert len(trace.stages) == n - 3
-    counts = trace.component_counts + [0]
+    counts = [len(s.components) for s in trace.stages] + [0]
     assert all(counts[k] - counts[k + 1] == 2 for k in range(len(counts) - 1))
     assert trace.multiplicity_one
     # blowup tallies: the longest chain family is hit n-4 times, the seeds n-3
     if n >= 6:
-        assert trace.blow_counts[f"C[{n-2},{n-2}]"] == n - 4
-    assert trace.blow_counts[f"C[{n-1},1]"] == n - 3
+        assert _times_blown(trace, f"C[{n-2},{n-2}]") == n - 4
+    assert _times_blown(trace, f"C[{n-1},1]") == n - 3
+
+
+def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
+    # the stage count holds by the loop bound; the record fails through the
+    # EliminationFailure that a non-empty final scan raises
+    real = elimination.base_curve_scan
+
+    def scan_leaving_the_seed(state):
+        comps = real(state)
+        if state.stage == state.n - 2:
+            return comps or [[("C", state.n - 1, 1)]]
+        return comps
+
+    config = RunConfig(ns=(6,), filter="elimination.run", seed=42)
+    assert [r.status for r in run(config).checks] == ["pass"] * 4
+    monkeypatch.setattr(elimination, "base_curve_scan", scan_leaving_the_seed)
+    [rec] = run(config).checks
+    assert (rec.id, rec.status) == ("elimination.run", "fail")
+    assert rec.computed.startswith("EliminationFailure: n=6: scan not empty at stage 4")
 
 
 @pytest.mark.parametrize("n,stop_stage", [(4, 2), (5, 3)])
@@ -90,11 +114,13 @@ def test_small_n_stop_stages(n, stop_stage):
 
 def test_ladder_components_n8():
     trace = Model(8).trace
-    assert trace.ladder.count == 5
-    assert trace.ladder.components == tuple(f"D{k}[7,1]" for k in range(2, 7))
-    assert trace.ladder.adjacent_sections == 4
-    # the conjugate seed is blown up as often
-    assert trace.blow_counts["Cb[7,1]"] == 5
+    # the seed and its conjugate are centers at stages 2..6, one ladder component each
+    for seed in ("C[7,1]", "Cb[7,1]"):
+        assert [s.stage for s in trace.stages if seed in s.centers] == [2, 3, 4, 5, 6]
+    [rec] = check_elimination_ladder(8, CheckContext(registry=default_registry()))
+    assert rec.status == "pass"
+    assert rec.computed == {"count": 5, "sections": 4}
+    assert rec.detail == "types=" + str([f"ruled-degree-{7 - k}" for k in range(2, 7)])
 
 
 def test_ladder_requires_type_axiom():

@@ -21,6 +21,7 @@ from dsolid.incidence import (
     cylinder_tables_verify,
     m1_tables_verify,
     nonvan_ledgers,
+    pairing_system,
     restriction_ledger_h0,
     rr_threefold,
     seam_anchor_resolution,
@@ -36,7 +37,7 @@ def test_conjugation_involution():
     cx = Model(7).complex
     for c in cx.curves:
         assert conjugate_curve(conjugate_curve(c)) == c
-    for d in cx.divisors:
+    for d in ["T"] + cx.exceptional_divisors():
         assert conjugate_divisor(conjugate_divisor(d)) == d
 
 
@@ -109,9 +110,9 @@ def test_seam_anchor_resolution():
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_completion_order_invariant(seed):
-    cx = Model(5).complex
-    ref = solve_pairings(cx)
-    other = solve_pairings(cx, shuffle_seed=seed)
+    system = Model(5).system
+    ref = solve_pairings(system)
+    other = solve_pairings(system, shuffle_seed=seed)
     assert other == ref
 
 
@@ -120,9 +121,9 @@ def test_completion_rejects_corrupted_anchor():
     from dsolid.incidence import CompletionError
 
     cx = Model(5).complex
-    cx.section_rhs["C1"] += 1
+    cx.section_rhs["C1"] += 1  # before the system is built from it
     with pytest.raises(CompletionError, match="inconsistent"):
-        complete_pairings(cx)
+        complete_pairings(cx, pairing_system(cx))
 
 
 def test_completion_rejects_underdetermined():
@@ -172,7 +173,7 @@ def test_completion_record_fails_on_one_perturbed_nu():
 def _dense_table(cx):
     """The dense assembly the sparse one replaced: every (divisor, curve) cell,
     zeros included, as {cell: value}."""
-    nu = solve_pairings(cx)
+    nu = solve_pairings(pairing_system(cx))
     table = {}
     for c in cx.curves:
         homes = []
@@ -473,7 +474,7 @@ def _captured_system(monkeypatch, cx, shuffle_seed=None):
     with monkeypatch.context() as mp:
         mp.setattr(inc, "_solve", spy)
         try:
-            solve_pairings(cx, shuffle_seed=shuffle_seed)
+            solve_pairings(pairing_system(cx), shuffle_seed=shuffle_seed)
         except inc.CompletionError:
             pass
     return seen[0]

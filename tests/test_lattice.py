@@ -28,7 +28,7 @@ def test_profile(n):
     tower = build_surface(n)
     assert self_intersection_profile(tower) == [1 - n] + [-2] * (n - 3) + [-1]
     assert tower.canonical.dot(tower.canonical) == 8 - 2 * n
-    assert len(tower.steps) == 2 * n
+    assert tower.basis.rank == 2 * n + 2
 
 
 @pytest.mark.parametrize("n", range(4, 17))

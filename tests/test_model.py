@@ -24,9 +24,12 @@ def test_report_bytes_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_4_7_SHA256
 
 
-# sha256 of `dsolid verify --range 4..16 --seed 42 --format json --filter F`,
-# recorded while the pairing table stored every cell, zeros included
+# sha256 of `dsolid verify --range 4..16 --seed 42 --format json --filter F`;
+# the threefold digests were recorded while the pairing table stored every
+# cell, zeros included, the surface ones while the tower kept its blowup steps
 MODULE_REPORT_4_16_SHA256 = {
+    "lattice.*": "0814c3333d4a0be6696c7ac42024bb6ec9e6d53bd228a38d4f189214dfe2ab52",
+    "systems.*": "bebd2e56d68e0cac60152b7b54884b88a1d437c65a0597182dc6d5621a5d2192",
     "incidence.*": "d35b0ca6c5609d377cde8ab6800e4e040c02725ebe43069e9f8ef7a8677b62f8",
     "elimination.[!c]*": "9305243e97d340f21697dda3b1a3ad7df1a0ee01895e5ec43bfe308ef37e14a4",
 }
@@ -92,12 +95,12 @@ def test_checks_leave_the_model_unchanged():
     for spec in CHECKS.values():
         spec.fn(n, ctx)
     used, fresh = ctx.model(n), Model(n)
-    for name in ("tower", "stripping", "m_table", "complex", "table", "trace"):
+    for name in ("tower", "stripping", "m_table", "complex", "system", "table", "trace"):
         assert getattr(used, name) == getattr(fresh, name), name
 
 
 def test_each_object_is_built_once_per_n(monkeypatch):
-    calls = {"tower": 0, "solve": 0, "table": 0, "trace": 0}
+    calls = {"tower": 0, "system": 0, "solve": 0, "table": 0, "trace": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -106,6 +109,8 @@ def test_each_object_is_built_once_per_n(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(lattice, "build_surface", counting("tower", lattice.build_surface))
+    monkeypatch.setattr(incidence, "pairing_system",
+                        counting("system", incidence.pairing_system))
     monkeypatch.setattr(incidence, "solve_pairings",
                         counting("solve", incidence.solve_pairings))
     monkeypatch.setattr(incidence, "complete_pairings",
@@ -113,12 +118,13 @@ def test_each_object_is_built_once_per_n(monkeypatch):
     monkeypatch.setattr(elimination, "run_elimination",
                         counting("trace", elimination.run_elimination))
     run(RunConfig(ns=(5, 6), seed=42, instances=1))
-    # incidence.completion solves three shuffled systems besides the model's table
-    assert calls == {"tower": 2, "solve": 2 * 4, "table": 2, "trace": 2}
+    # incidence.completion solves three shuffled copies of the model's one system
+    # besides the model's table
+    assert calls == {"tower": 2, "system": 2, "solve": 2 * 4, "table": 2, "trace": 2}
 
 
 def test_a_failed_build_fails_every_check_that_needs_it(monkeypatch):
-    def broken(cx, shuffle_seed=None):
+    def broken(cx, system):
         raise incidence.CompletionError("broken solver")
 
     monkeypatch.setattr(incidence, "complete_pairings", broken)

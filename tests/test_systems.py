@@ -34,7 +34,8 @@ def test_fixed_components_match_closed_form(n):
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10, 16])
 def test_stripping_confluent(n):
-    assert confluence_orders(build_surface(n), shuffles=20, seed=123)
+    tower = build_surface(n)
+    assert confluence_orders(tower, shuffles=20, seed=123, ref=pluri_anticanonical_stripping(tower))
 
 
 @settings(max_examples=15, deadline=None)
@@ -52,12 +53,14 @@ def test_stripping_order_independent_random(seed):
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_movable_invariants(n):
-    inv = movable_invariants(build_surface(n))
+    tower = build_surface(n)
+    inv = movable_invariants(tower, pluri_anticanonical_stripping(tower))
     assert (inv.square, inv.degree_on_c2, inv.arithmetic_genus) == (2, 1, 1)
 
 
 def test_movable_component_degrees_n7():
-    inv = movable_invariants(build_surface(7))
+    tower = build_surface(7)
+    inv = movable_invariants(tower, pluri_anticanonical_stripping(tower))
     assert inv.component_degrees == (0, 1, 0, 0, 0, 0)
 
 
