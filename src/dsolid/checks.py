@@ -521,7 +521,7 @@ def check_cone_degree(n: int, ctx: CheckContext) -> list[CheckRecord]:
     want = 2 * (n - 2)
     rng = ctx.rng("cone-degree", n)
     inst = scr.random_instance(n, rng)
-    got = tuple(scr.double_curve_degree(inst, side, rng) for side in ("n", "n+1"))
+    got = scr.double_curve_degree(inst, rng)
     return [
         _record("elimination.cone-degree", n, (want, want), got,
                 "cone double-curve degree 2(n-2), cross-checked against an instance"),
@@ -557,10 +557,11 @@ def check_instances(n: int, ctx: CheckContext) -> list[CheckRecord]:
         if not scr.double_conic_verify(inst, rng):
             all_ok, detail = False, f"instance {k}: tangency identities"
             break
-        if scr.double_curve_degree(inst, "n", rng) != 2 * (n - 2):
+        side_n, side_n1 = scr.double_curve_degree(inst, rng)
+        if side_n != 2 * (n - 2):
             all_ok, detail = False, f"instance {k}: cone degree (side n)"
             break
-        if scr.double_curve_degree(inst, "n+1", rng) != 2 * (n - 2):
+        if side_n1 != 2 * (n - 2):
             all_ok, detail = False, f"instance {k}: cone degree (side n+1)"
             break
     return [
@@ -578,12 +579,9 @@ def check_tangency(n: int, ctx: CheckContext) -> list[CheckRecord]:
     ok = True
     detail = ""
     for k in range(count):
-        probe = scr.TangencyProbe.of(scr.random_instance(n, rng))
-        for ridx in range(n - 2):
-            if not scr.smoothness_probe(probe, ridx, samples=8, rng=rng):
-                ok, detail = False, f"instance {k}, root {ridx}"
-                break
-        if not ok:
+        bad_root = scr.smoothness_probe(scr.random_instance(n, rng), rng)
+        if bad_root is not None:
+            ok, detail = False, f"instance {k}, root {bad_root}"
             break
     return [
         _record("scroll.tangency", n, True, ok,

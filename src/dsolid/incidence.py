@@ -937,9 +937,14 @@ def nonvan_ledgers(table: PairingTable, registry: AxiomRegistry) -> dict:
         if rest11 != want:
             rest_ok = False
         # ledger: (Cb_{n-1}, Db_i + sum_{j>i} Cb_j - e1') inside the i-th surface
-        self_int = table.value(f"Eb{n-1}", ("Cb", i, n - 1))
-        neighbor = 1  # the unique adjacent component of the moving part
-        ledger = self_int + neighbor - 0
+        end = ("Cb", i, n - 1)
+        self_int = table.value(f"Eb{n-1}", end)
+        # members of the moving part next to Cb_{n-1} in the fiber cycle
+        cycle = cx.fiber_cycle(i)
+        k = cycle.index(end)
+        moving = {("Db", i)} | {("Cb", i, j) for j in range(i + 1, n - 1)}
+        neighbor = len({cycle[k - 1], cycle[(k + 1) % len(cycle)]} & moving)
+        ledger = self_int + neighbor
         ledger_values[i] = ledger
         if ledger != 0:
             rest_ok = False

@@ -241,6 +241,19 @@ class MultiPoly:
         vals = [_canonical(c) for c in acc.values()]
         return MultiPoly(nvars_out, dict(zip(_unpack(acc, top, nvars_out), vals)))
 
+    def specialize(self, fixed: Mapping[int, int | Fraction]) -> "MultiPoly":
+        """Set each variable ``i`` in ``fixed`` to the constant ``fixed[i]``.
+
+        The other variables are kept, in their order, as the variables of
+        the result.
+        """
+        kept = [i for i in range(self.nvars) if i not in fixed]
+        nv = len(kept)
+        images = {i: (c, (0,) * nv) for i, c in fixed.items()}
+        for pos, i in enumerate(kept):
+            images[i] = (1, tuple(int(k == pos) for k in range(nv)))
+        return self.substitute_monomials(nv, images)
+
     def evaluate(self, values: list[Fraction | int]) -> Coeff:
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")

@@ -15,6 +15,13 @@ plane has symmetric rank exactly two.  The branch quartic is
 and every verification below is a literal polynomial identity over Q; no
 floating point is used anywhere (conic sample points may live in a real
 quadratic extension).
+
+Every restriction is one rule: pull back along the chart with
+``ScrollParam.compose``, then fix chart variables to constants with
+``MultiPoly.specialize``.  The fiber over (p:q) fixes {U0: p, U1: q}, the
+cone z_{n-1} = 0 fixes {A: 0}, the cone z_n = 0 fixes {B: 0}, the ridge
+line z0 = .. = z_{n-2} = 0 fixes {S: 0}, and a line of a fiber plane fixes
+its first two coordinates.
 """
 
 from __future__ import annotations
@@ -81,17 +88,6 @@ class ScrollParam:
         if p.nvars != self.nvars:
             raise InstanceError("polynomial does not live on the ambient space")
         return p.substitute_monomials(5, self.monomial_images())
-
-    def fiber_images(self, lam: Root) -> dict[int, tuple[int | Fraction, Exponent]]:
-        """Substitution onto the plane over a fiber point: variables (s,a,b)."""
-        n = self.n
-        p, q = _norm_root(lam)
-        out: dict[int, tuple[int | Fraction, Exponent]] = {}
-        for j in range(n - 1):
-            out[j] = (p ** (n - 2 - j) * q**j, (1, 0, 0))
-        out[n - 1] = (1, (0, 1, 0))
-        out[n] = (1, (0, 0, 1))
-        return out
 
 
 def linear_form_from_roots(n: int, roots: list) -> MultiPoly:
@@ -238,12 +234,7 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     return QuarticInstance(n=n, roots=tuple(_norm_root(r) for r in roots), f=f, q=q, big_f=big_f)
 
 
-def fiber_restrict(p: MultiPoly, n: int, lam: Root) -> MultiPoly:
-    """Restriction of p to the plane over a fiber point, in variables (s,a,b)."""
-    return p.substitute_monomials(3, ScrollParam(n).fiber_images(lam))
-
-
-def double_conic_verify(inst: QuarticInstance, rng: random.Random | None = None) -> bool:
+def double_conic_verify(inst: QuarticInstance, rng: random.Random) -> bool:
     """Tangency of the plane sections along conics.
 
     Every special fiber (the n-2 roots and the splitting fiber at (0:1))
@@ -252,169 +243,115 @@ def double_conic_verify(inst: QuarticInstance, rng: random.Random | None = None)
     cone sections satisfy the same identity; the splitting conic has
     symmetric rank exactly two.
 
-    Restriction to a fiber or a cone substitutes a monomial for every
-    variable, which is a ring homomorphism, so F|_L + (Q|_L)^2 equals
-    (F + Q^2)|_L.  The residual F + Q^2 is therefore formed once and only it
-    is restricted; for a correct F it is z0 z_{n-1} z_n f, at most n-1 terms.
+    Restriction is a ring homomorphism, so F|_L + (Q|_L)^2 equals
+    (F + Q^2)|_L.  The residual F + Q^2 is therefore formed and pulled back
+    once, and only it is specialized; for a correct F it is
+    z0 z_{n-1} z_n f, at most n-1 terms.
     """
-    n = inst.n
-    rng = rng or random.Random(0)
-    residual = inst.big_f + inst.q * inst.q
-    specials = list(inst.roots) + [(Fraction(0), Fraction(1))]
-    for lam in specials:
-        if not fiber_restrict(residual, n, lam).is_zero():
+    residual = ScrollParam(inst.n).compose(inst.big_f + inst.q * inst.q)
+    for p, q in list(inst.roots) + [(0, 1)]:
+        if not residual.specialize({U0: p, U1: q}).is_zero():
             return False
     # generic fiber: the residual is z0 z_{n-1} z_n f, nonzero off the roots
     for _ in range(64):
-        lam = (Fraction(1), Fraction(rng.randint(-50, 50)))
+        lam = (1, rng.randint(-50, 50))
         if all(not _proj_equal(lam, r) for r in inst.roots):
             break
     else:
         raise RuntimeError("no generic fiber point found")
-    if fiber_restrict(residual, n, lam).is_zero():
+    if residual.specialize({U0: lam[0], U1: lam[1]}).is_zero():
         return False
     # cone sections: z_{n-1} = 0 and z_n = 0
-    for drop in (n - 1, n):
-        images = ScrollParam(n).monomial_images()
-        images[drop] = (0, (0, 0, 0, 0, 0))
-        if not residual.substitute_monomials(5, images).is_zero():
-            return False
-    return _matrix_rank3(splitting_matrix(n, inst.q)) == 2
+    if not (residual.specialize({A: 0}).is_zero() and residual.specialize({B: 0}).is_zero()):
+        return False
+    return splitting_conic_rank(inst) == 2
 
 
 def splitting_conic_rank(inst: QuarticInstance) -> int:
     return _matrix_rank3(splitting_matrix(inst.n, inst.q))
 
 
-def double_curve_degree(inst: QuarticInstance, side: str, rng: random.Random | None = None) -> int:
-    """Degree of the double curve on a cone section of the scroll.
+def double_curve_degree(inst: QuarticInstance, rng: random.Random) -> tuple[int, int]:
+    """Degrees of the double curve on the two cone sections of the scroll.
 
-    side 'n' is the cone z_{n-1} = 0, side 'n+1' the cone z_n = 0.  The
-    curve {Q = 0} on the cone is intersected with a generic hyperplane by
-    eliminating the fiber coordinates with a resultant; the count (with
-    multiplicity) is the degree of the resulting binary form.  Up to 12
-    random hyperplanes are tried.
+    Side n is the cone z_{n-1} = 0, side n+1 the cone z_n = 0; the pair is
+    returned in that order.  On each cone the curve {Q = 0} is intersected
+    with a generic hyperplane by eliminating the fiber coordinates with a
+    resultant; the count (with multiplicity) is the degree of the resulting
+    binary form.  Up to 12 random hyperplanes are tried per side.
     """
     n = inst.n
-    rng = rng or random.Random(1)
-    if side not in ("n", "n+1"):
-        raise InstanceError("side must be 'n' or 'n+1'")
-    drop = n - 1 if side == "n" else n
-    keep = n if side == "n" else n - 1
-    ridge = _ridge_restriction(inst.q, n)
-    if ridge.is_zero():
+    pulled = ScrollParam(n).compose(inst.q)
+    if pulled.specialize({S: 0}).is_zero():
         raise RidgeDegenerate("Q contains the ridge line; degree count excluded")
-    # pull Q to the cone chart (u0, u1, s, c): c is the kept last coordinate
-    images: dict[int, tuple[int, Exponent]] = {}
-    for j in range(n - 1):
-        images[j] = (1, (n - 2 - j, j, 1, 0))
-    images[drop] = (0, (0, 0, 0, 0))
-    images[keep] = (1, (0, 0, 0, 1))
-    qc = inst.q.substitute_monomials(4, images)
-    # coefficients of s^2, s c, c^2 as binary forms in (u0, u1)
-    spans = {2: {}, 1: {}, 0: {}}
-    for exp, coef in qc.terms.items():
-        spans[exp[2]][(exp[0], exp[1])] = coef
-    aa = MultiPoly(2, dict(spans[2]))
-    bb = MultiPoly(2, dict(spans[1]))
-    cc = MultiPoly(2, dict(spans[0]))
-    for _ in range(12):
-        dd = MultiPoly.from_terms(
-            2, [((n - 2 - j, j), rng.randint(-9, 9)) for j in range(n - 1)]
-        )
-        ee = MultiPoly.const(2, rng.randint(1, 9))
-        # resultant of (A s^2 + B s c + C c^2, D s + E c) in (s, c)
-        res = aa * ee * ee - bb * dd * ee + cc * dd * dd
-        if not res.is_zero():
-            if not res.is_homogeneous():
-                raise RuntimeError("resultant lost homogeneity")
-            return res.total_degree()
-    raise RidgeDegenerate("no generic hyperplane found; intersection is degenerate")
-
-
-def _ridge_restriction(q: MultiPoly, n: int) -> MultiPoly:
-    """Q restricted to the ridge line z0 = .. = z_{n-2} = 0."""
-    images: dict[int, tuple[int, Exponent]] = {}
-    for j in range(n - 1):
-        images[j] = (0, (0, 0))
-    images[n - 1] = (1, (1, 0))
-    images[n] = (1, (0, 1))
-    return q.substitute_monomials(2, images)
+    degrees = []
+    for cone in (A, B):
+        # Q on the cone in (u0, u1, s, c), c the kept last coordinate; the
+        # coefficients of s^2, s c, c^2 as binary forms in (u0, u1)
+        spans: dict[int, dict[Exponent, int | Fraction]] = {2: {}, 1: {}, 0: {}}
+        for exp, coef in pulled.specialize({cone: 0}).terms.items():
+            spans[exp[S]][exp[:2]] = coef
+        aa, bb, cc = (MultiPoly(2, spans[k]) for k in (2, 1, 0))
+        for _ in range(12):
+            dd = MultiPoly.from_terms(
+                2, [((n - 2 - j, j), rng.randint(-9, 9)) for j in range(n - 1)]
+            )
+            ee = MultiPoly.const(2, rng.randint(1, 9))
+            # resultant of (A s^2 + B s c + C c^2, D s + E c) in (s, c)
+            res = aa * ee * ee - bb * dd * ee + cc * dd * dd
+            if not res.is_zero():
+                if not res.is_homogeneous():
+                    raise RuntimeError("resultant lost homogeneity")
+                degrees.append(res.total_degree())
+                break
+        else:
+            raise RidgeDegenerate("no generic hyperplane found; intersection is degenerate")
+    return degrees[0], degrees[1]
 
 
 class ProbeExcluded(ValueError):
     """The splitting fiber is excluded from the tangency probe."""
 
 
-@dataclass(frozen=True)
-class TangencyProbe:
-    """One instance with d/du1 of its quartic pulled back to the chart.
+def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
+    """First-order transversality of the branch quartic along every double conic.
 
-    The pullback is computed once per instance and serves the probe of
-    every root of that instance.
-    """
-
-    inst: QuarticInstance
-    derivative: MultiPoly
-
-    @staticmethod
-    def of(inst: QuarticInstance) -> "TangencyProbe":
-        return TangencyProbe(inst, ScrollParam(inst.n).compose(inst.big_f).derivative(U1))
-
-    def on_fiber(self, lam: Root) -> MultiPoly:
-        """The derivative on the plane over ``lam``, in variables (s, a, b)."""
-        p, q = lam
-        return self.derivative.substitute_monomials(
-            3,
-            {
-                U0: (p, (0, 0, 0)),
-                U1: (q, (0, 0, 0)),
-                S: (1, (1, 0, 0)),
-                A: (1, (0, 1, 0)),
-                B: (1, (0, 0, 1)),
-            },
-        )
-
-
-def smoothness_probe(
-    inst: QuarticInstance | TangencyProbe,
-    root_index: int,
-    samples: int = 8,
-    rng: random.Random | None = None,
-    max_attempts: int = 400,
-) -> bool:
-    """First-order transversality of the branch quartic along one double conic.
-
-    At sample points of the conic over the root, the derivative of F along
+    At sample points of the conic over each root, the derivative of F along
     the fiber direction must not vanish; with a simple root it reduces to
     a nonzero constant times s^2 a b, so failures detect repeated roots.
-    Sample points are exact, possibly in a quadratic extension; points on
-    coordinate degeneracies are resampled.  Pass a ``TangencyProbe`` to
-    probe several roots of one instance with a single pullback.
+    F and Q are pulled back once; the roots are probed in order, and the
+    index of the first root whose derivative vanishes at a sample is
+    returned (None when every root passes).
     """
-    probe = inst if isinstance(inst, TangencyProbe) else TangencyProbe.of(inst)
-    inst = probe.inst
-    n = inst.n
-    rng = rng or random.Random(2)
-    if not 0 <= root_index < len(inst.roots):
-        raise ProbeExcluded("probe only runs over the simple tangency fibers")
-    lam = inst.roots[root_index]
-    if lam[0] == 0:
+    if any(p == 0 for p, _ in inst.roots):
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
-    # derivative of the pulled-back quartic along u1, evaluated at the fiber
-    h = probe.on_fiber(lam)
-    conic = fiber_restrict(inst.q, n, lam)  # in (s, a, b)
+    param = ScrollParam(inst.n)
+    # derivative of the pulled-back quartic along u1
+    derivative = param.compose(inst.big_f).derivative(U1)
+    pulled_q = param.compose(inst.q)
+    for index, (p, q) in enumerate(inst.roots):
+        fiber = {U0: p, U1: q}
+        if _vanishes_at_a_sample(derivative.specialize(fiber), pulled_q.specialize(fiber), rng):
+            return index
+    return None
+
+
+def _vanishes_at_a_sample(h: MultiPoly, conic: MultiPoly, rng: random.Random) -> bool:
+    """Whether h vanishes at one of 8 sample points of the conic, both in (s, a, b).
+
+    Sample points are exact, possibly in a quadratic extension; points on
+    coordinate degeneracies are resampled.
+    """
+    samples = 8
     got = 0
-    for _ in range(max_attempts):
+    for _ in range(400):
         if got >= samples:
             break
         t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
         if t == 0:
             continue
         # solve conic(1, t, b) = 0 for b
-        line = conic.substitute_monomials(
-            1, {0: (1, (0,)), 1: (t, (0,)), 2: (1, (1,))}
-        )
+        line = conic.specialize({0: 1, 1: t})
         gamma = line.coefficient((2,))
         beta = line.coefficient((1,))
         alpha = line.coefficient((0,))
@@ -447,11 +384,11 @@ def smoothness_probe(
             val = eval_poly_at(h, pt)
             vz = val.is_zero() if isinstance(val, QuadExt) else val == 0
             if vz:
-                return False
+                return True
             got += 1
     if got < samples:
         raise RuntimeError("could not collect enough conic sample points")
-    return True
+    return False
 
 
 # -- instance generation and serialization ------------------------------------

@@ -33,7 +33,6 @@ from dsolid.incidence import (
 from dsolid.lattice import build_surface, self_intersection_profile
 from dsolid.report import RunConfig, run as run_report
 from dsolid.scroll import (
-    TangencyProbe,
     double_conic_verify,
     double_curve_degree,
     moduli_formulas,
@@ -173,18 +172,12 @@ def test_criterion_7_quartic_instances(n):
         if splitting_conic_rank(inst) != 2:
             ok = False
             break
-        if double_curve_degree(inst, "n", rng) != 2 * (n - 2):
+        if double_curve_degree(inst, rng) != (2 * (n - 2), 2 * (n - 2)):
             ok = False
             break
-        if double_curve_degree(inst, "n+1", rng) != 2 * (n - 2):
+        # every root of the instance is probed
+        if smoothness_probe(inst, rng) is not None:
             ok = False
-            break
-        probe = TangencyProbe.of(inst)
-        for r in range(n - 2):
-            if not smoothness_probe(probe, r, samples=8, rng=rng):
-                ok = False
-                break
-        if not ok:
             break
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0

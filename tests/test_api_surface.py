@@ -65,3 +65,32 @@ def test_every_class_field_is_read_inside_the_package():
         if (cls, name) not in FIELD_EXEMPT and name not in loads
     ]
     assert unread == []
+
+
+# every function parameter in the package that has a default; a new option
+# fails the test below until it is listed here on purpose
+PARAMETERS_WITH_DEFAULTS = {
+    ("checks", "_record", "axioms"),
+    ("checks", "_record", "detail"),
+    ("cli", "main", "argv"),
+    ("incidence", "solve_pairings", "shuffle_seed"),
+    ("incidence", "_vadd", "s"),
+    ("incidence", "half_bundle_class", "swap_first_two"),
+    ("poly", "monomial", "coeff"),
+    ("report", "run", "registry"),
+    ("systems", "strip_fixed_components", "order"),
+    ("systems", "pluri_anticanonical_stripping", "order"),
+}
+
+
+def test_parameters_with_defaults_are_frozen():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found |= {(path.stem, node.name, a.arg) for a in defaulted}
+    assert found == PARAMETERS_WITH_DEFAULTS

@@ -191,8 +191,9 @@ def test_decrement_stages_match_machine(n):
 def test_cone_degree_fails_on_a_wrong_side(monkeypatch):
     real = scroll.double_curve_degree
 
-    def off_on_second_side(inst, side, rng):
-        return real(inst, side, rng) + 2 * (side == "n+1")
+    def off_on_second_side(inst, rng):
+        side_n, side_n1 = real(inst, rng)
+        return side_n, side_n1 + 2
 
     ctx = CheckContext(registry=default_registry(), seed=42)
     assert [r.status for r in check_cone_degree(5, ctx)] == ["pass"]

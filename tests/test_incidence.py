@@ -374,6 +374,38 @@ def test_pencil_ledger_coeffs_fail_on_a_wrong_half_bundle(monkeypatch):
     assert coeffs() == ("fail", (n - 2, n - 1))
 
 
+def _drop_end_neighbor(cycle, k):
+    return cycle[:k - 1] + cycle[k:]
+
+
+def _front_end_neighbor(cycle, k):
+    return [cycle[k - 1]] + cycle[:k - 1] + cycle[k:]
+
+
+@pytest.mark.parametrize("mutate", [_drop_end_neighbor, _front_end_neighbor])
+def test_pencil_ledgers_fail_on_a_wrong_fiber_cycle(mutate, monkeypatch):
+    # the ledger's neighbour count is read from the fiber cycle, not a literal 1
+    from dsolid.incidence import IncidenceComplex
+
+    n = 7
+    ctx = CheckContext(registry=default_registry())
+    ctx.model(n)  # the elimination trace reads the true cycle
+
+    def status():
+        [rec] = [r for r in check_pencil_ledgers(n, ctx) if r.id == "incidence.pencil-ledgers"]
+        return rec.status
+
+    assert status() == "pass"
+    real = IncidenceComplex.fiber_cycle
+
+    def mutated(self, i):
+        cycle = real(self, i)
+        return mutate(cycle, cycle.index(("Cb", i, self.n - 1)))
+
+    monkeypatch.setattr(IncidenceComplex, "fiber_cycle", mutated)
+    assert status() == "fail"
+
+
 def test_irreducibility_guard():
     res5 = irreducibility_guard(5)
     assert res5["phi_half"] == -2 and res5["ok"]

@@ -7,7 +7,14 @@ import pytest
 
 from dsolid import elimination, incidence, lattice
 from dsolid.axioms import default_registry
-from dsolid.checks import CHECKS, CheckContext, Model
+from dsolid.checks import (
+    CHECKS,
+    CheckContext,
+    Model,
+    check_cone_degree,
+    check_instances,
+    check_tangency,
+)
 from dsolid.cli import main
 from dsolid.report import RunConfig, run
 
@@ -140,3 +147,43 @@ def test_context_keeps_one_model_at_a_time():
     model = ctx.model(5)
     assert ctx.model(5) is model
     assert ctx.model(6) is not model and ctx.model(6).n == 6
+
+
+# sha256 (first 16 hex digits) of repr(rng.getstate()) after each instance-driven
+# check at seed 42 with the default 100 instances, for the one Random that
+# CheckContext.rng hands it.  A passing report does not depend on which
+# instances were drawn, so only this pins the order and number of draws.
+RNG_STATE_AFTER_CHECK = {
+    "instances": ("f3548fbd6920aa3c", "643103d28e2d4422", "747d8c6bba5466b1",
+                  "f3dfb9d5b52fc262", "ff3964452a43f9ba", "5ae320af73b36db5",
+                  "85bcc10c2248952e"),
+    "tangency": ("66c24f68b8fe88d5", "88059d2fd0ad068d", "5884baba60a79a29",
+                 "c1384e6ff6d3dcb8", "6e1a66c9db4ef25e", "00c1e4ec79cfa0c3",
+                 "49f3422a66e48014"),
+    "cone-degree": ("824718057bffffa2", "c0cdaf22f436f66b", "d18b7f4e13f6f22a",
+                    "9f38a1f7b0bb5744", "a79fa45f811212e2", "ee490132d8072871",
+                    "794215320ee82279"),
+}
+INSTANCE_CHECKS = {"instances": check_instances, "tangency": check_tangency,
+                   "cone-degree": check_cone_degree}
+
+
+@pytest.mark.parametrize("name", sorted(RNG_STATE_AFTER_CHECK))
+def test_instance_checks_draw_a_frozen_stream(name, monkeypatch):
+    handed = []
+    real = CheckContext.rng
+
+    def recording(self, check_id, n):
+        rng = real(self, check_id, n)
+        handed.append(rng)
+        return rng
+
+    monkeypatch.setattr(CheckContext, "rng", recording)
+    got = []
+    for n in range(4, 11):
+        handed.clear()
+        recs = INSTANCE_CHECKS[name](n, CheckContext(registry=default_registry(), seed=42))
+        assert [r.status for r in recs] == ["pass"]
+        [rng] = handed
+        got.append(hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16])
+    assert tuple(got) == RNG_STATE_AFTER_CHECK[name]

@@ -310,6 +310,21 @@ def test_substitute_monomials_is_canonical(a, images):
 
 
 @settings(max_examples=80, deadline=None)
+@given(
+    a=_mixed(4),
+    point=st.lists(_coeff, min_size=4, max_size=4),
+    fixed=st.sets(st.integers(0, 3)),
+)
+def test_specialize_agrees_with_evaluate(a, point, fixed):
+    # fixing some variables, then evaluating the rest, evaluates at the full point
+    got = a.specialize({i: point[i] for i in fixed})
+    kept = [point[i] for i in range(4) if i not in fixed]
+    assert got.nvars == len(kept)
+    assert got.evaluate(kept) == a.evaluate(point)
+    assert _canonical_terms(got)
+
+
+@settings(max_examples=80, deadline=None)
 @given(a=_mixed(), values=st.lists(_coeff, min_size=3, max_size=3))
 def test_evaluate_is_canonical(a, values):
     got = a.evaluate(values)

@@ -8,17 +8,19 @@ import hypothesis.strategies as st
 from dsolid.poly import MultiPoly
 from dsolid.qfield import QuadExt, eval_poly_at, sqrt_fraction
 from dsolid.scroll import (
+    A,
+    B,
+    S,
+    U0,
+    U1,
     InstanceError,
     ProbeExcluded,
     QuarticInstance,
     RidgeDegenerate,
     ScrollParam,
-    TangencyProbe,
-    U1,
     build_instance,
     double_conic_verify,
     double_curve_degree,
-    fiber_restrict,
     hankel_generators,
     ideal_member,
     instance_from_json,
@@ -37,6 +39,11 @@ def _unit(nv, j, c=1):
     return MultiPoly.from_terms(nv, [(tuple(e), c)])
 
 
+def _on_fiber(p, n, lam):
+    """p restricted to the plane over lam, in (s, a, b): compose, then specialize."""
+    return ScrollParam(n).compose(p).specialize({U0: lam[0], U1: lam[1]})
+
+
 def test_linear_form_n4():
     f = linear_form_from_roots(4, [(1, 0), (1, 1)])
     # product u1(u1 - u0) = z2 - z1 under the monomial correspondence
@@ -50,18 +57,8 @@ def test_linear_form_roots_recovered_n5():
     comp = ScrollParam(5).compose(f)
     # oracle: composition vanishes exactly at the chosen fiber points
     for p, q in roots:
-        val = comp.substitute_monomials(
-            3, {0: (Fraction(p), (0, 0, 0)), 1: (Fraction(q), (0, 0, 0)),
-                2: (Fraction(1), (1, 0, 0)), 3: (Fraction(1), (0, 1, 0)),
-                4: (Fraction(1), (0, 0, 1))},
-        )
-        assert val.is_zero()
-    off = comp.substitute_monomials(
-        3, {0: (Fraction(1), (0, 0, 0)), 1: (Fraction(5), (0, 0, 0)),
-            2: (Fraction(1), (1, 0, 0)), 3: (Fraction(1), (0, 1, 0)),
-            4: (Fraction(1), (0, 0, 1))},
-    )
-    assert not off.is_zero()
+        assert comp.specialize({U0: p, U1: q}).is_zero()
+    assert not comp.specialize({U0: 1, U1: 5}).is_zero()
 
 
 def test_linear_form_rejects_reserved_point():
@@ -146,15 +143,15 @@ def test_fiber_restrict_basics():
     z0 = _unit(nv, 0)
     zl = _unit(nv, n - 2)
     at_inf = (Fraction(0), Fraction(1))
-    assert fiber_restrict(z0, n, at_inf).is_zero()
-    assert fiber_restrict(zl, n, at_inf) == MultiPoly.from_terms(3, [((1, 0, 0), 1)])
+    assert _on_fiber(z0, n, at_inf).is_zero()
+    assert _on_fiber(zl, n, at_inf) == MultiPoly.from_terms(3, [((1, 0, 0), 1)])
 
 
 def test_fiber_restrict_quartic_at_root():
     inst = _valid_instance(5, 3)
     lam = inst.roots[0]
-    fr = fiber_restrict(inst.big_f, inst.n, lam)
-    qr = fiber_restrict(inst.q, inst.n, lam)
+    fr = _on_fiber(inst.big_f, inst.n, lam)
+    qr = _on_fiber(inst.q, inst.n, lam)
     assert fr == -(qr * qr)
 
 
@@ -180,7 +177,7 @@ def _with_big_f(inst, big_f, q=None):
 
 
 def _vanishes_on(p, n, fibers):
-    return all(fiber_restrict(p, n, lam).is_zero() for lam in fibers)
+    return all(_on_fiber(p, n, lam).is_zero() for lam in fibers)
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -246,15 +243,14 @@ def test_member_invariance(seed, k):
     member = hankel_generators(n)[k]
     lam = inst.roots[0]
     scaled = member * _unit(n + 1, 0) * _unit(n + 1, 1)  # degree-4 member multiple
-    assert fiber_restrict(inst.big_f + scaled, n, lam) == fiber_restrict(inst.big_f, n, lam)
+    assert _on_fiber(inst.big_f + scaled, n, lam) == _on_fiber(inst.big_f, n, lam)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_double_curve_degree(n):
     rng = random.Random(7)
     inst = random_instance(n, rng)
-    assert double_curve_degree(inst, "n", rng) == 2 * (n - 2)
-    assert double_curve_degree(inst, "n+1", rng) == 2 * (n - 2)
+    assert double_curve_degree(inst, rng) == (2 * (n - 2), 2 * (n - 2))
 
 
 def test_double_curve_degree_ridge_flagged():
@@ -264,15 +260,14 @@ def test_double_curve_degree_ridge_flagged():
     q = _unit(nv, 2) * (_unit(nv, 3) + _unit(nv, 4)) + _unit(nv, 0) * _unit(nv, 1)
     inst = build_instance(n, [(1, 0), (1, 1)], q)
     with pytest.raises(RidgeDegenerate):
-        double_curve_degree(inst, "n", random.Random(0))
+        double_curve_degree(inst, random.Random(0))
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_smoothness_probe_generic(n):
     rng = random.Random(55)
     inst = random_instance(n, rng)
-    for r in range(n - 2):
-        assert smoothness_probe(inst, r, samples=8, rng=rng)
+    assert smoothness_probe(inst, rng) is None
 
 
 def _double_root_instance():
@@ -299,7 +294,10 @@ def _double_root_instance():
 
 def test_smoothness_probe_detects_double_root():
     bad = _double_root_instance()
-    assert smoothness_probe(bad, 0, samples=4, rng=random.Random(3)) is False
+    assert smoothness_probe(bad, random.Random(3)) == 0
+    # the simple root is probed first, then the double root fails at index 1
+    later = QuarticInstance(n=bad.n, roots=bad.roots[::-1], f=bad.f, q=bad.q, big_f=bad.big_f)
+    assert smoothness_probe(later, random.Random(3)) == 1
 
 
 def _closed_form_constant(inst, lam):
@@ -321,7 +319,7 @@ def _conic_points(conic, rng, count):
     points = []
     while len(points) < count:
         t = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
-        line = conic.substitute_monomials(1, {0: (1, (0,)), 1: (t, (0,)), 2: (1, (1,))})
+        line = conic.specialize({0: 1, 1: t})
         gamma, beta, alpha = (Fraction(line.coefficient((k,))) for k in (2, 1, 0))
         if gamma == 0:
             continue
@@ -340,12 +338,12 @@ def test_probe_derivative_matches_closed_form(n):
     # c s^2 a b, with c from the roots alone and nonzero
     rng = random.Random(300 + n)
     inst = random_instance(n, rng)
-    probe = TangencyProbe.of(inst)
+    derivative = ScrollParam(n).compose(inst.big_f).derivative(U1)
     for lam in inst.roots:
         c = _closed_form_constant(inst, lam)
         assert c != 0
-        h = probe.on_fiber(lam)
-        conic = fiber_restrict(inst.q, n, lam)
+        h = derivative.specialize({U0: lam[0], U1: lam[1]})
+        conic = _on_fiber(inst.q, n, lam)
         for t, b in _conic_points(conic, rng, 6):
             assert _is_zero(eval_poly_at(conic, [1, t, b]))
             assert _is_zero(eval_poly_at(h, [1, t, b]) - b * (c * t))
@@ -355,28 +353,15 @@ def test_probe_closed_form_fails_for_double_root():
     bad = _double_root_instance()
     lam = bad.roots[0]
     assert _closed_form_constant(bad, lam) == 0
-    h = TangencyProbe.of(bad).on_fiber(lam)
-    conic = fiber_restrict(bad.q, bad.n, lam)
+    h = ScrollParam(bad.n).compose(bad.big_f).derivative(U1).specialize({U0: lam[0], U1: lam[1]})
+    conic = _on_fiber(bad.q, bad.n, lam)
     points = _conic_points(conic, random.Random(4), 6)
     assert all(_is_zero(eval_poly_at(h, [1, t, b])) for t, b in points)
-    assert smoothness_probe(TangencyProbe.of(bad), 0, samples=4, rng=random.Random(3)) is False
-
-
-def test_tangency_probe_agrees_with_instance_probe():
-    inst = _valid_instance(6, 8)
-    probe = TangencyProbe.of(inst)
-    assert probe.derivative == ScrollParam(6).compose(inst.big_f).derivative(U1)
-    for r in range(4):
-        ra, rb = random.Random(r), random.Random(r)
-        assert smoothness_probe(probe, r, samples=8, rng=ra) == smoothness_probe(
-            inst, r, samples=8, rng=rb)
-        assert ra.getstate() == rb.getstate()
+    assert smoothness_probe(bad, random.Random(3)) == 0
 
 
 def test_smoothness_probe_excludes_splitting_fiber():
     inst = _valid_instance(4, 11)
-    with pytest.raises(ProbeExcluded):
-        smoothness_probe(inst, 5, rng=random.Random(0))
     bad = QuarticInstance(
         n=inst.n,
         roots=((Fraction(0), Fraction(1)),) + inst.roots[1:],
@@ -385,7 +370,59 @@ def test_smoothness_probe_excludes_splitting_fiber():
         big_f=inst.big_f,
     )
     with pytest.raises(ProbeExcluded):
-        smoothness_probe(bad, 0, rng=random.Random(0))
+        smoothness_probe(bad, random.Random(0))
+
+
+# Reference restrictions, each written out as its own substitution map from
+# the ambient coordinates; the specialized pullback must reproduce them.
+
+
+def _direct_fiber(p, n, lam):
+    """p on the plane over lam, in (s, a, b)."""
+    u0, u1 = lam
+    images = {j: (u0 ** (n - 2 - j) * u1**j, (1, 0, 0)) for j in range(n - 1)}
+    images[n - 1] = (1, (0, 1, 0))
+    images[n] = (1, (0, 0, 1))
+    return p.substitute_monomials(3, images)
+
+
+def _direct_cone(p, n, drop):
+    """p on the cone z_drop = 0, in (u0, u1, s, c) with c the other last coordinate."""
+    images = {j: (1, (n - 2 - j, j, 1, 0)) for j in range(n - 1)}
+    images[drop] = (0, (0, 0, 0, 0))
+    images[2 * n - 1 - drop] = (1, (0, 0, 0, 1))
+    return p.substitute_monomials(4, images)
+
+
+def _direct_ridge(p, n):
+    """p on the ridge line z0 = .. = z_{n-2} = 0, in (a, b)."""
+    images = {j: (0, (0, 0)) for j in range(n - 1)}
+    images[n - 1] = (1, (1, 0))
+    images[n] = (1, (0, 1))
+    return p.substitute_monomials(2, images)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_specialized_pullback_matches_direct_maps(n):
+    rng = random.Random(500 + n)
+    param = ScrollParam(n)
+    for _ in range(3):
+        inst = random_instance(n, rng)
+        for p in (inst.big_f, inst.q, inst.big_f + inst.q * inst.q):
+            pulled = param.compose(p)
+            for lam in list(inst.roots) + [(0, 1)]:
+                assert pulled.specialize({U0: lam[0], U1: lam[1]}) == _direct_fiber(p, n, lam)
+            assert pulled.specialize({A: 0}) == _direct_cone(p, n, n - 1)
+            assert pulled.specialize({B: 0}) == _direct_cone(p, n, n)
+            # the ridge keeps (u0, u1), which no surviving term involves
+            ridge = _direct_ridge(p, n)
+            assert pulled.specialize({S: 0}) == MultiPoly(
+                4, {(0, 0) + e: c for e, c in ridge.terms.items()})
+        # a line of a fiber plane, as the probe cuts it
+        conic = _direct_fiber(inst.q, n, inst.roots[0])
+        t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+        assert conic.specialize({0: 1, 1: t}) == conic.substitute_monomials(
+            1, {0: (1, (0,)), 1: (t, (0,)), 2: (1, (1,))})
 
 
 def test_instance_roundtrip_identical():
