@@ -3,7 +3,10 @@
 Each check computes values with the engine, compares them against the
 expected closed forms, and returns CheckRecord rows.  Expected values are
 never copied from the computation being checked; they are the stated
-closed forms or independently derived oracles frozen in this module.
+closed forms or independently derived oracles.  Most are frozen in this
+module; the fixed-part multiplicities live in ``systems.fixed_multiplicity``
+and the cylinder degree tables in ``incidence.cylinder_tables_verify`` and
+``incidence.m1_tables_verify``.
 The per-n objects (tower, stripping, pairing system and table,
 elimination trace) come from one ``Model`` per n, which
 ``CheckContext.model`` shares between the checks of that n.
@@ -300,17 +303,19 @@ def check_completion(n: int, ctx: CheckContext) -> list[CheckRecord]:
     return recs
 
 
+def _table_diff(tables: inc.Tables, ok: bool) -> str:
+    """The mismatching cells of a failed table comparison, as a record detail."""
+    diff = {k: {i: v for i, v in rows.items() if v[0] != v[1]} for k, rows in tables.items()}
+    return "" if ok else f"diff={diff}"
+
+
 def check_cylinder_tables(n: int, ctx: CheckContext) -> list[CheckRecord]:
-    table = ctx.model(n).table
-    tables, ok = inc.cylinder_tables_verify(table)
-    diff = {
-        kind: {i: v for i, v in rows.items() if v[0] != v[1]} for kind, rows in tables.items()
-    }
+    tables, ok = inc.cylinder_tables_verify(ctx.model(n).table)
     return [
         _record("incidence.cylinder-tables", n, True, ok,
                 "adjusted-bundle degrees on sections, exceptional curves and seams "
                 "match the closed forms cell by cell",
-                detail="" if ok else f"diff={diff}"),
+                detail=_table_diff(tables, ok)),
     ]
 
 
@@ -351,12 +356,11 @@ def check_half_bundle_tables(n: int, ctx: CheckContext) -> list[CheckRecord]:
     model = ctx.model(n)
     tables, ok = inc.m1_tables_verify(model.table, model.m_table)
     # triviality on the n barred-plus-end components is cell-wise in the tables
-    diff = {k: {i: v for i, v in rows.items() if v[0] != v[1]} for k, rows in tables.items()}
     return [
         _record("incidence.half-bundle-tables", n, True, ok,
                 "adjusted half-bundle degrees on the cylinder match the closed forms; "
                 "trivial on the n barred-plus-end components",
-                detail="" if ok else f"diff={diff}"),
+                detail=_table_diff(tables, ok)),
     ]
 
 

@@ -13,7 +13,6 @@ outcome, not an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .incidence import Curve, IncidenceComplex, PairingTable, adjusted_bundle, curve_name
 
@@ -40,12 +39,8 @@ class BlowupState:
     degrees: dict[Curve, int] = field(default_factory=dict)
     adjacency: dict[Curve, set[Curve]] = field(default_factory=dict)
     # the running bundle of each stage, as {divisor symbol: coefficient}
-    bundles: list[dict[str, int | Fraction]] = field(default_factory=list)
+    bundles: list[dict[str, int]] = field(default_factory=list)
     odp_census: list[tuple[str, int]] = field(default_factory=list)
-
-    @property
-    def complex(self) -> IncidenceComplex:
-        return self.table.complex
 
 
 def _initial_state(table: PairingTable) -> BlowupState:
@@ -57,7 +52,7 @@ def _initial_state(table: PairingTable) -> BlowupState:
         nodes = cx.fiber_cycle(i)
         m = len(nodes)
         for k, nd in enumerate(nodes):
-            state.degrees[nd] = int(table.degree(l1, nd))
+            state.degrees[nd] = table.degree(l1, nd)
             state.adjacency.setdefault(nd, set())
         for k in range(m):
             a, b = nodes[k], nodes[(k + 1) % m]
@@ -68,41 +63,21 @@ def _initial_state(table: PairingTable) -> BlowupState:
     return state
 
 
-def _surfaces_of(state: BlowupState, node: Curve) -> set[str]:
-    """Carrier surfaces of a node: the degree-one half it lies on plus its
-    exceptional component.  'Sm{i}'/'Sp{i}' name the two halves of fiber i."""
-    n = state.n
-    kind = node[0]
-    if kind in ("C", "Cb"):
-        _, i, j = node
-        half = ("Sm" if j <= i else "Sp") if kind == "C" else ("Sp" if j <= i else "Sm")
-        home = ("E" if kind == "C" else "Eb") + str(j)
-        return {f"{half}{i}", home}
-    if kind in ("D", "Db"):
-        i = node[1]
-        if kind == "D":
-            return {f"Sp{i}" if i <= n - 2 else f"Sm{n-1}", "E" + str(i) if i <= n - 2 else "Eb1"}
-        return {f"Sm{i}" if i <= n - 2 else f"Sp{n-1}", "Eb" + str(i) if i <= n - 2 else "E1"}
-    raise ValueError(node)
-
-
-def _tracking_surface(state: BlowupState, center: Curve) -> str:
+def _tracking_surface(cx: IncidenceComplex, center: Curve) -> str:
     """Surface in which the center's successor is tracked after blowing up.
 
-    Chain centers stay tracked inside their degree-one surface; the two
-    isolated seed curves (fiber n-1, component 1) are tracked inside the
-    end cylinder component they lie on.
+    Chain centers stay tracked inside their degree-one surface (the half
+    ``cx.half``); the two isolated seed curves (fiber n-1, component 1) are
+    tracked inside the end cylinder component they lie on (``cx.home``).
     """
-    n = state.n
-    kind, i, j = center
-    if i == n - 1 and j == 1:
-        return "E1" if kind == "C" else "Eb1"
-    return ("Sm" if kind == "C" else "Sp") + str(i)
+    if center[1:] == (cx.n - 1, 1):
+        return cx.home(center)
+    return cx.half(center)
 
 
 def _self_intersection(state: BlowupState, center: Curve) -> int:
     """Self-intersection of the center inside its tracking surface."""
-    surf = _tracking_surface(state, center)
+    surf = _tracking_surface(state.table.complex, center)
     if surf.startswith(("Sm", "Sp")):
         # cross rule: square inside the degree-one surface = normal degree on
         # the cylinder component through the curve
@@ -176,10 +151,11 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
     for c, v in successor_deg.items():
         state.degrees[c] = v
     # sever adjacency across surfaces the successor no longer touches
+    cx = state.table.complex
     for c in centers:
-        surf = _tracking_surface(state, c)
+        surf = _tracking_surface(cx, c)
         for nb in list(state.adjacency[c]):
-            if surf not in _surfaces_of(state, nb):
+            if surf not in (cx.half(nb), cx.home(nb)):
                 state.adjacency[c].discard(nb)
                 state.adjacency[nb].discard(c)
     state.stage = stage
@@ -251,7 +227,7 @@ def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) ->
     if not 1 <= i < n - 1:
         raise ValueError(f"line index {i} must satisfy 1 <= i < n-1 (the end line splits)")
     l1 = adjusted_bundle(n)
-    initial = int(table.degree(l1, ("L", i)))
+    initial = table.degree(l1, ("L", i))
     diagonal = curve_name(("C", i, i))
     decrement_stages = tuple(s.stage for s in trace.stages if diagonal in s.centers)
     final = initial - 2 * len(decrement_stages)

@@ -129,15 +129,16 @@ def strip_fixed_components(
     return StrippingResult(fixed, movable)
 
 
+def fixed_multiplicity(n: int, j: int) -> int:
+    """Multiplicity of C_j (and of Cb_j) in the fixed part of the (n-2)-fold
+    anticanonical system: n-3 on C1, n-1-j on C_j for j >= 2 (0 on C_{n-1})."""
+    return n - 3 if j == 1 else n - 1 - j
+
+
 def anticanonical_fixed_part(tower: BlowupTower) -> dict[str, int]:
     """Expected fixed multiplicities of the (n-2)-fold anticanonical system."""
     n = tower.n
-    out = {f"C{i}": 0 for i in range(1, n)}
-    out.update({f"Cb{i}": 0 for i in range(1, n)})
-    out["C1"] = out["Cb1"] = n - 3
-    for i in range(2, n - 1):
-        out[f"C{i}"] = out[f"Cb{i}"] = n - 1 - i
-    return out
+    return {f"{kind}{j}": fixed_multiplicity(n, j) for kind in ("C", "Cb") for j in range(1, n)}
 
 
 def pluri_anticanonical_stripping(tower: BlowupTower, order: list[str] | None = None) -> StrippingResult:
@@ -228,10 +229,7 @@ def half_bundle_fixed_part(tower: BlowupTower) -> StrippingResult:
 
 def expected_half_bundle_fixed(n: int) -> dict[str, int]:
     """Lower bound for the half-bundle fixed part: unbarred components only."""
-    out = {"C1": n - 3}
-    for i in range(2, n - 1):
-        out[f"C{i}"] = n - 1 - i
-    return out
+    return {f"C{j}": fixed_multiplicity(n, j) for j in range(1, n - 1)}
 
 
 def degree_one_restriction(tower: BlowupTower, i: int) -> HalfClass:

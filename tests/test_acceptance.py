@@ -30,12 +30,11 @@ from dsolid.incidence import (
     rr_threefold,
     solve_pairings,
 )
-from dsolid.lattice import build_surface, self_intersection_profile
+from dsolid.lattice import build_surface
 from dsolid.report import RunConfig, run as run_report
 from dsolid.scroll import (
     double_conic_verify,
     double_curve_degree,
-    moduli_formulas,
     random_instance,
     smoothness_probe,
     splitting_conic_rank,
@@ -53,15 +52,16 @@ def _report(num: int, ok: bool, msg: str) -> None:
     print(f"criterion-{num}: {'PASS' if ok else 'FAIL'} - {msg}")
 
 
+def _all_pass(check_id: str, ns: range) -> bool:
+    """Whether every record of one check passes over ``ns``, as the CLI reports it."""
+    records = run_report(RunConfig(ns=tuple(ns), filter=check_id)).checks
+    return bool(records) and all(r.status == "pass" for r in records)
+
+
 def test_criterion_1_surface_profile():
+    # the lattice.profile records: cycle profile (1-n, -2 x (n-3), -1) and K^2 = 8-2n
     t0 = time.perf_counter()
-    ok = True
-    for n in range(4, 17):
-        tower = build_surface(n)
-        if self_intersection_profile(tower) != [1 - n] + [-2] * (n - 3) + [-1]:
-            ok = False
-        if tower.canonical.dot(tower.canonical) != 8 - 2 * n:
-            ok = False
+    ok = _all_pass("lattice.profile", range(4, 17))
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     _report(1, ok, f"profiles and K^2 for n=4..16 in {elapsed:.3f}s")
@@ -187,21 +187,8 @@ def test_criterion_7_quartic_instances(n):
 
 
 def test_criterion_8_moduli_arithmetic():
-    ok = True
-    for n in range(4, 33):
-        for k in range(2, n + 1):
-            r = moduli_formulas(n, k)
-            want_stratum = 3 * n - 2 * k - 2 if k < n else n - 1
-            if not (
-                r.consistent
-                and r.h1_tangent_threefold == 7 * n - 15
-                and r.h1_tangent_surface == 4 * n - 6
-                and r.h1_anticanonical == 2 * n - 8
-                and r.stratum_dim == want_stratum
-                and r.pencil_member_family_dim == n + 4
-                and r.moduli_dim == n + 3
-            ):
-                ok = False
+    # the scroll.moduli record: every dimension formula for k = 2..n
+    ok = _all_pass("scroll.moduli", range(4, 33))
     _report(8, ok, "dimension formulas and decrement-by-two stratification, n=4..32")
     assert ok
 

@@ -45,6 +45,22 @@ def test_odp_count_n7():
     assert len(Model(7).complex.odps) == 12
 
 
+@pytest.mark.parametrize("n", [4, 5, 9])
+def test_each_fiber_cycle_splits_into_two_halves(n):
+    # the reducible member over fiber i is Sm_i + Sp_i, each carrying a
+    # contiguous arc of n curves of the cycle; a small-resolution curve lies
+    # on the two surfaces its double point's blown pair names
+    cx = Model(n).complex
+    for i in range(1, n):
+        cycle = cx.fiber_cycle(i)
+        halves = [cx.half(c) for c in cycle]
+        assert sorted(set(halves)) == [f"Sm{i}", f"Sp{i}"]
+        assert halves.count(f"Sm{i}") == halves.count(f"Sp{i}") == n
+        assert sum(a != b for a, b in zip(halves, halves[1:] + halves[:1])) == 2
+    for o in cx.odps:
+        assert (cx.half(o.exceptional), cx.home(o.exceptional)) == o.blown_pair
+
+
 def test_end_component_unblown_n4():
     cx = Model(4).complex
     assert cx.blown["E3"] == []
@@ -67,17 +83,20 @@ def test_cylinder_examples_n7():
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_degree_matches_per_term_fractions(data):
-    # mixed denominators: the lcm scaling must match a Fraction per term
+@given(data=st.data(), integral=st.booleans())
+def test_degree_matches_per_term_fractions(data, integral):
+    # mixed denominators sum exactly; integer coefficients give an int degree
     table = Model(6).table
     divs = ["T"] + table.complex.exceptional_divisors()
-    coeff = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    coeff = st.integers(-4, 4)
+    if not integral:
+        coeff |= st.fractions(min_value=-3, max_value=3, max_denominator=12)
     coeffs = {d: data.draw(coeff) for d in data.draw(st.lists(st.sampled_from(divs), unique=True))}
     c = data.draw(st.sampled_from(table.complex.curves))
     got = table.degree(coeffs, c)
-    assert type(got) is Fraction
     assert got == sum((Fraction(co) * table.value(d, c) for d, co in coeffs.items()), Fraction(0))
+    if integral:
+        assert type(got) is int
 
 
 def test_anchor_cells():

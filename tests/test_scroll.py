@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from dsolid import scroll
+from dsolid.axioms import default_registry
+from dsolid.checks import CheckContext, check_instances
 from dsolid.poly import MultiPoly
 from dsolid.qfield import QuadExt, eval_poly_at, sqrt_fraction
 from dsolid.scroll import (
@@ -224,14 +227,19 @@ def test_double_conic_verify_cone_can_fail(n, square):
     assert not double_conic_verify(_with_big_f(inst, bad), random.Random(0))
 
 
-def test_double_conic_verify_rank_can_fail():
+def test_double_conic_verify_rank_can_fail(monkeypatch):
+    # the rank is tested once per instance, by check_instances, not by double_conic_verify
     n, nv = 5, 6
     inst = _valid_instance(n, 15)
     # a rank-3 splitting conic with the matching quartic passes every identity
     q = inst.q + _mono(nv, n - 2, n - 1)
-    assert splitting_conic_rank(_with_big_f(inst, inst.big_f, q)) != 2
     big_f = _mono(nv, 0, n - 1, n) * inst.f - q * q
-    assert not double_conic_verify(_with_big_f(inst, big_f, q), random.Random(0))
+    bad = _with_big_f(inst, big_f, q)
+    assert splitting_conic_rank(bad) == 3
+    assert double_conic_verify(bad, random.Random(0))
+    monkeypatch.setattr(scroll, "random_instance", lambda n, rng: bad)
+    [rec] = check_instances(n, CheckContext(registry=default_registry(), instances=2))
+    assert (rec.id, rec.status, rec.detail) == ("scroll.instances", "fail", "instance 0: splitting rank")
 
 
 @settings(max_examples=10, deadline=None)

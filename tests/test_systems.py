@@ -271,3 +271,30 @@ def test_light_surface_checks_at_n32():
         report = run(RunConfig(ns=(32,), filter=pattern))
         assert report.checks
         assert [r.id for r in report.checks if r.status == "fail"] == []
+
+
+def test_every_fixed_part_reader_fails_on_one_wrong_multiplicity(monkeypatch):
+    # systems.fixed_multiplicity is the one fixed-part rule; a wrong value at
+    # C2 (bound in both modules that read it) reaches every check that reads it
+    from dsolid import incidence, systems
+    from dsolid.report import RunConfig, run
+
+    def failing():
+        return {r.id for pattern in ("systems.*", "incidence.*")
+                for r in run(RunConfig(ns=(6,), filter=pattern)).checks if r.status == "fail"}
+
+    assert failing() == set()
+    real = systems.fixed_multiplicity
+
+    def wrong(n, j):
+        return real(n, j) + (j == 2)
+
+    monkeypatch.setattr(systems, "fixed_multiplicity", wrong)
+    monkeypatch.setattr(incidence, "fixed_multiplicity", wrong)
+    assert failing() == {
+        "systems.fixed-components",
+        "systems.half-bundle-fixed",
+        "incidence.bundle-algebra",
+        "incidence.half-bundle-tables",
+        "incidence.pencil-ledgers",
+    }
