@@ -7,14 +7,15 @@ closed forms or independently derived oracles.  Most are frozen in this
 module; the fixed-part multiplicities live in ``systems.fixed_multiplicity``
 and the cylinder degree tables in ``incidence.cylinder_tables_verify`` and
 ``incidence.m1_tables_verify``.
-The per-n objects (tower, stripping, pairing system and table,
-elimination trace) come from one ``Model`` per n, which
+The per-n objects (tower, stripping, half bundle, pairing system and
+table, elimination trace) come from one ``Model`` per n, which
 ``CheckContext.model`` shares between the checks of that n.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -81,8 +82,12 @@ class Model:
         return sys_.pluri_anticanonical_stripping(self.tower)
 
     @cached_property
+    def half_bundle(self) -> sys_.HalfClass:
+        return sys_.half_bundle_on_surface(self.tower)
+
+    @cached_property
     def m_table(self) -> dict[str, int]:
-        return sys_.m_restriction_table(self.tower)
+        return sys_.m_restriction_table(self.tower, self.half_bundle)
 
     @cached_property
     def complex(self) -> inc.IncidenceComplex:
@@ -151,15 +156,13 @@ def check_lattice_profile(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 def check_lattice_cycle(n: int, ctx: CheckContext) -> list[CheckRecord]:
     tower = ctx.model(n).tower
-    names = tower.cycle_names()
-    m = len(names)
-    adjacency_ok = True
-    for a in range(m):
-        for b in range(a + 1, m):
-            d = tower.tracked[names[a]].dot(tower.tracked[names[b]])
-            want = 1 if (b - a == 1 or (a == 0 and b == m - 1)) else 0
-            if d != want:
-                adjacency_ok = False
+    gram = tower.cycle_gram
+    m = len(gram)
+    # off the diagonal, each Gram row is 1 at the two cyclic neighbours only
+    adjacency_ok = all(
+        {q: g for q, g in row if q != p} == {(p - 1) % m: 1, (p + 1) % m: 1}
+        for p, row in enumerate(gram)
+    )
     return [
         _record("lattice.cycle-anticanonical", n, True, lat.anticanonical_cycle_check(tower),
                 "the 2(n-1) cycle components sum to -K"),
@@ -213,7 +216,7 @@ def check_movable(n: int, ctx: CheckContext) -> list[CheckRecord]:
     ]
     sq_ok = True
     for m in range(0, n - 2):
-        r = sys_.strip_fixed_components((-k).scale(m), tower.cycle_classes())
+        r = sys_.strip_fixed_components((-k).scale(m), tower)
         if r.movable.dot(r.movable) != 0:
             sq_ok = False
     out.append(_record("systems.small-multiples", n, True, sq_ok,
@@ -223,10 +226,9 @@ def check_movable(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 def check_half_bundle_surface(n: int, ctx: CheckContext) -> list[CheckRecord]:
     model = ctx.model(n)
-    tower, table = model.tower, model.m_table
+    tower, table, half = model.tower, model.m_table, model.half_bundle
     want = sys_.expected_m_restrictions(n)
-    half = sys_.half_bundle_on_surface(tower)
-    fixed = sys_.half_bundle_fixed_part(tower).fixed_nonzero()
+    fixed = sys_.half_bundle_fixed_part(tower, half).fixed_nonzero()
     need = sys_.expected_half_bundle_fixed(n)
     contains = all(fixed.get(kk, 0) >= v for kk, v in need.items())
     arcs_ok = all(sys_.half_cycle_matches(tower).values())
@@ -421,12 +423,14 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
     # one component retires per stage on each of the two conjugate halves
     counts = [len(s.components) for s in trace.stages] + [0]
     monotone = all(counts[k] - counts[k + 1] == 2 for k in range(len(counts) - 1))
-    fam_ok = True
-    for i in range(3, n - 1):
-        # the centers of fiber i's chain on the unbarred half, per stage
-        alive = [k for s in trace.stages if (k := sum(c.startswith(f"C[{i},") for c in s.centers))]
-        if alive != list(range(i - 2, 0, -1)):
-            fam_ok = False
+    # the number of centers of fiber i's chain on the unbarred half, for
+    # each stage that has any, counted in one pass over each stage's centers
+    alive: dict[int, list[int]] = {}
+    for s in trace.stages:
+        per_fiber = Counter(int(c[2:c.index(",")]) for c in s.centers if c.startswith("C["))
+        for i, k in per_fiber.items():
+            alive.setdefault(i, []).append(k)
+    fam_ok = all(alive.get(i, []) == list(range(i - 2, 0, -1)) for i in range(3, n - 1))
     return [
         # run_elimination raises unless its final scan is empty
         _record("elimination.termination", n, True, trace.stages[-1].stage == n - 2,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .incidence import Curve, IncidenceComplex, PairingTable, adjusted_bundle, curve_name
+from .incidence import Curve, PairingTable, adjusted_bundle, curve_name
 
 
 class EliminationFailure(RuntimeError):
@@ -29,6 +29,19 @@ class StageRecord:
     degrees_after: dict[str, int]
 
 
+@dataclass(frozen=True)
+class NodeFacts:
+    """What the machine reads of one tracked curve; fixed for the whole run."""
+
+    name: str
+    # surface in which the curve's successor is tracked if it is blown up
+    surface: str
+    # the pencil-member half and the cylinder component containing the curve
+    sides: tuple[str, str]
+    # self-intersection inside the tracking surface
+    self_int: int
+
+
 @dataclass
 class BlowupState:
     """Mutable elimination state for a single n."""
@@ -38,6 +51,10 @@ class BlowupState:
     stage: int = 1
     degrees: dict[Curve, int] = field(default_factory=dict)
     adjacency: dict[Curve, set[Curve]] = field(default_factory=dict)
+    facts: dict[Curve, NodeFacts] = field(default_factory=dict)
+    # each curve's position in repr order, the order in which scans and
+    # stages list curves
+    rank: dict[Curve, int] = field(default_factory=dict)
     # the running bundle of each stage, as {divisor symbol: coefficient}
     bundles: list[dict[str, int]] = field(default_factory=list)
     odp_census: list[tuple[str, int]] = field(default_factory=list)
@@ -51,40 +68,41 @@ def _initial_state(table: PairingTable) -> BlowupState:
     for i in range(1, n):
         nodes = cx.fiber_cycle(i)
         m = len(nodes)
-        for k, nd in enumerate(nodes):
-            state.degrees[nd] = table.degree(l1, nd)
-            state.adjacency.setdefault(nd, set())
+        for nd in nodes:
+            state.degrees[nd] = 0
+            state.adjacency[nd] = set()
+            state.facts[nd] = _node_facts(table, nd)
         for k in range(m):
             a, b = nodes[k], nodes[(k + 1) % m]
             state.adjacency[a].add(b)
             state.adjacency[b].add(a)
+    state.rank = {nd: r for r, nd in enumerate(sorted(state.facts, key=repr))}
+    # the degree of l1 on every node: the sum ``table.degree`` takes, from
+    # one pass over the stored cells instead of one scan of l1 per node
+    for (div, c), e in table.entries.items():
+        if c in state.degrees and div in l1:
+            state.degrees[c] += l1[div] * e
     state.bundles.append(l1)
     state.odp_census.append(("initial", 2 * (n - 1)))
     return state
 
 
-def _tracking_surface(cx: IncidenceComplex, center: Curve) -> str:
-    """Surface in which the center's successor is tracked after blowing up.
+def _node_facts(table: PairingTable, c: Curve) -> NodeFacts:
+    """The per-curve facts of a fiber-cycle curve, read from the complex and table.
 
     Chain centers stay tracked inside their degree-one surface (the half
     ``cx.half``); the two isolated seed curves (fiber n-1, component 1) are
     tracked inside the end cylinder component they lie on (``cx.home``).
+    Inside a degree-one surface the square follows the cross rule: it is
+    the normal degree on the cylinder component through the curve.  A seed
+    inside its cylinder component is a section through one blown point,
+    square -1, unchanged by repeated blowups along it.
     """
-    if center[1:] == (cx.n - 1, 1):
-        return cx.home(center)
-    return cx.half(center)
-
-
-def _self_intersection(state: BlowupState, center: Curve) -> int:
-    """Self-intersection of the center inside its tracking surface."""
-    surf = _tracking_surface(state.table.complex, center)
-    if surf.startswith(("Sm", "Sp")):
-        # cross rule: square inside the degree-one surface = normal degree on
-        # the cylinder component through the curve
-        return state.table.section_self_intersection(center)
-    # ladder seed inside its cylinder component: a section through one blown
-    # point, square -1, unchanged by repeated blowups along it
-    return -1
+    cx = table.complex
+    half, home = cx.half(c), cx.home(c)
+    surface = home if c[1:] == (cx.n - 1, 1) else half
+    self_int = table.section_self_intersection(c) if surface.startswith(("Sm", "Sp")) else -1
+    return NodeFacts(curve_name(c), surface, (half, home), self_int)
 
 
 def base_curve_scan(state: BlowupState) -> list[list[Curve]]:
@@ -103,9 +121,10 @@ def base_curve_scan(state: BlowupState) -> list[list[Curve]]:
                     base.add(nb)
                     nxt.append(nb)
         frontier = nxt
+    by_rank = state.rank.__getitem__
     comps: list[list[Curve]] = []
     seen: set[Curve] = set()
-    for nd in sorted(base, key=repr):
+    for nd in sorted(base, key=by_rank):
         if nd in seen:
             continue
         comp = [nd]
@@ -118,7 +137,7 @@ def base_curve_scan(state: BlowupState) -> list[list[Curve]]:
                     seen.add(nb)
                     comp.append(nb)
                     stack.append(nb)
-        comps.append(sorted(comp, key=repr))
+        comps.append(sorted(comp, key=by_rank))
     return comps
 
 
@@ -126,7 +145,7 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
     """Blow up the given centers and update the tracked state in place."""
     stage = state.stage + 1
     centers = set(curves)
-    ordered = sorted(centers, key=repr)
+    ordered = sorted(centers, key=state.rank.__getitem__)
 
     # bundle update: pull back and subtract each new exceptional once
     co = {f"pull:{stage}": 1}
@@ -134,28 +153,29 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
         co[f"D{stage}[{i},{j}]" if kind == "C" else f"Db{stage}[{i},{j}]"] = -1
     state.bundles.append(co)
 
+    facts = state.facts
     decrements: dict[Curve, int] = {}
-    for c in centers:
-        for nb in state.adjacency[c]:
-            if nb not in centers:
-                decrements[nb] = decrements.get(nb, 0) + 1
     successor_deg: dict[Curve, int] = {}
     # ODPs appear over the nodes of reducible centers: one per adjacent center pair
     inner_total = 0
     for c in centers:
-        inner = sum(1 for nb in state.adjacency[c] if nb in centers)
+        inner = 0
+        for nb in state.adjacency[c]:
+            if nb in centers:
+                inner += 1
+            else:
+                decrements[nb] = decrements.get(nb, 0) + 1
         inner_total += inner
-        successor_deg[c] = state.degrees[c] - _self_intersection(state, c) - inner
+        successor_deg[c] = state.degrees[c] - facts[c].self_int - inner
     for nd, dv in decrements.items():
         state.degrees[nd] -= dv
     for c, v in successor_deg.items():
         state.degrees[c] = v
     # sever adjacency across surfaces the successor no longer touches
-    cx = state.table.complex
     for c in centers:
-        surf = _tracking_surface(cx, c)
+        surf = facts[c].surface
         for nb in list(state.adjacency[c]):
-            if surf not in (cx.half(nb), cx.home(nb)):
+            if surf not in facts[nb].sides:
                 state.adjacency[c].discard(nb)
                 state.adjacency[nb].discard(c)
     state.stage = stage
@@ -163,8 +183,8 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
     return StageRecord(
         stage=stage,
         components=[],
-        centers=[curve_name(c) for c in ordered],
-        degrees_after={curve_name(k): v for k, v in state.degrees.items() if v != 0 or k in centers},
+        centers=[facts[c].name for c in ordered],
+        degrees_after={facts[k].name: v for k, v in state.degrees.items() if v != 0 or k in centers},
     )
 
 
@@ -183,15 +203,20 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     scan; the trace keeps each stage's scanned components, centers and
     degrees, from which the checks count what they compare.  A scan that
     is not empty after stage n-2 raises ``EliminationFailure``.
+
+    What the stages read of a curve but never change (its name, tracking
+    surface, sides and self-intersection) is computed once per run, as the
+    state's ``NodeFacts``; the initial degrees come from one pass over the
+    table's stored cells.
     """
     state = _initial_state(table)
     n = state.n
     stages: list[StageRecord] = []
     for stage in range(2, n - 1):
         comps = base_curve_scan(state)
-        centers = sorted({c for comp in comps for c in comp}, key=repr)
+        centers = sorted({c for comp in comps for c in comp}, key=state.rank.__getitem__)
         rec = blow_up_curves(state, centers)
-        rec.components = [[curve_name(c) for c in comp] for comp in comps]
+        rec.components = [[state.facts[c].name for c in comp] for comp in comps]
         stages.append(rec)
     final = base_curve_scan(state)
     if final:

@@ -185,6 +185,25 @@ class BlowupTower:
     def cycle_classes(self) -> dict[str, DivisorClass]:
         return {nm: self.tracked[nm] for nm in self.cycle_names()}
 
+    @cached_property
+    def cycle_gram(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Sparse Gram rows of the cycle components, in ``cycle_names()`` order.
+
+        Row p holds the nonzero ``(q, C_p.C_q)`` pairs, columns ascending.
+        The rows depend only on the tower, so they are paired once per
+        tower and shared, as tuples, by every reader of it.
+        """
+        comps = list(self.cycle_classes().values())
+        rows: list[list[tuple[int, int]]] = [[] for _ in comps]
+        for p, a in enumerate(comps):
+            for q in range(p, len(comps)):
+                g = a.dot(comps[q])
+                if g:
+                    rows[p].append((q, g))
+                    if q != p:
+                        rows[q].append((p, g))
+        return tuple(tuple(row) for row in rows)
+
     def stage_determinants(self) -> list[int]:
         """Pairing-matrix determinant after each blowup step (plus the base)."""
         dets = []

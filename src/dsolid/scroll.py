@@ -243,11 +243,14 @@ def double_conic_verify(inst: QuarticInstance, rng: random.Random) -> bool:
     cone sections satisfy the same identity.
 
     Restriction is a ring homomorphism, so F|_L + (Q|_L)^2 equals
-    (F + Q^2)|_L.  The residual F + Q^2 is therefore formed and pulled back
-    once, and only it is specialized; for a correct F it is
-    z0 z_{n-1} z_n f, at most n-1 terms.
+    (F + Q^2)|_L.  The residual is therefore pulled back once, as
+    F∘φ + (Q∘φ)^2: Q is squared after the pullback, where it has O(n)
+    terms instead of the ambient O(n^2).  Only the residual is specialized;
+    for a correct F it is z0 z_{n-1} z_n f, at most n-1 terms.
     """
-    residual = ScrollParam(inst.n).compose(inst.big_f + inst.q * inst.q)
+    param = ScrollParam(inst.n)
+    pulled_q = param.compose(inst.q)
+    residual = param.compose(inst.big_f) + pulled_q * pulled_q
     for p, q in list(inst.roots) + [(0, 1)]:
         if not residual.specialize({U0: p, U1: q}).is_zero():
             return False

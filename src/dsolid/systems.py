@@ -60,10 +60,10 @@ def riemann_roch(tower: BlowupTower, cls: DivisorClass) -> int:
 
 def strip_fixed_components(
     cls: DivisorClass,
-    components: dict[str, DivisorClass],
+    tower: BlowupTower,
     order: list[str] | None = None,
 ) -> StrippingResult:
-    """Greedy negative-pairing fixpoint.
+    """Greedy negative-pairing fixpoint against the tower's cycle components.
 
     While some component pairs negatively with the running class, add one
     copy of it to the fixed part and subtract; the first name in ``order``
@@ -73,8 +73,10 @@ def strip_fixed_components(
     Only the pairings of the running class with the components are ever
     read, so they are kept as an integer vector: it starts as ``cls.c`` and
     a strip of component ``c`` subtracts the Gram row ``c.c'``, which for
-    the cycle is nonzero only at ``c`` and its two neighbours.  The movable
-    class is formed once, at the end.
+    the cycle is nonzero only at ``c`` and its two neighbours.  The rows are
+    the tower's ``cycle_gram``, paired once per tower; ``order`` only maps
+    each name to its row there.  The movable class is formed once, at the
+    end, from the sparse support of each stripped component.
 
     ``order`` only changes the selection sequence, not the fixpoint, as
     long as distinct components pair non-negatively (true for the cycle).
@@ -87,22 +89,19 @@ def strip_fixed_components(
     ``y``, hence any two finished runs agree, and if one run finishes no
     run diverges.  The test suite also checks this under random orders.
     """
+    components = tower.cycle_classes()
     names = order if order is not None else sorted(components)
     if set(names) != set(components):
         raise LatticeError("order must be a permutation of the component names")
     cap = 4 * (len(components) // 2 + 1)
     # a repeated name is never reached again before its first occurrence
     keys = list(dict.fromkeys(names))
-    comps = [components[nm] for nm in keys]
-    pairing = [c.dot(cls) for c in comps]
-    gram: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for p, a in enumerate(comps):
-        for q in range(p, len(comps)):
-            g = a.dot(comps[q])
-            if g:
-                gram[p].append((q, g))
-                if q != p:
-                    gram[q].append((p, g))
+    # each key's Gram row, re-indexed from tower positions to key positions
+    row_of = {nm: p for p, nm in enumerate(components)}
+    slot = {row_of[nm]: p for p, nm in enumerate(keys)}
+    rows = tower.cycle_gram
+    gram = [[(slot[q], g) for q, g in rows[row_of[nm]]] for nm in keys]
+    pairing = [components[nm].dot(cls) for nm in keys]
     negative = {p for p, v in enumerate(pairing) if v < 0}
     mult = [0] * len(keys)
     while negative:
@@ -121,12 +120,13 @@ def strip_fixed_components(
             else:
                 negative.discard(q)
     fixed = {nm: 0 for nm in components}
-    movable = cls
+    movable = list(cls.coeffs)
     for nm, f in zip(keys, mult):
         fixed[nm] = f
         if f:
-            movable = movable - components[nm].scale(f)
-    return StrippingResult(fixed, movable)
+            for i, a in components[nm].support:
+                movable[i] -= f * a
+    return StrippingResult(fixed, DivisorClass(cls.basis, tuple(movable)))
 
 
 def fixed_multiplicity(n: int, j: int) -> int:
@@ -143,7 +143,7 @@ def anticanonical_fixed_part(tower: BlowupTower) -> dict[str, int]:
 
 def pluri_anticanonical_stripping(tower: BlowupTower, order: list[str] | None = None) -> StrippingResult:
     cls = (-tower.canonical).scale(tower.n - 2)
-    return strip_fixed_components(cls, tower.cycle_classes(), order=order)
+    return strip_fixed_components(cls, tower, order=order)
 
 
 def confluence_orders(tower: BlowupTower, shuffles: int, seed: int, ref: StrippingResult) -> bool:
@@ -204,14 +204,14 @@ def half_bundle_on_surface(tower: BlowupTower) -> HalfClass:
     return HalfClass.of(double)
 
 
-def m_restriction_table(tower: BlowupTower) -> dict[str, int]:
+def m_restriction_table(tower: BlowupTower, half: HalfClass) -> dict[str, int]:
     """Degrees of the half-bundle on every cycle component.
 
-    Expected: -(n-2)(n-3) on C1, 0 on middle C_i, 1 on C_{n-1};
-    0 on barred components except n-3 on Cb_{n-1}.
+    ``half`` is the tower's ``half_bundle_on_surface``.  Expected:
+    -(n-2)(n-3) on C1, 0 on middle C_i, 1 on C_{n-1}; 0 on barred
+    components except n-3 on Cb_{n-1}.
     """
-    m = half_bundle_on_surface(tower).half
-    return {nm: m.dot(c) for nm, c in tower.cycle_classes().items()}
+    return {nm: half.half.dot(c) for nm, c in tower.cycle_classes().items()}
 
 
 def expected_m_restrictions(n: int) -> dict[str, int]:
@@ -222,9 +222,9 @@ def expected_m_restrictions(n: int) -> dict[str, int]:
     return out
 
 
-def half_bundle_fixed_part(tower: BlowupTower) -> StrippingResult:
-    """Stripping fixpoint of the half-bundle restriction."""
-    return strip_fixed_components(half_bundle_on_surface(tower).half, tower.cycle_classes())
+def half_bundle_fixed_part(tower: BlowupTower, half: HalfClass) -> StrippingResult:
+    """Stripping fixpoint of the half-bundle restriction ``half``."""
+    return strip_fixed_components(half.half, tower)
 
 
 def expected_half_bundle_fixed(n: int) -> dict[str, int]:

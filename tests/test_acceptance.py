@@ -43,7 +43,6 @@ from dsolid.systems import (
     anticanonical_fixed_part,
     confluence_orders,
     expected_m_restrictions,
-    m_restriction_table,
     pluri_anticanonical_stripping,
 )
 
@@ -117,11 +116,10 @@ def test_criterion_4_ledger_dimensions():
 def test_criterion_5_tables_and_identities():
     ok = True
     for n in range(4, 17):
-        tower = build_surface(n)
-        if m_restriction_table(tower) != expected_m_restrictions(n):
+        model = Model(n)
+        if model.m_table != expected_m_restrictions(n):
             ok = False
-        table = Model(n).table
-        _, good = m1_tables_verify(table, m_restriction_table(tower))
+        _, good = m1_tables_verify(model.table, model.m_table)
         if not good:
             ok = False
         if not bundle_algebra_verify(n)["ok"]:

@@ -30,7 +30,6 @@ from dsolid.incidence import (
 )
 from dsolid.checks import CheckContext, Model, check_completion, check_pencil_ledgers
 from dsolid.lattice import build_surface
-from dsolid.systems import m_restriction_table
 
 
 def test_conjugation_involution():
@@ -307,14 +306,14 @@ def test_restriction_ledger_requires_axioms():
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_half_bundle_tables(n):
-    tower = build_surface(n)
-    tables, ok = m1_tables_verify(Model(n).table, m_restriction_table(tower))
+    model = Model(n)
+    tables, ok = m1_tables_verify(model.table, model.m_table)
     assert ok, tables
 
 
 def test_half_bundle_examples_n6():
-    tower = build_surface(6)
-    tables, ok = m1_tables_verify(Model(6).table, m_restriction_table(tower))
+    model = Model(6)
+    tables, ok = m1_tables_verify(model.table, model.m_table)
     assert ok
     assert tables["Db"][5] == (3, 3)
     assert tables["G"][2] == (2, 2)

@@ -1,11 +1,12 @@
 """The per-n model: built once per n, shared by every check, never changed by one."""
 
 import hashlib
+import json
 import time
 
 import pytest
 
-from dsolid import elimination, incidence, lattice
+from dsolid import elimination, incidence, lattice, systems
 from dsolid.axioms import default_registry
 from dsolid.checks import (
     CHECKS,
@@ -52,7 +53,8 @@ def test_module_report_bytes_frozen(pattern, capsys):
 
 
 def test_light_threefold_checks_at_n32():
-    # no other test reaches the incidence and elimination checks above n=16
+    # besides the n=64 run below, no other test reaches the incidence and
+    # elimination checks above n=16
     ctx = CheckContext(registry=default_registry(), seed=42)
     t0 = time.perf_counter()
     failed = [rec.id for cid, spec in CHECKS.items()
@@ -61,6 +63,24 @@ def test_light_threefold_checks_at_n32():
     elapsed = time.perf_counter() - t0
     assert failed == []
     assert elapsed < 10.0
+
+
+# sha256 of the JSON list of every record of the light (non-heavy) checks at
+# n=64, seed 42, in CHECKS order; recorded before the surface Gram rows and
+# the elimination bookkeeping were built once per n
+LIGHT_CHECKS_N64_SHA256 = "b426055f89bed81f80725ccef327b73b93d7008bb8b671f6195f83a0e50e8f79"
+
+
+def test_light_checks_at_n64():
+    ctx = CheckContext(registry=default_registry(), seed=42)
+    t0 = time.perf_counter()
+    records = [rec.to_json() for spec in CHECKS.values() if not spec.heavy
+               for rec in spec.fn(64, ctx)]
+    elapsed = time.perf_counter() - t0
+    assert [r["id"] for r in records if r["status"] == "fail"] == []
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == LIGHT_CHECKS_N64_SHA256
+    assert elapsed < 15.0
 
 
 # sha256 of the file written by `dsolid emit-instance --n N --seed S --verify-roundtrip`,
@@ -102,12 +122,18 @@ def test_checks_leave_the_model_unchanged():
     for spec in CHECKS.values():
         spec.fn(n, ctx)
     used, fresh = ctx.model(n), Model(n)
-    for name in ("tower", "stripping", "m_table", "complex", "system", "table", "trace"):
+    for name in ("tower", "stripping", "half_bundle", "m_table", "complex", "system", "table",
+                 "trace"):
         assert getattr(used, name) == getattr(fresh, name), name
+    # the tower's shared Gram rows are tuples, and the checks left them as a
+    # fresh tower pairs them
+    gram = used.tower.cycle_gram
+    assert type(gram) is tuple and all(type(row) is tuple for row in gram)
+    assert gram == fresh.tower.cycle_gram
 
 
 def test_each_object_is_built_once_per_n(monkeypatch):
-    calls = {"tower": 0, "system": 0, "solve": 0, "table": 0, "trace": 0}
+    calls = {"tower": 0, "gram": 0, "half": 0, "system": 0, "solve": 0, "table": 0, "trace": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -116,6 +142,11 @@ def test_each_object_is_built_once_per_n(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(lattice, "build_surface", counting("tower", lattice.build_surface))
+    # the Gram rows are a cached property of the tower: count runs of its function
+    gram = lattice.BlowupTower.cycle_gram
+    monkeypatch.setattr(gram, "func", counting("gram", gram.func))
+    monkeypatch.setattr(systems, "half_bundle_on_surface",
+                        counting("half", systems.half_bundle_on_surface))
     monkeypatch.setattr(incidence, "pairing_system",
                         counting("system", incidence.pairing_system))
     monkeypatch.setattr(incidence, "solve_pairings",
@@ -127,7 +158,8 @@ def test_each_object_is_built_once_per_n(monkeypatch):
     run(RunConfig(ns=(5, 6), seed=42, instances=1))
     # incidence.completion solves three shuffled copies of the model's one system
     # besides the model's table
-    assert calls == {"tower": 2, "system": 2, "solve": 2 * 4, "table": 2, "trace": 2}
+    assert calls == {"tower": 2, "gram": 2, "half": 2, "system": 2, "solve": 2 * 4, "table": 2,
+                     "trace": 2}
 
 
 def test_a_failed_build_fails_every_check_that_needs_it(monkeypatch):

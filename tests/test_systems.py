@@ -95,7 +95,7 @@ def test_parity_guard():
 
 def test_anticanonical_strip_gives_cycle_once():
     tower = build_surface(7)
-    res = strip_fixed_components(-tower.canonical, tower.cycle_classes())
+    res = strip_fixed_components(-tower.canonical, tower)
     assert all(v == 1 for v in res.fixed.values())
     assert res.movable == tower.basis.zero()
 
@@ -104,29 +104,29 @@ def test_anticanonical_strip_gives_cycle_once():
 def test_small_multiples_square_zero(n):
     tower = build_surface(n)
     for m in range(0, n - 2):
-        res = strip_fixed_components((-tower.canonical).scale(m), tower.cycle_classes())
+        res = strip_fixed_components((-tower.canonical).scale(m), tower)
         assert res.movable.dot(res.movable) == 0
 
 
 def test_divergent_input_capped():
     tower = build_surface(6)
     with pytest.raises(StrippingDivergence):
-        strip_fixed_components(tower.canonical, tower.cycle_classes())
+        strip_fixed_components(tower.canonical, tower)
 
 
 @pytest.mark.parametrize("n", range(4, 17))
 def test_half_bundle_restriction_table(n):
     tower = build_surface(n)
-    assert m_restriction_table(tower) == expected_m_restrictions(n)
+    assert m_restriction_table(tower, half_bundle_on_surface(tower)) == expected_m_restrictions(n)
 
 
 def test_half_bundle_examples():
     t5 = build_surface(5)
-    assert m_restriction_table(t5)["C1"] == -6
+    assert m_restriction_table(t5, half_bundle_on_surface(t5))["C1"] == -6
     t8 = build_surface(8)
-    assert m_restriction_table(t8)["Cb7"] == 5
+    assert m_restriction_table(t8, half_bundle_on_surface(t8))["Cb7"] == 5
     t6 = build_surface(6)
-    assert m_restriction_table(t6)["C3"] == 0
+    assert m_restriction_table(t6, half_bundle_on_surface(t6))["C3"] == 0
 
 
 @pytest.mark.parametrize("n", range(4, 17))
@@ -143,7 +143,8 @@ def test_half_class_guard():
 
 @pytest.mark.parametrize("n", range(4, 12))
 def test_half_bundle_fixed_contains_staircase(n):
-    fixed = half_bundle_fixed_part(build_surface(n)).fixed_nonzero()
+    tower = build_surface(n)
+    fixed = half_bundle_fixed_part(tower, half_bundle_on_surface(tower)).fixed_nonzero()
     for nm, v in expected_half_bundle_fixed(n).items():
         assert fixed.get(nm, 0) >= v
 
@@ -205,14 +206,14 @@ def _reference_strip(cls, components, order=None, cap_factor=4):
         current = current - components[hit]
 
 
-def _assert_strip_matches_reference(cls, components, order):
+def _assert_strip_matches_reference(cls, tower, order, reference=_reference_strip):
     try:
-        fixed, movable = _reference_strip(cls, components, order)
+        fixed, movable = reference(cls, tower.cycle_classes(), order)
     except StrippingDivergence as exc:
         with pytest.raises(StrippingDivergence, match=f"^{re.escape(str(exc))}$"):
-            strip_fixed_components(cls, components, order=order)
+            strip_fixed_components(cls, tower, order=order)
         return "diverged"
-    res = strip_fixed_components(cls, components, order=order)
+    res = strip_fixed_components(cls, tower, order=order)
     assert list(res.fixed.items()) == list(fixed.items())
     assert res.movable == movable
     return "finished"
@@ -229,7 +230,49 @@ def test_stripping_matches_reference_on_random_classes(data):
     )
     names = tower.cycle_names()
     order = data.draw(st.none() | st.permutations(names).map(list))
-    _assert_strip_matches_reference(cls, tower.cycle_classes(), order)
+    _assert_strip_matches_reference(cls, tower, order)
+
+
+def _gram_per_call_strip(cls, components, order):
+    """The Gram-row fixpoint with the rows paired afresh, in the positions of
+    ``order`` (a permutation of the component names)."""
+    keys = order
+    cap = 4 * (len(components) // 2 + 1)
+    comps = [components[nm] for nm in keys]
+    pairing = [c.dot(cls) for c in comps]
+    gram = [[(q, g) for q, b in enumerate(comps) if (g := a.dot(b))] for a in comps]
+    mult = [0] * len(keys)
+    while negative := [p for p, v in enumerate(pairing) if v < 0]:
+        hit = negative[0]
+        mult[hit] += 1
+        if mult[hit] > cap:
+            raise StrippingDivergence(
+                f"component {keys[hit]} stripped more than {cap} times; input is not bounded below"
+            )
+        for q, g in gram[hit]:
+            pairing[q] -= g
+    fixed = {nm: 0 for nm in components}
+    fixed.update(zip(keys, mult))
+    movable = cls
+    for nm, f in zip(keys, mult):
+        movable = movable - components[nm].scale(f)
+    return fixed, movable
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_gram_stripping_matches_gram_built_per_call(data):
+    # the tower's Gram rows are shared by every order: each order only maps
+    # names to rows, so a random order must strip as if its rows were paired anew
+    n = data.draw(st.integers(4, 12))
+    tower = build_surface(n)
+    rank = tower.basis.rank
+    noise = data.draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    cls = (-tower.canonical).scale(data.draw(st.integers(0, n))) + DivisorClass(
+        tower.basis, tuple(noise)
+    )
+    order = data.draw(st.permutations(tower.cycle_names()).map(list))
+    _assert_strip_matches_reference(cls, tower, order, reference=_gram_per_call_strip)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 11])
@@ -244,7 +287,7 @@ def test_stripping_matches_reference_on_check_inputs(n):
         for _ in range(3):
             order = tower.cycle_names()
             rng.shuffle(order)
-            outcomes.add(_assert_strip_matches_reference(cls, tower.cycle_classes(), order))
+            outcomes.add(_assert_strip_matches_reference(cls, tower, order))
     assert outcomes == {"diverged", "finished"}
 
 
@@ -253,13 +296,13 @@ def test_stripping_repeated_names_in_order():
     names = tower.cycle_names()
     order = names[::-1] + names
     cls = (-tower.canonical).scale(4)
-    _assert_strip_matches_reference(cls, tower.cycle_classes(), order)
+    _assert_strip_matches_reference(cls, tower, order)
 
 
 def test_stripping_rejects_foreign_components():
     t5, t6 = build_surface(5), build_surface(6)
     with pytest.raises(LatticeError):
-        strip_fixed_components(-t5.canonical, t6.cycle_classes())
+        strip_fixed_components(-t5.canonical, t6)
 
 
 def test_light_surface_checks_at_n32():
