@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", required=True)
     e.add_argument("--verify-roundtrip", action="store_true",
-                   help="reload the file and require bit-identical re-serialization")
+                   help="reload the file, rebuild f and F from its roots and Q, "
+                   "and require the reloaded instance to equal the written one")
 
     sub.add_parser("list-checks", help="print the stable check ids")
     return p

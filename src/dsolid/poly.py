@@ -13,7 +13,10 @@ A product scales each operand to integer numerators over the lcm of its
 denominators, packs every exponent tuple into one ``int`` (one digit per
 variable, in a base above the largest product exponent) so that a
 monomial product is one integer addition, and divides by the product of
-the two denominators once per output term.
+the two denominators once per output term.  A square ``p * p`` (the same
+object on both sides) adds up only the pairs i <= j of terms, the diagonal
+once and each cross term doubled; this stays inside ``__mul__``, so one
+square is still one product call with the same output terms.
 """
 
 from __future__ import annotations
@@ -146,17 +149,27 @@ class MultiPoly:
         nv = self.nvars
         if not self.terms or not other.terms:
             return MultiPoly(nv, {})
+        square = other is self
         da, na = _integral(self.terms)
-        db, nb = _integral(other.terms)
+        db, nb = (da, na) if square else _integral(other.terms)
         top = max(map(max, self.terms)) + max(map(max, other.terms)) if nv else 0
         pa = list(zip(_pack(self.terms, top), na))
-        pb = list(zip(_pack(other.terms, top), nb))
         acc: dict[int, int] = {}
         get = acc.get
-        for ka, ca in pa:
-            for kb, cb in pb:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
+        if square:
+            for i, (ka, ca) in enumerate(pa):
+                k = ka + ka
+                acc[k] = get(k, 0) + ca * ca
+                c2 = 2 * ca
+                for kb, cb in pa[i + 1:]:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + c2 * cb
+        else:
+            pb = list(zip(_pack(other.terms, top), nb))
+            for ka, ca in pa:
+                for kb, cb in pb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
         acc = {k: v for k, v in acc.items() if v}
         den = da * db
         vals = acc.values() if den == 1 else [_quotient(v, den) for v in acc.values()]

@@ -429,10 +429,12 @@ def random_instance(n: int, rng: random.Random) -> QuarticInstance:
 
 
 def instance_to_json(inst: QuarticInstance) -> dict:
+    # terms in dict order: the file's order comes from sort_keys in write_instance
     def poly_json(p: MultiPoly) -> dict[str, str]:
         return {
-            ",".join(map(str, exp)): f"{c.numerator}/{c.denominator}"
-            for exp, c in sorted(p.terms.items())
+            ",".join(map(str, exp)):
+                f"{c}/1" if type(c) is int else f"{c.numerator}/{c.denominator}"
+            for exp, c in p.terms.items()
         }
 
     return {
@@ -444,21 +446,22 @@ def instance_to_json(inst: QuarticInstance) -> dict:
     }
 
 
+def _poly_from(d: dict[str, str], nvars: int) -> MultiPoly:
+    """Inverse of the term map written by ``instance_to_json``."""
+    terms = []
+    for k, v in d.items():
+        exp = tuple(map(int, k.split(",")))
+        num, den = v.split("/")
+        terms.append((exp, int(num) if den == "1" else Fraction(int(num), int(den))))
+    return MultiPoly.from_terms(nvars, terms)
+
+
 def instance_from_json(data: dict) -> QuarticInstance:
     n = int(data["n"])
-
-    def poly_from(d: dict[str, str]) -> MultiPoly:
-        terms = []
-        for k, v in d.items():
-            exp = tuple(int(x) for x in k.split(","))
-            num, den = v.split("/")
-            terms.append((exp, Fraction(int(num), int(den))))
-        return MultiPoly.from_terms(n + 1, terms)
-
     roots = [(Fraction(p), Fraction(q)) for p, q in data["roots"]]
-    inst = build_instance(n, roots, poly_from(data["Q"]))
+    inst = build_instance(n, roots, _poly_from(data["Q"], n + 1))
     # round-trip integrity: the stored derived data must match exactly
-    if poly_from(data["f"]) != inst.f or poly_from(data["F"]) != inst.big_f:
+    if _poly_from(data["f"], n + 1) != inst.f or _poly_from(data["F"], n + 1) != inst.big_f:
         raise InstanceError("stored derived polynomials do not match the rebuilt instance")
     return inst
 

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from dsolid import cli
 from dsolid.cli import main
 from dsolid.report import RunConfig, render, run
-from dsolid.scroll import double_conic_verify, read_instance
+from dsolid.scroll import double_conic_verify, random_instance, read_instance
 
 
 def test_verify_single_n(capsys):
@@ -95,6 +96,18 @@ def test_emit_instance_roundtrip(tmp_path, capsys):
 
     write_instance(inst, out)
     assert out.read_text() == text1
+
+
+def test_emit_instance_roundtrip_mismatch(tmp_path, capsys, monkeypatch):
+    other = random_instance(6, random.Random(10))
+    assert other != random_instance(6, random.Random(9))
+    monkeypatch.setattr(cli, "read_instance", lambda path: other)
+    code = main([
+        "emit-instance", "--n", "6", "--seed", "9", "--out", str(tmp_path / "inst.json"),
+        "--verify-roundtrip",
+    ])
+    assert code == 1
+    assert "round-trip mismatch" in capsys.readouterr().err
 
 
 def test_emit_instance_shape_n4(tmp_path):

@@ -247,6 +247,38 @@ def _fraction_terms(pairs):
     return {e: c for e, c in out.items() if c != 0}
 
 
+def _vadd(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+@st.composite
+def _squarable(draw):
+    # narrow digits, and wide ones that pack above a byte
+    exps = st.tuples(*[st.one_of(st.integers(0, 2), st.integers(120, 140))] * 3)
+    nonzero = _coeff.filter(bool)
+    u, v, w = draw(exps), draw(exps), draw(exps)
+    c1, c2, c3 = draw(nonzero), draw(nonzero), draw(nonzero)
+    # the cross terms (u+v)*w and u*(v+w) land on u+v+w and cancel
+    ts = [(_vadd(u, v), c1), (w, c2), (u, c3), (_vadd(v, w), -Fraction(c1) * c2 / c3)]
+    ts += draw(st.lists(st.tuples(exps, _coeff), max_size=6))
+    return MultiPoly.from_terms(3, ts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.one_of(_squarable(), _mixed()))
+def test_square_matches_general_product(p):
+    square = p * p
+    # a copy is another object, so it takes the general product path
+    assert square == p * MultiPoly(p.nvars, dict(p.terms))
+    assert dict(square.terms) == _reference_product(p, p)
+    assert _canonical_terms(square)
+
+
+def test_square_of_a_constant_without_variables():
+    c = MultiPoly.const(0, Fraction(3, 2))
+    assert dict((c * c).terms) == {(): Fraction(9, 4)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(v=_coeff)
 def test_constructors_are_canonical(v):

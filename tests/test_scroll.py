@@ -1,8 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dsolid import scroll
@@ -31,8 +32,10 @@ from dsolid.scroll import (
     linear_form_from_roots,
     moduli_formulas,
     random_instance,
+    read_instance,
     smoothness_probe,
     splitting_conic_rank,
+    write_instance,
 )
 
 
@@ -439,6 +442,112 @@ def test_instance_roundtrip_identical():
     again = instance_from_json(blob)
     assert again == inst
     assert instance_to_json(again) == blob
+
+
+def test_instance_roundtrip_non_integral(tmp_path):
+    # emitted instances are integral; this one stores num/den with den > 1
+    base = _valid_instance(6, 21)
+    roots = [(Fraction(p, 3), Fraction(q, 7)) for p, q in base.roots]
+    q = base.q * MultiPoly.const(base.q.nvars, Fraction(2, 5))
+    inst = build_instance(6, roots, q)
+    for poly in (inst.q, inst.f, inst.big_f):
+        assert any(type(c) is Fraction for c in poly.terms.values())
+    blob = instance_to_json(inst)
+    assert any(not v.endswith("/1") for v in blob["F"].values())
+    again = instance_from_json(blob)
+    assert again == inst
+    assert instance_to_json(again) == blob
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    write_instance(inst, first)
+    write_instance(read_instance(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _first_term(d):
+    return min(d)
+
+
+def _bump_coefficient(key):
+    def mutate(blob):
+        exp = _first_term(blob[key])
+        num, den = blob[key][exp].split("/")
+        blob[key][exp] = f"{int(num) + 1}/{den}"
+    return mutate
+
+
+def _drop_term(key):
+    def mutate(blob):
+        del blob[key][_first_term(blob[key])]
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_bump_coefficient("F"), _drop_term("F"), _bump_coefficient("f")],
+    ids=["changed-F-coefficient", "dropped-F-term", "changed-f-coefficient"],
+)
+def test_read_instance_rejects_tampered_derived_polys(tmp_path, mutate):
+    path = tmp_path / "inst.json"
+    write_instance(_valid_instance(6, 21), path)
+    blob = json.loads(path.read_text())
+    mutate(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(InstanceError, match="stored derived polynomials do not match"):
+        read_instance(path)
+
+
+def test_read_instance_drops_zero_terms(tmp_path):
+    inst = _valid_instance(6, 21)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    blob = json.loads(path.read_text())
+    absent = ",".join(["9"] + ["0"] * inst.n)
+    for key in ("Q", "f", "F"):
+        assert absent not in blob[key]
+        blob[key][absent] = "0/1"
+    path.write_text(json.dumps(blob))
+    assert read_instance(path) == inst
+
+
+def _parent_poly_from(d, nvars):
+    """The reader's term parser as it was before its integral fast path."""
+    terms = []
+    for k, v in d.items():
+        exp = tuple(int(x) for x in k.split(","))
+        num, den = v.split("/")
+        terms.append((exp, Fraction(int(num), int(den))))
+    return MultiPoly.from_terms(nvars, terms)
+
+
+def _parse_outcome(parse, d):
+    try:
+        p = parse(d, 3)
+    except Exception as exc:  # the exception type is what must agree
+        return type(exc)
+    return p.nvars, dict(p.terms), {e: type(c) for e, c in p.terms.items()}
+
+
+_exp_digit = st.sampled_from(["0", "1", "2", "01", " 2", "-1"])
+_term_key = st.one_of(
+    st.lists(_exp_digit, min_size=3, max_size=3).map(",".join),
+    st.text(alphabet="012,a", max_size=6),
+)
+_term_value = st.one_of(
+    st.integers(-30, 30).map(lambda k: f"{k}/1"),
+    st.integers(-30, 30).map(lambda k: f"{2 * k}/2"),
+    st.integers(-30, 30).map(lambda k: f"{k}/01"),
+    st.tuples(st.integers(-30, 30), st.integers(-6, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["-0/5", "3/01", "0/1", "1/0", "x/0", "x/1", "2/4", "+4/1", " 5/1", "7"]),
+    st.text(alphabet="0123456789-/ x", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.dictionaries(_term_key, _term_value, max_size=8))
+@example(d={"1,0,0": "1/0"})  # ZeroDivisionError on both sides
+@example(d={"1,0,0": "3/01", "01,0,0": "-0/5", "0,1,2": "0/1", "2,0,0": "4/2"})
+def test_term_parser_matches_parent(d):
+    assert _parse_outcome(scroll._poly_from, d) == _parse_outcome(_parent_poly_from, d)
 
 
 def test_moduli_formulas():
