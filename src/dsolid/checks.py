@@ -427,7 +427,7 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
     # each stage that has any, counted in one pass over each stage's centers
     alive: dict[int, list[int]] = {}
     for s in trace.stages:
-        per_fiber = Counter(int(c[2:c.index(",")]) for c in s.centers if c.startswith("C["))
+        per_fiber = Counter(c[1] for c in s.centers if c[0] == "C")
         for i, k in per_fiber.items():
             alive.setdefault(i, []).append(k)
     fam_ok = all(alive.get(i, []) == list(range(i - 2, 0, -1)) for i in range(3, n - 1))
@@ -446,30 +446,26 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_elimination_stage2(n: int, ctx: CheckContext) -> list[CheckRecord]:
-    trace = ctx.model(n).trace
-    recs = []
-    if len(trace.stages) >= 1:
-        after = trace.stages[0].degrees_after
-        got = {}
-        want = {}
-        for i in range(4, n - 1):
-            want[f"C[{i},3]"] = 1
-            want[f"C[{i},{i}]"] = -1
-            for j in range(4, i):
-                want[f"C[{i},{j}]"] = 0
-        want[f"C[{n-1},1]"] = 4 - n
-        for key in want:
-            got[key] = after.get(key, 0)
-        recs.append(_record("elimination.stage2", n, want, got,
-                            "stage-two degrees: 1 / 0 / -1 along each chain and 4-n "
-                            "on the isolated seed"))
-    return recs
+    after = ctx.model(n).trace.stages[0].degrees_after
+    want = {}
+    for i in range(4, n - 1):
+        want[("C", i, 3)] = 1
+        want[("C", i, i)] = -1
+        for j in range(4, i):
+            want[("C", i, j)] = 0
+    want[("C", n - 1, 1)] = 4 - n
+    return [
+        _record("elimination.stage2", n,
+                {inc.curve_name(c): d for c, d in want.items()},
+                {inc.curve_name(c): after.get(c, 0) for c in want},
+                "stage-two degrees: 1 / 0 / -1 along each chain and 4-n on the isolated seed"),
+    ]
 
 
 def check_elimination_ladder(n: int, ctx: CheckContext) -> list[CheckRecord]:
     # one ladder component per stage that blows up the isolated seed; its
     # ruled type is metadata resting on the registry axiom consumed here
-    seed = f"C[{n-1},1]"
+    seed = ("C", n - 1, 1)
     count = sum(seed in s.centers for s in ctx.model(n).trace.stages)
     types = [f"ruled-degree-{n-k-1}" for k in range(2, 2 + count)]
     ladder_types = ctx.registry.consume("assert.ladder-ruled-types", "elimination-ladder")
@@ -485,7 +481,7 @@ def check_elimination_ladder(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_elimination_odp(n: int, ctx: CheckContext) -> list[CheckRecord]:
-    census = dict(ctx.model(n).trace.odp_census)
+    census = ctx.model(n).trace.odp_census
     expected = {"initial": 2 * (n - 1)}
     for stage in range(2, n - 1):
         expected[f"stage{stage}"] = 2 * sum(max(i - stage - 1, 0) for i in range(3, n - 1))

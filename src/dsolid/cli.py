@@ -89,7 +89,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 1
         if args.verify_roundtrip:
-            back = read_instance(args.out)
+            try:
+                back = read_instance(args.out)
+            except (ValueError, OSError) as exc:  # InstanceError and JSON errors are ValueErrors
+                print(f"error: cannot read back {args.out}: {exc}", file=sys.stderr)
+                return 1
             if back != inst:
                 print("error: round-trip mismatch", file=sys.stderr)
                 return 1

@@ -7,14 +7,15 @@ the local rules: subtract one per adjacent center, and replace a center's
 degree by degree minus its self-intersection in the tracking surface.
 Centers lose adjacency to curves outside their tracking surface after the
 blowup.  Termination at stage n-2 with an empty scan is a verified
-outcome, not an assumption.
+outcome, not an assumption.  Curves are ``incidence.Curve`` tuples
+throughout; scans, centers and the trace are sets of them, in no order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .incidence import Curve, PairingTable, adjusted_bundle, curve_name
+from .incidence import Curve, PairingTable, adjusted_bundle
 
 
 class EliminationFailure(RuntimeError):
@@ -23,17 +24,19 @@ class EliminationFailure(RuntimeError):
 
 @dataclass
 class StageRecord:
+    """One blowup stage: the scanned components, their union as the centers,
+    and the degrees after the blowup (every nonzero degree, and the centers')."""
+
     stage: int
-    components: list[list[str]]
-    centers: list[str]
-    degrees_after: dict[str, int]
+    components: list[frozenset[Curve]]
+    centers: frozenset[Curve]
+    degrees_after: dict[Curve, int]
 
 
 @dataclass(frozen=True)
 class NodeFacts:
     """What the machine reads of one tracked curve; fixed for the whole run."""
 
-    name: str
     # surface in which the curve's successor is tracked if it is blown up
     surface: str
     # the pencil-member half and the cylinder component containing the curve
@@ -47,23 +50,19 @@ class BlowupState:
     """Mutable elimination state for a single n."""
 
     n: int
-    table: PairingTable
     stage: int = 1
     degrees: dict[Curve, int] = field(default_factory=dict)
     adjacency: dict[Curve, set[Curve]] = field(default_factory=dict)
     facts: dict[Curve, NodeFacts] = field(default_factory=dict)
-    # each curve's position in repr order, the order in which scans and
-    # stages list curves
-    rank: dict[Curve, int] = field(default_factory=dict)
     # the running bundle of each stage, as {divisor symbol: coefficient}
     bundles: list[dict[str, int]] = field(default_factory=list)
-    odp_census: list[tuple[str, int]] = field(default_factory=list)
+    odp_census: dict[str, int] = field(default_factory=dict)
 
 
 def _initial_state(table: PairingTable) -> BlowupState:
     cx = table.complex
     n = cx.n
-    state = BlowupState(n=n, table=table)
+    state = BlowupState(n=n)
     l1 = adjusted_bundle(n)
     for i in range(1, n):
         nodes = cx.fiber_cycle(i)
@@ -76,14 +75,13 @@ def _initial_state(table: PairingTable) -> BlowupState:
             a, b = nodes[k], nodes[(k + 1) % m]
             state.adjacency[a].add(b)
             state.adjacency[b].add(a)
-    state.rank = {nd: r for r, nd in enumerate(sorted(state.facts, key=repr))}
     # the degree of l1 on every node: the sum ``table.degree`` takes, from
     # one pass over the stored cells instead of one scan of l1 per node
     for (div, c), e in table.entries.items():
         if c in state.degrees and div in l1:
             state.degrees[c] += l1[div] * e
     state.bundles.append(l1)
-    state.odp_census.append(("initial", 2 * (n - 1)))
+    state.odp_census["initial"] = 2 * (n - 1)
     return state
 
 
@@ -102,54 +100,42 @@ def _node_facts(table: PairingTable, c: Curve) -> NodeFacts:
     half, home = cx.half(c), cx.home(c)
     surface = home if c[1:] == (cx.n - 1, 1) else half
     self_int = table.section_self_intersection(c) if surface.startswith(("Sm", "Sp")) else -1
-    return NodeFacts(curve_name(c), surface, (half, home), self_int)
+    return NodeFacts(surface, (half, home), self_int)
 
 
-def base_curve_scan(state: BlowupState) -> list[list[Curve]]:
+def base_curve_scan(state: BlowupState) -> list[frozenset[Curve]]:
     """Connected components of the current base curves.
 
     Base = negative-degree tracked curves, closed under adjacency through
-    zero-degree curves.
+    zero-degree curves; so each component is what a negative curve reaches
+    through curves of degree at most zero.
     """
-    base: set[Curve] = {nd for nd, d in state.degrees.items() if d < 0}
-    frontier = list(base)
-    while frontier:
-        nxt = []
-        for nd in frontier:
-            for nb in state.adjacency[nd]:
-                if nb not in base and state.degrees[nb] == 0:
-                    base.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    by_rank = state.rank.__getitem__
-    comps: list[list[Curve]] = []
+    degrees, adjacency = state.degrees, state.adjacency
+    comps: list[frozenset[Curve]] = []
     seen: set[Curve] = set()
-    for nd in sorted(base, key=by_rank):
-        if nd in seen:
+    for nd, d in degrees.items():
+        if d >= 0 or nd in seen:
             continue
-        comp = [nd]
-        seen.add(nd)
+        comp = {nd}
         stack = [nd]
         while stack:
-            x = stack.pop()
-            for nb in state.adjacency[x]:
-                if nb in base and nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
+            for nb in adjacency[stack.pop()]:
+                if nb not in comp and degrees[nb] <= 0:
+                    comp.add(nb)
                     stack.append(nb)
-        comps.append(sorted(comp, key=by_rank))
+        seen |= comp
+        comps.append(frozenset(comp))
     return comps
 
 
-def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
+def blow_up_curves(state: BlowupState, curves: frozenset[Curve]) -> None:
     """Blow up the given centers and update the tracked state in place."""
     stage = state.stage + 1
-    centers = set(curves)
-    ordered = sorted(centers, key=state.rank.__getitem__)
+    centers = frozenset(curves)
 
     # bundle update: pull back and subtract each new exceptional once
     co = {f"pull:{stage}": 1}
-    for kind, i, j in ordered:
+    for kind, i, j in centers:
         co[f"D{stage}[{i},{j}]" if kind == "C" else f"Db{stage}[{i},{j}]"] = -1
     state.bundles.append(co)
 
@@ -179,20 +165,13 @@ def blow_up_curves(state: BlowupState, curves: list[Curve]) -> StageRecord:
                 state.adjacency[c].discard(nb)
                 state.adjacency[nb].discard(c)
     state.stage = stage
-    state.odp_census.append((f"stage{stage}", inner_total // 2))
-    return StageRecord(
-        stage=stage,
-        components=[],
-        centers=[facts[c].name for c in ordered],
-        degrees_after={facts[k].name: v for k, v in state.degrees.items() if v != 0 or k in centers},
-    )
+    state.odp_census[f"stage{stage}"] = inner_total // 2
 
 
 @dataclass
 class EliminationTrace:
-    n: int
     stages: list[StageRecord]
-    odp_census: list[tuple[str, int]]
+    odp_census: dict[str, int]
     multiplicity_one: bool
 
 
@@ -201,10 +180,11 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
 
     Stages 2..n-2 each scan the base curves and blow up every curve of the
     scan; the trace keeps each stage's scanned components, centers and
-    degrees, from which the checks count what they compare.  A scan that
-    is not empty after stage n-2 raises ``EliminationFailure``.
+    degrees as sets and dicts of curves, from which the checks count what
+    they compare.  A scan that is not empty after stage n-2 raises
+    ``EliminationFailure``.
 
-    What the stages read of a curve but never change (its name, tracking
+    What the stages read of a curve but never change (its tracking
     surface, sides and self-intersection) is computed once per run, as the
     state's ``NodeFacts``; the initial degrees come from one pass over the
     table's stored cells.
@@ -214,21 +194,20 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     stages: list[StageRecord] = []
     for stage in range(2, n - 1):
         comps = base_curve_scan(state)
-        centers = sorted({c for comp in comps for c in comp}, key=state.rank.__getitem__)
-        rec = blow_up_curves(state, centers)
-        rec.components = [[state.facts[c].name for c in comp] for comp in comps]
-        stages.append(rec)
+        centers = frozenset().union(*comps)
+        blow_up_curves(state, centers)
+        after = {k: v for k, v in state.degrees.items() if v != 0 or k in centers}
+        stages.append(StageRecord(stage, comps, centers, after))
     final = base_curve_scan(state)
     if final:
-        raise EliminationFailure(f"n={n}: scan not empty at stage {n-2}: {final}")
+        scan = sorted(sorted(comp) for comp in final)
+        raise EliminationFailure(f"n={n}: scan not empty at stage {n-2}: {scan}")
 
     mult_one = all(
         all(v == -1 for k, v in b.items() if not k.startswith("pull:"))
         for b in state.bundles[1:]
     )
-    return EliminationTrace(
-        n=n, stages=stages, odp_census=state.odp_census, multiplicity_one=mult_one
-    )
+    return EliminationTrace(stages=stages, odp_census=state.odp_census, multiplicity_one=mult_one)
 
 
 @dataclass(frozen=True)
@@ -253,8 +232,7 @@ def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) ->
         raise ValueError(f"line index {i} must satisfy 1 <= i < n-1 (the end line splits)")
     l1 = adjusted_bundle(n)
     initial = table.degree(l1, ("L", i))
-    diagonal = curve_name(("C", i, i))
-    decrement_stages = tuple(s.stage for s in trace.stages if diagonal in s.centers)
+    decrement_stages = tuple(s.stage for s in trace.stages if ("C", i, i) in s.centers)
     final = initial - 2 * len(decrement_stages)
     return TwistorLineDegrees(
         initial=initial,

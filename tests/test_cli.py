@@ -1,12 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dsolid import cli
 from dsolid.cli import main
 from dsolid.report import RunConfig, render, run
-from dsolid.scroll import double_conic_verify, random_instance, read_instance
+from dsolid.scroll import InstanceError, double_conic_verify, random_instance, read_instance
 
 
 def test_verify_single_n(capsys):
@@ -108,6 +112,39 @@ def test_emit_instance_roundtrip_mismatch(tmp_path, capsys, monkeypatch):
     ])
     assert code == 1
     assert "round-trip mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [
+    InstanceError("roots must be distinct"),
+    json.JSONDecodeError("Expecting value", "", 0),
+    OSError("file vanished"),
+])
+def test_emit_instance_roundtrip_unreadable(tmp_path, capsys, monkeypatch, exc):
+    def reject(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "read_instance", reject)
+    code = main([
+        "emit-instance", "--n", "5", "--seed", "9", "--out", str(tmp_path / "inst.json"),
+        "--verify-roundtrip",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot read back ")
+
+
+def test_verify_output_does_not_depend_on_the_hash_seed():
+    # set and dict iteration follow the hash seed; the report must not
+    argv = [sys.executable, "-m", "dsolid.cli", "verify", "--range", "4..9", "--seed", "42",
+            "--instances", "2", "--format", "json"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        outs.append(done.stdout)
+    assert json.loads(outs[0])["summary"]["fail"] == 0
+    assert outs[0] == outs[1]
 
 
 def test_emit_instance_shape_n4(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dsolid import elimination, scroll
@@ -17,12 +19,8 @@ from dsolid.elimination import (
 from dsolid.report import RunConfig, run
 
 
-def _scan_names(state):
-    return [frozenset(comp) for comp in base_curve_scan(state)]
-
-
 def test_stage1_scan_n7():
-    comps = _scan_names(_initial_state(Model(7).table))
+    comps = base_curve_scan(_initial_state(Model(7).table))
     expected = set()
     for i in range(3, 6):
         expected.add(frozenset(("C", i, j) for j in range(3, i + 1)))
@@ -33,7 +31,7 @@ def test_stage1_scan_n7():
 
 
 def test_stage1_scan_n4_only_isolated_pair():
-    comps = _scan_names(_initial_state(Model(4).table))
+    comps = base_curve_scan(_initial_state(Model(4).table))
     assert set(comps) == {frozenset([("C", 3, 1)]), frozenset([("Cb", 3, 1)])}
 
 
@@ -41,8 +39,7 @@ def test_stage2_scan_n7():
     trace = Model(7).trace
     # the second scan (before the stage-3 blowup) consists of the shortened
     # chains plus the isolated seeds
-    comps = {frozenset(tuple(c) for c in comp) for comp in
-             [[_parse(nm) for nm in comp] for comp in trace.stages[1].components]}
+    comps = set(trace.stages[1].components)
     expected = set()
     for i in range(4, 6):
         expected.add(frozenset(("C", i, j) for j in range(4, i + 1)))
@@ -52,25 +49,17 @@ def test_stage2_scan_n7():
     assert comps == expected
 
 
-def _parse(name):
-    kind, rest = name.split("[")
-    nums = rest.rstrip("]").split(",")
-    if len(nums) == 2:
-        return (kind, int(nums[0]), int(nums[1]))
-    return (kind, int(nums[0]))
-
-
 def test_stage2_degrees_n6():
     trace = Model(6).trace
     after = trace.stages[0].degrees_after
     for i in range(4, 5):
-        assert after[f"C[{i},3]"] == 1
-        assert after[f"C[{i},{i}]"] == -1
-    assert after["C[5,1]"] == 4 - 6
+        assert after[("C", i, 3)] == 1
+        assert after[("C", i, i)] == -1
+    assert after[("C", 5, 1)] == 4 - 6
 
 
-def _times_blown(trace, name):
-    return sum(name in s.centers for s in trace.stages)
+def _times_blown(trace, curve):
+    return sum(curve in s.centers for s in trace.stages)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -83,8 +72,8 @@ def test_termination_and_counts(n):
     assert trace.multiplicity_one
     # blowup tallies: the longest chain family is hit n-4 times, the seeds n-3
     if n >= 6:
-        assert _times_blown(trace, f"C[{n-2},{n-2}]") == n - 4
-    assert _times_blown(trace, f"C[{n-1},1]") == n - 3
+        assert _times_blown(trace, ("C", n - 2, n - 2)) == n - 4
+    assert _times_blown(trace, ("C", n - 1, 1)) == n - 3
 
 
 def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
@@ -95,7 +84,7 @@ def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
     def scan_leaving_the_seed(state):
         comps = real(state)
         if state.stage == state.n - 2:
-            return comps or [[("C", state.n - 1, 1)]]
+            return comps or [frozenset([("C", state.n - 1, 1)])]
         return comps
 
     config = RunConfig(ns=(6,), filter="elimination.run", seed=42)
@@ -104,6 +93,18 @@ def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
     [rec] = run(config).checks
     assert (rec.id, rec.status) == ("elimination.run", "fail")
     assert rec.computed.startswith("EliminationFailure: n=6: scan not empty at stage 4")
+
+
+def test_stage2_fails_when_the_trace_has_no_stages(monkeypatch):
+    real = elimination.run_elimination
+
+    def run_without_stages(table):
+        return dataclasses.replace(real(table), stages=[])
+
+    monkeypatch.setattr(elimination, "run_elimination", run_without_stages)
+    [rec] = run(RunConfig(ns=(6,), filter="elimination.stage2", seed=42)).checks
+    assert (rec.id, rec.status) == ("elimination.stage2", "fail")
+    assert rec.computed.startswith("IndexError")
 
 
 @pytest.mark.parametrize("n,stop_stage", [(4, 2), (5, 3)])
@@ -115,7 +116,7 @@ def test_small_n_stop_stages(n, stop_stage):
 def test_ladder_components_n8():
     trace = Model(8).trace
     # the seed and its conjugate are centers at stages 2..6, one ladder component each
-    for seed in ("C[7,1]", "Cb[7,1]"):
+    for seed in (("C", 7, 1), ("Cb", 7, 1)):
         assert [s.stage for s in trace.stages if seed in s.centers] == [2, 3, 4, 5, 6]
     [rec] = check_elimination_ladder(8, CheckContext(registry=default_registry()))
     assert rec.status == "pass"
@@ -132,7 +133,7 @@ def test_ladder_requires_type_axiom():
 @pytest.mark.parametrize("n", range(4, 13))
 def test_odp_census(n):
     trace = Model(n).trace
-    census = dict(trace.odp_census)
+    census = trace.odp_census
     assert census["initial"] == 2 * (n - 1)
     for stage in range(2, n - 1):
         # oracle: enumerate the stated index ranges for the chain nodes
@@ -148,7 +149,7 @@ def test_odp_census(n):
 def test_odp_example_n7_stage2():
     # quadruple points at ranges 4 <= i <= 5, 3 <= j <= i-1: three per half
     trace = Model(7).trace
-    census = dict(trace.odp_census)
+    census = trace.odp_census
     pairs = [(i, j) for i in range(4, 6) for j in range(3, i)]
     assert len(pairs) == 3
     assert census["stage2"] == 2 * len(pairs)
@@ -206,7 +207,7 @@ def test_cone_degree_fails_on_a_wrong_side(monkeypatch):
 def test_ladder_degree_sequence(n):
     # the isolated seed's degree climbs by one per stage: (4-n) + (stage-2)
     trace = Model(n).trace
-    seed = f"C[{n-1},1]"
+    seed = ("C", n - 1, 1)
     for rec in trace.stages:
         assert rec.degrees_after[seed] == (4 - n) + (rec.stage - 2)
     assert trace.stages[-1].degrees_after[seed] == 0
