@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -56,7 +57,7 @@ class CheckRecord:
 def _plain(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
@@ -558,7 +559,7 @@ def check_instances(n: int, ctx: CheckContext) -> list[CheckRecord]:
         if scr.splitting_conic_rank(inst) != 2:
             all_ok, detail = False, f"instance {k}: splitting rank"
             break
-        if not scr.double_conic_verify(inst, rng):
+        if not scr.double_conic_verify(inst):
             all_ok, detail = False, f"instance {k}: tangency identities"
             break
         side_n, side_n1 = scr.double_curve_degree(inst, rng)

@@ -14,6 +14,7 @@ throughout; scans, centers and the trace are sets of them, in no order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .incidence import Curve, PairingTable, adjusted_bundle
 
@@ -22,15 +23,15 @@ class EliminationFailure(RuntimeError):
     """The machine failed to reach an empty scan by the final stage."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageRecord:
     """One blowup stage: the scanned components, their union as the centers,
     and the degrees after the blowup (every nonzero degree, and the centers')."""
 
     stage: int
-    components: list[frozenset[Curve]]
+    components: tuple[frozenset[Curve], ...]
     centers: frozenset[Curve]
-    degrees_after: dict[Curve, int]
+    degrees_after: MappingProxyType[Curve, int]
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,10 @@ def blow_up_curves(state: BlowupState, curves: frozenset[Curve]) -> None:
     state.odp_census[f"stage{stage}"] = inner_total // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class EliminationTrace:
-    stages: list[StageRecord]
-    odp_census: dict[str, int]
+    stages: tuple[StageRecord, ...]
+    odp_census: MappingProxyType[str, int]
     multiplicity_one: bool
 
 
@@ -180,9 +181,9 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
 
     Stages 2..n-2 each scan the base curves and blow up every curve of the
     scan; the trace keeps each stage's scanned components, centers and
-    degrees as sets and dicts of curves, from which the checks count what
-    they compare.  A scan that is not empty after stage n-2 raises
-    ``EliminationFailure``.
+    degrees, read-only since every check of one n shares it, and the checks
+    count from it what they compare.  A scan that is not empty after stage
+    n-2 raises ``EliminationFailure``.
 
     What the stages read of a curve but never change (its tracking
     surface, sides and self-intersection) is computed once per run, as the
@@ -197,7 +198,7 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         centers = frozenset().union(*comps)
         blow_up_curves(state, centers)
         after = {k: v for k, v in state.degrees.items() if v != 0 or k in centers}
-        stages.append(StageRecord(stage, comps, centers, after))
+        stages.append(StageRecord(stage, tuple(comps), centers, MappingProxyType(after)))
     final = base_curve_scan(state)
     if final:
         scan = sorted(sorted(comp) for comp in final)
@@ -207,7 +208,7 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         all(v == -1 for k, v in b.items() if not k.startswith("pull:"))
         for b in state.bundles[1:]
     )
-    return EliminationTrace(stages=stages, odp_census=state.odp_census, multiplicity_one=mult_one)
+    return EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one)
 
 
 @dataclass(frozen=True)

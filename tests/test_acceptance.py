@@ -164,7 +164,7 @@ def test_criterion_7_quartic_instances(n):
     ok = True
     for _ in range(100):
         inst = random_instance(n, rng)
-        if not double_conic_verify(inst, rng):
+        if not double_conic_verify(inst):
             ok = False
             break
         if splitting_conic_rank(inst) != 2:

@@ -93,7 +93,7 @@ def test_emit_instance_roundtrip(tmp_path, capsys):
     inst = read_instance(out)
     assert inst.n == 6
     assert inst.big_f.total_degree() == 4 and inst.big_f.is_homogeneous()
-    assert double_conic_verify(inst, random.Random(0))
+    assert double_conic_verify(inst)
     # byte-identical re-serialization
     text1 = out.read_text()
     from dsolid.scroll import write_instance

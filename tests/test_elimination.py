@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -9,6 +10,7 @@ from dsolid.checks import (
     Model,
     check_cone_degree,
     check_elimination_ladder,
+    check_elimination_odp,
     check_elimination_run,
 )
 from dsolid.elimination import (
@@ -144,6 +146,23 @@ def test_odp_census(n):
         assert census[f"stage{stage}"] == 2 * want, (stage, census)
     assert (census.get("stage2", 0) > 0) == (n > 5)
     assert (census.get("stage3", 0) > 0) == (n > 6)
+
+
+def test_the_trace_is_read_only():
+    trace = Model(6).trace
+    with pytest.raises(TypeError):
+        trace.odp_census["stage2"] = 0
+    with pytest.raises(TypeError):
+        trace.stages[0].degrees_after[("C", 5, 1)] = 0
+    with pytest.raises(TypeError):
+        trace.stages[0] = trace.stages[1]
+    with pytest.raises(TypeError):
+        trace.stages[0].components[0] = frozenset()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.stages[0].centers = frozenset()
+    # the records built from the read-only census still serialise as plain dicts
+    [census, _] = check_elimination_odp(6, CheckContext(registry=default_registry()))
+    assert json.loads(json.dumps(census.to_json()))["computed"] == dict(trace.odp_census)
 
 
 def test_odp_example_n7_stage2():

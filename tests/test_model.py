@@ -32,6 +32,18 @@ def test_report_bytes_frozen(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_4_7_SHA256
 
 
+# sha256 of `dsolid verify --range 4..10 --seed 42 --format json` at the default
+# 100 instances: the north-star report, whose bytes a refactor must not change
+REPORT_4_10_SHA256 = "33a232bca3769cdb3f1e42e39e7f672a2199d02bcc3c56a0f0e98b95d95bb4db"
+
+
+def test_north_star_report_bytes_frozen(capsys):
+    code = main(["verify", "--range", "4..10", "--seed", "42", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_4_10_SHA256
+
+
 # sha256 of `dsolid verify --range 4..16 --seed 42 --format json --filter F`;
 # the threefold digests were recorded while the pairing table stored every
 # cell, zeros included, the surface ones while the tower kept its blowup steps
@@ -185,10 +197,11 @@ def test_context_keeps_one_model_at_a_time():
 # check at seed 42 with the default 100 instances, for the one Random that
 # CheckContext.rng hands it.  A passing report does not depend on which
 # instances were drawn, so only this pins the order and number of draws.
+# "instances" was re-recorded when tangency stopped drawing a generic fiber.
 RNG_STATE_AFTER_CHECK = {
-    "instances": ("f3548fbd6920aa3c", "643103d28e2d4422", "747d8c6bba5466b1",
-                  "f3dfb9d5b52fc262", "ff3964452a43f9ba", "5ae320af73b36db5",
-                  "85bcc10c2248952e"),
+    "instances": ("79c5d5522243121a", "7925c07ef0eab7e6", "10b8cfe86032aa5d",
+                  "4581387f0f1e8ae8", "6c230aefdb3e22aa", "855cdef6b04a59ca",
+                  "a4d3311b1b5bc676"),
     "tangency": ("66c24f68b8fe88d5", "88059d2fd0ad068d", "5884baba60a79a29",
                  "c1384e6ff6d3dcb8", "6e1a66c9db4ef25e", "00c1e4ec79cfa0c3",
                  "49f3422a66e48014"),

@@ -135,6 +135,28 @@ def test_build_instance_rejects_double_line():
         build_instance(n, [(1, 0), (1, 1)], q)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_build_instance_rejects_small_n(n):
+    nv = n + 1
+    q = _unit(nv, n - 1) * _unit(nv, n) + _unit(nv, n - 2) * _unit(nv, n - 1)
+    with pytest.raises(InstanceError, match="at least 4"):
+        build_instance(n, [(1, k) for k in range(1, n - 1)], q)
+
+
+def test_instance_from_json_rejects_n3():
+    # an n = 3 instance as the writer emitted it before n < 4 was rejected
+    data = {
+        "F": {"0,0,2,2": "-1/1", "0,1,2,1": "-2/1", "0,2,2,0": "-1/1", "1,1,1,1": "1/1",
+              "2,0,1,1": "-1/1"},
+        "Q": {"0,0,1,1": "1/1", "0,1,1,0": "1/1"},
+        "f": {"0,1,0,0": "1/1", "1,0,0,0": "-1/1"},
+        "n": 3,
+        "roots": [["1", "1"]],
+    }
+    with pytest.raises(InstanceError, match="at least 4"):
+        instance_from_json(data)
+
+
 def test_build_instance_rejects_scroll_member():
     n = 5
     nv = 6
@@ -166,7 +188,7 @@ def test_double_conic_verify_instances(n):
     rng = random.Random(100 + n)
     for _ in range(10):
         inst = random_instance(n, rng)
-        assert double_conic_verify(inst, rng)
+        assert double_conic_verify(inst)
         assert splitting_conic_rank(inst) == 2
 
 
@@ -194,7 +216,7 @@ def test_double_conic_verify_root_fiber_can_fail(n):
     g = linear_form_from_roots(n, list(inst.roots[1:]) + [(1, 997)])
     bump = _mono(nv, 0, n - 1, n) * g
     assert _vanishes_on(bump, n, list(inst.roots[1:]) + [(Fraction(0), Fraction(1))])
-    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump), random.Random(0))
+    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump))
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -205,16 +227,16 @@ def test_double_conic_verify_splitting_fiber_can_fail(n):
     bump = _mono(nv, n - 2, n - 1, n) * inst.f
     assert _vanishes_on(bump, n, inst.roots)
     assert not _vanishes_on(bump, n, [(Fraction(0), Fraction(1))])
-    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump), random.Random(0))
+    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump))
     bump4 = _mono(nv, n - 2, n - 2, n - 2, n - 2)
-    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump4), random.Random(0))
+    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump4))
 
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_double_conic_verify_generic_fiber_can_fail(n):
     inst = _valid_instance(n, 13)
     # F = -Q^2 is tangent everywhere: a double quadric, not a branch quartic
-    assert not double_conic_verify(_with_big_f(inst, -(inst.q * inst.q)), random.Random(0))
+    assert not double_conic_verify(_with_big_f(inst, -(inst.q * inst.q)))
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -227,7 +249,22 @@ def test_double_conic_verify_cone_can_fail(n, square):
     residual = _mono(nv, 0, sq, sq) * inst.f
     assert _vanishes_on(residual, n, list(inst.roots) + [(Fraction(0), Fraction(1))])
     bad = residual - inst.q * inst.q
-    assert not double_conic_verify(_with_big_f(inst, bad), random.Random(0))
+    assert not double_conic_verify(_with_big_f(inst, bad))
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 10])
+def test_double_conic_verify_rejects_an_extra_tangent_fiber(n):
+    inst = _valid_instance(n, 17)
+    nv = n + 1
+    assert all(q != 0 for _, q in inst.roots)
+    # F' = z1 z_{n-1} z_n f - Q^2 passes every per-fiber test: its residual
+    # vanishes over the roots, (0:1) and both cones, not over a generic fiber;
+    # but it also vanishes over (1:0), so it is not s^2 a b u0^{n-2} g
+    residual = _mono(nv, 1, n - 1, n) * inst.f
+    special = list(inst.roots) + [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
+    assert _vanishes_on(residual, n, special)
+    assert not _vanishes_on(residual, n, [(Fraction(1), Fraction(997))])
+    assert not double_conic_verify(_with_big_f(inst, residual - inst.q * inst.q))
 
 
 def test_double_conic_verify_rank_can_fail(monkeypatch):
@@ -239,7 +276,7 @@ def test_double_conic_verify_rank_can_fail(monkeypatch):
     big_f = _mono(nv, 0, n - 1, n) * inst.f - q * q
     bad = _with_big_f(inst, big_f, q)
     assert splitting_conic_rank(bad) == 3
-    assert double_conic_verify(bad, random.Random(0))
+    assert double_conic_verify(bad)
     monkeypatch.setattr(scroll, "random_instance", lambda n, rng: bad)
     [rec] = check_instances(n, CheckContext(registry=default_registry(), instances=2))
     assert (rec.id, rec.status, rec.detail) == ("scroll.instances", "fail", "instance 0: splitting rank")
