@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -22,6 +23,10 @@ def _parse_range(spec: str) -> tuple[int, ...]:
     return tuple(range(lo_i, hi_i + 1))
 
 
+# argparse objects form reference cycles; one parser per process keeps
+# in-process callers (tests, batch loops) from leaving one to the collector
+# per call.  parse_args returns a fresh namespace each time.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dsolid",

@@ -170,8 +170,11 @@ class MultiPoly:
                 for kb, cb in pb:
                     k = ka + kb
                     acc[k] = get(k, 0) + ca * cb
-        acc = {k: v for k, v in acc.items() if v}
         den = da * db
+        if den == 1 and top < 256:
+            # byte digits and no denominator: drop zeros and unpack in one pass
+            return MultiPoly(nv, {tuple(k.to_bytes(nv, "little")): v for k, v in acc.items() if v})
+        acc = {k: v for k, v in acc.items() if v}
         vals = acc.values() if den == 1 else [_quotient(v, den) for v in acc.values()]
         return MultiPoly(nv, dict(zip(_unpack(acc, top, nv), vals)))
 
@@ -179,7 +182,7 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.nvars == other.nvars
-            and dict(self.terms) == dict(other.terms)
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:

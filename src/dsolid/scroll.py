@@ -25,6 +25,11 @@ Every restriction is one rule: pull back along the chart with
 cone z_{n-1} = 0 fixes {A: 0}, the cone z_n = 0 fixes {B: 0}, the ridge
 line z0 = .. = z_{n-2} = 0 fixes {S: 0}, and a line of a fiber plane fixes
 its first two coordinates.
+
+An instance file is ``json.dumps(instance_to_json(inst), indent=1,
+sort_keys=True)`` byte for byte.  ``read_instance`` rebuilds f and F from
+the stored roots and Q and compares the stored term maps with the rebuilt
+ones as strings, parsing a stored map only when the strings differ.
 """
 
 from __future__ import annotations
@@ -421,21 +426,35 @@ def random_instance(n: int, rng: random.Random) -> QuarticInstance:
     raise RuntimeError("failed to generate a valid instance")
 
 
-def instance_to_json(inst: QuarticInstance) -> dict:
-    # terms in dict order: the file's order comes from sort_keys in write_instance
-    def poly_json(p: MultiPoly) -> dict[str, str]:
-        return {
-            ",".join(map(str, exp)):
-                f"{c}/1" if type(c) is int else f"{c.numerator}/{c.denominator}"
-            for exp, c in p.terms.items()
-        }
+# exponent entries 0..9 to their ASCII digits; any larger byte to 0xff, which
+# is not ASCII, so ``_terms_json`` falls back to ``str`` instead of writing it
+_DIGITS = b"0123456789" + b"\xff" * 246
 
+
+def _terms_json(p: MultiPoly) -> dict[str, str]:
+    """The term map of ``p`` as written to a file: ``"e0,e1,..": "num/den"``.
+
+    Terms stay in dict order; the file's order comes from ``sort_keys``.  An
+    exponent tuple is spelled by one C-level ``bytes`` translation when every
+    entry is a single digit (always so for a quartic instance), and entry by
+    entry with ``str`` otherwise; both spellings agree.
+    """
+    try:
+        keys = [",".join(bytes(exp).translate(_DIGITS).decode("ascii")) for exp in p.terms]
+    except ValueError:  # an entry above 9 (UnicodeDecodeError) or above 255
+        keys = [",".join(map(str, exp)) for exp in p.terms]
+    vals = [f"{c}/1" if type(c) is int else f"{c.numerator}/{c.denominator}"
+            for c in p.terms.values()]
+    return dict(zip(keys, vals))
+
+
+def instance_to_json(inst: QuarticInstance) -> dict:
     return {
         "n": inst.n,
         "roots": [[str(p), str(q)] for p, q in inst.roots],
-        "Q": poly_json(inst.q),
-        "f": poly_json(inst.f),
-        "F": poly_json(inst.big_f),
+        "Q": _terms_json(inst.q),
+        "f": _terms_json(inst.f),
+        "F": _terms_json(inst.big_f),
     }
 
 
@@ -450,17 +469,40 @@ def _poly_from(d: dict[str, str], nvars: int) -> MultiPoly:
 
 
 def instance_from_json(data: dict) -> QuarticInstance:
+    """Rebuild the instance from ``n``, the roots and Q, and check the stored f and F.
+
+    A stored term map equal to the rebuilt polynomial's own ``_terms_json``
+    is its canonical spelling, so it matches without parsing.  Any other map
+    is parsed and compared as a polynomial, which accepts other spellings of
+    the same terms (``"0/1"`` terms, ``"2/2"``) and rejects different ones.
+    """
     n = int(data["n"])
     roots = [(Fraction(p), Fraction(q)) for p, q in data["roots"]]
     inst = build_instance(n, roots, _poly_from(data["Q"], n + 1))
     # round-trip integrity: the stored derived data must match exactly
-    if _poly_from(data["f"], n + 1) != inst.f or _poly_from(data["F"], n + 1) != inst.big_f:
-        raise InstanceError("stored derived polynomials do not match the rebuilt instance")
+    for key, p in (("f", inst.f), ("F", inst.big_f)):
+        if data[key] != _terms_json(p) and _poly_from(data[key], n + 1) != p:
+            raise InstanceError("stored derived polynomials do not match the rebuilt instance")
     return inst
 
 
 def write_instance(inst: QuarticInstance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_json(inst), indent=1, sort_keys=True))
+    """Write ``json.dumps(instance_to_json(inst), indent=1, sort_keys=True)``.
+
+    ``indent`` makes the json module use its pure-Python encoder, so the
+    same bytes are framed here by hand: each term map goes through the C
+    encoder with the indent-1 item separator, and the small ``n`` and
+    ``roots`` values through ``json.dumps(indent=1)``, shifted one level in.
+    """
+    members = []
+    for key, val in sorted(instance_to_json(inst).items()):
+        if type(val) is dict:
+            body = json.dumps(val, sort_keys=True, separators=(",\n  ", ": "))
+            text = f"{{\n  {body[1:-1]}\n }}" if val else "{}"
+        else:
+            text = json.dumps(val, indent=1).replace("\n", "\n ")
+        members.append(f"{json.dumps(key)}: {text}")
+    Path(path).write_text("{\n " + ",\n ".join(members) + "\n}")
 
 
 def read_instance(path: str | Path) -> QuarticInstance:

@@ -248,33 +248,31 @@ def degree_one_restriction(tower: BlowupTower, i: int) -> HalfClass:
     return HalfClass.of(acc)
 
 
-def cycle_arcs(tower: BlowupTower) -> dict[tuple[int, ...], list[tuple[str, ...]]]:
-    """All proper contiguous arcs of the cycle, keyed by their class vector."""
-    names = tower.cycle_names()
-    m = len(names)
-    out: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
-    for start in range(m):
-        total = tower.basis.zero()
-        members: list[str] = []
-        for step in range(m - 1):
-            nm = names[(start + step) % m]
-            total = total + tower.tracked[nm]
-            members.append(nm)
-            out.setdefault(total.coeffs, []).append(tuple(members))
-    return out
-
-
 def half_cycle_matches(tower: BlowupTower) -> dict[int, tuple[str, ...]]:
     """Match every degree-one class (i = 1..n-1) against a contiguous half of the cycle.
 
     Maps each i to its matching arc, or to ``()`` when there is none.  The
-    arcs are built once and searched exhaustively; a match must contain C1,
-    and no orientation is guessed.
+    candidates are the proper arcs, of length 1..m-1 from every start of the
+    m-cycle; the match is the first one through C1, by start and then by
+    length, and no orientation is guessed.  With prefix sums P over the
+    cycle read twice, the arc of length l from start s has class
+    P[s+l] - P[s], so each start needs one lookup of P[s] + target.
     """
-    arcs = cycle_arcs(tower)
-    out = {}
-    for i in range(1, tower.n):
-        target = degree_one_restriction(tower, i).half
-        with_c1 = [a for a in arcs.get(target.coeffs, []) if "C1" in a]
-        out[i] = with_c1[0] if with_c1 else ()
-    return out
+    names = tower.cycle_names()
+    m = len(names)
+    prefix = [tower.basis.zero()]
+    for nm in names + names:
+        prefix.append(prefix[-1] + tower.tracked[nm])
+    ends: dict[tuple[int, ...], list[int]] = {}
+    for j, p in enumerate(prefix):
+        ends.setdefault(p.coeffs, []).append(j)
+    c1 = names.index("C1")
+
+    def first_arc(target: DivisorClass) -> tuple[str, ...]:
+        for s in range(m):
+            for j in ends.get((prefix[s] + target).coeffs, ()):
+                if s < j < s + m and (c1 - s) % m < j - s:
+                    return tuple(names[k % m] for k in range(s, j))
+        return ()
+
+    return {i: first_arc(degree_one_restriction(tower, i).half) for i in range(1, tower.n)}

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import random
@@ -186,3 +188,74 @@ def test_full_run_n7(capsys):
         "elimination.stage2",
     ):
         assert required in ids
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_calls_in_sequence(tmp_path, capsys):
+    # each call gives the exit code, stdout and stderr of a fresh process
+    inst = tmp_path / "inst.json"
+    calls = [
+        ["verify", "--n", "5", "--filter", "lattice.profile", "--fail-fast"],
+        ["emit-instance", "--n", "5", "--seed", "3", "--out", str(inst), "--verify-roundtrip"],
+        ["list-checks"],
+        ["verify", "--n", "3"],  # usage error
+        ["verify", "--n", "5", "--filter", "lattice.profile", "--format", "json"],
+    ]
+    got = []
+    for argv in calls:
+        got.append(_run_in_process(argv, capsys))
+        if argv[0] == "emit-instance":
+            got.append(inst.read_bytes())
+    assert [g[0] for g in got if type(g) is tuple] == [0, 0, 0, 2, 0]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "dsolid.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+        if argv[0] == "emit-instance":
+            fresh.append(inst.read_bytes())
+    assert got == fresh
+
+
+def test_parsed_options_do_not_leak_between_calls():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    sequence = [
+        ["verify", "--n", "5", "--fail-fast", "--format", "json", "--seed", "7"],
+        ["verify", "--n", "5"],
+        ["emit-instance", "--n", "4", "--out", "x.json", "--verify-roundtrip"],
+        ["emit-instance", "--n", "4", "--out", "x.json"],
+        ["verify", "--range", "4..6"],
+        ["list-checks"],
+    ]
+    for argv in sequence:
+        # a parser built for this call alone parses to the same namespace
+        assert vars(parser.parse_args(argv)) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+    assert parser.parse_args(["verify", "--n", "5"]).fail_fast is False
+
+
+def test_a_warm_call_leaves_no_parser_garbage(tmp_path, capsys):
+    argv = ["emit-instance", "--n", "4", "--seed", "1", "--out", str(tmp_path / "i.json")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        kinds = {type(obj) for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not [k for k in kinds if issubclass(k, (argparse.ArgumentParser, argparse.HelpFormatter))]

@@ -102,6 +102,7 @@ EMITTED_INSTANCE_SHA256 = {
     (7, 42): "a1ce248265f0083fc8beb4ba4eadb7de71ec1f75b53e44706e924fec2e9dfbb2",
     (10, 3): "1c55a26f009416145cb2dece406e573cbd71b8a3ffadd3ab42560eabf02aae08",
     (12, 7): "7704a57989085a968f5a09cf169d2183e9a9e6b5d06dc30aae1403c171f7f7c9",
+    (16, 5): "25ebc7dcf91e3327017a7859fed8f2a81b0d405eb795b6e0bcc710778d81da2a",
 }
 
 

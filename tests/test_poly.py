@@ -1,7 +1,8 @@
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from dsolid.poly import MultiPoly
@@ -264,14 +265,42 @@ def _squarable(draw):
     return MultiPoly.from_terms(3, ts)
 
 
+def _integral_narrow(nvars=3):
+    # int coefficients and byte-sized digits: the product's one-pass output
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=6).map(
+        lambda ts: MultiPoly.from_terms(nvars, ts)
+    )
+
+
+_X0_PLUS_X1 = MultiPoly.from_terms(3, [((1, 0, 0), 1), ((0, 1, 0), 1)])
+_X0_MINUS_X1 = MultiPoly.from_terms(3, [((1, 0, 0), 1), ((0, 1, 0), -1)])
+
+
 @settings(max_examples=100, deadline=None)
-@given(p=st.one_of(_squarable(), _mixed()))
-def test_square_matches_general_product(p):
+@given(p=st.one_of(_squarable(), _mixed(), _integral_narrow()),
+       other=st.one_of(_integral_narrow(), _squarable(), _mixed()))
+@example(p=_X0_PLUS_X1, other=_X0_MINUS_X1)  # the cross terms of a non-square product cancel
+def test_square_matches_general_product(p, other):
     square = p * p
     # a copy is another object, so it takes the general product path
     assert square == p * MultiPoly(p.nvars, dict(p.terms))
     assert dict(square.terms) == _reference_product(p, p)
     assert _canonical_terms(square)
+    product = p * other
+    assert dict(product.terms) == _reference_product(p, other)
+    assert _canonical_terms(product)
+
+
+def test_equality_against_a_mapping_proxy_and_equal_int_and_fraction():
+    exp = (1, 0, 2)
+    plain = MultiPoly(3, {exp: 2, (0, 1, 0): Fraction(1, 3)})
+    proxied = MultiPoly(3, MappingProxyType({exp: Fraction(4, 2), (0, 1, 0): Fraction(1, 3)}))
+    assert plain == proxied and proxied == plain
+    assert not plain != proxied
+    assert MultiPoly(3, MappingProxyType({})) == MultiPoly(3, {})
+    assert MultiPoly(3, {exp: 2}) != MultiPoly(3, MappingProxyType({exp: 3}))
+    assert MultiPoly(3, {}) != MultiPoly(2, {})
 
 
 def test_square_of_a_constant_without_variables():

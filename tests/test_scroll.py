@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -585,6 +586,60 @@ _term_value = st.one_of(
 @example(d={"1,0,0": "3/01", "01,0,0": "-0/5", "0,1,2": "0/1", "2,0,0": "4/2"})
 def test_term_parser_matches_parent(d):
     assert _parse_outcome(scroll._poly_from, d) == _parse_outcome(_parent_poly_from, d)
+
+
+def _non_integral(inst):
+    """The instance with roots and Q given denominators > 1, as in the round-trip test."""
+    roots = [(Fraction(p, 3), Fraction(q, 7)) for p, q in inst.roots]
+    return build_instance(inst.n, roots, inst.q * MultiPoly.const(inst.q.nvars, Fraction(2, 5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 12), seed=st.integers(0, 2**32), integral=st.booleans())
+@example(n=6, seed=21, integral=False)  # the instance of test_instance_roundtrip_non_integral
+def test_write_instance_is_indent1_json_byte_for_byte(tmp_path_factory, n, seed, integral):
+    inst = random_instance(n, random.Random(seed))
+    if not integral:
+        inst = _non_integral(inst)
+    path = tmp_path_factory.mktemp("inst") / "inst.json"
+    write_instance(inst, path)
+    text = path.read_text()
+    assert text == json.dumps(instance_to_json(inst), indent=1, sort_keys=True)
+    # the stored f and F are the rebuilt ones' own spelling: no parse needed to accept them
+    blob = json.loads(text)
+    again = read_instance(path)
+    assert again == inst
+    assert blob["f"] == scroll._terms_json(again.f) and blob["F"] == scroll._terms_json(again.big_f)
+
+
+def test_write_instance_frames_an_empty_term_map(tmp_path):
+    inst = _valid_instance(5, 2)
+    hollow = dataclasses.replace(inst, f=MultiPoly(inst.f.nvars, {}))
+    path = tmp_path / "inst.json"
+    write_instance(hollow, path)
+    assert path.read_text() == json.dumps(instance_to_json(hollow), indent=1, sort_keys=True)
+
+
+def test_read_instance_accepts_other_spellings_of_the_same_terms(tmp_path):
+    inst = _valid_instance(6, 21)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    blob = json.loads(path.read_text())
+    for key in ("f", "F"):
+        for exp, v in blob[key].items():
+            num, den = v.split("/")
+            blob[key][exp] = f"{2 * int(num)}/{2 * int(den)}"
+    path.write_text(json.dumps(blob))
+    assert read_instance(path) == inst
+
+
+@pytest.mark.parametrize("top", [9, 10, 11, 255, 256, 1000])
+def test_term_keys_spell_every_exponent_in_decimal(top):
+    p = MultiPoly.from_terms(3, [((top, 0, 1), 3), ((0, top, 2), Fraction(-1, 4)), ((1, 2, 3), 5)])
+    got = scroll._terms_json(p)
+    assert got == {",".join(map(str, e)): f"{Fraction(c).numerator}/{Fraction(c).denominator}"
+                   for e, c in p.terms.items()}
+    assert all(ch in "0123456789," for k in got for ch in k)
 
 
 def test_moduli_formulas():

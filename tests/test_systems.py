@@ -158,11 +158,58 @@ def test_half_cycle_arcs_found(n):
         assert "C1" in arc
 
 
-def test_half_cycle_sign_flip_breaks():
+def _all_arcs(tower):
+    """Every proper contiguous arc of the cycle, keyed by its class, by start then length."""
+    names = tower.cycle_names()
+    m = len(names)
+    out = {}
+    for start in range(m):
+        total = tower.basis.zero()
+        members = []
+        for step in range(m - 1):
+            nm = names[(start + step) % m]
+            total = total + tower.tracked[nm]
+            members.append(nm)
+            out.setdefault(total.coeffs, []).append(tuple(members))
+    return out
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_half_cycle_matches_take_the_first_arc_through_c1(n):
+    # the prefix-sum lookup against every arc class built one by one
+    from dsolid.systems import degree_one_restriction
+
+    tower = build_surface(n)
+    arcs = _all_arcs(tower)
+    want = {}
+    for i in range(1, n):
+        with_c1 = [a for a in arcs.get(degree_one_restriction(tower, i).half.coeffs, [])
+                   if "C1" in a]
+        want[i] = with_c1[0] if with_c1 else ()
+    assert half_cycle_matches(tower) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_half_cycle_matches_skip_arcs_without_c1(n, monkeypatch):
+    # every arc class as the target: arcs that miss C1 never match
+    from dsolid import systems
+
+    tower = build_surface(n)
+    for coeffs, arcs in _all_arcs(tower).items():
+        target = DivisorClass(tower.basis, coeffs)
+        monkeypatch.setattr(systems, "degree_one_restriction",
+                            lambda tower, i: HalfClass(target.scale(2), target))
+        with_c1 = [a for a in arcs if "C1" in a]
+        want = with_c1[0] if with_c1 else ()
+        assert half_cycle_matches(tower) == {i: want for i in range(1, n)}
+
+
+def test_half_cycle_sign_flip_breaks(monkeypatch):
     # a sign flip at position 2 lies outside the realizable family: no arc
     tower = build_surface(5)
     n = 5
-    from dsolid.systems import alpha_restriction, cycle_arcs
+    from dsolid import systems
+    from dsolid.systems import alpha_restriction
 
     acc = -tower.canonical
     for j in range(1, n + 1):
@@ -170,8 +217,11 @@ def test_half_cycle_sign_flip_breaks():
         acc = acc - alpha_restriction(tower, j).scale(eps)
     assert all(c % 2 == 0 for c in acc.coeffs)
     half = DivisorClass(tower.basis, tuple(c // 2 for c in acc.coeffs))
-    arcs = cycle_arcs(tower).get(half.coeffs, [])
+    arcs = _all_arcs(tower).get(half.coeffs, [])
     assert not arcs
+    monkeypatch.setattr(systems, "degree_one_restriction",
+                        lambda tower, i: HalfClass(half.scale(2), half))
+    assert half_cycle_matches(tower) == {i: () for i in range(1, n)}
 
 
 def test_half_cycle_index_out_of_range():
