@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -226,33 +227,36 @@ class MultiPoly:
 
         Fast path used for parametrizations; every variable of self must
         have an image.  Exact, term by term.  Output exponents are packed
-        into one ``int`` as in ``__mul__``, so each factor adds one integer.
+        into one ``int`` as in ``__mul__``, so a term's output key is one
+        dot product of its exponent with the packed images.  A term that
+        meets a zero image is dropped, and coefficient powers are taken
+        only for images whose coefficient is neither 0 nor 1.
         """
         if not self.terms:
             return MultiPoly(nvars_out, {})
         # an output entry is at most the degree times the largest image entry
         top = max(1, self.total_degree()) * max(
             (max(ie, default=0) for _, ie in images.values()), default=0)
-        keys = _pack([ie for _, ie in images.values()], top)
-        norm = {i: (_canonical(ic), k) for (i, (ic, _)), k in zip(images.items(), keys)}
+        by_var = [images[i] for i in range(self.nvars)]
+        keys = _pack([ie for _, ie in by_var], top)
+        coeffs = [_canonical(ic) for ic, _ in by_var]
+        zero = [i for i, ic in enumerate(coeffs) if ic == 0]
+        scaled = [(i, ic) for i, ic in enumerate(coeffs) if ic != 0 and ic != 1]
         powers: dict[tuple[int, int], Coeff] = {}
         acc: dict[int, Coeff] = {}
+        get = acc.get
         for exp, c in self.terms.items():
-            key = 0
-            for i, k in enumerate(exp):
-                if k == 0:
-                    continue
-                ic, ik = norm[i]
-                if ic == 0:
-                    break
-                if ic != 1:
+            if zero and any(map(exp.__getitem__, zero)):
+                continue
+            for i, ic in scaled:
+                k = exp[i]
+                if k:
                     p = powers.get((i, k))
                     if p is None:
                         p = powers[(i, k)] = ic**k
                     c = c * p
-                key += k * ik
-            else:
-                acc[key] = acc.get(key, 0) + c
+            key = sum(map(mul, exp, keys))
+            acc[key] = get(key, 0) + c
         acc = {k: c for k, c in acc.items() if c != 0}
         vals = [_canonical(c) for c in acc.values()]
         return MultiPoly(nvars_out, dict(zip(_unpack(acc, top, nvars_out), vals)))

@@ -19,12 +19,17 @@ the chart, with g = prod (p_i u1 - q_i u0) over the roots:
 
     F∘φ + (Q∘φ)^2 = s^2 a b u0^{n-2} g.
 
-Every restriction is one rule: pull back along the chart with
-``ScrollParam.compose``, then fix chart variables to constants with
-``MultiPoly.specialize``.  The fiber over (p:q) fixes {U0: p, U1: q}, the
-cone z_{n-1} = 0 fixes {A: 0}, the cone z_n = 0 fixes {B: 0}, the ridge
-line z0 = .. = z_{n-2} = 0 fixes {S: 0}, and a line of a fiber plane fixes
-its first two coordinates.
+Every restriction starts from the pullback along the chart,
+``ScrollParam.compose``; Q is pulled back once per instance and kept as
+``QuarticInstance.pulled_q``.  A coordinate hyperplane of the chart is a
+term filter: the cone z_{n-1} = 0 keeps the terms without a, the cone
+z_n = 0 those without b, and the ridge line z0 = .. = z_{n-2} = 0 those
+without s.  Any other restriction fixes chart variables to constants with
+``MultiPoly.specialize``: the fiber over (p:q) fixes {U0: p, U1: q}, and a
+line of a fiber plane fixes its first two coordinates.  On a cone, Q is a
+quadratic form in (s, c) whose coefficients are binary forms in (u0, u1);
+these are coefficient maps keyed by the u1 exponent, and their products
+are plain convolutions.
 
 An instance file is ``json.dumps(instance_to_json(inst), indent=1,
 sort_keys=True)`` byte for byte.  ``read_instance`` rebuilds f and F from
@@ -34,13 +39,14 @@ ones as strings, parsing a stored map only when the strings differ.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .poly import Exponent, MultiPoly, _canonical
+from .poly import Coeff, Exponent, MultiPoly, _canonical
 from .qfield import QuadExt, eval_poly_at, sqrt_fraction
 
 # parametrization variable order
@@ -213,6 +219,15 @@ class QuarticInstance:
     q: MultiPoly
     big_f: MultiPoly
 
+    @functools.cached_property
+    def pulled_q(self) -> MultiPoly:
+        """Q pulled back to the (u0, u1, s, a, b) chart, once per instance.
+
+        Not a field: an instance made by ``dataclasses.replace`` or built
+        directly pulls back its own Q on first use.
+        """
+        return ScrollParam(self.n).compose(self.q)
+
 
 def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     """Assemble F = z0 z_{n-1} z_n f - Q^2 after validating the quadric.
@@ -228,7 +243,9 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
         raise InstanceError("quadric does not live on the ambient space")
     if q.is_zero() or not q.is_homogeneous() or q.total_degree() != 2:
         raise InstanceError("Q must be a nonzero homogeneous quadric")
-    if ideal_member(q, n):
+    # the ideal test of ``ideal_member``, on the pullback the instance keeps
+    pulled_q = ScrollParam(n).compose(q)
+    if pulled_q.is_zero():
         raise InstanceError("degenerate Q: vanishes identically on the scroll")
     rank = _matrix_rank3(splitting_matrix(n, q))
     if rank == 3:
@@ -241,7 +258,9 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     )
     big_f = z0zn1zn * f - q * q
     assert big_f.is_homogeneous() and big_f.total_degree() == 4
-    return QuarticInstance(n=n, roots=tuple(_norm_root(r) for r in roots), f=f, q=q, big_f=big_f)
+    inst = QuarticInstance(n=n, roots=tuple(_norm_root(r) for r in roots), f=f, q=q, big_f=big_f)
+    inst.__dict__["pulled_q"] = pulled_q  # prime the cached property
+    return inst
 
 
 def double_conic_verify(inst: QuarticInstance) -> bool:
@@ -254,14 +273,18 @@ def double_conic_verify(inst: QuarticInstance) -> bool:
     root fiber, on the splitting fiber u0 = 0 and on the cones a = 0 and
     b = 0, and on no other fiber: so F restricts to -Q^2 on exactly those
     sections.  Q is squared after the pullback, where it has O(n) terms
-    instead of the ambient O(n^2).
+    instead of the ambient O(n^2).  g is expanded as a binary form, its
+    coefficients listed by the u1 exponent, and the target has one term
+    per coefficient.
     """
-    param = ScrollParam(inst.n)
-    pulled_q = param.compose(inst.q)
-    residual = param.compose(inst.big_f) + pulled_q * pulled_q
-    want = MultiPoly.monomial(5, (inst.n - 2, 0, 2, 1, 1))
+    n = inst.n
+    pulled_q = inst.pulled_q
+    residual = ScrollParam(n).compose(inst.big_f) + pulled_q * pulled_q
+    g = [1]  # g[j] is the coefficient of u0^{deg g - j} u1^j
     for p, q in inst.roots:
-        want = want * MultiPoly.from_terms(5, [((0, 1, 0, 0, 0), p), ((1, 0, 0, 0, 0), -q)])
+        g = [p * hi - q * lo for hi, lo in zip([0] + g, g + [0])]
+    d = len(g) - 1
+    want = MultiPoly.from_terms(5, [((n - 2 + d - j, j, 2, 1, 1), c) for j, c in enumerate(g)])
     return residual == want
 
 
@@ -269,38 +292,60 @@ def splitting_conic_rank(inst: QuarticInstance) -> int:
     return _matrix_rank3(splitting_matrix(inst.n, inst.q))
 
 
+def _convolve(x: dict[int, Coeff], y: dict[int, Coeff]) -> dict[int, Coeff]:
+    """Product of two binary forms given as coefficient maps keyed by the u1 exponent."""
+    out: dict[int, Coeff] = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
 def double_curve_degree(inst: QuarticInstance, rng: random.Random) -> tuple[int, int]:
     """Degrees of the double curve on the two cone sections of the scroll.
 
     Side n is the cone z_{n-1} = 0, side n+1 the cone z_n = 0; the pair is
-    returned in that order.  On each cone the curve {Q = 0} is intersected
-    with a generic hyperplane by eliminating the fiber coordinates with a
-    resultant; the count (with multiplicity) is the degree of the resulting
-    binary form.  Up to 12 random hyperplanes are tried per side.
+    returned in that order.  Each cone, and the ridge line, is a term filter
+    on the pullback of Q.  On a cone, Q = A s^2 + B s c + C c^2 with c the
+    kept last coordinate and A, B, C binary forms in (u0, u1); the curve
+    {Q = 0} is intersected with a generic hyperplane D s + E c = 0 through
+    the resultant A E^2 - B D E + C D^2, computed by convolving coefficient
+    maps keyed by the u1 exponent.  The count (with multiplicity) is the
+    resultant's degree, the sum of its factors' degrees as read off the
+    pullback's exponents.  Up to 12 random hyperplanes are tried per side.
     """
     n = inst.n
-    pulled = ScrollParam(n).compose(inst.q)
-    if pulled.specialize({S: 0}).is_zero():
+    pulled = inst.pulled_q
+    if all(exp[S] for exp in pulled.terms):
         raise RidgeDegenerate("Q contains the ridge line; degree count excluded")
     degrees = []
     for cone in (A, B):
-        # Q on the cone in (u0, u1, s, c), c the kept last coordinate; the
-        # coefficients of s^2, s c, c^2 as binary forms in (u0, u1)
-        spans: dict[int, dict[Exponent, int | Fraction]] = {2: {}, 1: {}, 0: {}}
-        for exp, coef in pulled.specialize({cone: 0}).terms.items():
-            spans[exp[S]][exp[:2]] = coef
-        aa, bb, cc = (MultiPoly(2, spans[k]) for k in (2, 1, 0))
+        # forms[k] is the coefficient of s^k c^{2-k}, of degree degree[k]
+        forms: dict[int, dict[int, Coeff]] = {2: {}, 1: {}, 0: {}}
+        degree: dict[int, int] = {}
+        for exp, coef in pulled.terms.items():
+            if exp[cone] == 0:
+                forms[exp[S]][exp[U1]] = coef
+                degree[exp[S]] = exp[U0] + exp[U1]
         for _ in range(12):
-            dd = MultiPoly.from_terms(
-                2, [((n - 2 - j, j), rng.randint(-9, 9)) for j in range(n - 1)]
-            )
-            ee = MultiPoly.const(2, rng.randint(1, 9))
-            # resultant of (A s^2 + B s c + C c^2, D s + E c) in (s, c)
-            res = aa * ee * ee - bb * dd * ee + cc * dd * dd
-            if not res.is_zero():
-                if not res.is_homogeneous():
+            # D = sum dd[j] u0^{n-2-j} u1^j, of degree n - 2
+            dd = {j: rng.randint(-9, 9) for j in range(n - 1)}
+            ee = rng.randint(1, 9)
+            # resultant of (A s^2 + B s c + C c^2, D s + E c) in (s, c): the form
+            # of s^k c^{2-k} times E^k (-D)^{2-k}, which adds (2-k)(n-2) to its degree
+            neg_d = {j: -c for j, c in dd.items()}
+            cofactors = {2: {0: ee * ee}, 1: {j: ee * c for j, c in neg_d.items()},
+                         0: _convolve(neg_d, neg_d)}
+            res: dict[tuple[int, int], Coeff] = {}  # keyed by (total degree, u1 exponent)
+            for k, deg in degree.items():
+                for j, c in _convolve(forms[k], cofactors[k]).items():
+                    key = (deg + (2 - k) * (n - 2), j)
+                    res[key] = res.get(key, 0) + c
+            res_degrees = {deg for (deg, _), c in res.items() if c != 0}
+            if res_degrees:
+                if len(res_degrees) > 1:
                     raise RuntimeError("resultant lost homogeneity")
-                degrees.append(res.total_degree())
+                degrees.append(res_degrees.pop())
                 break
         else:
             raise RidgeDegenerate("no generic hyperplane found; intersection is degenerate")
@@ -323,10 +368,9 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     """
     if any(p == 0 for p, _ in inst.roots):
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
-    param = ScrollParam(inst.n)
     # derivative of the pulled-back quartic along u1
-    derivative = param.compose(inst.big_f).derivative(U1)
-    pulled_q = param.compose(inst.q)
+    derivative = ScrollParam(inst.n).compose(inst.big_f).derivative(U1)
+    pulled_q = inst.pulled_q
     for index, (p, q) in enumerate(inst.roots):
         fiber = {U0: p, U1: q}
         if _vanishes_at_a_sample(derivative.specialize(fiber), pulled_q.specialize(fiber), rng):
@@ -468,6 +512,22 @@ def _poly_from(d: dict[str, str], nvars: int) -> MultiPoly:
     return MultiPoly.from_terms(nvars, terms)
 
 
+# what parsing a malformed instance raises: a missing key, a value of the
+# wrong type or shape, a bad number, a zero denominator
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError)
+
+
+def _stored_poly(d, nvars: int) -> MultiPoly:
+    """``_poly_from`` on a stored term map, whose exponents must have ``nvars`` entries >= 0."""
+    try:
+        p = _poly_from(d, nvars)
+    except _MALFORMED as exc:
+        raise InstanceError(f"malformed instance: bad term map ({exc!r})") from exc
+    if any(len(e) != nvars or min(e, default=0) < 0 for e in p.terms):
+        raise InstanceError(f"malformed instance: an exponent is not {nvars} entries >= 0")
+    return p
+
+
 def instance_from_json(data: dict) -> QuarticInstance:
     """Rebuild the instance from ``n``, the roots and Q, and check the stored f and F.
 
@@ -475,13 +535,18 @@ def instance_from_json(data: dict) -> QuarticInstance:
     is its canonical spelling, so it matches without parsing.  Any other map
     is parsed and compared as a polynomial, which accepts other spellings of
     the same terms (``"0/1"`` terms, ``"2/2"``) and rejects different ones.
+    Data of any other shape raises ``InstanceError("malformed instance: ..")``.
     """
-    n = int(data["n"])
-    roots = [(Fraction(p), Fraction(q)) for p, q in data["roots"]]
-    inst = build_instance(n, roots, _poly_from(data["Q"], n + 1))
+    try:
+        n = int(data["n"])
+        roots = [(Fraction(p), Fraction(q)) for p, q in data["roots"]]
+        stored = {key: data[key] for key in ("Q", "f", "F")}
+    except _MALFORMED as exc:
+        raise InstanceError(f"malformed instance: {exc!r}") from exc
+    inst = build_instance(n, roots, _stored_poly(stored["Q"], n + 1))
     # round-trip integrity: the stored derived data must match exactly
     for key, p in (("f", inst.f), ("F", inst.big_f)):
-        if data[key] != _terms_json(p) and _poly_from(data[key], n + 1) != p:
+        if stored[key] != _terms_json(p) and _stored_poly(stored[key], n + 1) != p:
             raise InstanceError("stored derived polynomials do not match the rebuilt instance")
     return inst
 

@@ -134,6 +134,18 @@ def test_emit_instance_roundtrip_unreadable(tmp_path, capsys, monkeypatch, exc):
     assert capsys.readouterr().err.startswith("error: cannot read back ")
 
 
+def test_emit_instance_roundtrip_malformed_file(tmp_path, capsys, monkeypatch):
+    # a file that is JSON but not an instance is reported, not a traceback
+    monkeypatch.setattr(cli, "write_instance", lambda inst, path: Path(path).write_text('{"n": 5}'))
+    code = main([
+        "emit-instance", "--n", "5", "--seed", "9", "--out", str(tmp_path / "inst.json"),
+        "--verify-roundtrip",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read back ") and "malformed instance" in err
+
+
 def test_verify_output_does_not_depend_on_the_hash_seed():
     # set and dict iteration follow the hash seed; the report must not
     argv = [sys.executable, "-m", "dsolid.cli", "verify", "--range", "4..9", "--seed", "42",

@@ -415,6 +415,12 @@ def test_packed_product_at_the_base_boundary(top):
     sub = z.substitute_monomials(2, {0: (2, (top, 1)), 1: (Fraction(1, 2), (0, top))})
     assert dict(sub.terms) == {(top, 1): 2, (0, top): Fraction(-1, 2)}
     assert _canonical_terms(sub)
+    # unit images take no coefficient power; a zero image drops every term it meets
+    w = MultiPoly.from_terms(3, [((2, 0, 0), 3), ((1, 1, 0), -1), ((0, 1, 1), Fraction(1, 2))])
+    units = {0: (1, (a, 1)), 1: (1, (0, b)), 2: (Fraction(2, 2), (b, 0))}
+    assert dict(w.substitute_monomials(2, units).terms) == {
+        (2 * a, 2): 3, (a, 1 + b): -1, (b, b): Fraction(1, 2)}
+    assert dict(w.substitute_monomials(2, {**units, 1: (0, (0, b))}).terms) == {(2 * a, 2): 3}
 
 
 def test_packed_product_zero_operand_and_no_variables():

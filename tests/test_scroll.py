@@ -312,6 +312,111 @@ def test_double_curve_degree_ridge_flagged():
         double_curve_degree(inst, random.Random(0))
 
 
+def _reference_double_curve_degree(inst, rng):
+    """The cone resultant as products of two-variable ``MultiPoly`` forms after
+    ``specialize``, the way it was computed before the binary-form arithmetic."""
+    n = inst.n
+    pulled = ScrollParam(n).compose(inst.q)
+    if pulled.specialize({S: 0}).is_zero():
+        raise RidgeDegenerate("Q contains the ridge line; degree count excluded")
+    degrees = []
+    for cone in (A, B):
+        spans = {2: {}, 1: {}, 0: {}}
+        for exp, coef in pulled.specialize({cone: 0}).terms.items():
+            spans[exp[S]][exp[:2]] = coef
+        aa, bb, cc = (MultiPoly(2, spans[k]) for k in (2, 1, 0))
+        for _ in range(12):
+            dd = MultiPoly.from_terms(
+                2, [((n - 2 - j, j), rng.randint(-9, 9)) for j in range(n - 1)]
+            )
+            ee = MultiPoly.const(2, rng.randint(1, 9))
+            res = aa * ee * ee - bb * dd * ee + cc * dd * dd
+            if not res.is_zero():
+                if not res.is_homogeneous():
+                    raise RuntimeError("resultant lost homogeneity")
+                degrees.append(res.total_degree())
+                break
+        else:
+            raise RidgeDegenerate("no generic hyperplane found; intersection is degenerate")
+    return degrees[0], degrees[1]
+
+
+def _cone_outcome(degree_fn, inst, seed):
+    """The pair or the exception, with the rng state the call leaves."""
+    rng = random.Random(seed)
+    try:
+        got = degree_fn(inst, rng)
+    except (RidgeDegenerate, RuntimeError) as exc:
+        got = (type(exc), str(exc))
+    return got, rng.getstate()
+
+
+def _sparse_instance(n, rng):
+    """An instance whose Q is a rank-2 product on the last plane plus at most
+    three other monomials, so that a cone can miss some of A, B, C."""
+    nv = n + 1
+    last3 = [n - 2, n - 1, n]
+    while True:
+        v, w = ([rng.choice([0, 0, 1, -2, 3]) for _ in range(3)] for _ in range(2))
+        q = MultiPoly.from_terms(nv, [(_unit_exp(nv, j), c) for j, c in zip(last3, v)]) * \
+            MultiPoly.from_terms(nv, [(_unit_exp(nv, j), c) for j, c in zip(last3, w)])
+        for _ in range(rng.randint(0, 3)):
+            q = q + _mono(nv, rng.randrange(nv), rng.randrange(n - 1)) * \
+                MultiPoly.const(nv, rng.randint(-3, 3))
+        try:
+            return build_instance(n, [(1, k) for k in range(1, n - 1)], q)
+        except InstanceError:
+            continue
+
+
+def _unit_exp(nv, j):
+    return tuple(int(i == j) for i in range(nv))
+
+
+def test_double_curve_degree_keeps_the_rng_stream():
+    checked = 0
+    for n in range(4, 13):
+        nv = n + 1
+        roots = [(1, k) for k in range(1, n - 1)]
+        special = [
+            # Q contains the ridge line: no draw at all
+            build_instance(n, roots, _mono(nv, n - 2, n - 1) + _mono(nv, n - 2, n)
+                           + _mono(nv, 0, 1)),
+            # Q vanishes on the cone z_{n-1} = 0: all 12 tries of side n run out
+            build_instance(n, roots, _mono(nv, n - 1, n - 2) + _mono(nv, n - 1, n)),
+        ]
+        gen = random.Random(9000 + n)
+        insts = special + [random_instance(n, gen) for _ in range(8)] + [
+            _sparse_instance(n, gen) for _ in range(12)]
+        for k, inst in enumerate(insts):
+            for seed in range(1000 * n + 3 * k, 1000 * n + 3 * k + 3):
+                want = _cone_outcome(_reference_double_curve_degree, inst, seed)
+                assert _cone_outcome(double_curve_degree, inst, seed) == want
+                checked += want[0] == (2 * (n - 2), 2 * (n - 2))
+        assert _cone_outcome(double_curve_degree, special[0], 1)[0][0] is RidgeDegenerate
+        exhausted = _cone_outcome(double_curve_degree, special[1], 1)
+        assert exhausted[0] == (RidgeDegenerate,
+                                "no generic hyperplane found; intersection is degenerate")
+        assert exhausted[1] != random.Random(1).getstate()
+    assert checked >= 9 * 8 * 3  # every random_instance gives the paper's pair
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_pulled_q_is_the_pullback_of_q(n):
+    param = ScrollParam(n)
+    built = _valid_instance(n, 30 + n)
+    assert "pulled_q" in vars(built)  # build_instance primes the cache
+    assert built.pulled_q == param.compose(built.q)
+    direct = QuarticInstance(n=n, roots=built.roots, f=built.f, q=built.q, big_f=built.big_f)
+    assert "pulled_q" not in vars(direct) and direct == built
+    assert direct.pulled_q == param.compose(built.q)
+    same_q = dataclasses.replace(built, big_f=built.big_f + _mono(n + 1, 0, 0, 0, 0))
+    assert "pulled_q" not in vars(same_q) and same_q.pulled_q == built.pulled_q
+    swapped = dataclasses.replace(built, q=built.q + _mono(n + 1, 0, 0))
+    assert swapped.pulled_q == param.compose(swapped.q) != built.pulled_q
+    assert double_conic_verify(built) and not double_conic_verify(swapped)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_smoothness_probe_generic(n):
     rng = random.Random(55)
@@ -532,6 +637,35 @@ def test_read_instance_rejects_tampered_derived_polys(tmp_path, mutate):
     path.write_text(json.dumps(blob))
     with pytest.raises(InstanceError, match="stored derived polynomials do not match"):
         read_instance(path)
+
+
+def _replace_key(key, value):
+    return lambda blob: {**blob, key: value}
+
+
+def _stringless_coefficient(blob):
+    return {**blob, "Q": {k: int(v.split("/")[0]) for k, v in blob["Q"].items()}}
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda blob: {"n": 5},
+    lambda blob: [],
+    lambda blob: "n",
+    _replace_key("Q", []),
+    _stringless_coefficient,
+    _replace_key("roots", [["1"], ["1", "2"]]),
+    _replace_key("roots", [["1", "1/0"]]),
+    _replace_key("F", []),
+    _replace_key("Q", {"0,0,0,0,0,1,1": "1/1", "0,0,0,0,1,1,0": "1/0"}),
+    _replace_key("Q", {"1,1": "1/1"}),
+    _replace_key("Q", {"0,0,0,0,2,1,-1": "1/1"}),
+], ids=["no-roots", "a-list", "a-string", "Q-a-list", "coefficient-not-a-string",
+        "root-not-a-pair", "zero-denominator", "F-a-list", "Q-zero-denominator",
+        "short-exponent", "negative-exponent"])
+def test_instance_from_json_rejects_malformed_data(reshape):
+    blob = instance_to_json(_valid_instance(6, 21))
+    with pytest.raises(InstanceError, match="^malformed instance: "):
+        instance_from_json(reshape(blob))
 
 
 def test_read_instance_drops_zero_terms(tmp_path):
