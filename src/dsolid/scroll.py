@@ -362,9 +362,9 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     At sample points of the conic over each root, the derivative of F along
     the fiber direction must not vanish; with a simple root it reduces to
     a nonzero constant times s^2 a b, so failures detect repeated roots.
-    F and Q are pulled back once; the roots are probed in order, and the
-    index of the first root whose derivative vanishes at a sample is
-    returned (None when every root passes).
+    F is pulled back once, Q's pullback is ``inst.pulled_q``; the roots are
+    probed in order, and the index of the first root whose derivative
+    vanishes at a sample is returned (None when every root passes).
     """
     if any(p == 0 for p, _ in inst.roots):
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
@@ -523,7 +523,7 @@ def _stored_poly(d, nvars: int) -> MultiPoly:
         p = _poly_from(d, nvars)
     except _MALFORMED as exc:
         raise InstanceError(f"malformed instance: bad term map ({exc!r})") from exc
-    if any(len(e) != nvars or min(e, default=0) < 0 for e in p.terms):
+    if p.terms and (set(map(len, p.terms)) != {nvars} or min(map(min, p.terms)) < 0):
         raise InstanceError(f"malformed instance: an exponent is not {nvars} entries >= 0")
     return p
 

@@ -355,11 +355,10 @@ def _sparse_instance(n, rng):
     """An instance whose Q is a rank-2 product on the last plane plus at most
     three other monomials, so that a cone can miss some of A, B, C."""
     nv = n + 1
-    last3 = [n - 2, n - 1, n]
     while True:
-        v, w = ([rng.choice([0, 0, 1, -2, 3]) for _ in range(3)] for _ in range(2))
-        q = MultiPoly.from_terms(nv, [(_unit_exp(nv, j), c) for j, c in zip(last3, v)]) * \
-            MultiPoly.from_terms(nv, [(_unit_exp(nv, j), c) for j, c in zip(last3, w)])
+        v, w = (sum((_unit(nv, n - 2 + i, rng.choice([0, 0, 1, -2, 3])) for i in range(3)),
+                    MultiPoly(nv, {})) for _ in range(2))
+        q = v * w
         for _ in range(rng.randint(0, 3)):
             q = q + _mono(nv, rng.randrange(nv), rng.randrange(n - 1)) * \
                 MultiPoly.const(nv, rng.randint(-3, 3))
@@ -367,10 +366,6 @@ def _sparse_instance(n, rng):
             return build_instance(n, [(1, k) for k in range(1, n - 1)], q)
         except InstanceError:
             continue
-
-
-def _unit_exp(nv, j):
-    return tuple(int(i == j) for i in range(nv))
 
 
 def test_double_curve_degree_keeps_the_rng_stream():
