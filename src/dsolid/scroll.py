@@ -538,7 +538,9 @@ def instance_from_json(data: dict) -> QuarticInstance:
     Data of any other shape raises ``InstanceError("malformed instance: ..")``.
     """
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:
+            raise TypeError(f"n is {n!r}, not an integer")
         roots = [(Fraction(p), Fraction(q)) for p, q in data["roots"]]
         stored = {key: data[key] for key in ("Q", "f", "F")}
     except _MALFORMED as exc:

@@ -654,9 +654,11 @@ def _stringless_coefficient(blob):
     _replace_key("Q", {"0,0,0,0,0,1,1": "1/1", "0,0,0,0,1,1,0": "1/0"}),
     _replace_key("Q", {"1,1": "1/1"}),
     _replace_key("Q", {"0,0,0,0,2,1,-1": "1/1"}),
+    _replace_key("n", 6.7),
+    _replace_key("n", "6"),
 ], ids=["no-roots", "a-list", "a-string", "Q-a-list", "coefficient-not-a-string",
         "root-not-a-pair", "zero-denominator", "F-a-list", "Q-zero-denominator",
-        "short-exponent", "negative-exponent"])
+        "short-exponent", "negative-exponent", "n-a-float", "n-a-string"])
 def test_instance_from_json_rejects_malformed_data(reshape):
     blob = instance_to_json(_valid_instance(6, 21))
     with pytest.raises(InstanceError, match="^malformed instance: "):
