@@ -539,7 +539,7 @@ def check_cone_degree(n: int, ctx: CheckContext) -> list[CheckRecord]:
 def check_hankel(n: int, ctx: CheckContext) -> list[CheckRecord]:
     gens = scr.hankel_generators(n)
     count_want = (n - 2) * (n - 3) // 2
-    member = all(scr.ideal_member(g, n) for g in gens)
+    member = all(scr.ideal_member(g) for g in gens)
     return [
         _record("scroll.hankel", n, (count_want, True), (len(gens), member),
                 "all 2x2 catalecticant minors generate inside the scroll ideal"),

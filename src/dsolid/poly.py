@@ -84,18 +84,6 @@ class MultiPoly:
     terms: Mapping[Exponent, Coeff]
 
     @staticmethod
-    def const(nvars: int, value: int | Fraction) -> "MultiPoly":
-        c = _canonical(value)
-        return MultiPoly(nvars, {} if c == 0 else {(0,) * nvars: c})
-
-    @staticmethod
-    def monomial(nvars: int, exp: Exponent, coeff: int | Fraction = 1) -> "MultiPoly":
-        c = _canonical(coeff)
-        if len(exp) != nvars:
-            raise ValueError("exponent length mismatch")
-        return MultiPoly(nvars, {} if c == 0 else {tuple(exp): c})
-
-    @staticmethod
     def from_terms(nvars: int, terms: Iterable[tuple[Exponent, int | Fraction]]) -> "MultiPoly":
         acc: dict[Exponent, Coeff] = {}
         for exp, c in terms:

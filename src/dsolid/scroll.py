@@ -19,17 +19,17 @@ the chart, with g = prod (p_i u1 - q_i u0) over the roots:
 
     F∘φ + (Q∘φ)^2 = s^2 a b u0^{n-2} g.
 
-Every restriction starts from the pullback along the chart,
-``ScrollParam.compose``; Q is pulled back once per instance and kept as
-``QuarticInstance.pulled_q``.  A coordinate hyperplane of the chart is a
-term filter: the cone z_{n-1} = 0 keeps the terms without a, the cone
-z_n = 0 those without b, and the ridge line z0 = .. = z_{n-2} = 0 those
-without s.  Any other restriction fixes chart variables to constants with
-``MultiPoly.specialize``: the fiber over (p:q) fixes {U0: p, U1: q}, and a
-line of a fiber plane fixes its first two coordinates.  On a cone, Q is a
-quadratic form in (s, c) whose coefficients are binary forms in (u0, u1);
-these are coefficient maps keyed by the u1 exponent, and their products
-are plain convolutions.
+Every restriction starts from the pullback along the chart, ``pullback``;
+Q is pulled back once per instance and kept as ``QuarticInstance.pulled_q``.
+The binary form g, whose coefficients are also those of f, comes from
+``_root_form``.  A coordinate hyperplane of the chart is a term filter: the
+cone z_{n-1} = 0 keeps the terms without a, the cone z_n = 0 those without
+b, and the ridge line z0 = .. = z_{n-2} = 0 those without s.  Any other
+restriction fixes chart variables to constants with ``MultiPoly.specialize``:
+the fiber over (p:q) fixes {U0: p, U1: q}, and a line of a fiber plane fixes
+its first two coordinates.  On a cone, Q is a quadratic form in (s, c)
+whose coefficients are binary forms in (u0, u1); these are coefficient maps
+keyed by the u1 exponent, and their products are plain convolutions.
 
 An instance file is ``json.dumps(instance_to_json(inst), indent=1,
 sort_keys=True)`` byte for byte.  ``read_instance`` rebuilds f and F from
@@ -76,39 +76,51 @@ def _proj_equal(r1: Root, r2: Root) -> bool:
     return r1[0] * r2[1] - r1[1] * r2[0] == 0
 
 
-@dataclass(frozen=True)
-class ScrollParam:
-    """The standard parametrization of the scroll in P^n."""
+def _exp(nvars: int, *indices: int) -> Exponent:
+    """The exponent of z_{i1} z_{i2} ..: each index adds one to its entry."""
+    e = [0] * nvars
+    for i in indices:
+        e[i] += 1
+    return tuple(e)
 
-    n: int
 
-    @property
-    def nvars(self) -> int:
-        return self.n + 1
+def pullback(p: MultiPoly) -> MultiPoly:
+    """p(z0..zn) pulled back to the (u0, u1, s, a, b) chart, with n = p.nvars - 1."""
+    n = p.nvars - 1
+    if n < 4:
+        raise InstanceError(f"the scroll chart needs at least 5 variables, got {p.nvars}")
+    images = {j: (1, (n - 2 - j, j, 1, 0, 0)) for j in range(n - 1)}
+    images[n - 1] = (1, (0, 0, 0, 1, 0))
+    images[n] = (1, (0, 0, 0, 0, 1))
+    return p.substitute_monomials(5, images)
 
-    def monomial_images(self) -> dict[int, tuple[int, Exponent]]:
-        n = self.n
-        out: dict[int, tuple[int, Exponent]] = {}
-        for j in range(n - 1):
-            exp = [0, 0, 0, 0, 0]
-            exp[U0], exp[U1], exp[S] = n - 2 - j, j, 1
-            out[j] = (1, tuple(exp))
-        out[n - 1] = (1, (0, 0, 0, 1, 0))
-        out[n] = (1, (0, 0, 0, 0, 1))
-        return out
 
-    def compose(self, p: MultiPoly) -> MultiPoly:
-        """p(z0..zn) pulled back to the (u0,u1,s,a,b) chart."""
-        if p.nvars != self.nvars:
-            raise InstanceError("polynomial does not live on the ambient space")
-        return p.substitute_monomials(5, self.monomial_images())
+def _convolve(x: dict[int, Coeff], y: dict[int, Coeff]) -> dict[int, Coeff]:
+    """Product of two binary forms given as coefficient maps keyed by the u1 exponent."""
+    out: dict[int, Coeff] = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
+def _root_form(roots) -> dict[int, Coeff]:
+    """g = prod (p u1 - q u0) over the roots (p:q), keyed by the u1 exponent.
+
+    Coefficients are not canonical and may be 0; ``MultiPoly.from_terms``
+    makes them so.
+    """
+    g: dict[int, Coeff] = {0: 1}
+    for p, q in roots:
+        g = _convolve(g, {1: p, 0: -q})
+    return g
 
 
 def linear_form_from_roots(n: int, roots: list) -> MultiPoly:
     """The unique (up to scale) linear form in z0..z_{n-2} vanishing on the
     fibers over the given n-2 distinct points, none of which may be (0:1).
 
-    Coefficients are read off the expanded binary form with those roots.
+    The coefficient of z_j is that of u0^{n-2-j} u1^j in ``_root_form``.
     """
     rs = [_norm_root(r) for r in roots]
     if len(rs) != n - 2:
@@ -120,28 +132,10 @@ def linear_form_from_roots(n: int, roots: list) -> MultiPoly:
         for j in range(i + 1, len(rs)):
             if _proj_equal(rs[i], rs[j]):
                 raise InstanceError(f"repeated root {rs[i]}")
-    # product of (p_i u1 - q_i u0) over the roots, in variables (u0, u1)
-    form = MultiPoly.const(2, 1)
-    for p, q in rs:
-        form = form * MultiPoly.from_terms(2, [((0, 1), p), ((1, 0), -q)])
-    coeffs = {}
-    for exp, c in form.terms.items():
-        # u0^{n-2-j} u1^j corresponds to z_j
-        j = exp[1]
-        coeffs[j] = c
-    out = MultiPoly.from_terms(
-        n + 1, [(_unit_exp(n + 1, j), c) for j, c in coeffs.items()]
-    )
-    return out
+    return MultiPoly.from_terms(n + 1, [(_exp(n + 1, j), c) for j, c in _root_form(rs).items()])
 
 
-def _unit_exp(nvars: int, j: int) -> Exponent:
-    e = [0] * nvars
-    e[j] = 1
-    return tuple(e)
-
-
-def ideal_member(p: MultiPoly, n: int) -> bool:
+def ideal_member(p: MultiPoly) -> bool:
     """Membership in the scroll ideal: the pullback vanishes identically.
 
     Valid because the scroll is irreducible and the parametrization is
@@ -149,7 +143,7 @@ def ideal_member(p: MultiPoly, n: int) -> bool:
     """
     if not p.is_homogeneous():
         raise InstanceError("ideal membership is only defined for homogeneous input")
-    return ScrollParam(n).compose(p).is_zero()
+    return pullback(p).is_zero()
 
 
 def hankel_generators(n: int) -> list[MultiPoly]:
@@ -160,30 +154,19 @@ def hankel_generators(n: int) -> list[MultiPoly]:
     out = []
     for i in range(n - 2):
         for j in range(i + 1, n - 2):
-            zi, zj = _unit_exp(nv, i), _unit_exp(nv, j)
-            zi1, zj1 = _unit_exp(nv, i + 1), _unit_exp(nv, j + 1)
-            minor = MultiPoly.from_terms(
-                nv,
-                [
-                    (tuple(x + y for x, y in zip(zi, zj1)), 1),
-                    (tuple(x + y for x, y in zip(zi1, zj)), -1),
-                ],
-            )
-            out.append(minor)
+            out.append(MultiPoly.from_terms(nv, [(_exp(nv, i, j + 1), 1), (_exp(nv, i + 1, j), -1)]))
     return out
 
 
-def splitting_matrix(n: int, q: MultiPoly) -> list[list[Fraction]]:
+def splitting_matrix(q: MultiPoly) -> list[list[Fraction]]:
     """Symmetric 3x3 matrix of Q restricted to the last plane
     (coordinates z_{n-2}, z_{n-1}, z_n)."""
+    n = q.nvars - 1
     idxs = [n - 2, n - 1, n]
     m = [[Fraction(0)] * 3 for _ in range(3)]
     for r in range(3):
         for c in range(r, 3):
-            e = [0] * (n + 1)
-            e[idxs[r]] += 1
-            e[idxs[c]] += 1
-            v = Fraction(q.coefficient(tuple(e)))
+            v = Fraction(q.coefficient(_exp(n + 1, idxs[r], idxs[c])))
             if r == c:
                 m[r][r] = v
             else:
@@ -226,7 +209,7 @@ class QuarticInstance:
         Not a field: an instance made by ``dataclasses.replace`` or built
         directly pulls back its own Q on first use.
         """
-        return ScrollParam(self.n).compose(self.q)
+        return pullback(self.q)
 
 
 def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
@@ -244,19 +227,18 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     if q.is_zero() or not q.is_homogeneous() or q.total_degree() != 2:
         raise InstanceError("Q must be a nonzero homogeneous quadric")
     # the ideal test of ``ideal_member``, on the pullback the instance keeps
-    pulled_q = ScrollParam(n).compose(q)
+    pulled_q = pullback(q)
     if pulled_q.is_zero():
         raise InstanceError("degenerate Q: vanishes identically on the scroll")
-    rank = _matrix_rank3(splitting_matrix(n, q))
+    rank = _matrix_rank3(splitting_matrix(q))
     if rank == 3:
         raise InstanceError("splitting conic has rank 3: the end fiber would not split")
     if rank <= 1:
         raise InstanceError("splitting conic degenerates to a double line (rank <= 1)")
+    # z0 z_{n-1} z_n f: each term c z_j of f shifted to c z0 z_j z_{n-1} z_n
     nv = n + 1
-    z0zn1zn = MultiPoly.monomial(
-        nv, tuple(a + b + c for a, b, c in zip(_unit_exp(nv, 0), _unit_exp(nv, n - 1), _unit_exp(nv, n)))
-    )
-    big_f = z0zn1zn * f - q * q
+    shifted = MultiPoly(nv, {_exp(nv, 0, exp.index(1), n - 1, n): c for exp, c in f.terms.items()})
+    big_f = shifted - q * q
     assert big_f.is_homogeneous() and big_f.total_degree() == 4
     inst = QuarticInstance(n=n, roots=tuple(_norm_root(r) for r in roots), f=f, q=q, big_f=big_f)
     inst.__dict__["pulled_q"] = pulled_q  # prime the cached property
@@ -273,32 +255,19 @@ def double_conic_verify(inst: QuarticInstance) -> bool:
     root fiber, on the splitting fiber u0 = 0 and on the cones a = 0 and
     b = 0, and on no other fiber: so F restricts to -Q^2 on exactly those
     sections.  Q is squared after the pullback, where it has O(n) terms
-    instead of the ambient O(n^2).  g is expanded as a binary form, its
-    coefficients listed by the u1 exponent, and the target has one term
-    per coefficient.
+    instead of the ambient O(n^2).  g is ``_root_form``, and the target has
+    one term per coefficient of it.
     """
-    n = inst.n
+    n, d = inst.n, len(inst.roots)
     pulled_q = inst.pulled_q
-    residual = ScrollParam(n).compose(inst.big_f) + pulled_q * pulled_q
-    g = [1]  # g[j] is the coefficient of u0^{deg g - j} u1^j
-    for p, q in inst.roots:
-        g = [p * hi - q * lo for hi, lo in zip([0] + g, g + [0])]
-    d = len(g) - 1
-    want = MultiPoly.from_terms(5, [((n - 2 + d - j, j, 2, 1, 1), c) for j, c in enumerate(g)])
+    residual = pullback(inst.big_f) + pulled_q * pulled_q
+    want = MultiPoly.from_terms(
+        5, [((n - 2 + d - j, j, 2, 1, 1), c) for j, c in _root_form(inst.roots).items()])
     return residual == want
 
 
 def splitting_conic_rank(inst: QuarticInstance) -> int:
-    return _matrix_rank3(splitting_matrix(inst.n, inst.q))
-
-
-def _convolve(x: dict[int, Coeff], y: dict[int, Coeff]) -> dict[int, Coeff]:
-    """Product of two binary forms given as coefficient maps keyed by the u1 exponent."""
-    out: dict[int, Coeff] = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            out[i + j] = out.get(i + j, 0) + a * b
-    return out
+    return _matrix_rank3(splitting_matrix(inst.q))
 
 
 def double_curve_degree(inst: QuarticInstance, rng: random.Random) -> tuple[int, int]:
@@ -369,7 +338,7 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     if any(p == 0 for p, _ in inst.roots):
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
     # derivative of the pulled-back quartic along u1
-    derivative = ScrollParam(inst.n).compose(inst.big_f).derivative(U1)
+    derivative = pullback(inst.big_f).derivative(U1)
     pulled_q = inst.pulled_q
     for index, (p, q) in enumerate(inst.roots):
         fiber = {U0: p, U1: q}
@@ -450,18 +419,15 @@ def random_instance(n: int, rng: random.Random) -> QuarticInstance:
             continue
         nv = n + 1
         last3 = [n - 2, n - 1, n]
-        lin_v = MultiPoly.from_terms(nv, [(_unit_exp(nv, j), c) for j, c in zip(last3, v)])
-        lin_w = MultiPoly.from_terms(nv, [(_unit_exp(nv, j), c) for j, c in zip(last3, w)])
+        lin_v = MultiPoly.from_terms(nv, [(_exp(nv, j), c) for j, c in zip(last3, v)])
+        lin_w = MultiPoly.from_terms(nv, [(_exp(nv, j), c) for j, c in zip(last3, w)])
         q = lin_v * lin_w
         extra = []
         for i in range(0, n - 2):
             for j in range(i, n + 1):
                 c = rng.randint(-4, 4)
                 if c:
-                    e = [0] * nv
-                    e[i] += 1
-                    e[j] += 1
-                    extra.append((tuple(e), c))
+                    extra.append((_exp(nv, i, j), c))
         q = q + MultiPoly.from_terms(nv, extra)
         try:
             return build_instance(n, roots, q)
@@ -541,7 +507,13 @@ def instance_from_json(data: dict) -> QuarticInstance:
         n = data["n"]
         if type(n) is not int:
             raise TypeError(f"n is {n!r}, not an integer")
-        roots = [(Fraction(p), Fraction(q)) for p, q in data["roots"]]
+        roots = data["roots"]
+        # strings, as written: a JSON number would enter exact arithmetic as a
+        # binary float's value, and a boolean as 0 or 1
+        if type(roots) is not list or any(
+                type(r) is not list or list(map(type, r)) != [str, str] for r in roots):
+            raise TypeError(f"roots are {roots!r}, not a list of two-string lists")
+        roots = [(Fraction(p), Fraction(q)) for p, q in roots]
         stored = {key: data[key] for key in ("Q", "f", "F")}
     except _MALFORMED as exc:
         raise InstanceError(f"malformed instance: {exc!r}") from exc

@@ -236,16 +236,18 @@ def degree_one_restriction(tower: BlowupTower, i: int) -> HalfClass:
     """Class on S cut by the i-th degree-one divisor containing C1.
 
     Computed as half of -K minus the signed alpha sum whose single flipped
-    sign sits at position n-i+1 (all plus signs for i = n-1).
+    sign sits at position n-i+1 (all plus signs for i = n-1).  -K is 2 on
+    H1, H2 and -1 on every e_j, eb_j, so subtracting eps_j (e_j - eb_j)
+    leaves -1-eps_j on e_j and -1+eps_j on eb_j.
     """
     n = tower.n
     if not 1 <= i <= n - 1:
         raise LatticeError(f"index {i} outside 1..{n-1}")
-    acc = -tower.canonical
+    coeff = {"H1": 2, "H2": 2}
     for j in range(1, n + 1):
         eps = -1 if (i <= n - 2 and j == n - i + 1) else 1
-        acc = acc - alpha_restriction(tower, j).scale(eps)
-    return HalfClass.of(acc)
+        coeff[f"e{j}"], coeff[f"eb{j}"] = -1 - eps, -1 + eps
+    return HalfClass.of(DivisorClass(tower.basis, tuple(coeff[nm] for nm in tower.basis.names)))
 
 
 def half_cycle_matches(tower: BlowupTower) -> dict[int, tuple[str, ...]]:

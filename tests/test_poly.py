@@ -20,6 +20,10 @@ def _canonical_terms(p):
     return all(_is_canonical(c) for c in p.terms.values())
 
 
+def _const(nvars, c):
+    return MultiPoly.from_terms(nvars, [((0,) * nvars, c)])
+
+
 def _mk(nvars=3):
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
     coeffs = st.fractions(min_value=-5, max_value=5)
@@ -68,10 +72,10 @@ def test_substitute_monomials_matches_general():
     # general composition, term by term with ring products: -12 x^2 y + y^2/2
     p = MultiPoly.from_terms(2, [((2, 1), 3), ((0, 2), Fraction(1, 2))])
     images = {0: (Fraction(2), (1, 0)), 1: (Fraction(-1), (0, 1))}
-    polys = [MultiPoly.monomial(2, (1, 0), 2), MultiPoly.monomial(2, (0, 1), -1)]
+    polys = [MultiPoly.from_terms(2, [((1, 0), 2)]), MultiPoly.from_terms(2, [((0, 1), -1)])]
     gen = MultiPoly(2, {})
     for exp, c in p.terms.items():
-        term = MultiPoly.const(2, c)
+        term = _const(2, c)
         for image, k in zip(polys, exp):
             for _ in range(k):
                 term = term * image
@@ -88,7 +92,7 @@ def test_derivative():
 def test_homogeneity_and_degree():
     p = MultiPoly.from_terms(3, [((2, 1, 1), 1), ((0, 4, 0), -2)])
     assert p.is_homogeneous() and p.total_degree() == 4
-    q = p + MultiPoly.const(3, 1)
+    q = p + _const(3, 1)
     assert not q.is_homogeneous()
 
 
@@ -182,8 +186,8 @@ def test_integral_product_stores_ints():
     assert prod == as_fractions and hash(prod) == hash(as_fractions)
     # a product of rational polynomials with integral coefficients stores ints
     half = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(3, 2))])
-    assert dict((half * MultiPoly.const(2, 2)).terms) == {(1, 0): 1, (0, 1): 3}
-    assert all(type(c) is int for c in (half * MultiPoly.const(2, 2)).terms.values())
+    assert dict((half * _const(2, 2)).terms) == {(1, 0): 1, (0, 1): 3}
+    assert all(type(c) is int for c in (half * _const(2, 2)).terms.values())
 
 
 def _naive_eval(p, values, d):
@@ -304,18 +308,18 @@ def test_equality_against_a_mapping_proxy_and_equal_int_and_fraction():
 
 
 def test_square_of_a_constant_without_variables():
-    c = MultiPoly.const(0, Fraction(3, 2))
+    c = _const(0, Fraction(3, 2))
     assert dict((c * c).terms) == {(): Fraction(9, 4)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(v=_coeff)
 def test_constructors_are_canonical(v):
-    for p, exp in ((MultiPoly.const(3, v), (0, 0, 0)),
-                   (MultiPoly.monomial(3, (1, 2, 0), v), (1, 2, 0))):
+    # one-term polynomials from ``from_terms``: constants, also in no variables, and a monomial
+    for nv, exp in ((3, (0, 0, 0)), (3, (1, 2, 0)), (0, ())):
+        p = MultiPoly.from_terms(nv, [(exp, v)])
         assert dict(p.terms) == _fraction_terms([(exp, v)])
         assert _canonical_terms(p)
-    assert MultiPoly.const(0, v).terms == _fraction_terms([((), v)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -340,7 +344,7 @@ def test_add_sub_neg_are_canonical(a, b):
 @settings(max_examples=80, deadline=None)
 @given(a=_mixed(), c=_coeff, idx=st.integers(0, 2))
 def test_scale_and_derivative_are_canonical(a, c, idx):
-    scaled = a * MultiPoly.const(a.nvars, c)
+    scaled = a * _const(a.nvars, c)
     assert dict(scaled.terms) == _fraction_terms([(e, Fraction(c) * v) for e, v in a.terms.items()])
     deriv = a.derivative(idx)
     want = _fraction_terms(
@@ -427,11 +431,11 @@ def test_packed_product_zero_operand_and_no_variables():
     a = MultiPoly.from_terms(2, [((3, 1), 2), ((0, 0), Fraction(1, 2))])
     assert (a * MultiPoly(2, {})).terms == {}
     assert (MultiPoly(2, {}) * a).terms == {}
-    two, half = MultiPoly.const(0, 2), MultiPoly.const(0, Fraction(1, 2))
+    two, half = _const(0, 2), _const(0, Fraction(1, 2))
     assert dict((two * half).terms) == {(): 1} and type((two * half).terms[()]) is int
     assert dict((half * half).terms) == {(): Fraction(1, 4)}
     assert (two * MultiPoly(0, {})).terms == {}
-    assert MultiPoly.const(0, 3).substitute_monomials(2, {}).terms == {(0, 0): 3}
+    assert _const(0, 3).substitute_monomials(2, {}).terms == {(0, 0): 3}
 
 
 def test_packed_product_cancels_to_ints():

@@ -22,7 +22,6 @@ from dsolid.scroll import (
     ProbeExcluded,
     QuarticInstance,
     RidgeDegenerate,
-    ScrollParam,
     build_instance,
     double_conic_verify,
     double_curve_degree,
@@ -32,6 +31,7 @@ from dsolid.scroll import (
     instance_to_json,
     linear_form_from_roots,
     moduli_formulas,
+    pullback,
     random_instance,
     read_instance,
     smoothness_probe,
@@ -46,9 +46,13 @@ def _unit(nv, j, c=1):
     return MultiPoly.from_terms(nv, [(tuple(e), c)])
 
 
-def _on_fiber(p, n, lam):
-    """p restricted to the plane over lam, in (s, a, b): compose, then specialize."""
-    return ScrollParam(n).compose(p).specialize({U0: lam[0], U1: lam[1]})
+def _constant(nv, c):
+    return MultiPoly.from_terms(nv, [((0,) * nv, c)])
+
+
+def _on_fiber(p, lam):
+    """p restricted to the plane over lam, in (s, a, b): pull back, then specialize."""
+    return pullback(p).specialize({U0: lam[0], U1: lam[1]})
 
 
 def test_linear_form_n4():
@@ -61,7 +65,7 @@ def test_linear_form_n4():
 def test_linear_form_roots_recovered_n5():
     roots = [(1, 1), (1, -1), (1, 2)]
     f = linear_form_from_roots(5, roots)
-    comp = ScrollParam(5).compose(f)
+    comp = pullback(f)
     # oracle: composition vanishes exactly at the chosen fiber points
     for p, q in roots:
         assert comp.specialize({U0: p, U1: q}).is_zero()
@@ -78,31 +82,79 @@ def test_linear_form_rejects_repeats():
         linear_form_from_roots(4, [(1, 2), (2, 4)])
 
 
+def _parent_linear_form_from_roots(n, roots):
+    """``linear_form_from_roots`` as it was before ``_root_form``: n-2 products
+    of two-variable ``MultiPoly`` forms, then an exponent remap."""
+    rs = [scroll._norm_root(r) for r in roots]
+    if len(rs) != n - 2:
+        raise InstanceError(f"need exactly {n-2} roots, got {len(rs)}")
+    for r in rs:
+        if r[0] == 0:
+            raise InstanceError("the point (0:1) is reserved for the splitting fiber")
+    for i in range(len(rs)):
+        for j in range(i + 1, len(rs)):
+            if scroll._proj_equal(rs[i], rs[j]):
+                raise InstanceError(f"repeated root {rs[i]}")
+    form = MultiPoly.from_terms(2, [((0, 0), 1)])
+    for p, q in rs:
+        form = form * MultiPoly.from_terms(2, [((0, 1), p), ((1, 0), -q)])
+    return MultiPoly.from_terms(
+        n + 1, [(tuple(int(k == exp[1]) for k in range(n + 1)), c) for exp, c in form.terms.items()])
+
+
+def _form_outcome(build, n, roots):
+    try:
+        f = build(n, roots)
+    except InstanceError as exc:
+        return str(exc)
+    return f.nvars, dict(f.terms), {e: type(c) for e, c in f.terms.items()}
+
+
+_root_coord = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=6))
+_first_coord = st.one_of(st.integers(1, 4), st.fractions(-4, 4, max_denominator=5).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 10), roots=st.lists(st.tuples(_first_coord, _root_coord), max_size=5),
+       mirrored=st.booleans(), exact=st.booleans())
+@example(n=6, roots=[(1, 2), (3, Fraction(1, 3))], mirrored=True, exact=True)
+@example(n=4, roots=[(0, 1), (1, 1)], mirrored=False, exact=True)  # the reserved point (0:1)
+@example(n=4, roots=[(1, 2), (2, 4)], mirrored=False, exact=True)  # a repeated root
+@example(n=5, roots=[(1, 2), (1, 3)], mirrored=False, exact=False)  # a root short
+def test_linear_form_matches_parent(n, roots, mirrored, exact):
+    if mirrored:  # ±r pairs, so that the odd coefficients of g cancel to 0
+        roots = [r for p, q in roots for r in ((p, q), (p, -q))]
+    if exact:
+        roots = roots[: n - 2]
+    got = _form_outcome(linear_form_from_roots, n, roots)
+    assert got == _form_outcome(_parent_linear_form_from_roots, n, roots)
+
+
 def test_ideal_member_hankel_identity():
     z0z2 = _unit(5, 0) * _unit(5, 2)
     z1sq = _unit(5, 1) * _unit(5, 1)
-    assert ideal_member(z0z2 - z1sq, 4)
+    assert ideal_member(z0z2 - z1sq)
     z0zn1 = _unit(5, 0) * _unit(5, 3)
-    assert not ideal_member(z0zn1, 4)
+    assert not ideal_member(z0zn1)
 
 
 def test_ideal_member_n6():
     nv = 7
     p = _unit(nv, 1) * _unit(nv, 3) - _unit(nv, 2) * _unit(nv, 2)
-    assert ideal_member(p, 6)
+    assert ideal_member(p)
 
 
 def test_ideal_member_requires_homogeneous():
     nv = 5
     with pytest.raises(InstanceError):
-        ideal_member(_unit(nv, 0) + MultiPoly.const(nv, 1), 4)
+        ideal_member(_unit(nv, 0) + _constant(nv, 1))
 
 
 @pytest.mark.parametrize("n,count", [(4, 1), (5, 3), (7, 10)])
 def test_hankel_counts(n, count):
     gens = hankel_generators(n)
     assert len(gens) == count
-    assert all(ideal_member(g, n) for g in gens)
+    assert all(ideal_member(g) for g in gens)
 
 
 def _valid_instance(n, seed=0):
@@ -142,6 +194,8 @@ def test_build_instance_rejects_small_n(n):
     q = _unit(nv, n - 1) * _unit(nv, n) + _unit(nv, n - 2) * _unit(nv, n - 1)
     with pytest.raises(InstanceError, match="at least 4"):
         build_instance(n, [(1, k) for k in range(1, n - 1)], q)
+    with pytest.raises(InstanceError, match="at least 5 variables"):
+        pullback(q)
 
 
 def test_instance_from_json_rejects_n3():
@@ -172,15 +226,15 @@ def test_fiber_restrict_basics():
     z0 = _unit(nv, 0)
     zl = _unit(nv, n - 2)
     at_inf = (Fraction(0), Fraction(1))
-    assert _on_fiber(z0, n, at_inf).is_zero()
-    assert _on_fiber(zl, n, at_inf) == MultiPoly.from_terms(3, [((1, 0, 0), 1)])
+    assert _on_fiber(z0, at_inf).is_zero()
+    assert _on_fiber(zl, at_inf) == MultiPoly.from_terms(3, [((1, 0, 0), 1)])
 
 
 def test_fiber_restrict_quartic_at_root():
     inst = _valid_instance(5, 3)
     lam = inst.roots[0]
-    fr = _on_fiber(inst.big_f, inst.n, lam)
-    qr = _on_fiber(inst.q, inst.n, lam)
+    fr = _on_fiber(inst.big_f, lam)
+    qr = _on_fiber(inst.q, lam)
     assert fr == -(qr * qr)
 
 
@@ -197,7 +251,7 @@ def _mono(nv, *idxs):
     e = [0] * nv
     for j in idxs:
         e[j] += 1
-    return MultiPoly.monomial(nv, tuple(e))
+    return MultiPoly.from_terms(nv, [(tuple(e), 1)])
 
 
 def _with_big_f(inst, big_f, q=None):
@@ -205,8 +259,8 @@ def _with_big_f(inst, big_f, q=None):
                            q=inst.q if q is None else q, big_f=big_f)
 
 
-def _vanishes_on(p, n, fibers):
-    return all(_on_fiber(p, n, lam).is_zero() for lam in fibers)
+def _vanishes_on(p, fibers):
+    return all(_on_fiber(p, lam).is_zero() for lam in fibers)
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -216,7 +270,7 @@ def test_double_conic_verify_root_fiber_can_fail(n):
     # g vanishes over every root but the first, so only that fiber breaks
     g = linear_form_from_roots(n, list(inst.roots[1:]) + [(1, 997)])
     bump = _mono(nv, 0, n - 1, n) * g
-    assert _vanishes_on(bump, n, list(inst.roots[1:]) + [(Fraction(0), Fraction(1))])
+    assert _vanishes_on(bump, list(inst.roots[1:]) + [(Fraction(0), Fraction(1))])
     assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump))
 
 
@@ -226,8 +280,8 @@ def test_double_conic_verify_splitting_fiber_can_fail(n):
     nv = n + 1
     # z_{n-2} z_{n-1} z_n f vanishes over every root and on both cones, not over (0:1)
     bump = _mono(nv, n - 2, n - 1, n) * inst.f
-    assert _vanishes_on(bump, n, inst.roots)
-    assert not _vanishes_on(bump, n, [(Fraction(0), Fraction(1))])
+    assert _vanishes_on(bump, inst.roots)
+    assert not _vanishes_on(bump, [(Fraction(0), Fraction(1))])
     assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump))
     bump4 = _mono(nv, n - 2, n - 2, n - 2, n - 2)
     assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump4))
@@ -248,7 +302,7 @@ def test_double_conic_verify_cone_can_fail(n, square):
     # z0 z_n^2 f survives on the cone z_{n-1} = 0, z0 z_{n-1}^2 f on z_n = 0
     sq = n if square == "z_n" else n - 1
     residual = _mono(nv, 0, sq, sq) * inst.f
-    assert _vanishes_on(residual, n, list(inst.roots) + [(Fraction(0), Fraction(1))])
+    assert _vanishes_on(residual, list(inst.roots) + [(Fraction(0), Fraction(1))])
     bad = residual - inst.q * inst.q
     assert not double_conic_verify(_with_big_f(inst, bad))
 
@@ -263,8 +317,8 @@ def test_double_conic_verify_rejects_an_extra_tangent_fiber(n):
     # but it also vanishes over (1:0), so it is not s^2 a b u0^{n-2} g
     residual = _mono(nv, 1, n - 1, n) * inst.f
     special = list(inst.roots) + [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
-    assert _vanishes_on(residual, n, special)
-    assert not _vanishes_on(residual, n, [(Fraction(1), Fraction(997))])
+    assert _vanishes_on(residual, special)
+    assert not _vanishes_on(residual, [(Fraction(1), Fraction(997))])
     assert not double_conic_verify(_with_big_f(inst, residual - inst.q * inst.q))
 
 
@@ -292,7 +346,7 @@ def test_member_invariance(seed, k):
     member = hankel_generators(n)[k]
     lam = inst.roots[0]
     scaled = member * _unit(n + 1, 0) * _unit(n + 1, 1)  # degree-4 member multiple
-    assert _on_fiber(inst.big_f + scaled, n, lam) == _on_fiber(inst.big_f, n, lam)
+    assert _on_fiber(inst.big_f + scaled, lam) == _on_fiber(inst.big_f, lam)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -316,7 +370,7 @@ def _reference_double_curve_degree(inst, rng):
     """The cone resultant as products of two-variable ``MultiPoly`` forms after
     ``specialize``, the way it was computed before the binary-form arithmetic."""
     n = inst.n
-    pulled = ScrollParam(n).compose(inst.q)
+    pulled = pullback(inst.q)
     if pulled.specialize({S: 0}).is_zero():
         raise RidgeDegenerate("Q contains the ridge line; degree count excluded")
     degrees = []
@@ -329,7 +383,7 @@ def _reference_double_curve_degree(inst, rng):
             dd = MultiPoly.from_terms(
                 2, [((n - 2 - j, j), rng.randint(-9, 9)) for j in range(n - 1)]
             )
-            ee = MultiPoly.const(2, rng.randint(1, 9))
+            ee = MultiPoly.from_terms(2, [((0, 0), rng.randint(1, 9))])
             res = aa * ee * ee - bb * dd * ee + cc * dd * dd
             if not res.is_zero():
                 if not res.is_homogeneous():
@@ -361,7 +415,7 @@ def _sparse_instance(n, rng):
         q = v * w
         for _ in range(rng.randint(0, 3)):
             q = q + _mono(nv, rng.randrange(nv), rng.randrange(n - 1)) * \
-                MultiPoly.const(nv, rng.randint(-3, 3))
+                _constant(nv, rng.randint(-3, 3))
         try:
             return build_instance(n, [(1, k) for k in range(1, n - 1)], q)
         except InstanceError:
@@ -398,17 +452,16 @@ def test_double_curve_degree_keeps_the_rng_stream():
 
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_pulled_q_is_the_pullback_of_q(n):
-    param = ScrollParam(n)
     built = _valid_instance(n, 30 + n)
     assert "pulled_q" in vars(built)  # build_instance primes the cache
-    assert built.pulled_q == param.compose(built.q)
+    assert built.pulled_q == pullback(built.q)
     direct = QuarticInstance(n=n, roots=built.roots, f=built.f, q=built.q, big_f=built.big_f)
     assert "pulled_q" not in vars(direct) and direct == built
-    assert direct.pulled_q == param.compose(built.q)
+    assert direct.pulled_q == pullback(built.q)
     same_q = dataclasses.replace(built, big_f=built.big_f + _mono(n + 1, 0, 0, 0, 0))
     assert "pulled_q" not in vars(same_q) and same_q.pulled_q == built.pulled_q
     swapped = dataclasses.replace(built, q=built.q + _mono(n + 1, 0, 0))
-    assert swapped.pulled_q == param.compose(swapped.q) != built.pulled_q
+    assert swapped.pulled_q == pullback(swapped.q) != built.pulled_q
     assert double_conic_verify(built) and not double_conic_verify(swapped)
 
 
@@ -487,12 +540,12 @@ def test_probe_derivative_matches_closed_form(n):
     # c s^2 a b, with c from the roots alone and nonzero
     rng = random.Random(300 + n)
     inst = random_instance(n, rng)
-    derivative = ScrollParam(n).compose(inst.big_f).derivative(U1)
+    derivative = pullback(inst.big_f).derivative(U1)
     for lam in inst.roots:
         c = _closed_form_constant(inst, lam)
         assert c != 0
         h = derivative.specialize({U0: lam[0], U1: lam[1]})
-        conic = _on_fiber(inst.q, n, lam)
+        conic = _on_fiber(inst.q, lam)
         for t, b in _conic_points(conic, rng, 6):
             assert _is_zero(eval_poly_at(conic, [1, t, b]))
             assert _is_zero(eval_poly_at(h, [1, t, b]) - b * (c * t))
@@ -502,8 +555,8 @@ def test_probe_closed_form_fails_for_double_root():
     bad = _double_root_instance()
     lam = bad.roots[0]
     assert _closed_form_constant(bad, lam) == 0
-    h = ScrollParam(bad.n).compose(bad.big_f).derivative(U1).specialize({U0: lam[0], U1: lam[1]})
-    conic = _on_fiber(bad.q, bad.n, lam)
+    h = pullback(bad.big_f).derivative(U1).specialize({U0: lam[0], U1: lam[1]})
+    conic = _on_fiber(bad.q, lam)
     points = _conic_points(conic, random.Random(4), 6)
     assert all(_is_zero(eval_poly_at(h, [1, t, b])) for t, b in points)
     assert smoothness_probe(bad, random.Random(3)) == 0
@@ -554,11 +607,10 @@ def _direct_ridge(p, n):
 @pytest.mark.parametrize("n", range(4, 11))
 def test_specialized_pullback_matches_direct_maps(n):
     rng = random.Random(500 + n)
-    param = ScrollParam(n)
     for _ in range(3):
         inst = random_instance(n, rng)
         for p in (inst.big_f, inst.q, inst.big_f + inst.q * inst.q):
-            pulled = param.compose(p)
+            pulled = pullback(p)
             for lam in list(inst.roots) + [(0, 1)]:
                 assert pulled.specialize({U0: lam[0], U1: lam[1]}) == _direct_fiber(p, n, lam)
             assert pulled.specialize({A: 0}) == _direct_cone(p, n, n - 1)
@@ -586,7 +638,7 @@ def test_instance_roundtrip_non_integral(tmp_path):
     # emitted instances are integral; this one stores num/den with den > 1
     base = _valid_instance(6, 21)
     roots = [(Fraction(p, 3), Fraction(q, 7)) for p, q in base.roots]
-    q = base.q * MultiPoly.const(base.q.nvars, Fraction(2, 5))
+    q = base.q * _constant(base.q.nvars, Fraction(2, 5))
     inst = build_instance(6, roots, q)
     for poly in (inst.q, inst.f, inst.big_f):
         assert any(type(c) is Fraction for c in poly.terms.values())
@@ -656,9 +708,12 @@ def _stringless_coefficient(blob):
     _replace_key("Q", {"0,0,0,0,2,1,-1": "1/1"}),
     _replace_key("n", 6.7),
     _replace_key("n", "6"),
+    lambda blob: {**blob, "roots": [[float(Fraction(x)) for x in r] for r in blob["roots"]]},
+    lambda blob: {**blob, "roots": [[Fraction(p) == 1, q] for p, q in blob["roots"]]},
 ], ids=["no-roots", "a-list", "a-string", "Q-a-list", "coefficient-not-a-string",
         "root-not-a-pair", "zero-denominator", "F-a-list", "Q-zero-denominator",
-        "short-exponent", "negative-exponent", "n-a-float", "n-a-string"])
+        "short-exponent", "negative-exponent", "n-a-float", "n-a-string",
+        "roots-numbers", "roots-bools"])
 def test_instance_from_json_rejects_malformed_data(reshape):
     blob = instance_to_json(_valid_instance(6, 21))
     with pytest.raises(InstanceError, match="^malformed instance: "):
@@ -722,7 +777,7 @@ def test_term_parser_matches_parent(d):
 def _non_integral(inst):
     """The instance with roots and Q given denominators > 1, as in the round-trip test."""
     roots = [(Fraction(p, 3), Fraction(q, 7)) for p, q in inst.roots]
-    return build_instance(inst.n, roots, inst.q * MultiPoly.const(inst.q.nvars, Fraction(2, 5)))
+    return build_instance(inst.n, roots, inst.q * _constant(inst.q.nvars, Fraction(2, 5)))
 
 
 @settings(max_examples=40, deadline=None)
