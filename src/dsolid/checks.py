@@ -541,7 +541,7 @@ def check_hankel(n: int, ctx: CheckContext) -> list[CheckRecord]:
     count_want = (n - 2) * (n - 3) // 2
     member = all(scr.ideal_member(g) for g in gens)
     return [
-        _record("scroll.hankel", n, (count_want, True), (len(gens), member),
+        _record("scroll.hankel", n, (count_want, True), (scr.ideal_quadric_dim(n), member),
                 "all 2x2 catalecticant minors generate inside the scroll ideal"),
     ]
 

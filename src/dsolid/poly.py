@@ -213,12 +213,15 @@ class MultiPoly:
     ) -> "MultiPoly":
         """Substitute each variable by a monomial ``coeff * x^exp``.
 
-        Fast path used for parametrizations; every variable of self must
-        have an image.  Exact, term by term.  Output exponents are packed
-        into one ``int`` as in ``__mul__``, so a term's output key is one
-        dot product of its exponent with the packed images.  A term that
-        meets a zero image is dropped, and coefficient powers are taken
-        only for images whose coefficient is neither 0 nor 1.
+        The engine of ``specialize``, where each image is a fixed value or
+        a kept variable.  The scroll chart does not come here:
+        ``scroll.pullback`` looks its images up in a per-n table.  Every
+        variable of self must have an image.  Exact, term by term.  Output
+        exponents are packed into one ``int`` as in ``__mul__``, so a term's
+        output key is one dot product of its exponent with the packed
+        images.  A term that meets a zero image is dropped, and coefficient
+        powers are taken only for images whose coefficient is neither 0
+        nor 1.
         """
         if not self.terms:
             return MultiPoly(nvars_out, {})

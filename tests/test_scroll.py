@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from dsolid import scroll
 from dsolid.axioms import default_registry
-from dsolid.checks import CheckContext, check_instances
+from dsolid.checks import CheckContext, check_hankel, check_instances
 from dsolid.poly import MultiPoly
 from dsolid.qfield import QuadExt, eval_poly_at, sqrt_fraction
 from dsolid.scroll import (
@@ -27,6 +27,7 @@ from dsolid.scroll import (
     double_curve_degree,
     hankel_generators,
     ideal_member,
+    ideal_quadric_dim,
     instance_from_json,
     instance_to_json,
     linear_form_from_roots,
@@ -155,6 +156,115 @@ def test_hankel_counts(n, count):
     gens = hankel_generators(n)
     assert len(gens) == count
     assert all(ideal_member(g) for g in gens)
+
+
+@pytest.mark.parametrize("n", [*range(4, 13), 64])
+def test_ideal_quadric_dim_is_the_minor_count(n):
+    assert ideal_quadric_dim(n) == (n - 2) * (n - 3) // 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_hankel_record_fails_when_two_variables_share_an_image(n, monkeypatch):
+    ctx = CheckContext(registry=default_registry())
+    [rec] = check_hankel(n, ctx)
+    assert rec.status == "pass"
+    rule = scroll._chart_image
+    # z_n takes the image of z_{n-1}; a fresh table, so no mutated image outlives the test
+    monkeypatch.setattr(scroll, "_chart_image", lambda exp: rule(exp[:-2] + (exp[-2] + exp[-1], 0)))
+    monkeypatch.setattr(scroll, "_table_nvars", 0)
+    monkeypatch.setattr(scroll, "_table", {})
+    [rec] = check_hankel(n, ctx)
+    assert rec.status == "fail"
+    # each of the n + 1 monomials with z_n now shares its image with one without
+    assert rec.computed == ((n - 2) * (n - 3) // 2 + n + 1, True)
+
+
+def _parent_pullback(p):
+    """``pullback`` as it was before the image table: one ``substitute_monomials`` call."""
+    n = p.nvars - 1
+    if n < 4:
+        raise InstanceError(f"the scroll chart needs at least 5 variables, got {p.nvars}")
+    images = {j: (1, (n - 2 - j, j, 1, 0, 0)) for j in range(n - 1)}
+    images[n - 1] = (1, (0, 0, 0, 1, 0))
+    images[n] = (1, (0, 0, 0, 0, 1))
+    return p.substitute_monomials(5, images)
+
+
+def _typed_terms(p):
+    """The terms of p in dict order, each with its coefficient's type."""
+    return p.nvars, [(e, type(c), c) for e, c in p.terms.items()]
+
+
+_coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _ambient_poly(draw):
+    """A polynomial in z0..zn, n in 4..70, with terms of degree 0..5.
+
+    A term may come with a partner of the same chart image (z_i z_j becomes
+    z_{i-1} z_{j+1} or z_{i+1} z_{j-1}, with i <= j <= n-2), whose coefficient
+    brings the sum of the two to a drawn target: often 0 or an integer.
+    """
+    n = draw(st.integers(4, 70))
+    nv = n + 1
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        idxs = draw(st.lists(st.integers(0, n), max_size=5))
+        c = draw(_coeff)
+        terms.append((scroll._exp(nv, *idxs), c))
+        head = sorted(i for i in idxs if i <= n - 2)[:2]
+        if len(head) == 2 and draw(st.booleans()):
+            (i, j), rest = head, list(idxs)
+            rest.remove(i)
+            rest.remove(j)
+            if i >= 1 and j <= n - 3:
+                moved = [i - 1, j + 1]
+            elif j - i >= 2:
+                moved = [i + 1, j - 1]
+            else:
+                continue
+            target = draw(st.one_of(st.just(0), st.integers(-2, 2), _coeff))
+            terms.append((scroll._exp(nv, *rest, *moved), target - c))
+    return MultiPoly.from_terms(nv, terms)
+
+
+def _poly(nv, *terms):
+    return MultiPoly.from_terms(nv, [(scroll._exp(nv, *idxs), c) for idxs, c in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys=st.lists(_ambient_poly(), min_size=1, max_size=3))
+@example(polys=[MultiPoly(5, {}), MultiPoly(71, {})])  # zero polynomials
+@example(polys=[  # Fraction sums to an int and to 0, next to a constant: not homogeneous
+    _poly(6, ((0, 2), Fraction(1, 3)), ((1, 1), Fraction(2, 3)), ((0, 3), Fraction(1, 2)),
+          ((1, 2), Fraction(-1, 2)), ((), 5)),
+    _poly(8, ((0, 4), 2), ((1, 3), -2)),  # an integer sum of 0
+])
+@example(polys=[_poly(71, ((0, 0, 0, 0), 1), ((0, 0, 0, 1), 3)), _poly(5, ((4,), 1))])  # entries > 255
+def test_pullback_matches_substitute_monomials(polys):
+    # every polynomial, then all of them again in reverse: n alternates between calls
+    for p in polys + polys[::-1]:
+        assert _typed_terms(pullback(p)) == _typed_terms(_parent_pullback(p))
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_pullback_needs_five_variables(nvars):
+    for p in (MultiPoly(nvars, {}), MultiPoly.from_terms(nvars, [((1,) * nvars, 1)])):
+        with pytest.raises(InstanceError, match="at least 5 variables"):
+            pullback(p)
+
+
+def test_pullback_table_holds_one_n():
+    p5 = _valid_instance(5, 3).big_f
+    first = pullback(p5)
+    pullback(_valid_instance(6, 3).big_f)
+    assert scroll._table_nvars == 7 and scroll._table
+    assert {len(e) for e in scroll._table} == {7}  # no n = 5 exponent is left
+    assert all(type(img) is tuple for img in scroll._table.values())
+    again = pullback(p5)
+    assert _typed_terms(again) == _typed_terms(first)
+    assert {len(e) for e in scroll._table} == {6}
 
 
 def _valid_instance(n, seed=0):
