@@ -26,7 +26,9 @@ class EliminationFailure(RuntimeError):
 @dataclass(frozen=True)
 class StageRecord:
     """One blowup stage: the scanned components, their union as the centers,
-    and the degrees after the blowup (every nonzero degree, and the centers')."""
+    and degrees after the blowup.  Stage 2 keeps every nonzero degree and
+    the centers'; later stages keep only the two isolated seeds C[n-1,1]
+    and Cb[n-1,1], the degrees the checks read beyond stage 2."""
 
     stage: int
     components: tuple[frozenset[Curve], ...]
@@ -91,16 +93,17 @@ def _node_facts(table: PairingTable, c: Curve) -> NodeFacts:
 
     Chain centers stay tracked inside their degree-one surface (the half
     ``cx.half``); the two isolated seed curves (fiber n-1, component 1) are
-    tracked inside the end cylinder component they lie on (``cx.home``).
-    Inside a degree-one surface the square follows the cross rule: it is
-    the normal degree on the cylinder component through the curve.  A seed
+    tracked inside the end cylinder component they lie on, the one host of
+    the curve in ``cx.cell_map``.  Inside a degree-one surface the square
+    follows the cross rule: it is the table's cell at that component.  A seed
     inside its cylinder component is a section through one blown point,
     square -1, unchanged by repeated blowups along it.
     """
     cx = table.complex
-    half, home = cx.half(c), cx.home(c)
+    [(home, _)] = cx.cell_map[c].classes
+    half = cx.half(c)
     surface = home if c[1:] == (cx.n - 1, 1) else half
-    self_int = table.section_self_intersection(c) if surface.startswith(("Sm", "Sp")) else -1
+    self_int = table.value(home, c) if surface.startswith(("Sm", "Sp")) else -1
     return NodeFacts(surface, (half, home), self_int)
 
 
@@ -181,9 +184,10 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
 
     Stages 2..n-2 each scan the base curves and blow up every curve of the
     scan; the trace keeps each stage's scanned components, centers and
-    degrees, read-only since every check of one n shares it, and the checks
-    count from it what they compare.  A scan that is not empty after stage
-    n-2 raises ``EliminationFailure``.
+    degrees (all of stage 2's, the seeds' later), read-only since every
+    check of one n shares it, and the checks count from it what they
+    compare.  A scan that is not empty after stage n-2 raises
+    ``EliminationFailure``.
 
     What the stages read of a curve but never change (its tracking
     surface, sides and self-intersection) is computed once per run, as the
@@ -192,12 +196,16 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     """
     state = _initial_state(table)
     n = state.n
+    seeds = (("C", n - 1, 1), ("Cb", n - 1, 1))
     stages: list[StageRecord] = []
     for stage in range(2, n - 1):
         comps = base_curve_scan(state)
         centers = frozenset().union(*comps)
         blow_up_curves(state, centers)
-        after = {k: v for k, v in state.degrees.items() if v != 0 or k in centers}
+        if stage == 2:
+            after = {k: v for k, v in state.degrees.items() if v != 0 or k in centers}
+        else:
+            after = {k: state.degrees[k] for k in seeds}
         stages.append(StageRecord(stage, tuple(comps), centers, MappingProxyType(after)))
     final = base_curve_scan(state)
     if final:

@@ -23,6 +23,11 @@ integral; anything else is a hard error.
 The table is sparse: it stores only the nonzero cells, and a missing cell
 pairs to 0.  Each curve has O(1) nonzero cells (T on seams, the one or two
 components containing it, the components it meets), out of 2n-1 divisors.
+Each curve's cells are computed once per complex, in one pass over its
+curves (``IncidenceComplex.cell_map``, read-only); the projection
+constraints, the table assembly and the triviality test all read that map.
+The constraints are solved by an indexed fraction-free elimination over Z
+that back-substitutes in ``int`` (``_solve``).
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .axioms import AxiomRegistry
 # build_surface is not called here; it stays importable from this module
@@ -58,12 +65,14 @@ def curve_name(c: Curve) -> str:
     return f"{kind}[{c[1]}]"
 
 
+_FLIP = {"C": "Cb", "Cb": "C", "G": "Gb", "Gb": "G", "D": "Db", "Db": "D"}
+
+
 def conjugate_curve(c: Curve) -> Curve:
     kind = c[0]
     if kind == "L":
         return c
-    flip = {"C": "Cb", "Cb": "C", "G": "Gb", "Gb": "G", "D": "Db", "Db": "D"}
-    return (flip[kind],) + c[1:]
+    return (_FLIP[kind],) + c[1:]
 
 
 def conjugate_divisor(d: str) -> str:
@@ -91,6 +100,20 @@ class OdpPoint:
         return ("D", self.fiber) if self.name.startswith("p") and not self.name.startswith("pb") else ("Db", self.fiber)
 
 
+class CurveCells(NamedTuple):
+    """One curve's pairing-table cells, as tuples (read-only).
+
+    ``known`` holds T's cell (1 on seams, 0 in fibers) and a cell of 1 for
+    each divisor the curve meets transversally.  ``classes`` holds, for each
+    divisor containing the curve, its ``curve_class`` there as
+    ``((divisor, symbol), coefficient)`` pairs; that cell is the class
+    paired with the normal-bundle degrees nu.
+    """
+
+    known: tuple[tuple[str, int], ...]
+    classes: tuple[tuple[str, tuple[tuple[Unknown, int], ...]], ...]
+
+
 @dataclass
 class IncidenceComplex:
     """Symbols, containments and transversal meets of the resolved threefold."""
@@ -108,16 +131,6 @@ class IncidenceComplex:
     def exceptional_divisors(self) -> list[str]:
         n = self.n
         return [f"E{j}" for j in range(1, n)] + [f"Eb{j}" for j in range(1, n)]
-
-    def neighbors(self, div: str) -> tuple[str, str]:
-        """(minus-seam neighbor, plus-seam neighbor) around the cylinder."""
-        n = self.n
-        side = "Eb" if div.startswith("Eb") else "E"
-        j = int(div[len(side):])
-        other = "E" if side == "Eb" else "Eb"
-        minus = f"{side}{j-1}" if j > 1 else f"{other}{n-1}"
-        plus = f"{side}{j+1}" if j < n - 1 else f"{other}1"
-        return minus, plus
 
     def pic_basis(self, div: str) -> list[str]:
         return ["s", "f"] + [f"d:{name}" for _, _, name in self.blown[div]]
@@ -176,66 +189,61 @@ class IncidenceComplex:
         """Each double point under its name and under its exceptional curve."""
         return {key: o for o in self.odps for key in (o.name, o.exceptional)}
 
-    def curve_class(self, div: str, c: Curve) -> dict[str, int]:
-        """Class of a contained curve in the Picard basis of ``div``."""
-        kind = c[0]
-        cls = {}
-        if kind in ("C", "Cb"):
-            cls["s"] = 1
-            for fiber, _, name in self.blown[div]:
-                if fiber == c[1]:
-                    cls[f"d:{name}"] = -1
-            return cls
-        if kind in ("G", "Gb"):
-            cls["f"] = 1
-            for _, _, name in self.blown[div]:
-                if self.odp_of[name].seam == c:
-                    cls[f"d:{name}"] = -1
-            return cls
-        if kind in ("D", "Db"):
-            return {f"d:{self.odp_of[c].name}": 1}
-        raise ValueError(c)
-
-    def meets(self, c: Curve) -> dict[str, int]:
-        """Transversal meeting counts with exceptional divisors not containing c."""
-        n = self.n
+    def curve_class(self, div: str, c: Curve) -> tuple[tuple[Unknown, int], ...]:
+        """Class of a contained curve in the Picard basis of ``div``, as
+        ``((div, symbol), coefficient)`` pairs: the section or fiber class
+        less the blown points on the curve, or one blown point's class."""
         kind = c[0]
         if kind in ("C", "Cb"):
-            i, j = c[1], c[2]
-            div = self.home(c)
-            mn, pl = self.neighbors(div)
-            out = {}
-            blocked_minus = any(f == i and side == "minus" for f, side, _ in self.blown[div])
-            blocked_plus = any(f == i and side == "plus" for f, side, _ in self.blown[div])
-            if not blocked_minus:
-                out[mn] = 1
-            if not blocked_plus:
-                out[pl] = 1
-            return out
-        if kind in ("G", "Gb"):
-            return {}
-        if kind in ("D", "Db"):
-            odp = self.odp_of[c]
-            others = [d for d in odp.divisors if d not in odp.blown_pair]
-            return {d: 1 for d in others if d in self.blown}  # only E/Eb enter the table
-        if kind == "L":
-            i = c[1]
-            return {f"E{i}": 1, f"Eb{i}": 1}
-        raise ValueError(c)
+            lead = (div, "s")
+            names = [name for fiber, _, name in self.blown[div] if fiber == c[1]]
+        elif kind in ("G", "Gb"):
+            lead = (div, "f")
+            names = [name for _, _, name in self.blown[div] if self.odp_of[name].seam == c]
+        elif kind in ("D", "Db"):
+            return (((div, f"d:{self.odp_of[c].name}"), 1),)
+        else:
+            raise ValueError(c)
+        return ((lead, 1), *[((div, f"d:{name}"), -1) for name in names])
 
-    def t_degree(self, c: Curve) -> int:
-        """Degree of the pencil pullback T on the curve: 1 on seams, 0 in fibers."""
-        return 1 if c[0] in ("G", "Gb") else 0
+    @cached_property
+    def cell_map(self) -> MappingProxyType[Curve, CurveCells]:
+        """Every curve's ``CurveCells``, built in one pass over ``curves``.
 
-    def cells(self, c: Curve) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
-        """The rule that turns a curve into pairing-table cells.
-
-        Returns the known cells (T and the divisors the curve meets) and,
-        per divisor containing the curve, its ``curve_class`` there; that
-        cell is the class paired with the normal-bundle degrees nu.
+        The transversal meets: a fiber section meets both neighbours of its
+        component around the cylinder, except on a side where its fiber's
+        double point is blown up on that component; a small-resolution
+        curve meets the cylinder components among its double point's four
+        divisors outside the blown pair; L[i] meets E_i and Eb_i; a seam
+        meets none.  Each divisor's neighbours and blocked (fiber, side)
+        pairs are computed once, here.
         """
-        known = {"T": self.t_degree(c), **self.meets(c)}
-        return known, {div: self.curve_class(div, c) for div in self.hosts(c)}
+        ring = self.exceptional_divisors()  # E1..E_{n-1}, Eb1..Eb_{n-1}, cyclically
+        neighbors = {d: (ring[k - 1], ring[(k + 1) % len(ring)]) for k, d in enumerate(ring)}
+        blocked = {d: {(f, side) for f, side, _ in pts} for d, pts in self.blown.items()}
+        out = {}
+        for c in self.curves:
+            kind = c[0]
+            hosts = self.hosts(c)
+            if kind in ("C", "Cb"):
+                home = hosts[0]
+                minus, plus = neighbors[home]
+                known = [("T", 0)]
+                if (c[1], "minus") not in blocked[home]:
+                    known.append((minus, 1))
+                if (c[1], "plus") not in blocked[home]:
+                    known.append((plus, 1))
+            elif kind in ("D", "Db"):
+                odp = self.odp_of[c]
+                # only E/Eb enter the table
+                known = [("T", 0)] + [(d, 1) for d in odp.divisors
+                                      if d not in odp.blown_pair and d in self.blown]
+            elif kind == "L":
+                known = [("T", 0), (f"E{c[1]}", 1), (f"Eb{c[1]}", 1)]
+            else:
+                known = [("T", 1)]
+            out[c] = CurveCells(tuple(known), tuple([(div, self.curve_class(div, c)) for div in hosts]))
+        return MappingProxyType(out)
 
     def fiber_cycle(self, i: int) -> list[Curve]:
         """Cycle of fiber curves over the i-th reducible pencil member."""
@@ -324,10 +332,6 @@ class PairingTable:
         get = self.entries.get
         return sum(co * e for d, co in coeffs.items() if (e := get((d, c))))
 
-    def section_self_intersection(self, c: Curve) -> int:
-        """(c^2) inside the degree-one surface through c, via the cross rule."""
-        return self.value(self.complex.home(c), c)
-
 
 def _anchor_equations(cx: IncidenceComplex) -> list[Equation]:
     """Anchor constraints on normal-bundle degrees.
@@ -378,12 +382,11 @@ def _projection_equations(cx: IncidenceComplex) -> list[Equation]:
     on its hosts form the left.
     """
     eqs = []
-    for c in cx.curves:
+    for c, cells in cx.cell_map.items():
         if c[0] == "L":
             continue  # lines meet the cylinder transversally; no unknowns involved
-        known, classes = cx.cells(c)
-        lhs = {(div, sym): co for div, cls in classes.items() for sym, co in cls.items()}
-        const = sum(known.values())
+        lhs = {u: co for _, cls in cells.classes for u, co in cls}
+        const = sum(v for _, v in cells.known)
         if c[0] in ("C", "Cb"):
             rhs = cx.section_rhs[("C" if c[0] == "C" else "Cb") + str(c[2])]
         else:
@@ -393,7 +396,7 @@ def _projection_equations(cx: IncidenceComplex) -> list[Equation]:
 
 
 def _solve(unknowns: Sequence[Unknown], eqs: Sequence[Equation]) -> dict[Unknown, int]:
-    """Fraction-free elimination over Z with uniqueness and integrality checks.
+    """Indexed fraction-free elimination over Z with uniqueness and integrality checks.
 
     Rows are sparse ``{column: int}`` maps, the right-hand side in column
     ``len(unknowns)``.  For each column in turn the pivot is the first row
@@ -402,40 +405,63 @@ def _solve(unknowns: Sequence[Unknown], eqs: Sequence[Equation]) -> dict[Unknown
     ``pivot * row - entry * pivot_row`` and divided by the gcd of its
     entries.  Each row below the pivots is thus a nonzero integer multiple
     of the row Gauss-Jordan elimination over Q would leave there, so the
-    pivots, the swaps and the labels in every error are the same.  The
-    triangular system is back-substituted exactly at the end.
+    pivots, the swaps and the labels in every error are the same.
+
+    An index maps each column, the right-hand side included, to the
+    positions of the rows not yet pivoted that are nonzero in it, so the
+    pivot search and the elimination visit only those rows.  The
+    triangular system is back-substituted in ``int`` with ``divmod``; a
+    quotient that is not integral, and only such a one, is kept as a
+    ``Fraction``, so the error names the first unknown whose value is not
+    an integer.
     """
     m = len(unknowns)
     index = {u: k for k, u in enumerate(unknowns)}
     rows: list[dict[int, int]] = []
     labels: list[str] = []
+    nonzero: dict[int, set[int]] = {j: set() for j in range(m + 1)}
     for label, lhs, rhs in eqs:
         row = {index[u]: c for u, c in lhs.items() if c}
         if rhs:
             row[m] = rhs
+        for j in row:
+            nonzero[j].add(len(rows))
         rows.append(row)
         labels.append(label)
     pivots: list[int] = []
     r = 0
     for col in range(m):
-        piv = next((k for k in range(r, len(rows)) if col in rows[k]), None)
-        if piv is None:
+        below = nonzero[col]
+        if not below:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        labels[r], labels[piv] = labels[piv], labels[r]
-        top = rows[r]
+        piv = min(below)
+        # row r leaves the index as the pivot row; the row it displaces moves to piv
+        top, moved = rows[piv], rows[r]
+        for j in top:
+            nonzero[j].discard(piv)
+        if piv != r:
+            for j in moved:
+                nonzero[j].discard(r)
+                nonzero[j].add(piv)
+            rows[r], rows[piv] = top, moved
+            labels[r], labels[piv] = labels[piv], labels[r]
         p = top[col]
-        for k in range(r + 1, len(rows)):
-            f = rows[k].get(col)
-            if f:
-                acc = {j: p * x for j, x in rows[k].items()}
-                for j, x in top.items():
-                    acc[j] = acc.get(j, 0) - f * x
-                g = math.gcd(*acc.values()) or 1
-                rows[k] = {j: x // g for j, x in acc.items() if x}
+        for k in list(below):
+            old = rows[k]
+            f = old[col]
+            acc = {j: p * x for j, x in old.items()}
+            for j, x in top.items():
+                acc[j] = acc.get(j, 0) - f * x
+            g = math.gcd(*acc.values()) or 1
+            new = rows[k] = {j: x // g for j, x in acc.items() if x}
+            for j in old.keys() - new.keys():
+                nonzero[j].discard(k)
+            for j in new.keys() - old.keys():
+                nonzero[j].add(k)
         pivots.append(col)
         r += 1
-    bad = [labels[k] for k in range(r, len(rows)) if rows[k].get(m)]
+    # left in the index: the rows below the pivots, with a right-hand side
+    bad = [labels[k] for k in sorted(nonzero[m])]
     if bad:
         raise CompletionError(f"inconsistent constraints: {bad}")
     pivoted = set(pivots)
@@ -443,16 +469,16 @@ def _solve(unknowns: Sequence[Unknown], eqs: Sequence[Equation]) -> dict[Unknown
     if free:
         raise CompletionError(f"under-determined completion; free unknowns: {free}")
     # every column is a pivot: row k is the pivot row of column k
-    x: list[Fraction] = [Fraction(0)] * m
+    x: list[int | Fraction] = [0] * m
     for k in reversed(range(m)):
         row = rows[k]
-        x[k] = Fraction(row.get(m, 0) - sum(c * x[j] for j, c in row.items() if k < j < m), row[k])
-    out = {}
+        num = row.get(m, 0) - sum(c * x[j] for j, c in row.items() if k < j < m)
+        q, rest = divmod(num, row[k])
+        x[k] = Fraction(num, row[k]) if rest else q
     for col, v in enumerate(x):
-        if v.denominator != 1:
+        if type(v) is Fraction:
             raise CompletionError(f"non-integral solution for {unknowns[col]}: {v}")
-        out[unknowns[col]] = int(v)
-    return out
+    return dict(zip(unknowns, x))
 
 
 def pairing_system(cx: IncidenceComplex) -> System:
@@ -491,8 +517,9 @@ def complete_pairings(cx: IncidenceComplex, system: System) -> PairingTable:
     """Solve ``system`` for nu, then assemble the nonzero cells of the table.
 
     ``system`` is ``pairing_system(cx)``.  Assembly reads only the complex
-    and ``nu``: per curve, ``cx.cells`` gives the known cells and, on each
-    divisor containing the curve, the class that is paired with ``nu``.
+    and ``nu``: per curve, ``cx.cell_map`` gives the known cells and, on
+    each divisor containing the curve, the class that is paired with ``nu``.
+    The table's ``entries`` is a new dict; the shared map is only read.
     The table is therefore a deterministic function of ``(cx, nu)``, and
     equal ``nu`` give equal tables; comparing solved ``nu`` (as
     ``incidence.completion-unique`` does) is no weaker than comparing
@@ -500,11 +527,13 @@ def complete_pairings(cx: IncidenceComplex, system: System) -> PairingTable:
     """
     nu = solve_pairings(system)
     entries: dict[tuple[str, Curve], int] = {}
-    for c in cx.curves:
-        cells, classes = cx.cells(c)
-        for div, cls in classes.items():
-            cells[div] = sum(co * nu[(div, sym)] for sym, co in cls.items())
-        entries.update(((div, c), v) for div, v in cells.items() if v)
+    for c, cells in cx.cell_map.items():
+        for div, v in cells.known:
+            if v:
+                entries[(div, c)] = v
+        for div, cls in cells.classes:
+            if v := sum(co * nu[u] for u, co in cls):
+                entries[(div, c)] = v
     return PairingTable(complex=cx, entries=entries, nu=nu)
 
 
@@ -517,8 +546,9 @@ def is_equivariant(table: PairingTable) -> bool:
     with its conjugate, read as 0 when missing.
     """
     entries = table.entries
+    conj = {d: conjugate_divisor(d) for d in ["T", *table.complex.exceptional_divisors()]}
     return all(
-        v == entries.get((conjugate_divisor(div), conjugate_curve(c)), 0)
+        v == entries.get((conj[div], conjugate_curve(c)), 0)
         for (div, c), v in entries.items()
     )
 
@@ -635,10 +665,10 @@ def cylinder_tables_verify(table: PairingTable) -> tuple[Tables, bool]:
 
 def divisor_trivial(table: PairingTable, expr: Vector, div: str) -> bool:
     """True iff the expression has degree zero on every curve inside ``div``."""
-    cx = table.complex
-    for c in cx.curves:
-        if div in cx.hosts(c) and table.degree(expr, c) != 0:
-            return False
+    for c, cells in table.complex.cell_map.items():
+        for host, _ in cells.classes:
+            if host == div and table.degree(expr, c) != 0:
+                return False
     return True
 
 

@@ -35,7 +35,8 @@ def _canonical(c: int | Fraction) -> Coeff:
     """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

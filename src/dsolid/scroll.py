@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -161,13 +162,10 @@ def _root_form(roots) -> dict[int, Coeff]:
     return g
 
 
-def linear_form_from_roots(n: int, roots: list) -> MultiPoly:
-    """The unique (up to scale) linear form in z0..z_{n-2} vanishing on the
-    fibers over the given n-2 distinct points, none of which may be (0:1).
-
-    The coefficient of z_j is that of u0^{n-2-j} u1^j in ``_root_form``.
-    """
-    rs = [_norm_root(r) for r in roots]
+def _valid_roots(n: int, roots: list) -> tuple[Root, ...]:
+    """The roots in normal form, checked to be n-2 distinct points, none of
+    them (0:1); each root is normalised here and nowhere else."""
+    rs = tuple(map(_norm_root, roots))
     if len(rs) != n - 2:
         raise InstanceError(f"need exactly {n-2} roots, got {len(rs)}")
     for r in rs:
@@ -177,7 +175,16 @@ def linear_form_from_roots(n: int, roots: list) -> MultiPoly:
         for j in range(i + 1, len(rs)):
             if _proj_equal(rs[i], rs[j]):
                 raise InstanceError(f"repeated root {rs[i]}")
-    return MultiPoly.from_terms(n + 1, [(_exp(n + 1, j), c) for j, c in _root_form(rs).items()])
+    return rs
+
+
+def linear_form_from_roots(n: int, roots: Sequence[Root]) -> MultiPoly:
+    """The unique (up to scale) linear form in z0..z_{n-2} vanishing on the
+    fibers over the given roots, as ``_valid_roots`` returns them.
+
+    The coefficient of z_j is that of u0^{n-2-j} u1^j in ``_root_form``.
+    """
+    return MultiPoly.from_terms(n + 1, [(_exp(n + 1, j), c) for j, c in _root_form(roots).items()])
 
 
 def ideal_member(p: MultiPoly) -> bool:
@@ -279,6 +286,7 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     """
     if n < 4:
         raise InstanceError(f"n must be at least 4, got {n}")
+    roots = _valid_roots(n, roots)
     f = linear_form_from_roots(n, roots)
     if q.nvars != n + 1:
         raise InstanceError("quadric does not live on the ambient space")
@@ -298,7 +306,7 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     shifted = MultiPoly(nv, {_exp(nv, 0, exp.index(1), n - 1, n): c for exp, c in f.terms.items()})
     big_f = shifted - q * q
     assert big_f.is_homogeneous() and big_f.total_degree() == 4
-    inst = QuarticInstance(n=n, roots=tuple(_norm_root(r) for r in roots), f=f, q=q, big_f=big_f)
+    inst = QuarticInstance(n=n, roots=roots, f=f, q=q, big_f=big_f)
     inst.__dict__["pulled_q"] = pulled_q  # prime the cached property
     return inst
 
@@ -467,7 +475,7 @@ def random_instance(n: int, rng: random.Random) -> QuarticInstance:
     """Seeded random instance with the splitting constraint built in."""
     for _ in range(200):
         vals = rng.sample(range(-60, 61), n - 2)
-        roots = [(Fraction(1), Fraction(v)) for v in vals]
+        roots = [(1, v) for v in vals]
         # rank-2 restriction: product of two independent linear forms in the
         # last three coordinates, with both end squares present
         v = [rng.randint(-5, 5) for _ in range(3)]

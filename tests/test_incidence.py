@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dsolid.axioms import AxiomRegistry, MissingAxiom, default_registry
@@ -188,24 +188,121 @@ def test_completion_record_fails_on_one_perturbed_nu():
     assert completion() == "fail"
 
 
+def _parent_neighbors(cx, div):
+    """(minus-seam neighbor, plus-seam neighbor) around the cylinder, from the name."""
+    n = cx.n
+    side = "Eb" if div.startswith("Eb") else "E"
+    j = int(div[len(side):])
+    other = "E" if side == "Eb" else "Eb"
+    minus = f"{side}{j-1}" if j > 1 else f"{other}{n-1}"
+    plus = f"{side}{j+1}" if j < n - 1 else f"{other}1"
+    return minus, plus
+
+
+def _parent_meets(cx, c):
+    """Transversal meeting counts, re-derived on every call as the per-call rule was."""
+    kind = c[0]
+    if kind in ("C", "Cb"):
+        i = c[1]
+        div = cx.home(c)
+        mn, pl = _parent_neighbors(cx, div)
+        out = {}
+        if not any(f == i and side == "minus" for f, side, _ in cx.blown[div]):
+            out[mn] = 1
+        if not any(f == i and side == "plus" for f, side, _ in cx.blown[div]):
+            out[pl] = 1
+        return out
+    if kind in ("G", "Gb"):
+        return {}
+    if kind in ("D", "Db"):
+        odp = cx.odp_of[c]
+        others = [d for d in odp.divisors if d not in odp.blown_pair]
+        return {d: 1 for d in others if d in cx.blown}
+    if kind == "L":
+        return {f"E{c[1]}": 1, f"Eb{c[1]}": 1}
+    raise ValueError(c)
+
+
+def _parent_curve_class(cx, div, c):
+    """Class of a contained curve in the Picard basis of ``div``, as {symbol: coefficient}."""
+    kind = c[0]
+    cls = {}
+    if kind in ("C", "Cb"):
+        cls["s"] = 1
+        for fiber, _, name in cx.blown[div]:
+            if fiber == c[1]:
+                cls[f"d:{name}"] = -1
+        return cls
+    if kind in ("G", "Gb"):
+        cls["f"] = 1
+        for _, _, name in cx.blown[div]:
+            if cx.odp_of[name].seam == c:
+                cls[f"d:{name}"] = -1
+        return cls
+    if kind in ("D", "Db"):
+        return {f"d:{cx.odp_of[c].name}": 1}
+    raise ValueError(c)
+
+
+def _parent_cells(cx, c):
+    """The per-call cell rule the cell map replaced: (known cells, {host: class})."""
+    known = {"T": 1 if c[0] in ("G", "Gb") else 0, **_parent_meets(cx, c)}
+    if c[0] in ("G", "Gb"):
+        hosts = cx.seam_hosts(c)
+    else:
+        hosts = () if cx.home(c) is None else (cx.home(c),)
+    return known, {div: _parent_curve_class(cx, div, c) for div in hosts}
+
+
+@pytest.mark.parametrize("n", [*range(4, 21), 64])
+def test_cell_map_matches_the_per_call_rule(n):
+    cx = Model(n).complex
+    assert list(cx.cell_map) == cx.curves
+    for c in cx.curves:
+        cells = cx.cell_map[c]
+        known, classes = _parent_cells(cx, c)
+        assert list(cells.known) == list(known.items()), c
+        assert [div for div, _ in cells.classes] == list(classes), c
+        for div, cls in cells.classes:
+            assert all(d == div for (d, _), _ in cls), c
+            assert [(sym, co) for (_, sym), co in cls] == list(classes[div].items()), c
+
+
+def test_the_cell_map_is_read_only():
+    cx = Model(6).complex
+    c = ("C", 2, 3)
+    cells = cx.cell_map[c]
+    with pytest.raises(TypeError):
+        cx.cell_map[c] = cells
+    with pytest.raises(TypeError):
+        cx.cell_map[("C", 2, 2)] = cells
+    with pytest.raises(TypeError):
+        cells.known[0] = ("T", 1)
+    with pytest.raises(TypeError):
+        cells.classes[0][1][0] = (("E3", "s"), 2)
+    with pytest.raises(AttributeError):
+        cells.known = ()
+    # assembling and checking the table leaves the shared map as it was
+    before = dict(cx.cell_map)
+    table = complete_pairings(cx, pairing_system(cx))
+    table.entries[next(iter(table.entries))] += 1
+    assert dict(cx.cell_map) == before
+
+
 def _dense_table(cx):
     """The dense assembly the sparse one replaced: every (divisor, curve) cell,
-    zeros included, as {cell: value}."""
+    zeros included, as {cell: value}, from the per-call cell rule."""
     nu = solve_pairings(pairing_system(cx))
     table = {}
     for c in cx.curves:
-        homes = []
-        if c[0] in ("G", "Gb"):
-            homes = list(cx.seam_hosts(c))
-        elif cx.home(c) is not None:
-            homes = [cx.home(c)]
-        meet = cx.meets(c)
+        meet, classes = _parent_cells(cx, c)
+        homes = list(classes)
         for div in ["T"] + cx.exceptional_divisors():
             key = (div, c)
             if div == "T":
-                table[key] = cx.t_degree(c)
+                table[key] = meet["T"]
             elif div in homes:
-                table[key] = sum(co * nu[(div, sym)] for sym, co in cx.curve_class(div, c).items())
+                table[key] = sum(co * nu[(div, sym)] for sym, co in classes[div].items())
             else:
                 table[key] = meet.get(div, 0)
     return table
@@ -508,6 +605,108 @@ def linear_systems(draw):
 @given(system=linear_systems())
 def test_solve_matches_reference_on_random_systems(system):
     _assert_solve_matches_reference(*system)
+
+
+_nonzero = st.integers(-4, 4).filter(bool)
+
+
+def _rhs(draw, target, lhs):
+    """The right-hand side at an integer solution ``target``, sometimes off by a step."""
+    return sum(c * target[u] for u, c in lhs.items()) + draw(st.sampled_from([0] * 7 + [1]))
+
+
+def _target(draw, unknowns):
+    return draw(st.fixed_dictionaries({u: st.integers(-3, 3) for u in unknowns}))
+
+
+@st.composite
+def swap_and_fill_systems(draw):
+    """Row 0 misses column 0, so the pivot of column 0 is swapped up from row
+    1; that pivot reaches the last column and row 2 does not, so eliminating
+    column 0 from row 2 fills the last column in."""
+    k = draw(st.integers(2, 5))
+    us = [("E1", f"u{i}") for i in range(k)]
+    first = {u: draw(_nonzero) for u in us[1:] if draw(st.booleans())}
+    pivot = {us[0]: draw(_nonzero), us[-1]: draw(_nonzero)}
+    filled = {us[0]: draw(_nonzero), **{u: draw(_nonzero) for u in us[1:-1] if draw(st.booleans())}}
+    rows = [first, pivot, filled]
+    rows += [{u: draw(_nonzero) for u in us if draw(st.booleans())}
+             for _ in range(draw(st.integers(0, 4)))]
+    target = _target(draw, us)
+    return us, [(f"eq{i}", lhs, _rhs(draw, target, lhs)) for i, lhs in enumerate(rows)]
+
+
+@st.composite
+def cancelling_systems(draw):
+    """Rows that are integer combinations of earlier rows cancel to zero on
+    the left; their right-hand side cancels too, or is off by a small step."""
+    k = draw(st.integers(1, 4))
+    us = [("E1", f"u{i}") for i in range(k)]
+    eqs, target = [], _target(draw, us)
+    for i in range(draw(st.integers(1, 4))):
+        lhs = {u: draw(_nonzero) for u in us if draw(st.booleans())}
+        eqs.append((f"base{i}", lhs, _rhs(draw, target, lhs)))
+    for i in range(draw(st.integers(1, 3))):
+        a, b = draw(_nonzero), draw(st.integers(-3, 3))
+        (_, lhs1, rhs1), (_, lhs2, rhs2) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+        lhs = {u: a * lhs1.get(u, 0) + b * lhs2.get(u, 0) for u in us}
+        rhs = a * rhs1 + b * rhs2 + draw(st.sampled_from([0, 0, 1, -2]))
+        eqs.insert(draw(st.integers(0, len(eqs))), (f"comb{i}", lhs, rhs))
+    return us, eqs
+
+
+@st.composite
+def late_fraction_systems(draw):
+    """A triangular system whose right-hand sides are multiples of their own
+    pivots, in a drawn row order: a value can fail to be an integer only
+    through the columns back-substituted into it."""
+    k = draw(st.integers(2, 4))
+    us = [("E1", f"u{i}") for i in range(k)]
+    eqs = []
+    for j in range(k):
+        d = draw(st.sampled_from([-4, -3, -2, 2, 3, 4]))
+        lhs = {us[j]: d, **{u: draw(_nonzero) for u in us[j + 1:] if draw(st.booleans())}}
+        eqs.append((f"row{j}", lhs, d * draw(st.integers(-5, 5))))
+    return us, draw(st.permutations(eqs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=swap_and_fill_systems())
+def test_solve_matches_reference_with_swaps_and_fill_in(system):
+    _assert_solve_matches_reference(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=cancelling_systems())
+def test_solve_matches_reference_with_cancelling_rows(system):
+    _assert_solve_matches_reference(*system)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=late_fraction_systems())
+@example(system=([("E1", "u0"), ("E1", "u1")],
+                 [("row0", {("E1", "u0"): 2, ("E1", "u1"): 1}, 2), ("row1", {("E1", "u1"): 3}, 3)]))
+def test_solve_matches_reference_on_late_fractions(system):
+    from dsolid.incidence import CompletionError
+
+    unknowns, eqs = system
+    assert _assert_solve_matches_reference(unknowns, eqs) in ("solved", "non-integral")
+    # the last column reads no other, so its value is always an integer
+    try:
+        _reference_solve(unknowns, eqs)
+    except CompletionError as exc:
+        assert repr(unknowns[-1]) not in str(exc)
+
+
+def test_solve_reports_the_first_non_integral_unknown_after_an_integral_one():
+    # u1 = 1/2 makes u0 = (3 - 2 u1) / 2 = 1 an integer again and u2 = u1
+    # not: the error names u1, the first column whose value is not integral
+    from dsolid.incidence import CompletionError, _solve
+
+    u0, u1, u2 = ("E1", "u0"), ("E1", "u1"), ("E1", "u2")
+    eqs = [("a", {u0: 2, u1: 2}, 3), ("b", {u1: 2}, 1), ("c", {u2: 1, u1: -1}, 0)]
+    with pytest.raises(CompletionError, match=r"^non-integral solution for \('E1', 'u1'\): 1/2$"):
+        _solve([u0, u1, u2], eqs)
 
 
 def _captured_system(monkeypatch, cx, shuffle_seed=None):

@@ -138,6 +138,8 @@ def test_checks_leave_the_model_unchanged():
     for name in ("tower", "stripping", "half_bundle", "m_table", "complex", "system", "table",
                  "trace"):
         assert getattr(used, name) == getattr(fresh, name), name
+    # the complex's shared cell map is not a dataclass field: compare it too
+    assert used.complex.cell_map == fresh.complex.cell_map
     # the tower's shared Gram rows are tuples, and the checks left them as a
     # fresh tower pairs them
     gram = used.tower.cycle_gram

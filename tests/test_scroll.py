@@ -75,12 +75,12 @@ def test_linear_form_roots_recovered_n5():
 
 def test_linear_form_rejects_reserved_point():
     with pytest.raises(InstanceError):
-        linear_form_from_roots(4, [(0, 1), (1, 1)])
+        scroll._valid_roots(4, [(0, 1), (1, 1)])
 
 
 def test_linear_form_rejects_repeats():
     with pytest.raises(InstanceError):
-        linear_form_from_roots(4, [(1, 2), (2, 4)])
+        scroll._valid_roots(4, [(1, 2), (2, 4)])
 
 
 def _parent_linear_form_from_roots(n, roots):
@@ -127,7 +127,7 @@ def test_linear_form_matches_parent(n, roots, mirrored, exact):
         roots = [r for p, q in roots for r in ((p, q), (p, -q))]
     if exact:
         roots = roots[: n - 2]
-    got = _form_outcome(linear_form_from_roots, n, roots)
+    got = _form_outcome(lambda n, rs: linear_form_from_roots(n, scroll._valid_roots(n, rs)), n, roots)
     assert got == _form_outcome(_parent_linear_form_from_roots, n, roots)
 
 
