@@ -553,7 +553,7 @@ def check_instances(n: int, ctx: CheckContext) -> list[CheckRecord]:
     detail = ""
     for k in range(count):
         inst = scr.random_instance(n, rng)
-        if not (inst.big_f.is_homogeneous() and inst.big_f.total_degree() == 4):
+        if set(map(sum, inst.big_f.terms)) != {4}:
             all_ok, detail = False, f"instance {k}: quartic shape broken"
             break
         if scr.splitting_conic_rank(inst) != 2:

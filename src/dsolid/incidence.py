@@ -586,7 +586,9 @@ def _vec(**co: int | Fraction) -> Vector:
 def _vadd(a: Vector, b: Vector, s: int | Fraction = 1) -> Vector:
     out = dict(a)
     for k, v in b.items():
-        out[k] = _canonical(out.get(k, 0) + s * v)
+        # v, the operand that may be a Fraction, on the left: an int there would
+        # send each step through ``Fraction``'s reflected operators
+        out[k] = _canonical(v * s + out.get(k, 0))
         if out[k] == 0:
             del out[k]
     return out

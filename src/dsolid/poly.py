@@ -17,6 +17,14 @@ the two denominators once per output term.  A square ``p * p`` (the same
 object on both sides) adds up only the pairs i <= j of terms, the diagonal
 once and each cross term doubled; this stays inside ``__mul__``, so one
 square is still one product call with the same output terms.
+
+Byte-digit keys are unpacked through ``_exponents``, one table per
+variable count from packed key to exponent tuple.  A table holds only
+immutable tuples and is never cleared, so the products of one variable
+count share one tuple per monomial: the quartics of one n, and the chart
+polynomials in 5 variables, reuse the tuples the first product made, and
+later lookups keyed by them compare by identity.  No result depends on
+what a table holds.
 """
 
 from __future__ import annotations
@@ -61,10 +69,36 @@ def _pack(exps: Iterable[Exponent], top: int) -> list[int]:
     return [sum([k << (bits * i) for i, k in enumerate(e)]) for e in exps]
 
 
+class _Exponents(dict):
+    """Byte-digit packed key to exponent tuple, for one variable count.
+
+    A key not yet seen is unpacked once, by ``__missing__``.
+    """
+
+    def __init__(self, nvars: int):
+        super().__init__()
+        self.nvars = nvars
+
+    def __missing__(self, key: int) -> Exponent:
+        exp = self[key] = tuple(key.to_bytes(self.nvars, "little"))
+        return exp
+
+
+# the ``_Exponents`` table of each variable count unpacked so far
+_exponents: dict[int, _Exponents] = {}
+
+
+def _exponent_table(nvars: int) -> _Exponents:
+    table = _exponents.get(nvars)
+    if table is None:
+        table = _exponents[nvars] = _Exponents(nvars)
+    return table
+
+
 def _unpack(keys: Iterable[int], top: int, nvars: int) -> list[Exponent]:
     """Inverse of ``_pack`` for tuples of length ``nvars``."""
     if top < 256:
-        return [tuple(k.to_bytes(nvars, "little")) for k in keys]
+        return list(map(_exponent_table(nvars).__getitem__, keys))
     bits = top.bit_length()
     mask = (1 << bits) - 1
     shifts = range(0, bits * nvars, bits)
@@ -105,34 +139,33 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _plus(self, other: "MultiPoly", rest: dict[Exponent, Coeff]) -> "MultiPoly":
+        """self + other, where ``rest`` is a fresh copy of ``other.terms``,
+        negated or not.
+
+        Each shared exponent keeps its place in self and is folded in, or
+        dropped when it cancels; the others follow in other's order, copied
+        by one ``update``.
+        """
         self._check(other)
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = out.get(exp)
-            if v is None:
-                out[exp] = c
-            elif v == -c:
-                del out[exp]
+        for exp in out.keys() & rest.keys():
+            v = out[exp] + rest.pop(exp)
+            if v:
+                out[exp] = _canonical(v)
             else:
-                out[exp] = _canonical(v + c)
+                del out[exp]
+        out.update(rest)
         return MultiPoly(self.nvars, out)
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._plus(other, dict(other.terms))
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            v = out.get(exp)
-            if v is None:
-                out[exp] = -c
-            elif v == c:
-                del out[exp]
-            else:
-                out[exp] = _canonical(v - c)
-        return MultiPoly(self.nvars, out)
+        return self._plus(other, {e: -c for e, c in other.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
@@ -163,7 +196,8 @@ class MultiPoly:
         den = da * db
         if den == 1 and top < 256:
             # byte digits and no denominator: drop zeros and unpack in one pass
-            return MultiPoly(nv, {tuple(k.to_bytes(nv, "little")): v for k, v in acc.items() if v})
+            table = _exponent_table(nv)
+            return MultiPoly(nv, {table[k]: v for k, v in acc.items() if v})
         acc = {k: v for k, v in acc.items() if v}
         vals = acc.values() if den == 1 else [_quotient(v, den) for v in acc.values()]
         return MultiPoly(nv, dict(zip(_unpack(acc, top, nv), vals)))

@@ -42,7 +42,11 @@ term.  The same image rule counts the quadrics of the scroll ideal,
 An instance file is ``json.dumps(instance_to_json(inst), indent=1,
 sort_keys=True)`` byte for byte.  ``read_instance`` rebuilds f and F from
 the stored roots and Q and compares the stored term maps with the rebuilt
-ones as strings, parsing a stored map only when the strings differ.
+ones as strings, parsing a stored map only when the strings differ.  The
+key of each exponent in a term map, ``"e0,e1,.."``, comes from a spelling
+table that, like the image table, holds one variable count at a time: the
+reader's spelling of the rebuilt F finds every key the writer spelled, so
+each exponent is spelled about once per n.
 """
 
 from __future__ import annotations
@@ -290,7 +294,7 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     f = linear_form_from_roots(n, roots)
     if q.nvars != n + 1:
         raise InstanceError("quadric does not live on the ambient space")
-    if q.is_zero() or not q.is_homogeneous() or q.total_degree() != 2:
+    if set(map(sum, q.terms)) != {2}:
         raise InstanceError("Q must be a nonzero homogeneous quadric")
     # the ideal test of ``ideal_member``, on the pullback the instance keeps
     pulled_q = pullback(q)
@@ -305,7 +309,7 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     nv = n + 1
     shifted = MultiPoly(nv, {_exp(nv, 0, exp.index(1), n - 1, n): c for exp, c in f.terms.items()})
     big_f = shifted - q * q
-    assert big_f.is_homogeneous() and big_f.total_degree() == 4
+    assert set(map(sum, big_f.terms)) == {4}
     inst = QuarticInstance(n=n, roots=roots, f=f, q=q, big_f=big_f)
     inst.__dict__["pulled_q"] = pulled_q  # prime the cached property
     return inst
@@ -502,23 +506,35 @@ def random_instance(n: int, rng: random.Random) -> QuarticInstance:
     raise RuntimeError("failed to generate a valid instance")
 
 
-# exponent entries 0..9 to their ASCII digits; any larger byte to 0xff, which
-# is not ASCII, so ``_terms_json`` falls back to ``str`` instead of writing it
-_DIGITS = b"0123456789" + b"\xff" * 246
+class _Spellings(dict):
+    """Exponent tuple to its key in a file, ``"e0,e1,.."``; a tuple not yet
+    seen is spelled once, by ``__missing__``."""
+
+    def __missing__(self, exp: Exponent) -> str:
+        key = self[exp] = ",".join(map(str, exp))
+        return key
+
+
+# the spelling of every exponent written or compared so far, for the
+# variable count ``_spelling_nvars`` only
+_spelling_nvars = 0
+_spellings = _Spellings()
 
 
 def _terms_json(p: MultiPoly) -> dict[str, str]:
     """The term map of ``p`` as written to a file: ``"e0,e1,..": "num/den"``.
 
-    Terms stay in dict order; the file's order comes from ``sort_keys``.  An
-    exponent tuple is spelled by one C-level ``bytes`` translation when every
-    entry is a single digit (always so for a quartic instance), and entry by
-    entry with ``str`` otherwise; both spellings agree.
+    Terms stay in dict order; the file's order comes from ``sort_keys``.
+    Each exponent's key is looked up in ``_spellings``, which holds one
+    variable count at a time and is replaced when it changes, as the image
+    table of ``pullback`` is: the Q, f and F of one n, written and then
+    rebuilt by ``instance_from_json``, share their monomials, so each
+    exponent is spelled about once per n.
     """
-    try:
-        keys = [",".join(bytes(exp).translate(_DIGITS).decode("ascii")) for exp in p.terms]
-    except ValueError:  # an entry above 9 (UnicodeDecodeError) or above 255
-        keys = [",".join(map(str, exp)) for exp in p.terms]
+    global _spelling_nvars, _spellings
+    if p.nvars != _spelling_nvars:
+        _spelling_nvars, _spellings = p.nvars, _Spellings()
+    keys = map(_spellings.__getitem__, p.terms)
     vals = [f"{c}/1" if type(c) is int else f"{c.numerator}/{c.denominator}"
             for c in p.terms.values()]
     return dict(zip(keys, vals))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from dsolid import poly
 from dsolid.poly import MultiPoly
 from dsolid.qfield import QuadExt, eval_poly_at, sqrt_fraction
 
@@ -449,6 +450,138 @@ def test_packed_product_cancels_to_ints():
     c = MultiPoly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 1), 1)])
     d = MultiPoly.from_terms(2, [((1, 0), 2), ((0, 1), -4)])
     assert (c * d).terms == prod.terms and _canonical_terms(c * d)
+
+
+# -- the exponent-tuple tables of the byte-digit unpacking ------------------------
+
+
+def _ordered_product(a, b):
+    """a * b as (exponent, type, coefficient) in the packed product's order:
+    pairs of terms row by row, and for a square (b is a) the diagonal then
+    the later terms of the row, doubled."""
+    out = {}
+    rows = list(a.terms.items())
+    for i, (ea, ca) in enumerate(rows):
+        for j, (eb, cb) in enumerate(rows[i:] if b is a else b.terms.items()):
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, Fraction(0)) + (2 if b is a and j else 1) * Fraction(ca) * cb
+    return [(e, int if c.denominator == 1 else Fraction, c) for e, c in out.items() if c]
+
+
+def _typed_items(p):
+    return [(e, type(c), c) for e, c in p.terms.items()]
+
+
+def _products(ps):
+    """Each polynomial squared and times the next one, as (operands, product)."""
+    pairs = [(x, x) for x in ps] + list(zip(ps, ps[1:] + ps[:1]))
+    return [(x, y, x * y) for x, y in pairs if x.nvars == y.nvars]
+
+
+def _narrow(nvars):
+    # byte digits; integral coefficients take the one-pass output, rational ones `_unpack`
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    return st.lists(st.tuples(exps, coeff), max_size=6).map(
+        lambda ts: MultiPoly.from_terms(nvars, ts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart=st.lists(_narrow(5), min_size=1, max_size=3),
+       ambient=st.lists(st.integers(6, 13).flatmap(_narrow), min_size=1, max_size=3))
+def test_products_match_in_cold_warm_and_alternating_tables(chart, ambient):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_exponents", {})  # cold
+        first = _products(chart) + _products(ambient)
+        for x, y, got in first:
+            assert _typed_items(got) == _ordered_product(x, y)
+        # warm: the same products again, now from the tuples the first ones made
+        again = _products(chart) + _products(ambient)
+        for (x, y, got), (_, _, old) in zip(again, first):
+            assert _typed_items(got) == _ordered_product(x, y)
+            assert all(e is f for e, f in zip(got.terms, old.terms))  # one tuple per monomial
+        # alternating between 5 and n + 1 variables, as build_instance and
+        # double_conic_verify do
+        for c, a in zip(chart * len(ambient), ambient * len(chart)):
+            for x, y, got in _products([c]) + _products([a]):
+                assert _typed_items(got) == _ordered_product(x, y)
+        tables = poly._exponents
+        assert all(t.nvars == nv for nv, t in tables.items())
+        assert all(type(k) is int and type(e) is tuple and len(e) == nv
+                   for nv, t in tables.items() for k, e in t.items())
+
+
+def test_exponent_tables_keep_each_variable_count(monkeypatch):
+    monkeypatch.setattr(poly, "_exponents", {})
+    x = MultiPoly.from_terms(5, [((1, 0, 2, 0, 0), 2), ((0, 3, 0, 0, 1), -1)])
+    y = MultiPoly.from_terms(9, [((0,) * 8 + (1,), 1), ((1,) + (0,) * 8, 3)])
+    sq = x * x
+    y * y  # another variable count does not evict the first
+    assert set(poly._exponents) == {5, 9}
+    again = x * x
+    assert list(again.terms) == list(sq.terms)
+    assert all(e is f for e, f in zip(again.terms, sq.terms))
+    # a product with a denominator unpacks through the same table
+    half = x * MultiPoly.from_terms(5, [((0,) * 5, Fraction(1, 2))])
+    assert next(iter(half.terms)) is next(e for e in poly._exponents[5].values()
+                                          if e == (1, 0, 2, 0, 0))
+
+
+# -- addition and subtraction: shared terms folded, the rest copied --------------
+
+
+def _loop_add(a, b, sign):
+    """a + sign * b by the per-term loop the sum and difference replaced."""
+    out = dict(a.terms)
+    for exp, c in b.terms.items():
+        c = sign * c
+        v = out.get(exp)
+        if v is None:
+            out[exp] = c
+        elif v == -c:
+            del out[exp]
+        else:
+            out[exp] = poly._canonical(v + c)
+    return out
+
+
+@st.composite
+def _overlapping(draw):
+    """(a, b) where b repeats some of a's exponents, in any order, with a
+    coefficient that cancels a's fully (for a + b or a - b), partly (to an
+    int or a Fraction) or not at all, next to exponents of its own."""
+    a = draw(_mixed())
+    b = []
+    for exp, c in a.terms.items():
+        how = draw(st.sampled_from(["skip", "add", "sub", "int", "other"]))
+        if how == "add":
+            b.append((exp, -c))
+        elif how == "sub":
+            b.append((exp, c))
+        elif how == "int":
+            b.append((exp, draw(st.integers(-2, 2)) - c))
+        elif how == "other":
+            b.append((exp, draw(_coeff.filter(bool))))
+    b += draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), _coeff), max_size=4))
+    b = draw(st.permutations(b))
+    return a, MultiPoly.from_terms(3, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ab=_overlapping())
+@example(ab=(MultiPoly.from_terms(3, [((1, 0, 0), 2), ((0, 1, 0), Fraction(1, 2))]),
+             MultiPoly.from_terms(3, [((0, 1, 0), Fraction(1, 2)), ((1, 0, 0), 2)])))
+def test_add_and_sub_match_the_per_term_loop(ab):
+    a, b = ab
+    cases = [(x, y, sign) for x, y in ((a, b), (b, a)) for sign in (1, -1)]
+    for left, right, sign in cases:
+        got = left + right if sign == 1 else left - right
+        want = _loop_add(left, right, sign)
+        assert [(e, type(c), c) for e, c in got.terms.items()] == [
+            (e, type(c), c) for e, c in want.items()]
+        # a shared exponent keeps the left operand's tuple
+        assert all(e is f for e, f in zip(got.terms, want))
+    assert (a - a).terms == {} and (a + (-a)).terms == {}
 
 
 # -- eval_poly_at on integer pairs ------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from dsolid import scroll
+from dsolid import poly, scroll
 from dsolid.axioms import default_registry
 from dsolid.checks import CheckContext, check_hankel, check_instances
 from dsolid.poly import MultiPoly
@@ -936,6 +936,51 @@ def test_term_keys_spell_every_exponent_in_decimal(top):
     assert got == {",".join(map(str, e)): f"{Fraction(c).numerator}/{Fraction(c).denominator}"
                    for e, c in p.terms.items()}
     assert all(ch in "0123456789," for k in got for ch in k)
+
+
+def _spelled(p):
+    """The term map of p as ``_terms_json`` writes it, spelled term by term."""
+    return [(",".join(map(str, e)), f"{Fraction(c).numerator}/{Fraction(c).denominator}")
+            for e, c in p.terms.items()]
+
+
+def _cold_tables(monkeypatch):
+    monkeypatch.setattr(poly, "_exponents", {})
+    monkeypatch.setattr(scroll, "_table_nvars", 0)
+    monkeypatch.setattr(scroll, "_table", {})
+    monkeypatch.setattr(scroll, "_spelling_nvars", 0)
+    monkeypatch.setattr(scroll, "_spellings", scroll._Spellings())
+
+
+def test_instances_match_in_cold_warm_and_alternating_tables(monkeypatch):
+    _cold_tables(monkeypatch)
+    keys = [(n, seed) for n in (4, 6, 9) for seed in (3, 4)]
+    cold = {key: _valid_instance(*key) for key in keys}
+    for key in keys + keys[::-1]:  # warm, then with n going down
+        inst = _valid_instance(*key)
+        # the chart's 5 variables between two builds in n + 1
+        assert double_conic_verify(inst)
+        for got, want in ((inst.q, cold[key].q), (inst.big_f, cold[key].big_f)):
+            assert _typed_terms(got) == _typed_terms(want)
+            assert all(type(e) is tuple for e in got.terms)
+        assert instance_to_json(inst) == instance_to_json(cold[key])
+        assert list(instance_to_json(inst)["F"].items()) == _spelled(inst.big_f)
+
+
+def test_term_keys_match_in_cold_warm_and_alternating_tables(monkeypatch):
+    _cold_tables(monkeypatch)
+    insts = [_valid_instance(n, seed) for n in (5, 10) for seed in (1, 2)]
+    polys = [p for inst in insts for p in (inst.q, inst.f, inst.big_f)]
+    for p in polys + polys:  # then warm
+        assert list(scroll._terms_json(p).items()) == _spelled(p)
+    # alternating between n + 1 and the chart's 5 variables, as a round trip
+    # after ``double_conic_verify`` does
+    for inst in insts:
+        for p in (inst.big_f, inst.pulled_q, pullback(inst.big_f), inst.f, inst.big_f):
+            assert list(scroll._terms_json(p).items()) == _spelled(p)
+        assert scroll._spelling_nvars == inst.n + 1
+        assert {len(e) for e in scroll._spellings} == {inst.n + 1}  # one variable count
+    assert all(type(e) is tuple and type(k) is str for e, k in scroll._spellings.items())
 
 
 def test_moduli_formulas():
