@@ -553,7 +553,8 @@ def check_instances(n: int, ctx: CheckContext) -> list[CheckRecord]:
     detail = ""
     for k in range(count):
         inst = scr.random_instance(n, rng)
-        if set(map(sum, inst.big_f.terms)) != {4}:
+        # a linear f and a quadric Q make F = z0 z_{n-1} z_n f - Q^2 a quartic
+        if set(map(sum, inst.f.terms)) != {1} or set(map(sum, inst.q.terms)) != {2}:
             all_ok, detail = False, f"instance {k}: quartic shape broken"
             break
         if scr.splitting_conic_rank(inst) != 2:

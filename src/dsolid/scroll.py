@@ -21,6 +21,11 @@ the chart, with g = prod (p_i u1 - q_i u0) over the roots:
 
 Every restriction starts from the pullback along the chart, ``pullback``;
 Q is pulled back once per instance and kept as ``QuarticInstance.pulled_q``.
+The checks read F only through F∘φ.  Pullback is a ring homomorphism, so
+F∘φ = φ*(z0 z_{n-1} z_n f) - (Q∘φ)^2, built from the n - 1 terms of the
+shifted f and ``pulled_q`` and kept as ``QuarticInstance.pulled_f``.  The
+ambient F, with O(n^4) terms, is built only to write or read an instance
+file (``QuarticInstance.big_f``).
 The binary form g, whose coefficients are also those of f, comes from
 ``_root_form``.  A coordinate hyperplane of the chart is a term filter: the
 cone z_{n-1} = 0 keeps the terms without a, the cone z_n = 0 those without
@@ -263,13 +268,28 @@ def _matrix_rank3(m: list[list[Fraction]]) -> int:
 
 @dataclass(frozen=True)
 class QuarticInstance:
-    """Roots, linear form, quadric and assembled quartic for one scroll."""
+    """Roots, linear form and quadric for one scroll; the quartic F on demand."""
 
     n: int
     roots: tuple[Root, ...]
     f: MultiPoly
     q: MultiPoly
-    big_f: MultiPoly
+
+    def _shifted_f(self) -> MultiPoly:
+        """z0 z_{n-1} z_n f: each term c z_j of f shifted to c z0 z_j z_{n-1} z_n."""
+        n, nv = self.n, self.n + 1
+        return MultiPoly(nv, {_exp(nv, 0, exp.index(1), n - 1, n): c for exp, c in self.f.terms.items()})
+
+    @functools.cached_property
+    def big_f(self) -> MultiPoly:
+        """The ambient quartic F = z0 z_{n-1} z_n f - Q^2, with O(n^4) terms.
+
+        Built on first use, for an instance file and its reader's comparison;
+        the checks read F only through ``pulled_f``.
+        """
+        big_f = self._shifted_f() - self.q * self.q
+        assert set(map(sum, big_f.terms)) == {4}
+        return big_f
 
     @functools.cached_property
     def pulled_q(self) -> MultiPoly:
@@ -280,13 +300,31 @@ class QuarticInstance:
         """
         return pullback(self.q)
 
+    @functools.cached_property
+    def pulled_q_squared(self) -> MultiPoly:
+        """(Q∘φ)^2, shared by ``pulled_f`` and the tangency identity."""
+        return self.pulled_q * self.pulled_q
+
+    @functools.cached_property
+    def pulled_f(self) -> MultiPoly:
+        """F∘φ, from the chart side: the pullback of z0 z_{n-1} z_n f, which has
+        n - 1 terms, minus ``pulled_q_squared``.
+
+        Pullback is a ring homomorphism, so this equals ``pullback(big_f)``
+        without building F.
+        """
+        return pullback(self._shifted_f()) - self.pulled_q_squared
+
 
 def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
-    """Assemble F = z0 z_{n-1} z_n f - Q^2 after validating the quadric.
+    """Validate the roots and the quadric of F = z0 z_{n-1} z_n f - Q^2.
 
     The restriction of Q to the last plane must be a symmetric rank-2
     conic (rank 3 would make the splitting fiber irreducible; rank <= 1 a
-    double line); Q must not vanish identically on the scroll.
+    double line); Q must not vanish identically on the scroll.  The
+    instance keeps Q's pullback; F∘φ comes from the shifted f and that
+    pullback when a check first reads it, and the ambient F is built only
+    to write or compare a file.
     """
     if n < 4:
         raise InstanceError(f"n must be at least 4, got {n}")
@@ -305,12 +343,7 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
         raise InstanceError("splitting conic has rank 3: the end fiber would not split")
     if rank <= 1:
         raise InstanceError("splitting conic degenerates to a double line (rank <= 1)")
-    # z0 z_{n-1} z_n f: each term c z_j of f shifted to c z0 z_j z_{n-1} z_n
-    nv = n + 1
-    shifted = MultiPoly(nv, {_exp(nv, 0, exp.index(1), n - 1, n): c for exp, c in f.terms.items()})
-    big_f = shifted - q * q
-    assert set(map(sum, big_f.terms)) == {4}
-    inst = QuarticInstance(n=n, roots=roots, f=f, q=q, big_f=big_f)
+    inst = QuarticInstance(n=n, roots=roots, f=f, q=q)
     inst.__dict__["pulled_q"] = pulled_q  # prime the cached property
     return inst
 
@@ -319,18 +352,18 @@ def double_conic_verify(inst: QuarticInstance) -> bool:
     """Tangency of the plane sections along conics, as one chart identity.
 
     With g = prod (p u1 - q u0) over the roots (p:q), F∘φ + (Q∘φ)^2 must
-    equal s^2 a b u0^{n-2} g exactly.  The right side is built from the
-    roots, not from f (``build_instance`` derives f from the same product,
-    and ``instance_from_json`` rejects any other f).  It vanishes on every
-    root fiber, on the splitting fiber u0 = 0 and on the cones a = 0 and
-    b = 0, and on no other fiber: so F restricts to -Q^2 on exactly those
-    sections.  Q is squared after the pullback, where it has O(n) terms
-    instead of the ambient O(n^2).  g is ``_root_form``, and the target has
-    one term per coefficient of it.
+    equal s^2 a b u0^{n-2} g exactly.  F∘φ is ``inst.pulled_f``, the
+    pullback of the shifted f minus ``inst.pulled_q_squared``, and the
+    square is added back from the same cache; the right side is built from the roots, not from f (``build_instance``
+    derives f from the same product, and ``instance_from_json`` rejects any
+    other f), so the identity tests f and the chart images of z0, z_{n-1}
+    and z_n.  It vanishes on every root fiber, on the splitting fiber
+    u0 = 0 and on the cones a = 0 and b = 0, and on no other fiber: so F
+    restricts to -Q^2 on exactly those sections.  g is ``_root_form``, and
+    the target has one term per coefficient of it.
     """
     n, d = inst.n, len(inst.roots)
-    pulled_q = inst.pulled_q
-    residual = pullback(inst.big_f) + pulled_q * pulled_q
+    residual = inst.pulled_f + inst.pulled_q_squared
     want = MultiPoly.from_terms(
         5, [((n - 2 + d - j, j, 2, 1, 1), c) for j, c in _root_form(inst.roots).items()])
     return residual == want
@@ -401,14 +434,15 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     At sample points of the conic over each root, the derivative of F along
     the fiber direction must not vanish; with a simple root it reduces to
     a nonzero constant times s^2 a b, so failures detect repeated roots.
-    F is pulled back once, Q's pullback is ``inst.pulled_q``; the roots are
-    probed in order, and the index of the first root whose derivative
-    vanishes at a sample is returned (None when every root passes).
+    F∘φ is ``inst.pulled_f``, from the shifted f and ``inst.pulled_q``; the
+    ambient F is not built.  The roots are probed in order, and the index
+    of the first root whose derivative vanishes at a sample is returned
+    (None when every root passes).
     """
     if any(p == 0 for p, _ in inst.roots):
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
     # derivative of the pulled-back quartic along u1
-    derivative = pullback(inst.big_f).derivative(U1)
+    derivative = inst.pulled_f.derivative(U1)
     pulled_q = inst.pulled_q
     for index, (p, q) in enumerate(inst.roots):
         fiber = {U0: p, U1: q}

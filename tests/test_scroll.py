@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from dsolid import poly, scroll
 from dsolid.axioms import default_registry
 from dsolid.checks import CheckContext, check_hankel, check_instances
+from dsolid.cli import main
 from dsolid.poly import MultiPoly
 from dsolid.qfield import QuadExt, eval_poly_at, sqrt_fraction
 from dsolid.scroll import (
@@ -365,8 +366,12 @@ def _mono(nv, *idxs):
 
 
 def _with_big_f(inst, big_f, q=None):
-    return QuarticInstance(n=inst.n, roots=inst.roots, f=inst.f,
-                           q=inst.q if q is None else q, big_f=big_f)
+    """The instance with its quartic replaced by ``big_f``: the ambient F and
+    F∘φ = pullback(big_f) are both primed, so the verifier reads the bumped F."""
+    bad = QuarticInstance(n=inst.n, roots=inst.roots, f=inst.f, q=inst.q if q is None else q)
+    bad.__dict__["big_f"] = big_f
+    bad.__dict__["pulled_f"] = pullback(big_f)
+    return bad
 
 
 def _vanishes_on(p, fibers):
@@ -565,14 +570,115 @@ def test_pulled_q_is_the_pullback_of_q(n):
     built = _valid_instance(n, 30 + n)
     assert "pulled_q" in vars(built)  # build_instance primes the cache
     assert built.pulled_q == pullback(built.q)
-    direct = QuarticInstance(n=n, roots=built.roots, f=built.f, q=built.q, big_f=built.big_f)
+    direct = QuarticInstance(n=n, roots=built.roots, f=built.f, q=built.q)
     assert "pulled_q" not in vars(direct) and direct == built
     assert direct.pulled_q == pullback(built.q)
-    same_q = dataclasses.replace(built, big_f=built.big_f + _mono(n + 1, 0, 0, 0, 0))
+    same_q = dataclasses.replace(built, roots=built.roots[::-1])
     assert "pulled_q" not in vars(same_q) and same_q.pulled_q == built.pulled_q
     swapped = dataclasses.replace(built, q=built.q + _mono(n + 1, 0, 0))
     assert swapped.pulled_q == pullback(swapped.q) != built.pulled_q
-    assert double_conic_verify(built) and not double_conic_verify(swapped)
+    # F follows its Q, so the swapped instance is consistent; kept with the
+    # old F, the verifier squares the new Q's pullback and the identity breaks
+    assert double_conic_verify(swapped)
+    stale = _with_big_f(built, built.big_f, q=swapped.q)
+    assert double_conic_verify(built) and not double_conic_verify(stale)
+
+
+def _terms_by_exponent(p):
+    """The terms of p keyed by exponent, each with its coefficient's type.
+
+    Not in dict order: a pullback lists each chart monomial where its first
+    contributing term falls, and the ambient F and the chart route's
+    product meet the terms of one chart monomial in different orders.
+    """
+    return p.nvars, {e: (type(c), c) for e, c in p.terms.items()}
+
+
+def _assert_chart_route(inst):
+    """F∘φ from the shifted f and Q∘φ equals the pullback of the ambient F."""
+    assert "pulled_f" not in vars(inst) and "big_f" not in vars(inst)
+    chart = inst.pulled_f
+    assert "big_f" not in vars(inst)  # the chart route builds no ambient F
+    assert _terms_by_exponent(chart) == _terms_by_exponent(pullback(inst.big_f))
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_pulled_f_is_the_pullback_of_big_f(n):
+    for seed in range(3):
+        inst = _valid_instance(n, 40 + seed)
+        _assert_chart_route(inst)
+        _assert_chart_route(_non_integral(inst))
+
+
+_scale = st.one_of(st.integers(1, 5), st.fractions(-5, 5, max_denominator=6).filter(bool))
+
+
+@st.composite
+def _drawn_instance(draw):
+    """An instance at n = 4..16 whose roots and Q may have Fraction coefficients.
+
+    The roots are a seeded instance's points with drawn representatives; Q
+    is a drawn multiple of its quadric plus drawn terms off the last plane,
+    and perhaps a multiple of a catalecticant minor, which the chart sends
+    to 0.
+    """
+    n = draw(st.integers(4, 16))
+    nv = n + 1
+    base = random_instance(n, random.Random(draw(st.integers(0, 2**32))))
+    scales = draw(st.lists(_scale, min_size=n - 2, max_size=n - 2))
+    roots = [(p * t, q * t) for (p, q), t in zip(base.roots, scales)]
+    q = base.q * _constant(nv, draw(_scale))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, n - 3))
+        q = q + _mono(nv, i, draw(st.integers(i, n))) * _constant(nv, draw(_coeff))
+    if draw(st.booleans()):
+        q = q + draw(st.sampled_from(hankel_generators(n))) * _constant(nv, draw(_coeff))
+    try:
+        return build_instance(n, roots, q)
+    except InstanceError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_drawn_instance())
+def test_pulled_f_is_the_pullback_of_big_f_for_drawn_instances(inst):
+    _assert_chart_route(inst)
+
+
+@pytest.mark.parametrize("broken", ["f of degree 2", "Q with a cubic term"])
+def test_instances_record_fails_on_a_broken_quartic_shape(broken, monkeypatch):
+    n, nv = 5, 6
+    inst = _valid_instance(n, 16)
+    ctx = CheckContext(registry=default_registry(), instances=2)
+    monkeypatch.setattr(scroll, "random_instance", lambda n, rng: inst)
+    [rec] = check_instances(n, ctx)
+    assert rec.status == "pass"
+    if broken == "f of degree 2":
+        bad = dataclasses.replace(inst, f=inst.f * _unit(nv, 0))
+    else:  # past the validation of build_instance, with Q's pullback primed as it primes it
+        bad = dataclasses.replace(inst, q=inst.q + _mono(nv, 0, 1, 2))
+        bad.__dict__["pulled_q"] = pullback(bad.q)
+    monkeypatch.setattr(scroll, "random_instance", lambda n, rng: bad)
+    [rec] = check_instances(n, ctx)
+    assert (rec.id, rec.status, rec.detail) == (
+        "scroll.instances", "fail", "instance 0: quartic shape broken")
+
+
+def test_verify_builds_no_ambient_quartic(monkeypatch, capsys):
+    drawn = []
+    draw = scroll.random_instance
+
+    def recording(n, rng):
+        drawn.append(draw(n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(scroll, "random_instance", recording)
+    argv = ["verify", "--range", "4..6", "--filter", "scroll.*", "--instances", "2"]
+    assert main(argv) == 0
+    # 2 per n for scroll.instances and 1 per n for scroll.tangency, each
+    # verified on F∘φ alone
+    assert len(drawn) == 9
+    assert all("big_f" not in vars(inst) and "pulled_f" in vars(inst) for inst in drawn)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -599,8 +705,8 @@ def _double_root_instance():
         roots=(lam, lam, (Fraction(1), Fraction(1))),
         f=f,
         q=good.q,
-        big_f=z0zn1zn * f - good.q * good.q,
     )
+    assert bad.big_f == z0zn1zn * f - good.q * good.q
     return bad
 
 
@@ -608,7 +714,7 @@ def test_smoothness_probe_detects_double_root():
     bad = _double_root_instance()
     assert smoothness_probe(bad, random.Random(3)) == 0
     # the simple root is probed first, then the double root fails at index 1
-    later = QuarticInstance(n=bad.n, roots=bad.roots[::-1], f=bad.f, q=bad.q, big_f=bad.big_f)
+    later = QuarticInstance(n=bad.n, roots=bad.roots[::-1], f=bad.f, q=bad.q)
     assert smoothness_probe(later, random.Random(3)) == 1
 
 
@@ -679,7 +785,6 @@ def test_smoothness_probe_excludes_splitting_fiber():
         roots=((Fraction(0), Fraction(1)),) + inst.roots[1:],
         f=inst.f,
         q=inst.q,
-        big_f=inst.big_f,
     )
     with pytest.raises(ProbeExcluded):
         smoothness_probe(bad, random.Random(0))
