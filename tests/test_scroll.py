@@ -437,6 +437,14 @@ def test_double_conic_verify_rejects_an_extra_tangent_fiber(n):
     assert not double_conic_verify(_with_big_f(inst, residual - inst.q * inst.q))
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_double_conic_verify_reads_f_through_the_chart(n):
+    inst = _valid_instance(n, 18)
+    # F∘φ comes from f, the target from the roots: an f through other fibers breaks the identity
+    moved = linear_form_from_roots(n, list(inst.roots[1:]) + [(1, 997)])
+    assert not double_conic_verify(dataclasses.replace(inst, f=moved))
+
+
 def test_double_conic_verify_rank_can_fail(monkeypatch):
     # the rank is tested once per instance, by check_instances, not by double_conic_verify
     n, nv = 5, 6
