@@ -432,10 +432,12 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
         for i, k in per_fiber.items():
             alive.setdefault(i, []).append(k)
     fam_ok = all(alive.get(i, []) == list(range(i - 2, 0, -1)) for i in range(3, n - 1))
+    # sorted, so the detail does not depend on the hash seed
+    final = sorted(sorted(c) for c in trace.final_scan)
     return [
-        # run_elimination raises unless its final scan is empty
-        _record("elimination.termination", n, True, trace.stages[-1].stage == n - 2,
-                "the machine reaches an empty scan at stage n-2"),
+        _record("elimination.termination", n, True, not trace.final_scan,
+                "the machine reaches an empty scan at stage n-2",
+                detail=f"scan={final}" if final else ""),
         _record("elimination.monotone", n, True, monotone,
                 "# connected base components drops by exactly one per stage"),
         _record("elimination.family-counts", n, True, fam_ok,

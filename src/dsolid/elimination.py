@@ -6,9 +6,11 @@ the base propagate), blows up the scanned centers, and updates degrees by
 the local rules: subtract one per adjacent center, and replace a center's
 degree by degree minus its self-intersection in the tracking surface.
 Centers lose adjacency to curves outside their tracking surface after the
-blowup.  Termination at stage n-2 with an empty scan is a verified
-outcome, not an assumption.  Curves are ``incidence.Curve`` tuples
-throughout; scans, centers and the trace are sets of them, in no order.
+blowup.  Two outcomes are read off the scans themselves: that the scan
+after stage n-2 is empty (termination), and that every seed-free scanned
+component bottoms out at degree -1 (each exceptional divisor enters with
+multiplicity one).  Curves are ``incidence.Curve`` tuples throughout;
+scans, centers and the trace are sets of them, in no order.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .incidence import Curve, PairingTable, adjusted_bundle
-
-
-class EliminationFailure(RuntimeError):
-    """The machine failed to reach an empty scan by the final stage."""
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,6 @@ class BlowupState:
     degrees: dict[Curve, int] = field(default_factory=dict)
     adjacency: dict[Curve, set[Curve]] = field(default_factory=dict)
     facts: dict[Curve, NodeFacts] = field(default_factory=dict)
-    # the running bundle of each stage, as {divisor symbol: coefficient}
-    bundles: list[dict[str, int]] = field(default_factory=list)
     odp_census: dict[str, int] = field(default_factory=dict)
 
 
@@ -83,8 +79,7 @@ def _initial_state(table: PairingTable) -> BlowupState:
     for (div, c), e in table.entries.items():
         if c in state.degrees and div in l1:
             state.degrees[c] += l1[div] * e
-    state.bundles.append(l1)
-    state.odp_census["initial"] = 2 * (n - 1)
+    state.odp_census["initial"] = len(cx.odps)
     return state
 
 
@@ -136,13 +131,6 @@ def blow_up_curves(state: BlowupState, curves: frozenset[Curve]) -> None:
     """Blow up the given centers and update the tracked state in place."""
     stage = state.stage + 1
     centers = frozenset(curves)
-
-    # bundle update: pull back and subtract each new exceptional once
-    co = {f"pull:{stage}": 1}
-    for kind, i, j in centers:
-        co[f"D{stage}[{i},{j}]" if kind == "C" else f"Db{stage}[{i},{j}]"] = -1
-    state.bundles.append(co)
-
     facts = state.facts
     decrements: dict[Curve, int] = {}
     successor_deg: dict[Curve, int] = {}
@@ -176,7 +164,11 @@ def blow_up_curves(state: BlowupState, curves: frozenset[Curve]) -> None:
 class EliminationTrace:
     stages: tuple[StageRecord, ...]
     odp_census: MappingProxyType[str, int]
+    # whether every seed-free component of every stage's scan had minimum
+    # degree -1 when scanned
     multiplicity_one: bool
+    # the scan after stage n-2, empty when the machine terminates
+    final_scan: tuple[frozenset[Curve], ...]
 
 
 def run_elimination(table: PairingTable) -> EliminationTrace:
@@ -186,8 +178,8 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     scan; the trace keeps each stage's scanned components, centers and
     degrees (all of stage 2's, the seeds' later), read-only since every
     check of one n shares it, and the checks count from it what they
-    compare.  A scan that is not empty after stage n-2 raises
-    ``EliminationFailure``.
+    compare.  The scan after stage n-2 is kept as it is, so a machine that
+    does not terminate leaves a non-empty ``final_scan``.
 
     What the stages read of a curve but never change (its tracking
     surface, sides and self-intersection) is computed once per run, as the
@@ -198,8 +190,17 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     n = state.n
     seeds = (("C", n - 1, 1), ("Cb", n - 1, 1))
     stages: list[StageRecord] = []
+    degree = state.degrees.__getitem__
+    mult_one = True
     for stage in range(2, n - 1):
         comps = base_curve_scan(state)
+        # an exceptional divisor enters with multiplicity one when its
+        # component bottoms out at -1.  The seeds are left out: they are
+        # scanned at 3-n and climb by one per stage, and their multiplicity
+        # rests on the ladder's ruled types (assert.ladder-ruled-types).
+        mult_one = mult_one and all(
+            min(map(degree, comp)) == -1 for comp in comps if comp.isdisjoint(seeds)
+        )
         centers = frozenset().union(*comps)
         blow_up_curves(state, centers)
         if stage == 2:
@@ -207,16 +208,8 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         else:
             after = {k: state.degrees[k] for k in seeds}
         stages.append(StageRecord(stage, tuple(comps), centers, MappingProxyType(after)))
-    final = base_curve_scan(state)
-    if final:
-        scan = sorted(sorted(comp) for comp in final)
-        raise EliminationFailure(f"n={n}: scan not empty at stage {n-2}: {scan}")
-
-    mult_one = all(
-        all(v == -1 for k, v in b.items() if not k.startswith("pull:"))
-        for b in state.bundles[1:]
-    )
-    return EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one)
+    final = tuple(base_curve_scan(state))
+    return EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one, final)
 
 
 @dataclass(frozen=True)

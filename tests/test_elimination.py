@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -15,6 +16,7 @@ from dsolid.checks import (
 )
 from dsolid.elimination import (
     base_curve_scan,
+    blow_up_curves,
     twistor_line_degree,
     _initial_state,
 )
@@ -72,6 +74,7 @@ def test_termination_and_counts(n):
     counts = [len(s.components) for s in trace.stages] + [0]
     assert all(counts[k] - counts[k + 1] == 2 for k in range(len(counts) - 1))
     assert trace.multiplicity_one
+    assert trace.final_scan == ()
     # blowup tallies: the longest chain family is hit n-4 times, the seeds n-3
     if n >= 6:
         assert _times_blown(trace, ("C", n - 2, n - 2)) == n - 4
@@ -79,8 +82,8 @@ def test_termination_and_counts(n):
 
 
 def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
-    # the stage count holds by the loop bound; the record fails through the
-    # EliminationFailure that a non-empty final scan raises
+    # the trace keeps the scan after the last stage, so a leftover component
+    # fails the termination record and leaves the other three standing
     real = elimination.base_curve_scan
 
     def scan_leaving_the_seed(state):
@@ -92,9 +95,74 @@ def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
     config = RunConfig(ns=(6,), filter="elimination.run", seed=42)
     assert [r.status for r in run(config).checks] == ["pass"] * 4
     monkeypatch.setattr(elimination, "base_curve_scan", scan_leaving_the_seed)
-    [rec] = run(config).checks
-    assert (rec.id, rec.status) == ("elimination.run", "fail")
-    assert rec.computed.startswith("EliminationFailure: n=6: scan not empty at stage 4")
+    recs = run(config).checks
+    assert [(r.id, r.status) for r in recs] == [
+        ("elimination.termination", "fail"),
+        ("elimination.monotone", "pass"),
+        ("elimination.family-counts", "pass"),
+        ("elimination.multiplicity-one", "pass"),
+    ]
+    assert recs[0].computed is False
+    assert recs[0].detail == "scan=[[('C', 5, 1)]]"
+
+
+def test_multiplicity_one_fails_on_a_chain_curve_below_minus_one(monkeypatch):
+    # C[5,5] one lower bottoms its stage-2 component out at -2, and the
+    # chain no longer clears by the last stage
+    real = elimination._initial_state
+
+    def state_with_a_deeper_chain(table):
+        state = real(table)
+        state.degrees[("C", 5, 5)] -= 1
+        return state
+
+    config = RunConfig(ns=(7,), filter="elimination.run", seed=42)
+    assert [r.status for r in run(config).checks] == ["pass"] * 4
+    monkeypatch.setattr(elimination, "_initial_state", state_with_a_deeper_chain)
+    recs = {r.id: r for r in run(config).checks}
+    assert recs["elimination.multiplicity-one"].status == "fail"
+    term = recs["elimination.termination"]
+    assert term.status == "fail"
+    assert term.detail == (
+        "scan=[[('C', 5, 2), ('C', 5, 3), ('C', 5, 4), ('C', 5, 5)], [('Cb', 5, 6), ('Db', 5)]]"
+    )
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 20, 40])
+def test_scanned_minima_replayed_by_hand(n):
+    # oracle for multiplicity-one: replay the stages and read each scanned
+    # component's degrees before its blowup
+    state = _initial_state(Model(n).table)
+    seeds = {("C", n - 1, 1), ("Cb", n - 1, 1)}
+    for stage in range(2, n - 1):
+        comps = base_curve_scan(state)
+        seeded = [comp for comp in comps if comp & seeds]
+        assert len(seeded) == 2 and set(seeded) == {frozenset([seed]) for seed in seeds}
+        for seed in seeds:
+            assert state.degrees[seed] == stage + 1 - n
+        for comp in comps:
+            if comp not in seeded:
+                assert min(state.degrees[c] for c in comp) == -1, (stage, sorted(comp))
+        blow_up_curves(state, frozenset().union(*comps))
+    assert base_curve_scan(state) == []
+
+
+def test_odp_census_fails_on_a_complex_missing_a_double_point(monkeypatch):
+    # the initial count is read off the complex, not the closed form 2(n-1)
+    real = elimination.run_elimination
+
+    def run_without_the_first_point(table):
+        cx = copy.copy(table.complex)
+        cx.odps = cx.odps[1:]
+        return real(dataclasses.replace(table, complex=cx))
+
+    config = RunConfig(ns=(7,), filter="elimination.odp", seed=42)
+    assert [r.status for r in run(config).checks] == ["pass"] * 2
+    monkeypatch.setattr(elimination, "run_elimination", run_without_the_first_point)
+    census, thresholds = run(config).checks
+    assert (census.id, census.status) == ("elimination.odp-census", "fail")
+    assert census.computed["initial"] == 11
+    assert thresholds.status == "pass"
 
 
 def test_stage2_fails_when_the_trace_has_no_stages(monkeypatch):
