@@ -422,7 +422,7 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
     trace = ctx.model(n).trace
     ladder_types = ctx.registry.consume("assert.ladder-ruled-types", "elimination-ladder")
     # one component retires per stage on each of the two conjugate halves
-    counts = [len(s.components) for s in trace.stages] + [0]
+    counts = [len(s.components) for s in trace.stages] + [len(trace.final_scan)]
     monotone = all(counts[k] - counts[k + 1] == 2 for k in range(len(counts) - 1))
     # the number of centers of fiber i's chain on the unbarred half, for
     # each stage that has any, counted in one pass over each stage's centers

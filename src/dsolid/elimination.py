@@ -67,18 +67,13 @@ def _initial_state(table: PairingTable) -> BlowupState:
         nodes = cx.fiber_cycle(i)
         m = len(nodes)
         for nd in nodes:
-            state.degrees[nd] = 0
+            state.degrees[nd] = table.degree(l1, nd)
             state.adjacency[nd] = set()
             state.facts[nd] = _node_facts(table, nd)
         for k in range(m):
             a, b = nodes[k], nodes[(k + 1) % m]
             state.adjacency[a].add(b)
             state.adjacency[b].add(a)
-    # the degree of l1 on every node: the sum ``table.degree`` takes, from
-    # one pass over the stored cells instead of one scan of l1 per node
-    for (div, c), e in table.entries.items():
-        if c in state.degrees and div in l1:
-            state.degrees[c] += l1[div] * e
     state.odp_census["initial"] = len(cx.odps)
     return state
 
@@ -88,14 +83,14 @@ def _node_facts(table: PairingTable, c: Curve) -> NodeFacts:
 
     Chain centers stay tracked inside their degree-one surface (the half
     ``cx.half``); the two isolated seed curves (fiber n-1, component 1) are
-    tracked inside the end cylinder component they lie on, the one host of
-    the curve in ``cx.cell_map``.  Inside a degree-one surface the square
-    follows the cross rule: it is the table's cell at that component.  A seed
-    inside its cylinder component is a section through one blown point,
-    square -1, unchanged by repeated blowups along it.
+    tracked inside the end cylinder component they lie on, the curve's one
+    host ``cx.home``.  Inside a degree-one surface the square follows the
+    cross rule: it is the table's cell at that component.  A seed inside its
+    cylinder component is a section through one blown point, square -1,
+    unchanged by repeated blowups along it.
     """
     cx = table.complex
-    [(home, _)] = cx.cell_map[c].classes
+    home = cx.home(c)
     half = cx.half(c)
     surface = home if c[1:] == (cx.n - 1, 1) else half
     self_int = table.value(home, c) if surface.startswith(("Sm", "Sp")) else -1
@@ -183,8 +178,8 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
 
     What the stages read of a curve but never change (its tracking
     surface, sides and self-intersection) is computed once per run, as the
-    state's ``NodeFacts``; the initial degrees come from one pass over the
-    table's stored cells.
+    state's ``NodeFacts``; the initial degrees are the adjusted bundle's
+    ``table.degree`` on each tracked curve.
     """
     state = _initial_state(table)
     n = state.n

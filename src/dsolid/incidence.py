@@ -20,12 +20,13 @@ latter are solved as an integer linear system from projection-formula
 constraints and a small anchor set.  Completion must be unique and
 integral; anything else is a hard error.
 
-The table is sparse: it stores only the nonzero cells, and a missing cell
-pairs to 0.  Each curve has O(1) nonzero cells (T on seams, the one or two
-components containing it, the components it meets), out of 2n-1 divisors.
-Each curve's cells are computed once per complex, in one pass over its
-curves (``IncidenceComplex.cell_map``, read-only); the projection
-constraints, the table assembly and the triviality test all read that map.
+The table is sparse: one row per curve holds its O(1) nonzero cells (T on
+seams, the one or two components containing it, the components it meets)
+out of 2n-1 divisors, a missing cell pairs to 0, and other modules read it
+only through ``value`` and ``degree``.  Each curve's cells are computed once
+per complex, in one pass over its curves (``IncidenceComplex.cell_map``,
+read-only); the projection constraints, table assembly and triviality test
+read that map.
 The constraints are solved by an indexed fraction-free elimination over Z
 that back-substitutes in ``int`` (``_solve``).
 """
@@ -311,26 +312,29 @@ def build_incidence(tower: BlowupTower) -> IncidenceComplex:
 class PairingTable:
     """Completed integer pairing (divisor symbol x curve symbol).
 
-    ``entries`` holds only the nonzero cells over the divisors T, E_j and
-    Eb_j; a missing cell pairs to 0.  ``nu`` holds the solved normal-bundle
-    degrees.
+    ``rows`` maps every curve to a dict of its nonzero cells over the
+    divisors T, E_j and Eb_j, read-only at the top level; a missing cell
+    pairs to 0.  ``nu`` holds the solved normal-bundle degrees.
     """
 
     complex: IncidenceComplex
-    entries: dict[tuple[str, Curve], int] = field(default_factory=dict)
+    rows: MappingProxyType[Curve, dict[str, int]]
     nu: dict[Unknown, int] = field(default_factory=dict)
 
     def value(self, div: str, c: Curve) -> int:
-        return self.entries.get((div, c), 0)
+        return self.rows[c].get(div, 0)
 
     def degree(self, coeffs: dict[str, int | Fraction], c: Curve) -> int | Fraction:
         """Degree of a formal divisor combination on a curve.
 
-        Sums over the stored (nonzero) cells only.  Bundle vectors store
+        Walks the curve's stored (nonzero) cells only.  Bundle vectors store
         integral coefficients as ``int``, so their degrees are ``int`` too.
         """
-        get = self.entries.get
-        return sum(co * e for d, co in coeffs.items() if (e := get((d, c))))
+        total = 0
+        for d, e in self.rows[c].items():
+            if d in coeffs:
+                total += coeffs[d] * e
+        return total
 
 
 def _anchor_equations(cx: IncidenceComplex) -> list[Equation]:
@@ -519,22 +523,20 @@ def complete_pairings(cx: IncidenceComplex, system: System) -> PairingTable:
     ``system`` is ``pairing_system(cx)``.  Assembly reads only the complex
     and ``nu``: per curve, ``cx.cell_map`` gives the known cells and, on
     each divisor containing the curve, the class that is paired with ``nu``.
-    The table's ``entries`` is a new dict; the shared map is only read.
-    The table is therefore a deterministic function of ``(cx, nu)``, and
-    equal ``nu`` give equal tables; comparing solved ``nu`` (as
+    The nonzero cells fill the curve's row, a new dict; the shared map is
+    only read.  The table is therefore a deterministic function of
+    ``(cx, nu)``, and equal ``nu`` give equal tables; comparing solved ``nu`` (as
     ``incidence.completion-unique`` does) is no weaker than comparing
     assembled tables.
     """
     nu = solve_pairings(system)
-    entries: dict[tuple[str, Curve], int] = {}
+    rows: dict[Curve, dict[str, int]] = {}
     for c, cells in cx.cell_map.items():
-        for div, v in cells.known:
-            if v:
-                entries[(div, c)] = v
+        row = rows[c] = {div: v for div, v in cells.known if v}
         for div, cls in cells.classes:
             if v := sum(co * nu[u] for u, co in cls):
-                entries[(div, c)] = v
-    return PairingTable(complex=cx, entries=entries, nu=nu)
+                row[div] = v
+    return PairingTable(complex=cx, rows=MappingProxyType(rows), nu=nu)
 
 
 def is_equivariant(table: PairingTable) -> bool:
@@ -542,14 +544,14 @@ def is_equivariant(table: PairingTable) -> bool:
 
     Walking the stored cells is enough.  Conjugation is an involution on
     cells, so a cell that differs from its conjugate has a nonzero value on
-    at least one side of the pair; that side is stored and is compared here
-    with its conjugate, read as 0 when missing.
+    at least one side of the pair; that side is stored in its curve's row
+    and is compared here with the conjugate row's cell, read as 0 when missing.
     """
-    entries = table.entries
+    rows = table.rows
     conj = {d: conjugate_divisor(d) for d in ["T", *table.complex.exceptional_divisors()]}
     return all(
-        v == entries.get((conj[div], conjugate_curve(c)), 0)
-        for (div, c), v in entries.items()
+        v == rows[conjugate_curve(c)].get(conj[div], 0)
+        for c, row in rows.items() for div, v in row.items()
     )
 
 

@@ -100,3 +100,20 @@ def test_parameters_with_defaults_are_frozen():
                 defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 found |= {(path.stem, node.name, a.arg) for a in defaulted}
     assert found == PARAMETERS_WITH_DEFAULTS
+
+
+# incidence.py alone knows how the pairing table and the cell map are
+# stored; every other module reads the table through ``value``/``degree``
+STORAGE_ATTRIBUTES = {"cell_map", "rows"}
+
+
+def test_only_incidence_reads_the_table_storage():
+    readers = []
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "incidence.py"]
+    assert len(modules) > 5  # the scan saw the package
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr in STORAGE_ATTRIBUTES):
+                readers.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert readers == []

@@ -29,6 +29,7 @@ from dsolid.incidence import (
     triviality_check,
 )
 from dsolid.checks import CheckContext, Model, check_completion, check_pencil_ledgers
+from dsolid.elimination import _initial_state
 from dsolid.lattice import build_surface
 
 
@@ -156,8 +157,9 @@ def test_completion_rejects_underdetermined():
 @pytest.mark.parametrize("n", range(4, 17))
 def test_equivariance(n):
     table = Model(n).table
-    for (d, c), v in table.entries.items():
-        assert table.entries[(conjugate_divisor(d), conjugate_curve(c))] == v
+    for c, row in table.rows.items():
+        for d, v in row.items():
+            assert table.rows[conjugate_curve(c)][conjugate_divisor(d)] == v
     assert is_equivariant(table)
 
 
@@ -170,7 +172,7 @@ def test_conjugation_record_fails_on_one_flipped_entry():
         return rec.status
 
     assert conjugation() == "pass"
-    ctx.model(n).table.entries[("E2", ("C", 3, 2))] += 1
+    ctx.model(n).table.rows[("C", 3, 2)]["E2"] += 1
     assert not is_equivariant(ctx.model(n).table)
     assert conjugation() == "fail"
 
@@ -285,7 +287,10 @@ def test_the_cell_map_is_read_only():
     # assembling and checking the table leaves the shared map as it was
     before = dict(cx.cell_map)
     table = complete_pairings(cx, pairing_system(cx))
-    table.entries[next(iter(table.entries))] += 1
+    with pytest.raises(TypeError):
+        table.rows[c] = {}
+    row = next(r for r in table.rows.values() if r)
+    row[next(iter(row))] += 1
     assert dict(cx.cell_map) == before
 
 
@@ -313,8 +318,10 @@ def test_sparse_table_matches_dense_oracle(n):
     table = Model(n).table
     dense = _dense_table(table.complex)
     assert {cell: table.value(*cell) for cell in dense} == dense
-    assert table.entries == {cell: v for cell, v in dense.items() if v}
-    assert 0 not in table.entries.values()
+    assert list(table.rows) == table.complex.curves
+    stored = {(d, c): v for c, row in table.rows.items() for d, v in row.items()}
+    assert stored == {cell: v for cell, v in dense.items() if v}
+    assert all(0 not in row.values() for row in table.rows.values())
 
 
 def test_equivariance_fails_on_one_filled_zero_cell():
@@ -322,9 +329,23 @@ def test_equivariance_fails_on_one_filled_zero_cell():
     table = Model(n).table
     dense = _dense_table(table.complex)
     cell = ("E3", ("C", 1, 5))
-    assert dense[cell] == 0 and cell not in table.entries
-    table.entries[cell] = 1
+    assert dense[cell] == 0 and "E3" not in table.rows[("C", 1, 5)]
+    table.rows[("C", 1, 5)]["E3"] = 1
     assert not is_equivariant(table)
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_initial_degrees_match_the_dense_oracle(n):
+    # the elimination's starting degrees are the adjusted bundle's degree on
+    # every fiber-cycle node, summed here over every cell of the dense table
+    table = Model(n).table
+    cx = table.complex
+    dense = _dense_table(cx)
+    l1 = adjusted_bundle(n)
+    divisors = ["T", *cx.exceptional_divisors()]
+    nodes = [nd for i in range(1, n) for nd in cx.fiber_cycle(i)]
+    expected = {nd: sum(l1.get(d, 0) * dense[(d, nd)] for d in divisors) for nd in nodes}
+    assert _initial_state(table).degrees == expected
 
 
 @pytest.mark.parametrize("n", range(4, 17))

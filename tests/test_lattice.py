@@ -82,6 +82,14 @@ def test_exceptional_relations(n):
     assert exceptional_chain_relations(build_surface(n))
 
 
+@pytest.mark.parametrize("name", ["C3", "C6", "C7", "Cb3", "Cb6", "Cb7"])
+def test_exceptional_relations_fail_on_one_perturbed_chain_class(name):
+    # every chain class from 3 to n-1 enters some arc, on either half
+    tower = build_surface(8)
+    tower.tracked[name] = tower.tracked[name] + tower.basis.unit("H1")
+    assert not exceptional_chain_relations(tower)
+
+
 @pytest.mark.parametrize("n", [4, 5, 8, 11])
 def test_adjacent_components_pair_to_one(n):
     tower = build_surface(n)
