@@ -13,8 +13,8 @@ plane has symmetric rank exactly two.  The branch quartic is
     F = z0 z_{n-1} z_n f - Q^2,
 
 and every verification below is a literal polynomial identity over Q; no
-floating point is used anywhere (conic sample points may live in a real
-quadratic extension).  Tangency along the double conics is one identity on
+floating point is used anywhere (an irrational conic sample point is one of
+a conjugate pair over Q(sqrt D), tested at both at once in integers).  Tangency along the double conics is one identity on
 the chart, with g = prod (p_i u1 - q_i u0) over the roots:
 
     F∘φ + (Q∘φ)^2 = s^2 a b u0^{n-2} g.
@@ -65,8 +65,8 @@ from fractions import Fraction
 from operator import mul
 from pathlib import Path
 
-from .poly import Coeff, Exponent, MultiPoly, _canonical
-from .qfield import QuadExt, eval_poly_at, sqrt_fraction
+from .poly import Coeff, Exponent, MultiPoly, _canonical, _integral
+from .qfield import eval_poly_at, sqrt_fraction
 
 # parametrization variable order
 U0, U1, S, A, B = range(5)
@@ -435,9 +435,11 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     the fiber direction must not vanish; with a simple root it reduces to
     a nonzero constant times s^2 a b, so failures detect repeated roots.
     F∘φ is ``inst.pulled_f``, from the shifted f and ``inst.pulled_q``; the
-    ambient F is not built.  The roots are probed in order, and the index
-    of the first root whose derivative vanishes at a sample is returned
-    (None when every root passes).
+    ambient F is not built.  The derivative and Q∘φ are specialized to each
+    root's fiber once; the sampler then works on integer columns of the two
+    (``_vanishes_at_a_sample``).  The roots are probed in order, and the
+    index of the first root whose derivative vanishes at a sample is
+    returned (None when every root passes).
     """
     if any(p == 0 for p, _ in inst.roots):
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
@@ -451,26 +453,77 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     return None
 
 
+def _integer_columns(p: MultiPoly) -> tuple[int, list[dict[int, int]]]:
+    """``p`` in (s, a, b) at s = 1, as integer columns keyed by the exponent of b.
+
+    Returns ``top``, the largest degree in (a, b), and ``cols``: with
+    t = num/den and X = den·b, some positive integer multiple of
+    ``den**top * p(1, t, b)`` is ``sum_j col_j X^j``, where ``cols[j]`` maps
+    k to the coefficient of ``num**k * den**(top - j - k)`` in col_j.
+    """
+    _, coeffs = _integral(p.terms)
+    top = max((e[1] + e[2] for e in p.terms), default=0)
+    cols: list[dict[int, int]] = [{} for _ in range(max((e[2] + 1 for e in p.terms), default=0))]
+    for (_, k, j), c in zip(p.terms, coeffs):
+        col = cols[j]
+        col[k] = col.get(k, 0) + c
+    return top, cols
+
+
+def _column_values(top: int, cols: list[dict[int, int]], num: int, den: int) -> list[int]:
+    """The integer coefficients of X^0, X^1, .. in ``_integer_columns`` at t = num/den."""
+    nums, dens = [1], [1]
+    for _ in range(top):
+        nums.append(nums[-1] * num)
+        dens.append(dens[-1] * den)
+    return [sum(c * nums[k] * dens[top - j - k] for k, c in col.items())
+            for j, col in enumerate(cols)]
+
+
+def _at_conjugate(values: list[int], num: int, disc: int, den: int) -> tuple[int, int]:
+    """``sum_j values[j] X^j`` at X = (num + sqrt(disc))/den, scaled by den^top.
+
+    The result ``(x, y)`` stands for x + y·sqrt(disc), ``top = len(values) - 1``.
+    For a non-square ``disc`` it is zero (x = y = 0) exactly when the
+    polynomial vanishes at X, and then it vanishes at the conjugate
+    (num - sqrt(disc))/den as well: the coefficients are rational.
+    """
+    x = y = 0
+    scale = 1
+    for v in reversed(values):
+        x, y = x * num + y * disc + v * scale, x + y * num
+        scale *= den
+    return x, y
+
+
 def _vanishes_at_a_sample(h: MultiPoly, conic: MultiPoly, rng: random.Random) -> bool:
     """Whether h vanishes at one of 8 sample points of the conic, both in (s, a, b).
 
-    Sample points are exact, possibly in a quadratic extension; points on
-    coordinate degeneracies are resampled.
+    Each draw fixes t in the point (1, t, b) and solves the conic for b; a
+    draw whose line is degenerate, or a point with t = 0 or b = 0, is
+    resampled.  With t = num/den and X = den·b, the conic's line and h are
+    integer polynomials in X (``_integer_columns``, grouped once per call).
+    When the line's discriminant D is not a square (D < 0 is the formal
+    field), the two points are the conjugates X = (-β ± sqrt(D))/(2γ), and
+    one integer pair x + y·sqrt(D) (``_at_conjugate``) tests h, and the
+    point's place on the conic, at both.  A line with γ = 0 or a square D
+    has rational points, which ``eval_poly_at`` tests one at a time.  Every
+    point is exact; the draws and the verdict do not depend on the route.
     """
     samples = 8
     got = 0
+    conic_top, conic_cols = _integer_columns(conic)
+    h_top, h_cols = _integer_columns(h)
     for _ in range(400):
         if got >= samples:
             break
         t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
         if t == 0:
             continue
-        # solve conic(1, t, b) = 0 for b
-        line = conic.specialize({0: 1, 1: t})
-        gamma = line.coefficient((2,))
-        beta = line.coefficient((1,))
-        alpha = line.coefficient((0,))
-        points: list[Fraction | QuadExt] = []
+        num, den = t.numerator, t.denominator
+        # solve conic(1, t, b) = 0 for X = den·b
+        line = _column_values(conic_top, conic_cols, num, den)
+        alpha, beta, gamma = (line + [0, 0, 0])[:3]
         if gamma == 0:
             if beta == 0:
                 continue
@@ -478,27 +531,24 @@ def _vanishes_at_a_sample(h: MultiPoly, conic: MultiPoly, rng: random.Random) ->
         else:
             disc = beta * beta - 4 * gamma * alpha
             root = sqrt_fraction(disc)
-            if isinstance(root, Fraction):
-                points = [(-beta + root) / (2 * gamma), (-beta - root) / (2 * gamma)]
-            else:
-                inv = Fraction(1, 2) / gamma
-                points = [
-                    (root + (-beta)) * inv,
-                    ((-1) * root + (-beta)) * inv,
-                ]
-        for b in points:
+            if not isinstance(root, Fraction):
+                if _at_conjugate(line, -beta, disc, 2 * gamma) != (0, 0):
+                    raise RuntimeError("sample point is not on the conic")
+                h_line = _column_values(h_top, h_cols, num, den)
+                if _at_conjugate(h_line, -beta, disc, 2 * gamma) == (0, 0):
+                    return True
+                got = min(got + 2, samples)
+                continue
+            points = [(-beta + root) / (2 * gamma), (-beta - root) / (2 * gamma)]
+        for x in points:
             if got >= samples:
                 break
-            bz = b.is_zero() if isinstance(b, QuadExt) else b == 0
-            if bz:
+            if x == 0:
                 continue  # coordinate degeneracy: resample
-            pt = [1, t, b]
-            check = eval_poly_at(conic, pt)
-            cz = check.is_zero() if isinstance(check, QuadExt) else check == 0
-            assert cz, "sample point is not on the conic"
-            val = eval_poly_at(h, pt)
-            vz = val.is_zero() if isinstance(val, QuadExt) else val == 0
-            if vz:
+            pt = [1, t, x / den]
+            if eval_poly_at(conic, pt) != 0:
+                raise RuntimeError("sample point is not on the conic")
+            if eval_poly_at(h, pt) == 0:
                 return True
             got += 1
     if got < samples:

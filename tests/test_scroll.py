@@ -798,6 +798,177 @@ def test_smoothness_probe_excludes_splitting_fiber():
         smoothness_probe(bad, random.Random(0))
 
 
+# -- the integer sampler against the QuadExt sampler ---------------------------
+
+
+def _reference_vanishes(h, conic, rng):
+    """The conic sampler written with QuadExt points, one eval_poly_at per point."""
+    samples = 8
+    got = 0
+    for _ in range(400):
+        if got >= samples:
+            break
+        t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+        if t == 0:
+            continue
+        line = conic.specialize({0: 1, 1: t})
+        gamma = line.coefficient((2,))
+        beta = line.coefficient((1,))
+        alpha = line.coefficient((0,))
+        if gamma == 0:
+            if beta == 0:
+                continue
+            points = [Fraction(-alpha, beta)]
+        else:
+            disc = beta * beta - 4 * gamma * alpha
+            root = sqrt_fraction(disc)
+            if isinstance(root, Fraction):
+                points = [(-beta + root) / (2 * gamma), (-beta - root) / (2 * gamma)]
+            else:
+                inv = Fraction(1, 2) / gamma
+                points = [(root + (-beta)) * inv, ((-1) * root + (-beta)) * inv]
+        for b in points:
+            if got >= samples:
+                break
+            if _is_zero(b):
+                continue
+            pt = [1, t, b]
+            assert _is_zero(eval_poly_at(conic, pt)), "sample point is not on the conic"
+            if _is_zero(eval_poly_at(h, pt)):
+                return True
+            got += 1
+    if got < samples:
+        raise RuntimeError("could not collect enough conic sample points")
+    return False
+
+
+def _sab(terms):
+    """A polynomial in (s, a, b) from ``{(i, j, k): c}``."""
+    return MultiPoly.from_terms(3, list(terms.items()))
+
+
+def _first_draw(seed, skip=0):
+    """The t of draw ``skip`` of Random(seed), drawn as the sampler draws it."""
+    rng = random.Random(seed)
+    for _ in range(skip + 1):
+        t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+    return t
+
+
+def _sampler_cases():
+    """(label, h, conic) triples covering every route of the sampler."""
+    cases = []
+    for n in range(4, 13):
+        inst = random_instance(n, random.Random(700 + n))
+        derivative = inst.pulled_f.derivative(U1)
+        for p, q in inst.roots[:2]:
+            fiber = {U0: p, U1: q}
+            cases.append((f"n{n}", derivative.specialize(fiber), inst.pulled_q.specialize(fiber)))
+    bad = _double_root_instance()
+    derivative = bad.pulled_f.derivative(U1)
+    for p, q in bad.roots:
+        fiber = {U0: p, U1: q}
+        cases.append(("double-root", derivative.specialize(fiber), bad.pulled_q.specialize(fiber)))
+    generic = cases[0][2]
+    conics = {
+        "generic": generic,
+        "negative": _sab({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}),  # b^2 + a^2 + s^2
+        "square": _sab({(0, 0, 2): 1, (0, 2, 0): -1}),  # b = ±t
+        "square-half": _sab({(0, 0, 2): 4, (2, 0, 0): -1}),  # b = ±1/2
+        "linear": _sab({(0, 1, 1): 1, (2, 0, 0): -1}),  # t b = 1, gamma = 0
+        "through-b0": _sab({(0, 0, 2): 1, (0, 1, 1): 1}),  # b = 0 or b = -t
+    }
+    for seed in (1, 2, 3):
+        t0 = _first_draw(seed, skip=seed)
+        ell = _sab({(0, 1, 0): t0.denominator, (1, 0, 0): -t0.numerator})  # a = t0 s
+        ell2 = ell * ell
+        for name, conic in conics.items():
+            cases.append((f"{name}·ell^2", conic * ell2, conic))
+            cases.append((f"ell^4/{name}", ell2 * ell2, conic))
+    for name, conic in conics.items():
+        cases.append((f"monomial/{name}", _sab({(1, 2, 1): Fraction(3, 7)}), conic))
+        cases.append((f"b-a/{name}", _sab({(0, 0, 1): 1, (0, 1, 0): -1}), conic))
+        cases.append((f"b+a/{name}", _sab({(0, 0, 1): Fraction(5, 2), (0, 1, 0): Fraction(5, 2)}), conic))
+    return cases
+
+
+def test_integer_sampler_matches_the_quadext_sampler(monkeypatch):
+    dispatched = []
+
+    def recording(x):
+        dispatched.append(x)
+        return sqrt_fraction(x)
+
+    monkeypatch.setattr(scroll, "sqrt_fraction", recording)
+    cases = _sampler_cases()
+    vanished = compared = 0
+    for label, h, conic in cases:
+        for seed in range(4):
+            outcomes = []
+            for sampler in (_reference_vanishes, scroll._vanishes_at_a_sample):
+                rng = random.Random(seed)
+                try:
+                    verdict = sampler(h, conic, rng)
+                except RuntimeError as exc:
+                    verdict = str(exc)
+                outcomes.append((verdict, rng.getstate()))
+            assert outcomes[0] == outcomes[1], (label, seed)
+            vanished += outcomes[0][0] is True
+            compared += 1
+    assert compared == 4 * len(cases) and 0 < vanished < compared
+    # every discriminant route was taken
+    assert any(x < 0 for x in dispatched)
+    assert any(x > 0 and isinstance(sqrt_fraction(x), Fraction) for x in dispatched)
+    assert any(x > 0 and not isinstance(sqrt_fraction(x), Fraction) for x in dispatched)
+
+
+def test_sampler_vanishes_at_the_first_sample_for_zero_h():
+    for conic in (_on_fiber(_valid_instance(5, 2).q, (1, 3)), _sab({(0, 0, 2): 1, (0, 2, 0): -1})):
+        rng, drawn = random.Random(6), random.Random(6)
+        assert Fraction(drawn.randint(-40, 40), drawn.randint(1, 7)) != 0
+        assert scroll._vanishes_at_a_sample(MultiPoly(3, {}), conic, rng) is True
+        assert rng.getstate() == drawn.getstate()
+
+
+def test_conjugate_evaluation_is_an_integer_pair():
+    # X^2 - 2 at X = (0 + sqrt(8))/2, scaled by 2^2: 8 - 8 = 0
+    assert scroll._at_conjugate([-2, 0, 1], 0, 8, 2) == (0, 0)
+    # X + 1 at X = (1 + sqrt(5))/2, scaled by 2: (1 + sqrt 5) + 2
+    assert scroll._at_conjugate([1, 1], 1, 5, 2) == (3, 1)
+    assert scroll._at_conjugate([], 1, 5, 2) == (0, 0)
+
+
+def test_sampler_raises_on_an_irrational_point_off_the_conic(monkeypatch):
+    inst = _valid_instance(5, 2)
+    lam = inst.roots[0]
+    h = inst.pulled_f.derivative(U1).specialize({U0: lam[0], U1: lam[1]})
+    conic = inst.pulled_q.specialize({U0: lam[0], U1: lam[1]})
+    assert scroll._vanishes_at_a_sample(h, conic, random.Random(1)) is False
+    real = scroll._at_conjugate
+    calls = []
+
+    def broken(values, num, disc, den):
+        calls.append(values)
+        x, y = real(values, num, disc, den)
+        return (x + 1, y) if len(calls) == 3 else (x, y)
+
+    monkeypatch.setattr(scroll, "_at_conjugate", broken)
+    with pytest.raises(RuntimeError, match="not on the conic"):
+        scroll._vanishes_at_a_sample(h, conic, random.Random(1))
+    assert len(calls) == 3  # conic, h, then the broken conic check of the second draw
+
+
+def test_sampler_raises_on_a_rational_point_off_the_conic(monkeypatch):
+    conic = _sab({(0, 0, 2): 1, (0, 2, 0): -1})
+    h = _sab({(1, 2, 1): 1})
+    assert scroll._vanishes_at_a_sample(h, conic, random.Random(1)) is False
+    real = scroll.eval_poly_at
+    monkeypatch.setattr(scroll, "eval_poly_at",
+                        lambda p, pt: real(p, pt) + (1 if p is conic else 0))
+    with pytest.raises(RuntimeError, match="not on the conic"):
+        scroll._vanishes_at_a_sample(h, conic, random.Random(1))
+
+
 # Reference restrictions, each written out as its own substitution map from
 # the ambient coordinates; the specialized pullback must reproduce them.
 
