@@ -847,10 +847,10 @@ def _sab(terms):
     return MultiPoly.from_terms(3, list(terms.items()))
 
 
-def _first_draw(seed, skip=0):
-    """The t of draw ``skip`` of Random(seed), drawn as the sampler draws it."""
+def _drawn_t(seed, index):
+    """The t of draw ``index`` of Random(seed), drawn as the sampler draws it."""
     rng = random.Random(seed)
-    for _ in range(skip + 1):
+    for _ in range(index + 1):
         t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
     return t
 
@@ -879,7 +879,7 @@ def _sampler_cases():
         "through-b0": _sab({(0, 0, 2): 1, (0, 1, 1): 1}),  # b = 0 or b = -t
     }
     for seed in (1, 2, 3):
-        t0 = _first_draw(seed, skip=seed)
+        t0 = _drawn_t(seed, seed)
         ell = _sab({(0, 1, 0): t0.denominator, (1, 0, 0): -t0.numerator})  # a = t0 s
         ell2 = ell * ell
         for name, conic in conics.items():
