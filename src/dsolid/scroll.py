@@ -45,13 +45,17 @@ term.  The same image rule counts the quadrics of the scroll ideal,
 ``ideal_quadric_dim``.
 
 An instance file is ``json.dumps(instance_to_json(inst), indent=1,
-sort_keys=True)`` byte for byte.  ``read_instance`` rebuilds f and F from
-the stored roots and Q and compares the stored term maps with the rebuilt
-ones as strings, parsing a stored map only when the strings differ.  The
-key of each exponent in a term map, ``"e0,e1,.."``, comes from a spelling
-table that, like the image table, holds one variable count at a time: the
-reader's spelling of the rebuilt F finds every key the writer spelled, so
-each exponent is spelled about once per n.
+sort_keys=True)`` byte for byte.  F depends only on the instance's value
+(n, roots, f, Q), so its written term map is kept for the last value asked,
+``_written_big_f``: the reader's rebuilt instance equals the one just
+written, so a round trip builds and spells F once.  ``read_instance``
+rebuilds f from the stored roots and compares the stored term maps of f and
+F with those spellings as strings, parsing a stored map only when the
+strings differ.  F is built again only for a read of another instance than
+the last one asked, or to compare a stored F that is spelled otherwise.
+The key of each exponent in a term map, ``"e0,e1,.."``, comes from a
+spelling table that, like the image table, holds one variable count at a
+time, so each exponent is spelled about once per n.
 """
 
 from __future__ import annotations
@@ -59,11 +63,12 @@ from __future__ import annotations
 import functools
 import json
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
+from types import MappingProxyType
 
 from .poly import Coeff, Exponent, MultiPoly, _canonical, _integral
 from .qfield import eval_poly_at, sqrt_fraction
@@ -280,16 +285,22 @@ class QuarticInstance:
         n, nv = self.n, self.n + 1
         return MultiPoly(nv, {_exp(nv, 0, exp.index(1), n - 1, n): c for exp, c in self.f.terms.items()})
 
+    def _ambient_quartic(self) -> MultiPoly:
+        """F = z0 z_{n-1} z_n f - Q^2, built afresh from the instance's value."""
+        big_f = self._shifted_f() - self.q * self.q
+        if set(map(sum, big_f.terms)) != {4}:
+            raise RuntimeError("F = z0 z_{n-1} z_n f - Q^2 is not a homogeneous quartic")
+        return big_f
+
     @functools.cached_property
     def big_f(self) -> MultiPoly:
         """The ambient quartic F = z0 z_{n-1} z_n f - Q^2, with O(n^4) terms.
 
-        Built on first use, for an instance file and its reader's comparison;
-        the checks read F only through ``pulled_f``.
+        Built on first use, by tests and by a reader whose stored F is not
+        spelled as ``_written_big_f`` spells it; a file's F comes from that
+        memo, and the checks read F only through ``pulled_f``.
         """
-        big_f = self._shifted_f() - self.q * self.q
-        assert set(map(sum, big_f.terms)) == {4}
-        return big_f
+        return self._ambient_quartic()
 
     @functools.cached_property
     def pulled_q(self) -> MultiPoly:
@@ -611,9 +622,8 @@ def _terms_json(p: MultiPoly) -> dict[str, str]:
     Terms stay in dict order; the file's order comes from ``sort_keys``.
     Each exponent's key is looked up in ``_spellings``, which holds one
     variable count at a time and is replaced when it changes, as the image
-    table of ``pullback`` is: the Q, f and F of one n, written and then
-    rebuilt by ``instance_from_json``, share their monomials, so each
-    exponent is spelled about once per n.
+    table of ``pullback`` is: the Q, f and F of one n share their monomials,
+    so each exponent is spelled about once per n.
     """
     global _spelling_nvars, _spellings
     if p.nvars != _spelling_nvars:
@@ -624,13 +634,26 @@ def _terms_json(p: MultiPoly) -> dict[str, str]:
     return dict(zip(keys, vals))
 
 
+@functools.lru_cache(maxsize=1)
+def _written_big_f(inst: QuarticInstance) -> Mapping[str, str]:
+    """The ``_terms_json`` of F, read-only, for the last instance value asked.
+
+    Keyed by the instance's value (n, roots, f, Q), which alone determines
+    F: the instance that ``instance_from_json`` rebuilds equals the one just
+    written, so the reader finds the writer's spelling here.  F is built from
+    that value, never read from the ``big_f`` cache, so an instance whose
+    ``big_f`` was set by hand cannot put another F here.
+    """
+    return MappingProxyType(_terms_json(inst._ambient_quartic()))
+
+
 def instance_to_json(inst: QuarticInstance) -> dict:
     return {
         "n": inst.n,
         "roots": [[str(p), str(q)] for p, q in inst.roots],
         "Q": _terms_json(inst.q),
         "f": _terms_json(inst.f),
-        "F": _terms_json(inst.big_f),
+        "F": dict(_written_big_f(inst)),
     }
 
 
@@ -664,9 +687,11 @@ def instance_from_json(data: dict) -> QuarticInstance:
     """Rebuild the instance from ``n``, the roots and Q, and check the stored f and F.
 
     A stored term map equal to the rebuilt polynomial's own ``_terms_json``
-    is its canonical spelling, so it matches without parsing.  Any other map
-    is parsed and compared as a polynomial, which accepts other spellings of
-    the same terms (``"0/1"`` terms, ``"2/2"``) and rejects different ones.
+    is its canonical spelling, so it matches without parsing; F's spelling
+    comes from ``_written_big_f``, which a writer of the same instance has
+    just filled.  Any other map is parsed and compared as a polynomial,
+    which accepts other spellings of the same terms (``"0/1"`` terms,
+    ``"2/2"``) and rejects different ones.
     Data of any other shape raises ``InstanceError("malformed instance: ..")``.
     """
     try:
@@ -684,10 +709,11 @@ def instance_from_json(data: dict) -> QuarticInstance:
     except _MALFORMED as exc:
         raise InstanceError(f"malformed instance: {exc!r}") from exc
     inst = build_instance(n, roots, _stored_poly(stored["Q"], n + 1))
-    # round-trip integrity: the stored derived data must match exactly
-    for key, p in (("f", inst.f), ("F", inst.big_f)):
-        if stored[key] != _terms_json(p) and _stored_poly(stored[key], n + 1) != p:
-            raise InstanceError("stored derived polynomials do not match the rebuilt instance")
+    # round-trip integrity: the stored derived data must match exactly; the
+    # ambient F is read only when its stored map is spelled otherwise
+    if (stored["f"] != _terms_json(inst.f) and _stored_poly(stored["f"], n + 1) != inst.f
+            or stored["F"] != _written_big_f(inst) and _stored_poly(stored["F"], n + 1) != inst.big_f):
+        raise InstanceError("stored derived polynomials do not match the rebuilt instance")
     return inst
 
 

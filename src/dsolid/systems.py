@@ -179,7 +179,8 @@ def movable_invariants(tower: BlowupTower, stripping: StrippingResult) -> Movabl
     k = tower.canonical
     square = mov.dot(mov)
     pa = 1 + Fraction(square + mov.dot(k), 2)
-    assert pa.denominator == 1
+    if pa.denominator != 1:
+        raise RuntimeError(f"arithmetic genus {pa} of the movable part is not an integer")
     degs = tuple(mov.dot(tower.tracked[f"C{i}"]) for i in range(1, tower.n))
     return MovableInvariants(square, mov.dot(tower.tracked["C2"]), int(pa), degs)
 

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from dsolid import cli
+from dsolid import cli, scroll
 from dsolid.cli import main
+from dsolid.poly import MultiPoly
 from dsolid.report import RunConfig, render, run
 from dsolid.scroll import InstanceError, double_conic_verify, random_instance, read_instance
 
@@ -159,6 +160,75 @@ def test_verify_output_does_not_depend_on_the_hash_seed():
         outs.append(done.stdout)
     assert json.loads(outs[0])["summary"]["fail"] == 0
     assert outs[0] == outs[1]
+
+
+def test_emit_instance_roundtrip_forms_one_ambient_square(tmp_path, monkeypatch):
+    n = 7
+    scroll._written_big_f.cache_clear()
+    squares = []
+    mul = MultiPoly.__mul__
+
+    def counting(a, b):
+        if a is b and a.nvars == n + 1:  # Q * Q; the chart's products have 5 variables
+            squares.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    out = tmp_path / "inst.json"
+    assert main(["emit-instance", "--n", str(n), "--seed", "42", "--out", str(out),
+                 "--verify-roundtrip"]) == 0
+    # the writer builds F; the reader's rebuilt instance equals the written one
+    # and is checked against the writer's spelling of F
+    assert len(squares) == 1
+
+
+def _dsolid_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_emit_instance_bytes_do_not_depend_on_python_O(tmp_path):
+    blobs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"inst{len(blobs)}.json"
+        done = subprocess.run([sys.executable, *flags, "-m", "dsolid.cli", "emit-instance",
+                               "--n", "7", "--seed", "42", "--out", str(out), "--verify-roundtrip"],
+                              env=_dsolid_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+_OPTIMIZED_CHECKS = """
+import random
+from dsolid import scroll, systems
+from dsolid.lattice import DivisorClass, build_surface
+
+inst = scroll.random_instance(5, random.Random(1))
+scroll.QuarticInstance._shifted_f = lambda self: self.f  # F gets degree-1 terms
+try:
+    inst.big_f
+except RuntimeError as exc:
+    print(exc)
+tower = build_surface(5)
+stripping = systems.pluri_anticanonical_stripping(tower)
+dot = DivisorClass.dot
+DivisorClass.dot = lambda a, b: dot(a, b) + (a is b)
+try:
+    systems.movable_invariants(tower, stripping)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_engine_checks_still_raise_under_python_O():
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=_dsolid_env(),
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].endswith("is not a homogeneous quartic")
+    assert lines[1].endswith("is not an integer")
 
 
 def test_emit_instance_shape_n4(tmp_path):

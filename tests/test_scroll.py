@@ -1228,12 +1228,84 @@ def _spelled(p):
             for e, c in p.terms.items()]
 
 
+def test_written_f_is_a_fresh_copy_of_a_read_only_map(tmp_path):
+    scroll._written_big_f.cache_clear()
+    inst = _valid_instance(7, 24)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    write_instance(inst, first)
+    kept = scroll._written_big_f(inst)
+    with pytest.raises(TypeError):
+        kept["0,0,0,0,0,0,0,4"] = "1/1"
+    blob = instance_to_json(inst)
+    exp = _first_term(blob["F"])
+    blob["F"][exp] = "0/1"
+    blob["F"]["0,0,0,0,0,0,0,4"] = "1/1"
+    assert scroll._written_big_f(inst) is kept  # the same memo entry, unchanged
+    assert instance_to_json(inst)["F"] == dict(_spelled(inst.big_f))
+    write_instance(inst, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+def test_tampered_f_is_rejected_with_the_memo_warm_or_cold(tmp_path, memo):
+    inst = _valid_instance(6, 25)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    blob = json.loads(path.read_text())
+    _bump_coefficient("F")(blob)
+    path.write_text(json.dumps(blob))
+    if memo == "cold":
+        scroll._written_big_f.cache_clear()
+    before = scroll._written_big_f.cache_info()
+    with pytest.raises(InstanceError, match="stored derived polynomials do not match"):
+        read_instance(path)
+    after = scroll._written_big_f.cache_info()
+    # the read looked the rebuilt instance up once: a hit on the written one, or a cold miss
+    assert (after.hits - before.hits, after.misses - before.misses) == (
+        (1, 0) if memo == "warm" else (0, 1))
+
+
+def test_the_written_f_next_to_another_q_is_rejected(tmp_path):
+    inst = _valid_instance(6, 26)
+    other = build_instance(6, inst.roots, _valid_instance(6, 27).q)
+    assert other.f == inst.f and other.q != inst.q
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    blob = json.loads(path.read_text())
+    blob["Q"] = instance_to_json(other)["Q"]
+    write_instance(inst, path)  # the memo holds the written instance again
+    path.write_text(json.dumps(blob))
+    with pytest.raises(InstanceError, match="stored derived polynomials do not match"):
+        read_instance(path)
+
+
+def test_written_f_comes_from_the_value_not_a_primed_big_f():
+    scroll._written_big_f.cache_clear()
+    inst = _valid_instance(5, 28)
+    primed = _with_big_f(inst, inst.big_f + _mono(6, 0, 0, 0, 0))
+    assert primed == inst
+    assert instance_to_json(primed)["F"] == dict(_spelled(inst.big_f))
+    assert instance_to_json(inst) == instance_to_json(primed)
+
+
+def test_big_f_raises_on_a_non_quartic(monkeypatch):
+    scroll._written_big_f.cache_clear()
+    inst = _valid_instance(5, 29)
+    shifted = QuarticInstance._shifted_f
+    monkeypatch.setattr(QuarticInstance, "_shifted_f", lambda self: shifted(self) * _unit(6, 0))
+    with pytest.raises(RuntimeError, match="not a homogeneous quartic"):
+        inst.big_f
+    with pytest.raises(RuntimeError, match="not a homogeneous quartic"):
+        instance_to_json(inst)
+
+
 def _cold_tables(monkeypatch):
     monkeypatch.setattr(poly, "_exponents", {})
     monkeypatch.setattr(scroll, "_table_nvars", 0)
     monkeypatch.setattr(scroll, "_table", {})
     monkeypatch.setattr(scroll, "_spelling_nvars", 0)
     monkeypatch.setattr(scroll, "_spellings", scroll._Spellings())
+    scroll._written_big_f.cache_clear()
 
 
 def test_instances_match_in_cold_warm_and_alternating_tables(monkeypatch):

@@ -58,6 +58,16 @@ def test_movable_invariants(n):
     assert (inv.square, inv.degree_on_c2, inv.arithmetic_genus) == (2, 1, 1)
 
 
+def test_movable_invariants_raises_on_a_half_integral_genus(monkeypatch):
+    tower = build_surface(5)
+    stripping = pluri_anticanonical_stripping(tower)
+    dot = DivisorClass.dot
+    # one more on every self-pairing: M.M + M.K turns odd, so p_a = 1 + (M.M + M.K)/2 is not an integer
+    monkeypatch.setattr(DivisorClass, "dot", lambda a, b: dot(a, b) + (a is b))
+    with pytest.raises(RuntimeError, match="is not an integer"):
+        movable_invariants(tower, stripping)
+
+
 def test_movable_component_degrees_n7():
     tower = build_surface(7)
     inv = movable_invariants(tower, pluri_anticanonical_stripping(tower))
