@@ -25,7 +25,8 @@ The checks read F only through F∘φ.  Pullback is a ring homomorphism, so
 F∘φ = φ*(z0 z_{n-1} z_n f) - (Q∘φ)^2, built from the n - 1 terms of the
 shifted f and ``pulled_q`` and kept as ``QuarticInstance.pulled_f``.  The
 ambient F, with O(n^4) terms, is built only to write or read an instance
-file (``QuarticInstance.big_f``).
+file (``_written_big_f``, and ``QuarticInstance.big_f`` for a stored F that
+is spelled otherwise).
 The binary form g, whose coefficients are also those of f, comes from
 ``_root_form``.  A coordinate hyperplane of the chart is a term filter: the
 cone z_{n-1} = 0 keeps the terms without a, the cone z_n = 0 those without
