@@ -14,19 +14,22 @@ plane has symmetric rank exactly two.  The branch quartic is
 
 and every verification below is a literal polynomial identity over Q; no
 floating point is used anywhere (an irrational conic sample point is one of
-a conjugate pair over Q(sqrt D), tested at both at once in integers).  Tangency along the double conics is one identity on
-the chart, with g = prod (p_i u1 - q_i u0) over the roots:
+a conjugate pair over Q(sqrt D), tested at both at once in integers).
+Tangency along the double conics is one identity on the chart, with
+g = prod (p_i u1 - q_i u0) over the roots:
 
     F∘φ + (Q∘φ)^2 = s^2 a b u0^{n-2} g.
 
 Every restriction starts from the pullback along the chart, ``pullback``;
 Q is pulled back once per instance and kept as ``QuarticInstance.pulled_q``.
-The checks read F only through F∘φ.  Pullback is a ring homomorphism, so
-F∘φ = φ*(z0 z_{n-1} z_n f) - (Q∘φ)^2, built from the n - 1 terms of the
-shifted f and ``pulled_q`` and kept as ``QuarticInstance.pulled_f``.  The
-ambient F, with O(n^4) terms, is built only to write or read an instance
-file (``_written_big_f``, and ``QuarticInstance.big_f`` for a stored F that
-is spelled otherwise).
+Pullback is a ring homomorphism, so the left side is φ*(z0 z_{n-1} z_n f)
+whatever Q is: the identity reads only the n - 1 terms of the shifted f, and
+Q cancels.  The transversality probe reads the same pullback: it samples
+only points of the conic Q∘φ = 0 over each root, where the Q terms of
+∂_{u1}(F∘φ) vanish.  So no check squares Q on the chart.  The ambient F,
+with O(n^4) terms, is built only to write or read an instance file
+(``_written_big_f``, and ``QuarticInstance.big_f`` for a stored F that is
+spelled otherwise).
 The binary form g, whose coefficients are also those of f, comes from
 ``_root_form``.  A coordinate hyperplane of the chart is a term filter: the
 cone z_{n-1} = 0 keeps the terms without a, the cone z_n = 0 those without
@@ -299,7 +302,8 @@ class QuarticInstance:
 
         Built on first use, by tests and by a reader whose stored F is not
         spelled as ``_written_big_f`` spells it; a file's F comes from that
-        memo, and the checks read F only through ``pulled_f``.
+        memo.  No check reads F: the tangency identity and the probe read
+        the pullback of ``_shifted_f`` alone.
         """
         return self._ambient_quartic()
 
@@ -312,21 +316,6 @@ class QuarticInstance:
         """
         return pullback(self.q)
 
-    @functools.cached_property
-    def pulled_q_squared(self) -> MultiPoly:
-        """(Q∘φ)^2, shared by ``pulled_f`` and the tangency identity."""
-        return self.pulled_q * self.pulled_q
-
-    @functools.cached_property
-    def pulled_f(self) -> MultiPoly:
-        """F∘φ, from the chart side: the pullback of z0 z_{n-1} z_n f, which has
-        n - 1 terms, minus ``pulled_q_squared``.
-
-        Pullback is a ring homomorphism, so this equals ``pullback(big_f)``
-        without building F.
-        """
-        return pullback(self._shifted_f()) - self.pulled_q_squared
-
 
 def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     """Validate the roots and the quadric of F = z0 z_{n-1} z_n f - Q^2.
@@ -334,9 +323,9 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     The restriction of Q to the last plane must be a symmetric rank-2
     conic (rank 3 would make the splitting fiber irreducible; rank <= 1 a
     double line); Q must not vanish identically on the scroll.  The
-    instance keeps Q's pullback; F∘φ comes from the shifted f and that
-    pullback when a check first reads it, and the ambient F is built only
-    to write or compare a file.
+    instance keeps Q's pullback, which the cone degrees and the probe's
+    conics read; the tangency checks need no F, and the ambient F is built
+    only to write or compare a file.
     """
     if n < 4:
         raise InstanceError(f"n must be at least 4, got {n}")
@@ -360,25 +349,28 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
     return inst
 
 
+def _tangency_identity(chart: MultiPoly, roots: Sequence[Root], n: int) -> bool:
+    """Whether ``chart`` is s^2 a b u0^{n-2} g, with g = ``_root_form(roots)``;
+    the target has one term per coefficient of g."""
+    want = MultiPoly.from_terms(
+        5, [((n - 2 + len(roots) - j, j, 2, 1, 1), c) for j, c in _root_form(roots).items()])
+    return chart == want
+
+
 def double_conic_verify(inst: QuarticInstance) -> bool:
     """Tangency of the plane sections along conics, as one chart identity.
 
     With g = prod (p u1 - q u0) over the roots (p:q), F∘φ + (Q∘φ)^2 must
-    equal s^2 a b u0^{n-2} g exactly.  F∘φ is ``inst.pulled_f``, the
-    pullback of the shifted f minus ``inst.pulled_q_squared``, and the
-    square is added back from the same cache; the right side is built from the roots, not from f (``build_instance``
-    derives f from the same product, and ``instance_from_json`` rejects any
-    other f), so the identity tests f and the chart images of z0, z_{n-1}
-    and z_n.  It vanishes on every root fiber, on the splitting fiber
-    u0 = 0 and on the cones a = 0 and b = 0, and on no other fiber: so F
-    restricts to -Q^2 on exactly those sections.  g is ``_root_form``, and
-    the target has one term per coefficient of it.
+    equal s^2 a b u0^{n-2} g exactly.  Pullback is a ring homomorphism, so
+    the left side is the pullback of the shifted f for every Q, and Q is
+    never squared.  The right side is built from the roots, not from f
+    (``build_instance`` derives f from the same product, and
+    ``instance_from_json`` rejects any other f), so the identity tests f and
+    the chart images of z0, z_{n-1} and z_n.  It vanishes on every root
+    fiber, on the splitting fiber u0 = 0 and on the cones a = 0 and b = 0,
+    and on no other fiber: so F restricts to -Q^2 on exactly those sections.
     """
-    n, d = inst.n, len(inst.roots)
-    residual = inst.pulled_f + inst.pulled_q_squared
-    want = MultiPoly.from_terms(
-        5, [((n - 2 + d - j, j, 2, 1, 1), c) for j, c in _root_form(inst.roots).items()])
-    return residual == want
+    return _tangency_identity(pullback(inst._shifted_f()), inst.roots, inst.n)
 
 
 def splitting_conic_rank(inst: QuarticInstance) -> int:
@@ -446,8 +438,11 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     At sample points of the conic over each root, the derivative of F along
     the fiber direction must not vanish; with a simple root it reduces to
     a nonzero constant times s^2 a b, so failures detect repeated roots.
-    F∘φ is ``inst.pulled_f``, from the shifted f and ``inst.pulled_q``; the
-    ambient F is not built.  The derivative and Q∘φ are specialized to each
+    The derivative is taken of the pullback of the shifted f alone: that of
+    F∘φ differs from it by -2 (Q∘φ) ∂_{u1}(Q∘φ), which vanishes at every
+    sample because every sample lies on the conic Q∘φ = 0 over its root.
+    So the draws and the verdict are those of F∘φ, and neither F nor
+    (Q∘φ)^2 is built.  The derivative and Q∘φ are specialized to each
     root's fiber once; the sampler then works on integer columns of the two
     (``_vanishes_at_a_sample``).  The roots are probed in order, and the
     index of the first root whose derivative vanishes at a sample is
@@ -455,8 +450,8 @@ def smoothness_probe(inst: QuarticInstance, rng: random.Random) -> int | None:
     """
     if any(p == 0 for p, _ in inst.roots):
         raise ProbeExcluded("the splitting fiber is excluded from the probe")
-    # derivative of the pulled-back quartic along u1
-    derivative = inst.pulled_f.derivative(U1)
+    # along u1, of the pullback of z0 z_{n-1} z_n f: at most n - 2 terms
+    derivative = pullback(inst._shifted_f()).derivative(U1)
     pulled_q = inst.pulled_q
     for index, (p, q) in enumerate(inst.roots):
         fiber = {U0: p, U1: q}
@@ -573,8 +568,10 @@ def _vanishes_at_a_sample(h: MultiPoly, conic: MultiPoly, rng: random.Random) ->
 
 def random_instance(n: int, rng: random.Random) -> QuarticInstance:
     """Seeded random instance with the splitting constraint built in."""
+    # n - 2 distinct values need 2 r + 1 >= n - 2; r = 60 up to n = 123
+    r = max(60, (n - 2) // 2)
     for _ in range(200):
-        vals = rng.sample(range(-60, 61), n - 2)
+        vals = rng.sample(range(-r, r + 1), n - 2)
         roots = [(1, v) for v in vals]
         # rank-2 restriction: product of two independent linear forms in the
         # last three coordinates, with both end squares present

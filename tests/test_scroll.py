@@ -365,13 +365,10 @@ def _mono(nv, *idxs):
     return MultiPoly.from_terms(nv, [(tuple(e), 1)])
 
 
-def _with_big_f(inst, big_f, q=None):
-    """The instance with its quartic replaced by ``big_f``: the ambient F and
-    F∘φ = pullback(big_f) are both primed, so the verifier reads the bumped F."""
-    bad = QuarticInstance(n=inst.n, roots=inst.roots, f=inst.f, q=inst.q if q is None else q)
-    bad.__dict__["big_f"] = big_f
-    bad.__dict__["pulled_f"] = pullback(big_f)
-    return bad
+def _identity_holds(inst, residual):
+    """The tangency identity of ``inst`` on the pullback of an ambient residual
+    F + Q^2; the instance's own residual is ``inst._shifted_f()``."""
+    return scroll._tangency_identity(pullback(residual), inst.roots, inst.n)
 
 
 def _vanishes_on(p, fibers):
@@ -386,7 +383,7 @@ def test_double_conic_verify_root_fiber_can_fail(n):
     g = linear_form_from_roots(n, list(inst.roots[1:]) + [(1, 997)])
     bump = _mono(nv, 0, n - 1, n) * g
     assert _vanishes_on(bump, list(inst.roots[1:]) + [(Fraction(0), Fraction(1))])
-    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump))
+    assert not _identity_holds(inst, inst._shifted_f() + bump)
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -397,16 +394,16 @@ def test_double_conic_verify_splitting_fiber_can_fail(n):
     bump = _mono(nv, n - 2, n - 1, n) * inst.f
     assert _vanishes_on(bump, inst.roots)
     assert not _vanishes_on(bump, [(Fraction(0), Fraction(1))])
-    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump))
+    assert not _identity_holds(inst, inst._shifted_f() + bump)
     bump4 = _mono(nv, n - 2, n - 2, n - 2, n - 2)
-    assert not double_conic_verify(_with_big_f(inst, inst.big_f + bump4))
+    assert not _identity_holds(inst, inst._shifted_f() + bump4)
 
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_double_conic_verify_generic_fiber_can_fail(n):
     inst = _valid_instance(n, 13)
     # F = -Q^2 is tangent everywhere: a double quadric, not a branch quartic
-    assert not double_conic_verify(_with_big_f(inst, -(inst.q * inst.q)))
+    assert not _identity_holds(inst, MultiPoly(n + 1, {}))
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -418,8 +415,7 @@ def test_double_conic_verify_cone_can_fail(n, square):
     sq = n if square == "z_n" else n - 1
     residual = _mono(nv, 0, sq, sq) * inst.f
     assert _vanishes_on(residual, list(inst.roots) + [(Fraction(0), Fraction(1))])
-    bad = residual - inst.q * inst.q
-    assert not double_conic_verify(_with_big_f(inst, bad))
+    assert not _identity_holds(inst, residual)
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 10])
@@ -434,7 +430,7 @@ def test_double_conic_verify_rejects_an_extra_tangent_fiber(n):
     special = list(inst.roots) + [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]
     assert _vanishes_on(residual, special)
     assert not _vanishes_on(residual, [(Fraction(1), Fraction(997))])
-    assert not double_conic_verify(_with_big_f(inst, residual - inst.q * inst.q))
+    assert not _identity_holds(inst, residual)
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -450,9 +446,7 @@ def test_double_conic_verify_rank_can_fail(monkeypatch):
     n, nv = 5, 6
     inst = _valid_instance(n, 15)
     # a rank-3 splitting conic with the matching quartic passes every identity
-    q = inst.q + _mono(nv, n - 2, n - 1)
-    big_f = _mono(nv, 0, n - 1, n) * inst.f - q * q
-    bad = _with_big_f(inst, big_f, q)
+    bad = dataclasses.replace(inst, q=inst.q + _mono(nv, n - 2, n - 1))
     assert splitting_conic_rank(bad) == 3
     assert double_conic_verify(bad)
     monkeypatch.setattr(scroll, "random_instance", lambda n, rng: bad)
@@ -585,11 +579,8 @@ def test_pulled_q_is_the_pullback_of_q(n):
     assert "pulled_q" not in vars(same_q) and same_q.pulled_q == built.pulled_q
     swapped = dataclasses.replace(built, q=built.q + _mono(n + 1, 0, 0))
     assert swapped.pulled_q == pullback(swapped.q) != built.pulled_q
-    # F follows its Q, so the swapped instance is consistent; kept with the
-    # old F, the verifier squares the new Q's pullback and the identity breaks
-    assert double_conic_verify(swapped)
-    stale = _with_big_f(built, built.big_f, q=swapped.q)
-    assert double_conic_verify(built) and not double_conic_verify(stale)
+    # F follows its Q, so the swapped instance is consistent
+    assert double_conic_verify(swapped) and double_conic_verify(built)
 
 
 def _terms_by_exponent(p):
@@ -603,11 +594,10 @@ def _terms_by_exponent(p):
 
 
 def _assert_chart_route(inst):
-    """F∘φ from the shifted f and Q∘φ equals the pullback of the ambient F."""
-    assert "pulled_f" not in vars(inst) and "big_f" not in vars(inst)
-    chart = inst.pulled_f
-    assert "big_f" not in vars(inst)  # the chart route builds no ambient F
-    assert _terms_by_exponent(chart) == _terms_by_exponent(pullback(inst.big_f))
+    """F∘φ + (Q∘φ)^2, with F∘φ the pullback of the ambient F, is the pullback
+    of the shifted f: the chart residual that ``double_conic_verify`` reads."""
+    residual = pullback(inst.big_f) + inst.pulled_q * inst.pulled_q
+    assert _terms_by_exponent(residual) == _terms_by_exponent(pullback(inst._shifted_f()))
 
 
 @pytest.mark.parametrize("n", range(4, 17))
@@ -672,6 +662,23 @@ def test_instances_record_fails_on_a_broken_quartic_shape(broken, monkeypatch):
         "scroll.instances", "fail", "instance 0: quartic shape broken")
 
 
+def test_scroll_checks_pass_past_121_roots(capsys):
+    # the roots are n - 2 distinct integers, drawn from a range that grows with n
+    argv = ["verify", "--n", "124", "--filter", "scroll.*", "--instances", "1", "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {c["id"]: c["status"] for c in report["checks"]} == {
+        "scroll.hankel": "pass", "scroll.instances": "pass", "scroll.tangency": "pass",
+        "scroll.moduli": "pass"}
+    assert main(["verify", "--n", "124", "--filter", "elimination.cone-degree", "--format", "json"]) == 0
+    [rec] = json.loads(capsys.readouterr().out)["checks"]
+    assert (rec["id"], rec["status"]) == ("elimination.cone-degree", "pass")
+    for n in range(124, 131):
+        for seed in range(2):
+            inst = random_instance(n, random.Random(seed))
+            assert len(inst.roots) == n - 2 and double_conic_verify(inst)
+
+
 def test_verify_builds_no_ambient_quartic(monkeypatch, capsys):
     drawn = []
     draw = scroll.random_instance
@@ -682,11 +689,21 @@ def test_verify_builds_no_ambient_quartic(monkeypatch, capsys):
 
     monkeypatch.setattr(scroll, "random_instance", recording)
     argv = ["verify", "--range", "4..6", "--filter", "scroll.*", "--instances", "2"]
+    operands = []
+    product = MultiPoly.__mul__
+
+    def recording_mul(self, other):
+        operands.extend((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", recording_mul)
     assert main(argv) == 0
     # 2 per n for scroll.instances and 1 per n for scroll.tangency, each
-    # verified on F∘φ alone
+    # verified without F and without squaring Q on the chart
     assert len(drawn) == 9
-    assert all("big_f" not in vars(inst) and "pulled_f" in vars(inst) for inst in drawn)
+    assert all("big_f" not in vars(inst) for inst in drawn)
+    assert operands  # the recording saw the products of the run
+    assert not any(op is inst.pulled_q for inst in drawn for op in operands)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -724,6 +741,33 @@ def test_smoothness_probe_detects_double_root():
     # the simple root is probed first, then the double root fails at index 1
     later = QuarticInstance(n=bad.n, roots=bad.roots[::-1], f=bad.f, q=bad.q)
     assert smoothness_probe(later, random.Random(3)) == 1
+
+
+def _reference_probe(inst, rng):
+    """``smoothness_probe`` on the full u1-derivative of F∘φ = pullback(F)."""
+    derivative = pullback(inst.big_f).derivative(U1)
+    for index, (p, q) in enumerate(inst.roots):
+        fiber = {U0: p, U1: q}
+        if scroll._vanishes_at_a_sample(derivative.specialize(fiber),
+                                        inst.pulled_q.specialize(fiber), rng):
+            return index
+    return None
+
+
+def test_smoothness_probe_matches_the_probe_on_the_full_derivative():
+    # the Q terms of the full derivative vanish at every sample on the conic
+    bad = _double_root_instance()
+    cases = [random_instance(n, random.Random(800 + n)) for n in range(4, 13)]
+    cases += [bad, QuarticInstance(n=bad.n, roots=bad.roots[::-1], f=bad.f, q=bad.q)]
+    verdicts = []
+    for inst in cases:
+        for seed in range(3):
+            got, want = random.Random(seed), random.Random(seed)
+            verdict = smoothness_probe(inst, got)
+            assert verdict == _reference_probe(inst, want)
+            assert got.getstate() == want.getstate()
+            verdicts.append(verdict)
+    assert verdicts == [None] * 27 + [0] * 3 + [1] * 3
 
 
 def _closed_form_constant(inst, lam):
@@ -855,17 +899,22 @@ def _drawn_t(seed, index):
     return t
 
 
+def _full_derivative(inst):
+    """The u1-derivative of F∘φ, Q terms included, built on the chart."""
+    return (pullback(inst._shifted_f()) - inst.pulled_q * inst.pulled_q).derivative(U1)
+
+
 def _sampler_cases():
     """(label, h, conic) triples covering every route of the sampler."""
     cases = []
     for n in range(4, 13):
         inst = random_instance(n, random.Random(700 + n))
-        derivative = inst.pulled_f.derivative(U1)
+        derivative = _full_derivative(inst)
         for p, q in inst.roots[:2]:
             fiber = {U0: p, U1: q}
             cases.append((f"n{n}", derivative.specialize(fiber), inst.pulled_q.specialize(fiber)))
     bad = _double_root_instance()
-    derivative = bad.pulled_f.derivative(U1)
+    derivative = _full_derivative(bad)
     for p, q in bad.roots:
         fiber = {U0: p, U1: q}
         cases.append(("double-root", derivative.specialize(fiber), bad.pulled_q.specialize(fiber)))
@@ -941,7 +990,7 @@ def test_conjugate_evaluation_is_an_integer_pair():
 def test_sampler_raises_on_an_irrational_point_off_the_conic(monkeypatch):
     inst = _valid_instance(5, 2)
     lam = inst.roots[0]
-    h = inst.pulled_f.derivative(U1).specialize({U0: lam[0], U1: lam[1]})
+    h = _full_derivative(inst).specialize({U0: lam[0], U1: lam[1]})
     conic = inst.pulled_q.specialize({U0: lam[0], U1: lam[1]})
     assert scroll._vanishes_at_a_sample(h, conic, random.Random(1)) is False
     real = scroll._at_conjugate
@@ -1282,7 +1331,8 @@ def test_the_written_f_next_to_another_q_is_rejected(tmp_path):
 def test_written_f_comes_from_the_value_not_a_primed_big_f():
     scroll._written_big_f.cache_clear()
     inst = _valid_instance(5, 28)
-    primed = _with_big_f(inst, inst.big_f + _mono(6, 0, 0, 0, 0))
+    primed = QuarticInstance(n=inst.n, roots=inst.roots, f=inst.f, q=inst.q)
+    primed.__dict__["big_f"] = inst.big_f + _mono(6, 0, 0, 0, 0)
     assert primed == inst
     assert instance_to_json(primed)["F"] == dict(_spelled(inst.big_f))
     assert instance_to_json(inst) == instance_to_json(primed)
