@@ -23,10 +23,13 @@ integral; anything else is a hard error.
 The table is sparse: one row per curve holds its O(1) nonzero cells (T on
 seams, the one or two components containing it, the components it meets)
 out of 2n-1 divisors, a missing cell pairs to 0, and other modules read it
-only through ``value`` and ``degree``.  Each curve's cells are computed once
-per complex, in one pass over its curves (``IncidenceComplex.cell_map``,
-read-only); the projection constraints, table assembly and triviality test
-read that map.
+only through ``value`` and ``degree``.  The cells are computed once per
+complex (``IncidenceComplex.cell_map``, read-only), and curves with equal
+cells share one ``CurveCells``: every section over a fiber with no blown
+point on its component shares that component's one object, so the map holds
+9(n-1) distinct objects for its 2(n-1)^2 + 5(n-1) curves.  The projection
+constraints and the table assembly walk the distinct objects, not every
+curve; the triviality test reads the map.
 The constraints are solved by an indexed fraction-free elimination over Z
 that back-substitutes in ``int`` (``_solve``).
 """
@@ -103,6 +106,9 @@ class OdpPoint:
 
 class CurveCells(NamedTuple):
     """One curve's pairing-table cells, as tuples (read-only).
+
+    Curves with equal cells share one object in ``cell_map``; it holds only
+    tuples, so sharing it is safe.
 
     ``known`` holds T's cell (1 on seams, 0 in fibers) and a cell of 1 for
     each divisor the curve meets transversally.  ``classes`` holds, for each
@@ -190,49 +196,63 @@ class IncidenceComplex:
         """Each double point under its name and under its exceptional curve."""
         return {key: o for o in self.odps for key in (o.name, o.exceptional)}
 
+    @cached_property
+    def _blown_on(self) -> dict[tuple[str, int | Curve], list[tuple[str, str]]]:
+        """Each component's blown points as (seam-side, odp name), in ``blown``
+        order, indexed once under (component, fiber) and (component, seam)."""
+        index: dict[tuple[str, int | Curve], list[tuple[str, str]]] = {}
+        for div, pts in self.blown.items():
+            for fiber, side, name in pts:
+                for key in (fiber, self.odp_of[name].seam):
+                    index.setdefault((div, key), []).append((side, name))
+        return index
+
     def curve_class(self, div: str, c: Curve) -> tuple[tuple[Unknown, int], ...]:
         """Class of a contained curve in the Picard basis of ``div``, as
         ``((div, symbol), coefficient)`` pairs: the section or fiber class
         less the blown points on the curve, or one blown point's class."""
         kind = c[0]
         if kind in ("C", "Cb"):
-            lead = (div, "s")
-            names = [name for fiber, _, name in self.blown[div] if fiber == c[1]]
+            lead, key = (div, "s"), c[1]
         elif kind in ("G", "Gb"):
-            lead = (div, "f")
-            names = [name for _, _, name in self.blown[div] if self.odp_of[name].seam == c]
+            lead, key = (div, "f"), c
         elif kind in ("D", "Db"):
             return (((div, f"d:{self.odp_of[c].name}"), 1),)
         else:
             raise ValueError(c)
-        return ((lead, 1), *[((div, f"d:{name}"), -1) for name in names])
+        blown = self._blown_on.get((div, key), ())
+        return ((lead, 1), *[((div, f"d:{name}"), -1) for _, name in blown])
 
     @cached_property
     def cell_map(self) -> MappingProxyType[Curve, CurveCells]:
-        """Every curve's ``CurveCells``, built in one pass over ``curves``.
+        """Every curve's ``CurveCells``, in ``curves`` order.
 
         The transversal meets: a fiber section meets both neighbours of its
         component around the cylinder, except on a side where its fiber's
         double point is blown up on that component; a small-resolution
         curve meets the cylinder components among its double point's four
         divisors outside the blown pair; L[i] meets E_i and Eb_i; a seam
-        meets none.  Each divisor's neighbours and blocked (fiber, side)
-        pairs are computed once, here.
+        meets none.  A section over a fiber with no blown point on its
+        component has the same cells as every other such section there, so
+        they all share that component's one read-only object, built once;
+        every other curve gets its own.  The map holds 9(n-1) distinct
+        objects.
         """
         ring = self.exceptional_divisors()  # E1..E_{n-1}, Eb1..Eb_{n-1}, cyclically
         neighbors = {d: (ring[k - 1], ring[(k + 1) % len(ring)]) for k, d in enumerate(ring)}
-        blocked = {d: {(f, side) for f, side, _ in pts} for d, pts in self.blown.items()}
-        out = {}
-        for c in self.curves:
+        blown_on = self._blown_on
+
+        def cells(c: Curve) -> CurveCells:
             kind = c[0]
             hosts = self.hosts(c)
             if kind in ("C", "Cb"):
                 home = hosts[0]
                 minus, plus = neighbors[home]
+                sides = {side for side, _ in blown_on.get((home, c[1]), ())}
                 known = [("T", 0)]
-                if (c[1], "minus") not in blocked[home]:
+                if "minus" not in sides:
                     known.append((minus, 1))
-                if (c[1], "plus") not in blocked[home]:
+                if "plus" not in sides:
                     known.append((plus, 1))
             elif kind in ("D", "Db"):
                 odp = self.odp_of[c]
@@ -243,7 +263,17 @@ class IncidenceComplex:
                 known = [("T", 0), (f"E{c[1]}", 1), (f"Eb{c[1]}", 1)]
             else:
                 known = [("T", 1)]
-            out[c] = CurveCells(tuple(known), tuple([(div, self.curve_class(div, c)) for div in hosts]))
+            return CurveCells(tuple(known), tuple([(div, self.curve_class(div, c)) for div in hosts]))
+
+        built: dict[str | Curve, CurveCells] = {}  # keyed by the component for shared cells
+        out = {}
+        for c in self.curves:
+            home = self.home(c)
+            shared = c[0] in ("C", "Cb") and (home, c[1]) not in blown_on
+            key = home if shared else c
+            if key not in built:
+                built[key] = cells(c)
+            out[c] = built[key]
         return MappingProxyType(out)
 
     def fiber_cycle(self, i: int) -> list[Curve]:
@@ -377,24 +407,32 @@ def _anchor_equations(cx: IncidenceComplex) -> list[Equation]:
 
 
 def _projection_equations(cx: IncidenceComplex) -> list[Equation]:
-    """Pullback-degree constraints for every tracked curve.
+    """Pullback-degree constraints, one per distinct (cells, rhs) pair.
 
     Contracted curves pair to zero against the pulled-back pencil class
     T + sum(E) + sum(Eb); fiber sections pair to the anticanonical degree
     of their image component.  Each divisor enters with coefficient one,
     so a curve's known cells move to the right-hand side and its classes
-    on its hosts form the left.
+    on its hosts form the left.  Curves that share one ``CurveCells`` and
+    one rhs impose the same constraint: only the first is emitted, under
+    its own label and in its own place.
     """
     eqs = []
+    emitted: set[tuple[int, int]] = set()
     for c, cells in cx.cell_map.items():
         if c[0] == "L":
             continue  # lines meet the cylinder transversally; no unknowns involved
-        lhs = {u: co for _, cls in cells.classes for u, co in cls}
-        const = sum(v for _, v in cells.known)
         if c[0] in ("C", "Cb"):
             rhs = cx.section_rhs[("C" if c[0] == "C" else "Cb") + str(c[2])]
         else:
             rhs = 0
+        # the map holds its cells objects, so their ids are stable here
+        key = (id(cells), rhs)
+        if key in emitted:
+            continue
+        emitted.add(key)
+        lhs = {u: co for _, cls in cells.classes for u, co in cls}
+        const = sum(v for _, v in cells.known)
         eqs.append((f"projection {curve_name(c)}", lhs, rhs - const))
     return eqs
 
@@ -488,8 +526,9 @@ def _solve(unknowns: Sequence[Unknown], eqs: Sequence[Equation]) -> dict[Unknown
 def pairing_system(cx: IncidenceComplex) -> System:
     """The normal-bundle unknowns and the anchor and projection constraints.
 
-    Parallel fibers impose literally identical constraints; only the first
-    of each is kept.
+    ``_projection_equations`` already emits each shared cells object once;
+    some anchors still coincide with projection rows, so only the first of
+    each literally identical constraint is kept.
     """
     unknowns = tuple(
         (div, sym) for div in cx.exceptional_divisors() for sym in cx.pic_basis(div)
@@ -521,21 +560,26 @@ def complete_pairings(cx: IncidenceComplex, system: System) -> PairingTable:
     """Solve ``system`` for nu, then assemble the nonzero cells of the table.
 
     ``system`` is ``pairing_system(cx)``.  Assembly reads only the complex
-    and ``nu``: per curve, ``cx.cell_map`` gives the known cells and, on
-    each divisor containing the curve, the class that is paired with ``nu``.
-    The nonzero cells fill the curve's row, a new dict; the shared map is
-    only read.  The table is therefore a deterministic function of
-    ``(cx, nu)``, and equal ``nu`` give equal tables; comparing solved ``nu`` (as
-    ``incidence.completion-unique`` does) is no weaker than comparing
-    assembled tables.
+    and ``nu``: ``cx.cell_map`` gives each curve's known cells and, on each
+    divisor containing it, the class that is paired with ``nu``.  Each
+    distinct ``CurveCells`` is evaluated against ``nu`` once; every curve
+    gets its own copy of the result as its row, so no two rows alias and
+    the shared map is only read.  The table is therefore a deterministic
+    function of ``(cx, nu)``, and equal ``nu`` give equal tables; comparing
+    solved ``nu`` (as ``incidence.completion-unique`` does) is no weaker
+    than comparing assembled tables.
     """
     nu = solve_pairings(system)
+    evaluated: dict[int, dict[str, int]] = {}  # by id of a cells object the map holds
     rows: dict[Curve, dict[str, int]] = {}
     for c, cells in cx.cell_map.items():
-        row = rows[c] = {div: v for div, v in cells.known if v}
-        for div, cls in cells.classes:
-            if v := sum(co * nu[u] for u, co in cls):
-                row[div] = v
+        row = evaluated.get(id(cells))
+        if row is None:
+            row = evaluated[id(cells)] = {div: v for div, v in cells.known if v}
+            for div, cls in cells.classes:
+                if v := sum(co * nu[u] for u, co in cls):
+                    row[div] = v
+        rows[c] = row.copy()
     return PairingTable(complex=cx, rows=MappingProxyType(rows), nu=nu)
 
 

@@ -260,6 +260,9 @@ def _parent_cells(cx, c):
 def test_cell_map_matches_the_per_call_rule(n):
     cx = Model(n).complex
     assert list(cx.cell_map) == cx.curves
+    # curves with equal cells share one object, and only they do
+    assert len({id(v) for v in cx.cell_map.values()}) == 9 * (n - 1)
+    assert len(set(cx.cell_map.values())) == 9 * (n - 1)
     for c in cx.curves:
         cells = cx.cell_map[c]
         known, classes = _parent_cells(cx, c)
@@ -292,6 +295,66 @@ def test_the_cell_map_is_read_only():
     row = next(r for r in table.rows.values() if r)
     row[next(iter(row))] += 1
     assert dict(cx.cell_map) == before
+
+
+def _per_curve_system(cx):
+    """The system as built before curves shared cells: one projection equation
+    per curve from the per-call cell rule, then the first of each literally
+    identical constraint, anchors first."""
+    from dsolid.incidence import _anchor_equations, curve_name
+
+    unknowns = tuple((div, sym) for div in cx.exceptional_divisors() for sym in cx.pic_basis(div))
+    projections = []
+    for c in cx.curves:
+        if c[0] == "L":
+            continue
+        known, classes = _parent_cells(cx, c)
+        lhs = {(div, sym): co for div, cls in classes.items() for sym, co in cls.items()}
+        rhs = cx.section_rhs[f"{c[0]}{c[2]}"] if c[0] in ("C", "Cb") else 0
+        projections.append((f"projection {curve_name(c)}", lhs, rhs - sum(known.values())))
+    seen, eqs = set(), []
+    for label, lhs, rhs in _anchor_equations(cx) + projections:
+        key = (frozenset(lhs.items()), rhs)
+        if key not in seen:
+            seen.add(key)
+            eqs.append((label, lhs, rhs))
+    return unknowns, tuple(eqs)
+
+
+@pytest.mark.parametrize("n", [*range(4, 21), 64])
+def test_system_matches_the_per_curve_system(n):
+    # labels, order, lhs and rhs all take part in the tuple equality
+    cx = Model(n).complex
+    assert pairing_system(cx) == _per_curve_system(cx)
+
+
+@pytest.mark.parametrize("n", [4, 7, 18])
+def test_a_corrupted_system_fails_as_the_per_curve_one_does(n):
+    from dsolid.incidence import CompletionError
+
+    cx = Model(n).complex
+    cx.section_rhs["C1"] += 1
+    with pytest.raises(CompletionError) as want:
+        solve_pairings(_per_curve_system(cx))
+    with pytest.raises(CompletionError) as got:
+        solve_pairings(pairing_system(cx))
+    assert str(got.value) == str(want.value)
+    assert "inconsistent" in str(got.value)
+
+
+def test_generic_sections_share_cells_but_not_rows():
+    model = Model(8)
+    cx, table = model.complex, model.table
+    blown = {f for f, _, _ in cx.blown["E3"]}
+    i, k = [f for f in range(1, cx.n) if f not in blown][:2]
+    a, b = ("C", i, 3), ("C", k, 3)
+    assert cx.cell_map[a] is cx.cell_map[b]
+    assert table.rows[a] == table.rows[b]
+    assert table.rows[a] is not table.rows[b]
+    before_b, before_map = dict(table.rows[b]), dict(cx.cell_map)
+    table.rows[a]["T"] = 7
+    assert table.rows[b] == before_b
+    assert dict(cx.cell_map) == before_map
 
 
 def _dense_table(cx):
