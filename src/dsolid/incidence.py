@@ -629,14 +629,20 @@ def _vec(**co: int | Fraction) -> Vector:
     return {k: _canonical(v) for k, v in co.items() if v}
 
 
-def _vadd(a: Vector, b: Vector, s: int | Fraction = 1) -> Vector:
-    out = dict(a)
+def _vadd_into(out: Vector, b: Vector, s: int | Fraction) -> None:
+    """out += s b in place, in O(len(b)): an entry that cancels is deleted,
+    so one that comes back later is re-inserted at the end."""
     for k, v in b.items():
         # v, the operand that may be a Fraction, on the left: an int there would
         # send each step through ``Fraction``'s reflected operators
         out[k] = _canonical(v * s + out.get(k, 0))
         if out[k] == 0:
             del out[k]
+
+
+def _vadd(a: Vector, b: Vector, s: int | Fraction = 1) -> Vector:
+    out = dict(a)
+    _vadd_into(out, b, s)
     return out
 
 
@@ -884,13 +890,14 @@ def bundle_algebra_verify(n: int) -> dict[str, dict]:
     res: dict[str, dict] = {}
 
     # 1. adjusted bundle: definition vs direct form
-    d = _vadd(adjusted_bundle_from_definition(n), adjusted_bundle(n), -1)
+    d = adjusted_bundle_from_definition(n)
+    _vadd_into(d, adjusted_bundle(n), -1)
     res["adjusted-direct"] = {"ok": not d, "diff": d}
 
     # 2. sum of degree-one classes over i = 1..n-2
     total: Vector = {}
     for i in range(1, n - 1):
-        total = _vadd(total, degree_one_chern(n, i))
+        _vadd_into(total, degree_one_chern(n, i), 1)
     want = {"F": Fraction(n - 2, 2), "a1": Fraction(-(n - 2), 2), "a2": Fraction(-(n - 2), 2)}
     for j in range(3, n + 1):
         if n != 4:
@@ -900,41 +907,38 @@ def bundle_algebra_verify(n: int) -> dict[str, dict]:
     # 3. pullback rule summed: sum mu*(Sm_i) - per-arc cylinder subtractions
     lhs: Vector = {}
     for i in range(1, n - 1):
-        lhs = _vadd(lhs, _vec(**{f"muSm{i}": 1}))
-        arc = _vec(**{f"E{j}": 1 for j in range(1, i + 1)})
-        arc = _vadd(arc, _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}))
-        lhs = _vadd(lhs, arc, -1)
+        _vadd_into(lhs, {f"muSm{i}": 1}, 1)
+        _vadd_into(lhs, _vec(**{f"E{j}": 1 for j in range(1, i + 1)}), -1)
+        _vadd_into(lhs, _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}), -1)
     rhs: Vector = {}
     for i in range(1, n - 1):
-        rhs = _vadd(rhs, _vec(**{f"muSm{i}": 1}))
-    rhs = _vadd(rhs, _vec(**{f"E{j}": n - 1 - j for j in range(1, n)}), -1)
-    rhs = _vadd(rhs, _vec(**{f"Eb{j}": j - 1 for j in range(1, n)}), -1)
+        _vadd_into(rhs, {f"muSm{i}": 1}, 1)
+    _vadd_into(rhs, _vec(**{f"E{j}": n - 1 - j for j in range(1, n)}), -1)
+    _vadd_into(rhs, _vec(**{f"Eb{j}": j - 1 for j in range(1, n)}), -1)
     res["pullback-sum"] = {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1)}
 
     # 4. collapse: the half-bundle kernel equals mu*a2 - sum E_i + sum (i-2) Eb_i
     coll: Vector = {}
     m = half_bundle_class(n)
-    coll = _vadd(coll, {f"mu:{k}": v for k, v in m.items()})
-    coll = _vadd(coll, _vec(**half_bundle_adjustment_coeffs(n)), -1)
-    coll = _vadd(coll, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
-    coll = _vadd(coll, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
+    _vadd_into(coll, {f"mu:{k}": v for k, v in m.items()}, 1)
+    _vadd_into(coll, _vec(**half_bundle_adjustment_coeffs(n)), -1)
+    _vadd_into(coll, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
+    _vadd_into(coll, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
     for i in range(1, n - 1):
-        chern = {f"mu:{k}": v for k, v in degree_one_chern(n, i).items()}
-        arc = _vadd(
-            _vec(**{f"E{j}": 1 for j in range(1, i + 1)}),
-            _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}),
-        )
-        coll = _vadd(coll, _vadd(chern, arc, -1), -1)
+        _vadd_into(coll, {f"mu:{k}": v for k, v in degree_one_chern(n, i).items()}, -1)
+        _vadd_into(coll, _vec(**{f"E{j}": 1 for j in range(1, i + 1)}), 1)
+        _vadd_into(coll, _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}), 1)
     want4 = _vec(**{"mu:a2": 1})
-    want4 = _vadd(want4, _vec(**{f"E{j}": 1 for j in range(2, n)}), -1)
-    want4 = _vadd(want4, _vec(**{f"Eb{j}": j - 2 for j in range(1, n)}))
+    _vadd_into(want4, _vec(**{f"E{j}": 1 for j in range(2, n)}), -1)
+    _vadd_into(want4, _vec(**{f"Eb{j}": j - 2 for j in range(1, n)}), 1)
     res["kernel-collapse"] = {"ok": coll == want4, "diff": _vadd(coll, want4, -1)}
 
     # 5. kernel bundle: L1 - sum_k S_k - cylinder = sum_{i>=3} (i-2)(E_i + Eb_i),
     #    with the strict member class S_k = mu*F - cylinder = T
-    kk = _vadd(adjusted_bundle_from_definition(n), _vec(T=1), -(n - 2))
-    kk = _vadd(kk, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
-    kk = _vadd(kk, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
+    kk = adjusted_bundle_from_definition(n)
+    _vadd_into(kk, _vec(T=1), -(n - 2))
+    _vadd_into(kk, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
+    _vadd_into(kk, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
     want5 = kernel_bundle(n)
     res["kernel-bundle"] = {"ok": kk == want5, "diff": _vadd(kk, want5, -1)}
 

@@ -241,23 +241,29 @@ def ideal_quadric_dim(n: int) -> int:
     return len(monomials) - len(set(map(_chart_image, monomials)))
 
 
-def splitting_matrix(q: MultiPoly) -> list[list[Fraction]]:
-    """Symmetric 3x3 matrix of Q restricted to the last plane
-    (coordinates z_{n-2}, z_{n-1}, z_n)."""
+def splitting_matrix(q: MultiPoly) -> list[list[Coeff]]:
+    """Twice the symmetric 3x3 matrix of Q restricted to the last plane
+    (coordinates z_{n-2}, z_{n-1}, z_n).
+
+    Off the diagonal stand Q's own coefficients, on it twice them: the
+    factor 2 leaves the rank unchanged and no coefficient is halved, so an
+    integral Q gives an ``int`` matrix and a Q with ``Fraction``
+    coefficients stays exact.
+    """
     n = q.nvars - 1
     idxs = [n - 2, n - 1, n]
-    m = [[Fraction(0)] * 3 for _ in range(3)]
+    m: list[list[Coeff]] = [[0] * 3 for _ in range(3)]
     for r in range(3):
         for c in range(r, 3):
-            v = Fraction(q.coefficient(_exp(n + 1, idxs[r], idxs[c])))
+            v = q.coefficient(_exp(n + 1, idxs[r], idxs[c]))
             if r == c:
-                m[r][r] = v
+                m[r][r] = v + v
             else:
-                m[r][c] = m[c][r] = v / 2
+                m[r][c] = m[c][r] = v
     return m
 
 
-def _matrix_rank3(m: list[list[Fraction]]) -> int:
+def _matrix_rank3(m: list[list[Coeff]]) -> int:
     det = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -322,10 +328,11 @@ def build_instance(n: int, roots: list, q: MultiPoly) -> QuarticInstance:
 
     The restriction of Q to the last plane must be a symmetric rank-2
     conic (rank 3 would make the splitting fiber irreducible; rank <= 1 a
-    double line); Q must not vanish identically on the scroll.  The
-    instance keeps Q's pullback, which the cone degrees and the probe's
-    conics read; the tangency checks need no F, and the ambient F is built
-    only to write or compare a file.
+    double line), ranked on ``splitting_matrix`` in Q's own arithmetic;
+    Q must not vanish identically on the scroll.  Nothing here multiplies
+    polynomials.  The instance keeps Q's pullback, which the cone degrees
+    and the probe's conics read; the tangency checks need no F, and the
+    ambient F is built only to write or compare a file.
     """
     if n < 4:
         raise InstanceError(f"n must be at least 4, got {n}")
@@ -567,9 +574,20 @@ def _vanishes_at_a_sample(h: MultiPoly, conic: MultiPoly, rng: random.Random) ->
 
 
 def random_instance(n: int, rng: random.Random) -> QuarticInstance:
-    """Seeded random instance with the splitting constraint built in."""
+    """Seeded random instance with the splitting constraint built in.
+
+    Q is drawn straight into one term map, with no polynomial product:
+    first the products v_a w_b of two random linear forms v, w on the last
+    plane, summed per exponent and in the order that multiplying the two
+    forms would give, then the nonzero random terms z_i z_j with i < n - 2,
+    which never meet the last plane.  The draws, their order and the
+    resulting terms are those of building Q as that product plus the
+    random terms.
+    """
     # n - 2 distinct values need 2 r + 1 >= n - 2; r = 60 up to n = 123
     r = max(60, (n - 2) // 2)
+    nv = n + 1
+    last3 = (n - 2, n - 1, n)
     for _ in range(200):
         vals = rng.sample(range(-r, r + 1), n - 2)
         roots = [(1, v) for v in vals]
@@ -580,20 +598,22 @@ def random_instance(n: int, rng: random.Random) -> QuarticInstance:
         indep = any(v[i] * w[j] - v[j] * w[i] != 0 for i in range(3) for j in range(3))
         if not indep or v[1] * w[1] == 0 or v[2] * w[2] == 0:
             continue
-        nv = n + 1
-        last3 = [n - 2, n - 1, n]
-        lin_v = MultiPoly.from_terms(nv, [(_exp(nv, j), c) for j, c in zip(last3, v)])
-        lin_w = MultiPoly.from_terms(nv, [(_exp(nv, j), c) for j, c in zip(last3, w)])
-        q = lin_v * lin_w
-        extra = []
+        # zero coefficients skipped and cancelled sums dropped, as in a product
+        terms: dict[Exponent, Coeff] = {}
+        for a, ca in zip(last3, v):
+            if ca:
+                for b, cb in zip(last3, w):
+                    if cb:
+                        exp = _exp(nv, a, b)
+                        terms[exp] = terms.get(exp, 0) + ca * cb
+        terms = {exp: c for exp, c in terms.items() if c}
         for i in range(0, n - 2):
             for j in range(i, n + 1):
                 c = rng.randint(-4, 4)
                 if c:
-                    extra.append((_exp(nv, i, j), c))
-        q = q + MultiPoly.from_terms(nv, extra)
+                    terms[_exp(nv, i, j)] = c
         try:
-            return build_instance(n, roots, q)
+            return build_instance(n, roots, MultiPoly(nv, terms))
         except InstanceError:
             continue
     raise RuntimeError("failed to generate a valid instance")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from dsolid import incidence as inc
 from dsolid.axioms import AxiomRegistry, MissingAxiom, default_registry
 from dsolid.incidence import (
     adjusted_bundle,
@@ -505,6 +506,99 @@ def test_half_bundle_examples_n6():
 def test_bundle_algebra(n):
     res = bundle_algebra_verify(n)
     assert res["ok"], {k: v for k, v in res.items() if k != "ok" and not v["ok"]}
+
+
+def _reference_vadd(a, b, s=1):
+    """The running-vector step as it copied its left operand on every call."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = inc._canonical(v * s + out.get(k, 0))
+        if out[k] == 0:
+            del out[k]
+    return out
+
+
+def _reference_bundle_algebra_verify(n):
+    """``bundle_algebra_verify`` as it rebuilt each running vector per step,
+    reading ``degree_one_chern`` through the module so a patch reaches it."""
+    _vadd, _vec = _reference_vadd, inc._vec
+    res = {}
+    d = _vadd(inc.adjusted_bundle_from_definition(n), inc.adjusted_bundle(n), -1)
+    res["adjusted-direct"] = {"ok": not d, "diff": d}
+    total = {}
+    for i in range(1, n - 1):
+        total = _vadd(total, inc.degree_one_chern(n, i))
+    want = {"F": Fraction(n - 2, 2), "a1": Fraction(-(n - 2), 2), "a2": Fraction(-(n - 2), 2)}
+    for j in range(3, n + 1):
+        if n != 4:
+            want[f"a{j}"] = Fraction(-(n - 4), 2)
+    res["degree-one-sum"] = {"ok": total == want, "diff": _vadd(total, want, -1)}
+    lhs = {}
+    for i in range(1, n - 1):
+        lhs = _vadd(lhs, _vec(**{f"muSm{i}": 1}))
+        arc = _vec(**{f"E{j}": 1 for j in range(1, i + 1)})
+        arc = _vadd(arc, _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}))
+        lhs = _vadd(lhs, arc, -1)
+    rhs = {}
+    for i in range(1, n - 1):
+        rhs = _vadd(rhs, _vec(**{f"muSm{i}": 1}))
+    rhs = _vadd(rhs, _vec(**{f"E{j}": n - 1 - j for j in range(1, n)}), -1)
+    rhs = _vadd(rhs, _vec(**{f"Eb{j}": j - 1 for j in range(1, n)}), -1)
+    res["pullback-sum"] = {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1)}
+    coll = {}
+    m = inc.half_bundle_class(n)
+    coll = _vadd(coll, {f"mu:{k}": v for k, v in m.items()})
+    coll = _vadd(coll, _vec(**inc.half_bundle_adjustment_coeffs(n)), -1)
+    coll = _vadd(coll, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
+    coll = _vadd(coll, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
+    for i in range(1, n - 1):
+        chern = {f"mu:{k}": v for k, v in inc.degree_one_chern(n, i).items()}
+        arc = _vadd(
+            _vec(**{f"E{j}": 1 for j in range(1, i + 1)}),
+            _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}),
+        )
+        coll = _vadd(coll, _vadd(chern, arc, -1), -1)
+    want4 = _vec(**{"mu:a2": 1})
+    want4 = _vadd(want4, _vec(**{f"E{j}": 1 for j in range(2, n)}), -1)
+    want4 = _vadd(want4, _vec(**{f"Eb{j}": j - 2 for j in range(1, n)}))
+    res["kernel-collapse"] = {"ok": coll == want4, "diff": _vadd(coll, want4, -1)}
+    kk = _vadd(inc.adjusted_bundle_from_definition(n), _vec(T=1), -(n - 2))
+    kk = _vadd(kk, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
+    kk = _vadd(kk, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
+    want5 = inc.kernel_bundle(n)
+    res["kernel-bundle"] = {"ok": kk == want5, "diff": _vadd(kk, want5, -1)}
+    res["end-divisor-rewrite"] = inc.end_divisor_rewrite(n)
+    res["ok"] = all(v["ok"] for k, v in res.items() if k != "ok")
+    return res
+
+
+def _typed_results(res):
+    """Each identity's ``ok`` and its ``diff`` in dict order, with coefficient types."""
+    return {k: v if k == "ok" else (v["ok"], [(s, type(c), c) for s, c in v["diff"].items()])
+            for k, v in res.items()}
+
+
+@pytest.mark.parametrize("n", [*range(4, 41), 64])
+def test_bundle_algebra_matches_the_copying_reference(n):
+    assert _typed_results(bundle_algebra_verify(n)) == _typed_results(_reference_bundle_algebra_verify(n))
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 17, 40])
+def test_bundle_algebra_reports_the_reference_diff(n, monkeypatch):
+    chern = inc.degree_one_chern
+
+    def shifted(n, i):
+        co = chern(n, i)
+        if i == 2:
+            co["a3"] += 1
+            co["F"] -= Fraction(1, 3)
+        return co
+
+    monkeypatch.setattr(inc, "degree_one_chern", shifted)
+    got = _typed_results(bundle_algebra_verify(n))
+    assert got == _typed_results(_reference_bundle_algebra_verify(n))
+    assert got["ok"] is False
+    assert got["degree-one-sum"][1] and got["kernel-collapse"][1]
 
 
 def test_kernel_bundle_n5():

@@ -331,6 +331,144 @@ def test_build_instance_rejects_scroll_member():
         build_instance(n, [(1, 1), (1, 2), (1, 3)], q)
 
 
+def _reference_random_instance(n, rng):
+    """``random_instance`` as it drew Q by polynomial arithmetic, the
+    product of two linear forms plus the random terms."""
+    r = max(60, (n - 2) // 2)
+    for _ in range(200):
+        vals = rng.sample(range(-r, r + 1), n - 2)
+        roots = [(1, v) for v in vals]
+        v = [rng.randint(-5, 5) for _ in range(3)]
+        w = [rng.randint(-5, 5) for _ in range(3)]
+        indep = any(v[i] * w[j] - v[j] * w[i] != 0 for i in range(3) for j in range(3))
+        if not indep or v[1] * w[1] == 0 or v[2] * w[2] == 0:
+            continue
+        nv = n + 1
+        last3 = [n - 2, n - 1, n]
+        lin_v = MultiPoly.from_terms(nv, [(scroll._exp(nv, j), c) for j, c in zip(last3, v)])
+        lin_w = MultiPoly.from_terms(nv, [(scroll._exp(nv, j), c) for j, c in zip(last3, w)])
+        q = lin_v * lin_w
+        extra = []
+        for i in range(0, n - 2):
+            for j in range(i, n + 1):
+                c = rng.randint(-4, 4)
+                if c:
+                    extra.append((scroll._exp(nv, i, j), c))
+        q = q + MultiPoly.from_terms(nv, extra)
+        try:
+            return build_instance(n, roots, q)
+        except InstanceError:
+            continue
+    raise RuntimeError("failed to generate a valid instance")
+
+
+@pytest.mark.parametrize("n", [*range(4, 21), 64, *range(124, 131)])
+def test_random_instance_matches_the_product_form(n):
+    for seed in (0, 1, 7, 42, 2026) if n <= 20 else (0, 42):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        inst, ref = random_instance(n, rng), _reference_random_instance(n, ref_rng)
+        assert _typed_terms(inst.q) == _typed_terms(ref.q)
+        assert _typed_terms(inst.pulled_q) == _typed_terms(ref.pulled_q)
+        assert (inst.roots, inst.f) == (ref.roots, ref.f)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+class _ScriptedRandom(random.Random):
+    """A seeded rng whose first ``randint`` calls return ``script``."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randint(self, a, b):
+        return self.script.pop(0) if self.script else super().randint(a, b)
+
+
+def test_random_instance_drops_a_cancelled_product_term():
+    # v = (1, 1, 1), w = (1, -1, 1) cancel z_{n-2} z_{n-1} and z_{n-1} z_n, so
+    # the drawn Q keeps 4 of the 6 last-plane monomials, as the product did
+    n, script = 6, [1, 1, 1, 1, -1, 1]
+    rng, ref_rng = _ScriptedRandom(3, script), _ScriptedRandom(3, script)
+    inst, ref = random_instance(n, rng), _reference_random_instance(n, ref_rng)
+    last = {e: c for e, c in inst.q.terms.items() if sum(e[n - 2:]) == 2}
+    assert list(last.values()) == [1, 2, -1, 1]
+    assert _typed_terms(inst.q) == _typed_terms(ref.q)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def _reference_matrix_rank(q):
+    """The splitting-conic rank on the symmetric matrix of ``Fraction``s,
+    halving the off-diagonal coefficients."""
+    n = q.nvars - 1
+    idxs = [n - 2, n - 1, n]
+    m = [[Fraction(0)] * 3 for _ in range(3)]
+    for r in range(3):
+        for c in range(r, 3):
+            v = Fraction(q.coefficient(scroll._exp(n + 1, idxs[r], idxs[c])))
+            if r == c:
+                m[r][r] = v
+            else:
+                m[r][c] = m[c][r] = v / 2
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    if det != 0:
+        return 3
+    for r in range(3):
+        for c in range(3):
+            r2, c2 = (r + 1) % 3, (c + 1) % 3
+            if m[r][c] * m[r2][c2] - m[r][c2] * m[r2][c] != 0:
+                return 2
+    return 1 if any(m[r][c] != 0 for r in range(3) for c in range(3)) else 0
+
+
+_LAST_PLANE = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+def _last_plane_quadric(n, coeffs):
+    """z0 z1 plus the given coefficients on the last-plane monomials."""
+    nv = n + 1
+    terms = [(scroll._exp(nv, 0, 1), 1)]
+    terms += [(scroll._exp(nv, n - 2 + a, n - 2 + b), c) for (a, b), c in zip(_LAST_PLANE, coeffs)]
+    return MultiPoly.from_terms(nv, terms)
+
+
+def test_splitting_rank_matches_the_fraction_matrix_on_every_sign_pattern():
+    import itertools
+
+    ranks = {}
+    for coeffs in itertools.product((-1, 0, 1), repeat=6):
+        q = _last_plane_quadric(5, coeffs)
+        m = scroll.splitting_matrix(q)
+        assert all(type(x) is int for row in m for x in row)
+        rank = scroll._matrix_rank3(m)
+        assert rank == _reference_matrix_rank(q)
+        ranks[rank] = ranks.get(rank, 0) + 1
+    assert sum(ranks.values()) == 729 and set(ranks) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("coeffs", [
+    (Fraction(1, 2), 0, 0, 0, 0, Fraction(-1, 3)),
+    (0, Fraction(1, 2), 0, 0, Fraction(-1, 3), 0),
+    (Fraction(1, 4), 1, 0, 1, 0, 0),
+    (Fraction(1, 4), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(-1, 3), Fraction(1, 9)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(-1, 3), Fraction(1, 7), Fraction(2, 3)),
+])
+def test_splitting_rank_is_exact_for_fraction_coefficients(coeffs):
+    q = _last_plane_quadric(6, coeffs)
+    m = scroll.splitting_matrix(q)
+    assert any(type(x) is Fraction for row in m for x in row)
+    assert scroll._matrix_rank3(m) == _reference_matrix_rank(q)
+
+
+def test_splitting_matrix_is_twice_the_symmetric_matrix():
+    q = _last_plane_quadric(4, (3, Fraction(1, 2), -2, 5, Fraction(-1, 3), 7))
+    assert scroll.splitting_matrix(q) == [
+        [6, Fraction(1, 2), -2], [Fraction(1, 2), 10, Fraction(-1, 3)], [-2, Fraction(-1, 3), 14]]
+
+
 def test_fiber_restrict_basics():
     n = 5
     nv = 6
@@ -693,17 +831,20 @@ def test_verify_builds_no_ambient_quartic(monkeypatch, capsys):
     product = MultiPoly.__mul__
 
     def recording_mul(self, other):
-        operands.extend((self, other))
+        operands.append((self, other))
         return product(self, other)
 
     monkeypatch.setattr(MultiPoly, "__mul__", recording_mul)
     assert main(argv) == 0
     # 2 per n for scroll.instances and 1 per n for scroll.tangency, each
-    # verified without F and without squaring Q on the chart
+    # drawn and verified without F and without any polynomial product
     assert len(drawn) == 9
     assert all("big_f" not in vars(inst) for inst in drawn)
-    assert operands  # the recording saw the products of the run
-    assert not any(op is inst.pulled_q for inst in drawn for op in operands)
+    assert operands == []
+    # the recorder sees a product made after the run
+    q = drawn[0].q
+    assert q * q == product(q, q)
+    assert len(operands) == 1 and operands[0][0] is q and operands[0][1] is q
 
 
 @pytest.mark.parametrize("n", [4, 6])
