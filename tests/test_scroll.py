@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -436,8 +437,6 @@ def _last_plane_quadric(n, coeffs):
 
 
 def test_splitting_rank_matches_the_fraction_matrix_on_every_sign_pattern():
-    import itertools
-
     ranks = {}
     for coeffs in itertools.product((-1, 0, 1), repeat=6):
         q = _last_plane_quadric(5, coeffs)
