@@ -443,19 +443,22 @@ def _solve(unknowns: Sequence[Unknown], eqs: Sequence[Equation]) -> dict[Unknown
     Rows are sparse ``{column: int}`` maps, the right-hand side in column
     ``len(unknowns)``.  For each column in turn the pivot is the first row
     at or after ``r`` that is nonzero there, swapped into place with its
-    label; every later row nonzero in that column is replaced by
-    ``pivot * row - entry * pivot_row`` and divided by the gcd of its
-    entries.  Each row below the pivots is thus a nonzero integer multiple
-    of the row Gauss-Jordan elimination over Q would leave there, so the
-    pivots, the swaps and the labels in every error are the same.
+    label; every later row nonzero in that column is updated in place.  On
+    a unit pivot (+1 or -1) it becomes ``row - entry * pivot * pivot_row``,
+    with no scaling; otherwise ``pivot * row - entry * pivot_row``, divided
+    by the gcd of its entries.  Each row below the pivots is thus a nonzero
+    integer multiple of the row Gauss-Jordan elimination over Q would leave
+    there, so the pivots, the swaps and the labels in every error are the
+    same.
 
     An index maps each column, the right-hand side included, to the
     positions of the rows not yet pivoted that are nonzero in it, so the
-    pivot search and the elimination visit only those rows.  The
-    triangular system is back-substituted in ``int`` with ``divmod``; a
-    quotient that is not integral, and only such a one, is kept as a
-    ``Fraction``, so the error names the first unknown whose value is not
-    an integer.
+    pivot search and the elimination visit only those rows; an update
+    edits the index only at the pivot row's columns, the only ones it
+    changes.  The triangular system is back-substituted in ``int`` with
+    ``divmod``; a quotient that is not integral, and only such a one, is
+    kept as a ``Fraction``, so the error names the first unknown whose
+    value is not an integer.
     """
     m = len(unknowns)
     index = {u: k for k, u in enumerate(unknowns)}
@@ -488,18 +491,29 @@ def _solve(unknowns: Sequence[Unknown], eqs: Sequence[Equation]) -> dict[Unknown
             rows[r], rows[piv] = top, moved
             labels[r], labels[piv] = labels[piv], labels[r]
         p = top[col]
+        unit = p in (1, -1)
         for k in list(below):
-            old = rows[k]
-            f = old[col]
-            acc = {j: p * x for j, x in old.items()}
+            row = rows[k]
+            f = row[col]
+            if unit:
+                f *= p  # row - (f / p) * top, with 1 / p == p
+            else:
+                for j in row:
+                    row[j] *= p
             for j, x in top.items():
-                acc[j] = acc.get(j, 0) - f * x
-            g = math.gcd(*acc.values()) or 1
-            new = rows[k] = {j: x // g for j, x in acc.items() if x}
-            for j in old.keys() - new.keys():
-                nonzero[j].discard(k)
-            for j in new.keys() - old.keys():
-                nonzero[j].add(k)
+                v = row.get(j, 0) - f * x
+                if v:
+                    if j not in row:
+                        nonzero[j].add(k)
+                    row[j] = v
+                else:
+                    del row[j]
+                    nonzero[j].discard(k)
+            if not unit:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
         pivots.append(col)
         r += 1
     # left in the index: the rows below the pivots, with a right-hand side
@@ -619,7 +633,10 @@ def seam_anchor_resolution(table: PairingTable) -> dict:
 
 # ----------------------------------------------------------------------------
 # Formal bundle expressions: {divisor symbol: coefficient}, zero entries
-# dropped; a coefficient is an int when integral, else a Fraction
+# dropped; a coefficient is an int when integral, else a Fraction.  The
+# half-integral classes (``degree_one_chern``, ``half_bundle_class``) are
+# stored as twice the class, in ints, and halved (``_halved``) only where a
+# value leaves for a record
 # ----------------------------------------------------------------------------
 
 Vector = dict[str, int | Fraction]
@@ -635,9 +652,18 @@ def _vadd_into(out: Vector, b: Vector, s: int | Fraction) -> None:
     for k, v in b.items():
         # v, the operand that may be a Fraction, on the left: an int there would
         # send each step through ``Fraction``'s reflected operators
-        out[k] = _canonical(v * s + out.get(k, 0))
-        if out[k] == 0:
-            del out[k]
+        x = v * s + out.get(k, 0)
+        if x:
+            out[k] = x if type(x) is int else _canonical(x)
+        else:
+            out.pop(k, None)
+
+
+def _halved(v: Vector) -> Vector:
+    """The class a doubled vector stands for, key order kept: each coefficient
+    halved, an int when integral and a Fraction otherwise."""
+    return {k: c // 2 if type(c) is int and not c % 2 else _canonical(Fraction(c, 2))
+            for k, c in v.items()}
 
 
 def _vadd(a: Vector, b: Vector, s: int | Fraction = 1) -> Vector:
@@ -841,24 +867,29 @@ def m1_tables_verify(table: PairingTable, pull_degrees: dict[str, int]) -> tuple
 # -- formal bundle algebra ----------------------------------------------------
 
 
-def degree_one_chern(n: int, i: int) -> dict[str, Fraction]:
-    """Global class of the i-th degree-one divisor containing C1: half of F
-    minus the signed half-sum of the alpha generators (sign flip at n-i+1;
-    no flip for i = n-1)."""
-    co = {"F": Fraction(1, 2)}
+def degree_one_chern(n: int, i: int) -> dict[str, int]:
+    """Twice the global class of the i-th degree-one divisor containing C1.
+
+    The class is half of F minus the signed half-sum of the alpha generators
+    (sign flip at n-i+1; no flip for i = n-1), so twice it is
+    {F: 1, a_j: -eps_j}, all in ints.
+    """
+    co = {"F": 1}
     for j in range(1, n + 1):
-        eps = -1 if (i <= n - 2 and j == n - i + 1) else 1
-        co[f"a{j}"] = Fraction(-eps, 2)
+        co[f"a{j}"] = 1 if (i <= n - 2 and j == n - i + 1) else -1
     return co
 
 
-def half_bundle_class(n: int, swap_first_two: bool = False) -> dict[str, Fraction]:
+def half_bundle_class(n: int, swap_first_two: bool = False) -> dict[str, int]:
+    """Twice the distinguished half of the (n-2)-fold anticanonical class:
+    {F: n-2, a_j: -w_j} in ints, with w_j = n-2 on the special generator (a1,
+    or a2 when swapped) and n-4 on the others (dropped when zero)."""
     special = 2 if swap_first_two else 1
-    co = {"F": Fraction(n - 2, 2)}
+    co = {"F": n - 2}
     for j in range(1, n + 1):
         w = n - 2 if j == special else n - 4
         if w:
-            co[f"a{j}"] = Fraction(-w, 2)
+            co[f"a{j}"] = -w
     return co
 
 
@@ -866,15 +897,20 @@ def end_divisor_rewrite(n: int) -> dict:
     """The half bundle rewritten through the end degree-one divisor:
     (n-2)/2 F - alpha/2 = F + w Sm_{n-1} - a1, as {"ok", "diff", "weight"}.
 
-    The weight w (n-4 when the identity holds) is solved from the F
-    coefficients of both sides; the whole identity is then checked with it.
+    Both sides are built as twice the class, in ints.  The weight w (n-4
+    when the identity holds) is solved from the doubled F coefficients,
+    (lhs_F - 2) / end_F, an int when exact and a Fraction otherwise; the
+    whole identity is then checked with it, and only the diff is halved.
     """
     lhs = half_bundle_class(n)
     end = degree_one_chern(n, n - 1)
-    weight = _canonical((lhs.get("F", 0) - 1) / end["F"])
-    rhs = _vadd(_vec(F=1), end, weight)
-    rhs = _vadd(rhs, _vec(a1=1), -1)
-    return {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1), "weight": weight}
+    num, den = lhs.get("F", 0) - 2, end["F"]
+    q, r = divmod(num, den)
+    weight = Fraction(num, den) if r else q
+    rhs: Vector = {"F": 2}
+    _vadd_into(rhs, end, weight)
+    _vadd_into(rhs, {"a1": 2}, -1)
+    return {"ok": lhs == rhs, "diff": _halved(_vadd(lhs, rhs, -1)), "weight": weight}
 
 
 def bundle_algebra_verify(n: int) -> dict[str, dict]:
@@ -886,6 +922,12 @@ def bundle_algebra_verify(n: int) -> dict[str, dict]:
     bundle kernel to a single alpha generator plus cylinder terms; the
     kernel-bundle identity; and the rewriting of the half bundle through
     the end degree-one divisor.
+
+    The two identities that mix in the half-integral classes (the degree-one
+    sum and the collapse) add twice every term, in ints, and halve each
+    diff once at the end.  A sum is zero in doubled units exactly when it
+    is zero in halves, so entries cancel, and come back at the end of the
+    dict, exactly as they would in halves.
     """
     res: dict[str, dict] = {}
 
@@ -894,15 +936,15 @@ def bundle_algebra_verify(n: int) -> dict[str, dict]:
     _vadd_into(d, adjusted_bundle(n), -1)
     res["adjusted-direct"] = {"ok": not d, "diff": d}
 
-    # 2. sum of degree-one classes over i = 1..n-2
+    # 2. sum of degree-one classes over i = 1..n-2, doubled
     total: Vector = {}
     for i in range(1, n - 1):
         _vadd_into(total, degree_one_chern(n, i), 1)
-    want = {"F": Fraction(n - 2, 2), "a1": Fraction(-(n - 2), 2), "a2": Fraction(-(n - 2), 2)}
+    want = {"F": n - 2, "a1": -(n - 2), "a2": -(n - 2)}
     for j in range(3, n + 1):
         if n != 4:
-            want[f"a{j}"] = Fraction(-(n - 4), 2)
-    res["degree-one-sum"] = {"ok": total == want, "diff": _vadd(total, want, -1)}
+            want[f"a{j}"] = -(n - 4)
+    res["degree-one-sum"] = {"ok": total == want, "diff": _halved(_vadd(total, want, -1))}
 
     # 3. pullback rule summed: sum mu*(Sm_i) - per-arc cylinder subtractions
     lhs: Vector = {}
@@ -917,21 +959,22 @@ def bundle_algebra_verify(n: int) -> dict[str, dict]:
     _vadd_into(rhs, _vec(**{f"Eb{j}": j - 1 for j in range(1, n)}), -1)
     res["pullback-sum"] = {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1)}
 
-    # 4. collapse: the half-bundle kernel equals mu*a2 - sum E_i + sum (i-2) Eb_i
+    # 4. collapse: the half-bundle kernel equals mu*a2 - sum E_i + sum (i-2) Eb_i,
+    #    doubled: the integral vectors enter with twice their coefficient
     coll: Vector = {}
     m = half_bundle_class(n)
     _vadd_into(coll, {f"mu:{k}": v for k, v in m.items()}, 1)
-    _vadd_into(coll, _vec(**half_bundle_adjustment_coeffs(n)), -1)
-    _vadd_into(coll, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
-    _vadd_into(coll, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
+    _vadd_into(coll, _vec(**half_bundle_adjustment_coeffs(n)), -2)
+    _vadd_into(coll, _vec(**{f"E{j}": 1 for j in range(1, n)}), -2)
+    _vadd_into(coll, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -2)
     for i in range(1, n - 1):
         _vadd_into(coll, {f"mu:{k}": v for k, v in degree_one_chern(n, i).items()}, -1)
-        _vadd_into(coll, _vec(**{f"E{j}": 1 for j in range(1, i + 1)}), 1)
-        _vadd_into(coll, _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}), 1)
-    want4 = _vec(**{"mu:a2": 1})
-    _vadd_into(want4, _vec(**{f"E{j}": 1 for j in range(2, n)}), -1)
-    _vadd_into(want4, _vec(**{f"Eb{j}": j - 2 for j in range(1, n)}), 1)
-    res["kernel-collapse"] = {"ok": coll == want4, "diff": _vadd(coll, want4, -1)}
+        _vadd_into(coll, _vec(**{f"E{j}": 1 for j in range(1, i + 1)}), 2)
+        _vadd_into(coll, _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}), 2)
+    want4 = _vec(**{"mu:a2": 2})
+    _vadd_into(want4, _vec(**{f"E{j}": 1 for j in range(2, n)}), -2)
+    _vadd_into(want4, _vec(**{f"Eb{j}": j - 2 for j in range(1, n)}), 2)
+    res["kernel-collapse"] = {"ok": coll == want4, "diff": _halved(_vadd(coll, want4, -1))}
 
     # 5. kernel bundle: L1 - sum_k S_k - cylinder = sum_{i>=3} (i-2)(E_i + Eb_i),
     #    with the strict member class S_k = mu*F - cylinder = T
@@ -972,7 +1015,8 @@ def nonvan_ledgers(table: PairingTable, registry: AxiomRegistry) -> dict:
     degree-zero ledger against the last barred component, for every i.
     The reported weights are computed: the rewrite weight solved by
     ``end_divisor_rewrite``, and the C1 weight of the restriction assembled
-    with it.
+    with it.  Each i's vectors are integral and are built in place with
+    ``_vadd_into``.
     """
     cx = table.complex
     n = cx.n
@@ -986,25 +1030,25 @@ def nonvan_ledgers(table: PairingTable, registry: AxiomRegistry) -> dict:
     for i in range(1, n - 1):
         # displayed restriction: sum_{j>i} Cb_j + (n-3) sum_{j<=i} C_j - e1'
         rest9 = _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)})
-        rest9 = _vadd(rest9, _vec(**{f"C{j}": n - 3 for j in range(1, i + 1)}))
-        rest9 = _vadd(rest9, _vec(e1p=1), -1)
+        _vadd_into(rest9, _vec(**{f"C{j}": n - 3 for j in range(1, i + 1)}), 1)
+        _vadd_into(rest9, _vec(e1p=1), -1)
         # assembled: arc + w * shared arc - e1', with the rewrite weight w
-        asm = _vadd(
-            _vec(**{f"C{j}": 1 for j in range(1, i + 1)}),
-            _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)}),
-        )
-        asm = _vadd(asm, _vec(**{f"C{j}": 1 for j in range(1, i + 1)}), weight)
-        asm = _vadd(asm, _vec(e1p=1), -1)
+        arc = _vec(**{f"C{j}": 1 for j in range(1, i + 1)})
+        asm = dict(arc)
+        _vadd_into(asm, _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)}), 1)
+        _vadd_into(asm, arc, weight)
+        _vadd_into(asm, _vec(e1p=1), -1)
         if rest9 != asm:
             rest_ok = False
-        # adjusted: lifted restriction minus the fixed-part coefficients
-        lift = _vadd(rest9, _vec(Dbi=1))
-        subtr = _vec(**{f"C{j}": fixed_multiplicity(n, j) for j in range(1, i + 1)})
-        rest11 = _vadd(lift, subtr, -1)
+        # adjusted: lifted restriction minus the fixed-part coefficients,
+        # built in place over rest9, which is not read again
+        rest11 = rest9
+        _vadd_into(rest11, _vec(Dbi=1), 1)
+        _vadd_into(rest11, _vec(**{f"C{j}": fixed_multiplicity(n, j) for j in range(1, i + 1)}), -1)
         want = _vec(**{f"C{j}": j - 2 for j in range(3, i + 1)})
-        want = _vadd(want, _vec(Dbi=1))
-        want = _vadd(want, _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)}))
-        want = _vadd(want, _vec(e1p=1), -1)
+        _vadd_into(want, _vec(Dbi=1), 1)
+        _vadd_into(want, _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)}), 1)
+        _vadd_into(want, _vec(e1p=1), -1)
         if rest11 != want:
             rest_ok = False
         # ledger: (Cb_{n-1}, Db_i + sum_{j>i} Cb_j - e1') inside the i-th surface
@@ -1033,16 +1077,17 @@ def irreducibility_guard(n: int) -> dict:
 
     phi(doubled class) = coefficient of a1 minus coefficient of a2.  It
     vanishes on F-multiples and on every degree-one divisor class, but is
-    -2 (resp. +2) on the doubled half bundle and its swap.
+    -2 (resp. +2) on the doubled half bundle and its swap.  The classes are
+    stored doubled, in ints, so phi reads their coefficients as they are.
     """
-    def phi(co: dict[str, Fraction]) -> Fraction:
-        return 2 * (co.get("a1", Fraction(0)) - co.get("a2", Fraction(0)))
+    def phi(co: dict[str, int]) -> int:
+        return co.get("a1", 0) - co.get("a2", 0)
 
     deg_one = {i: phi(degree_one_chern(n, i)) for i in range(1, n)}
     out = {
-        "phi_degree_one": {i: int(v) for i, v in deg_one.items()},
-        "phi_half": int(phi(half_bundle_class(n))),
-        "phi_half_swapped": int(phi(half_bundle_class(n, swap_first_two=True))),
+        "phi_degree_one": deg_one,
+        "phi_half": phi(half_bundle_class(n)),
+        "phi_half_swapped": phi(half_bundle_class(n, swap_first_two=True)),
     }
     out["ok"] = (
         all(v == 0 for v in deg_one.values())

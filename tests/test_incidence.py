@@ -518,16 +518,42 @@ def _reference_vadd(a, b, s=1):
     return out
 
 
+def _fraction_class(doubled):
+    """A doubled class as the ``Fraction`` class it stands for, every value a
+    ``Fraction`` as the classes were built before they were doubled."""
+    return {k: Fraction(v, 2) for k, v in doubled.items()}
+
+
+def _reference_degree_one_chern(n, i):
+    return _fraction_class(inc.degree_one_chern(n, i))
+
+
+def _reference_half_bundle_class(n, swap_first_two=False):
+    return _fraction_class(inc.half_bundle_class(n, swap_first_two=swap_first_two))
+
+
+def _reference_end_divisor_rewrite(n):
+    """``end_divisor_rewrite`` on ``Fraction`` classes, as before doubling."""
+    _vadd, _vec = _reference_vadd, inc._vec
+    lhs = _reference_half_bundle_class(n)
+    end = _reference_degree_one_chern(n, n - 1)
+    weight = inc._canonical((lhs.get("F", 0) - 1) / end["F"])
+    rhs = _vadd(_vec(F=1), end, weight)
+    rhs = _vadd(rhs, _vec(a1=1), -1)
+    return {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1), "weight": weight}
+
+
 def _reference_bundle_algebra_verify(n):
-    """``bundle_algebra_verify`` as it rebuilt each running vector per step,
-    reading ``degree_one_chern`` through the module so a patch reaches it."""
+    """``bundle_algebra_verify`` as it rebuilt each running vector per step on
+    ``Fraction`` classes, reading ``degree_one_chern`` and
+    ``half_bundle_class`` through the module so a patch reaches them."""
     _vadd, _vec = _reference_vadd, inc._vec
     res = {}
     d = _vadd(inc.adjusted_bundle_from_definition(n), inc.adjusted_bundle(n), -1)
     res["adjusted-direct"] = {"ok": not d, "diff": d}
     total = {}
     for i in range(1, n - 1):
-        total = _vadd(total, inc.degree_one_chern(n, i))
+        total = _vadd(total, _reference_degree_one_chern(n, i))
     want = {"F": Fraction(n - 2, 2), "a1": Fraction(-(n - 2), 2), "a2": Fraction(-(n - 2), 2)}
     for j in range(3, n + 1):
         if n != 4:
@@ -546,13 +572,13 @@ def _reference_bundle_algebra_verify(n):
     rhs = _vadd(rhs, _vec(**{f"Eb{j}": j - 1 for j in range(1, n)}), -1)
     res["pullback-sum"] = {"ok": lhs == rhs, "diff": _vadd(lhs, rhs, -1)}
     coll = {}
-    m = inc.half_bundle_class(n)
+    m = _reference_half_bundle_class(n)
     coll = _vadd(coll, {f"mu:{k}": v for k, v in m.items()})
     coll = _vadd(coll, _vec(**inc.half_bundle_adjustment_coeffs(n)), -1)
     coll = _vadd(coll, _vec(**{f"E{j}": 1 for j in range(1, n)}), -1)
     coll = _vadd(coll, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
     for i in range(1, n - 1):
-        chern = {f"mu:{k}": v for k, v in inc.degree_one_chern(n, i).items()}
+        chern = {f"mu:{k}": v for k, v in _reference_degree_one_chern(n, i).items()}
         arc = _vadd(
             _vec(**{f"E{j}": 1 for j in range(1, i + 1)}),
             _vec(**{f"Eb{j}": 1 for j in range(i + 1, n)}),
@@ -567,7 +593,7 @@ def _reference_bundle_algebra_verify(n):
     kk = _vadd(kk, _vec(**{f"Eb{j}": 1 for j in range(1, n)}), -1)
     want5 = inc.kernel_bundle(n)
     res["kernel-bundle"] = {"ok": kk == want5, "diff": _vadd(kk, want5, -1)}
-    res["end-divisor-rewrite"] = inc.end_divisor_rewrite(n)
+    res["end-divisor-rewrite"] = _reference_end_divisor_rewrite(n)
     res["ok"] = all(v["ok"] for k, v in res.items() if k != "ok")
     return res
 
@@ -588,10 +614,11 @@ def test_bundle_algebra_reports_the_reference_diff(n, monkeypatch):
     chern = inc.degree_one_chern
 
     def shifted(n, i):
+        # the doubled class, shifted by a3 += 1/2 and F -= 1/3 in halves
         co = chern(n, i)
         if i == 2:
-            co["a3"] += 1
-            co["F"] -= Fraction(1, 3)
+            co["a3"] += 2
+            co["F"] -= Fraction(2, 3)
         return co
 
     monkeypatch.setattr(inc, "degree_one_chern", shifted)
@@ -599,6 +626,26 @@ def test_bundle_algebra_reports_the_reference_diff(n, monkeypatch):
     assert got == _typed_results(_reference_bundle_algebra_verify(n))
     assert got["ok"] is False
     assert got["degree-one-sum"][1] and got["kernel-collapse"][1]
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 17, 40])
+def test_bundle_algebra_diff_lists_a_returning_key_last(n, monkeypatch):
+    # in the collapse, mu:a3 cancels at i = n-4 and comes back at i = n-3, so it
+    # is re-inserted after mu:a_n, which never cancels; a scheme that keeps a
+    # cancelled entry in its place would list mu:a3 first
+    chern = inc.degree_one_chern
+
+    def shifted(n, i):
+        co = chern(n, i)
+        if i == n - 2:
+            co["a3"] += 2
+            co[f"a{n}"] += 2
+        return co
+
+    monkeypatch.setattr(inc, "degree_one_chern", shifted)
+    res = bundle_algebra_verify(n)
+    assert list(res["kernel-collapse"]["diff"].items()) == [(f"mu:a{n}", -1), ("mu:a3", -1)]
+    assert _typed_results(res) == _typed_results(_reference_bundle_algebra_verify(n))
 
 
 def test_kernel_bundle_n5():
@@ -662,8 +709,8 @@ def test_pencil_ledger_coeffs_fail_on_a_wrong_half_bundle(monkeypatch):
         return rec.status, rec.computed
 
     assert coeffs() == ("pass", (n - 4, n - 3))
-    real = inc.half_bundle_class
-    monkeypatch.setattr(inc, "half_bundle_class", lambda n: {**real(n), "F": real(n)["F"] + 1})
+    real = inc.half_bundle_class  # twice the class: F + 2 shifts the class by F
+    monkeypatch.setattr(inc, "half_bundle_class", lambda n: {**real(n), "F": real(n)["F"] + 2})
     assert coeffs() == ("fail", (n - 2, n - 1))
 
 
@@ -704,6 +751,151 @@ def test_irreducibility_guard():
     assert res5["phi_half"] == -2 and res5["ok"]
     assert res5["phi_degree_one"][3] == 0
     assert irreducibility_guard(7)["phi_half_swapped"] == 2
+
+
+# -- the doubled classes against the Fraction classes they replaced -------------
+
+
+def _typed(x):
+    """``x`` with every dict in key order and every leaf with its type."""
+    if isinstance(x, dict):
+        return [(k, _typed(v)) for k, v in x.items()]
+    return type(x), x
+
+
+def _reference_irreducibility_guard(n):
+    """``irreducibility_guard`` on ``Fraction`` classes, as before doubling."""
+    def phi(co):
+        return 2 * (co.get("a1", Fraction(0)) - co.get("a2", Fraction(0)))
+
+    deg_one = {i: phi(_reference_degree_one_chern(n, i)) for i in range(1, n)}
+    out = {
+        "phi_degree_one": {i: int(v) for i, v in deg_one.items()},
+        "phi_half": int(phi(_reference_half_bundle_class(n))),
+        "phi_half_swapped": int(phi(_reference_half_bundle_class(n, swap_first_two=True))),
+    }
+    out["ok"] = (
+        all(v == 0 for v in deg_one.values())
+        and out["phi_half"] == -2
+        and out["phi_half_swapped"] == 2
+    )
+    return out
+
+
+def _reference_nonvan_ledgers(table, registry):
+    """``nonvan_ledgers`` with its chains of copying adds, on ``Fraction`` classes."""
+    _vadd, _vec = _reference_vadd, inc._vec
+    cx = table.complex
+    n = cx.n
+    registry.consume("anchor.deg-one-pairings", "pencil-ledgers")
+    registry.consume("rank.h0-half-bundle-on-deg-one", "pencil-ledgers")
+    rewrite = _reference_end_divisor_rewrite(n)
+    weight = rewrite["weight"]
+    rest_ok = True
+    ledger_values = {}
+    for i in range(1, n - 1):
+        rest9 = _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)})
+        rest9 = _vadd(rest9, _vec(**{f"C{j}": n - 3 for j in range(1, i + 1)}))
+        rest9 = _vadd(rest9, _vec(e1p=1), -1)
+        asm = _vadd(
+            _vec(**{f"C{j}": 1 for j in range(1, i + 1)}),
+            _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)}),
+        )
+        asm = _vadd(asm, _vec(**{f"C{j}": 1 for j in range(1, i + 1)}), weight)
+        asm = _vadd(asm, _vec(e1p=1), -1)
+        if rest9 != asm:
+            rest_ok = False
+        lift = _vadd(rest9, _vec(Dbi=1))
+        subtr = _vec(**{f"C{j}": inc.fixed_multiplicity(n, j) for j in range(1, i + 1)})
+        rest11 = _vadd(lift, subtr, -1)
+        want = _vec(**{f"C{j}": j - 2 for j in range(3, i + 1)})
+        want = _vadd(want, _vec(Dbi=1))
+        want = _vadd(want, _vec(**{f"Cb{j}": 1 for j in range(i + 1, n)}))
+        want = _vadd(want, _vec(e1p=1), -1)
+        if rest11 != want:
+            rest_ok = False
+        end = ("Cb", i, n - 1)
+        self_int = table.value(f"Eb{n-1}", end)
+        cycle = cx.fiber_cycle(i)
+        k = cycle.index(end)
+        moving = {("Db", i)} | {("Cb", i, j) for j in range(i + 1, n - 1)}
+        ledger = self_int + len({cycle[k - 1], cycle[(k + 1) % len(cycle)]} & moving)
+        ledger_values[i] = ledger
+        if ledger != 0:
+            rest_ok = False
+    return {
+        "tec_ok": rewrite["ok"],
+        "rest_ok": rest_ok,
+        "ledgers": ledger_values,
+        "tec_end_coeff": weight,
+        "rest_arc_coeff": asm.get("C1", 0),
+    }
+
+
+_DOUBLED_RANGE = [*range(4, 41), 64]
+
+
+@pytest.mark.parametrize("n", _DOUBLED_RANGE)
+def test_end_divisor_rewrite_matches_the_fraction_reference(n):
+    assert _typed(inc.end_divisor_rewrite(n)) == _typed(_reference_end_divisor_rewrite(n))
+
+
+@pytest.mark.parametrize("n", _DOUBLED_RANGE)
+def test_irreducibility_guard_matches_the_fraction_reference(n):
+    assert _typed(irreducibility_guard(n)) == _typed(_reference_irreducibility_guard(n))
+
+
+@pytest.mark.parametrize("n", _DOUBLED_RANGE)
+def test_pencil_ledgers_match_the_fraction_reference(n):
+    table = Model(n).table
+    got = nonvan_ledgers(table, default_registry())
+    assert _typed(got) == _typed(_reference_nonvan_ledgers(table, default_registry()))
+
+
+def _fractions_built(monkeypatch, fn):
+    """``fn()`` and the number of ``Fraction.__new__`` calls it made."""
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counting)
+        out = fn()
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_bundle_identities_build_no_fraction(n, monkeypatch):
+    table = Model(n).table
+    for fn in (lambda: bundle_algebra_verify(n), lambda: irreducibility_guard(n),
+               lambda: nonvan_ledgers(table, default_registry())):
+        res, built = _fractions_built(monkeypatch, fn)
+        assert built == 0
+        assert res.get("ok", res.get("rest_ok"))
+
+
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_a_half_integral_shift_builds_fractions_and_a_diff(n, monkeypatch):
+    # positive control for the counter above: the doubled class of the second
+    # degree-one divisor gains 1 on a3, i.e. the class gains a3 / 2
+    chern = inc.degree_one_chern
+
+    def shifted(n, i):
+        co = chern(n, i)
+        if i == 2:
+            co["a3"] += 1
+        return co
+
+    monkeypatch.setattr(inc, "degree_one_chern", shifted)
+    res, built = _fractions_built(monkeypatch, lambda: bundle_algebra_verify(n))
+    assert built > 0
+    assert res["ok"] is False
+    assert res["degree-one-sum"]["diff"] == {"a3": Fraction(1, 2)}
+    assert res["kernel-collapse"]["diff"] == {"mu:a3": Fraction(-1, 2)}
+    assert _typed_results(res) == _typed_results(_reference_bundle_algebra_verify(n))
 
 
 # -- the solver: exact errors and a Fraction Gauss-Jordan reference -------------
