@@ -614,7 +614,7 @@ def test_bundle_algebra_reports_the_reference_diff(n, monkeypatch):
     chern = inc.degree_one_chern
 
     def shifted(n, i):
-        # the doubled class, shifted by a3 += 1/2 and F -= 1/3 in halves
+        # twice the shift the class took before doubling: a3 += 1, F -= 1/3
         co = chern(n, i)
         if i == 2:
             co["a3"] += 2
