@@ -642,8 +642,8 @@ def seam_anchor_resolution(table: PairingTable) -> dict:
 Vector = dict[str, int | Fraction]
 
 
-def _vec(**co: int | Fraction) -> Vector:
-    return {k: _canonical(v) for k, v in co.items() if v}
+def _vec(**co: int) -> Vector:
+    return {k: v for k, v in co.items() if v}
 
 
 def _vadd_into(out: Vector, b: Vector, s: int | Fraction) -> None:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -217,12 +216,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(map(sum, self.terms))
-
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.terms))) <= 1
 
@@ -243,62 +236,27 @@ class MultiPoly:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute_monomials(
-        self, nvars_out: int, images: Mapping[int, tuple[int | Fraction, Exponent]]
-    ) -> "MultiPoly":
-        """Substitute each variable by a monomial ``coeff * x^exp``.
-
-        The engine of ``specialize``, where each image is a fixed value or
-        a kept variable.  The scroll chart does not come here:
-        ``scroll.pullback`` looks its images up in a per-n table.  Every
-        variable of self must have an image.  Exact, term by term.  Output
-        exponents are packed into one ``int`` as in ``__mul__``, so a term's
-        output key is one dot product of its exponent with the packed
-        images.  A term that meets a zero image is dropped, and coefficient
-        powers are taken only for images whose coefficient is neither 0
-        nor 1.
-        """
-        if not self.terms:
-            return MultiPoly(nvars_out, {})
-        # an output entry is at most the degree times the largest image entry
-        top = max(1, self.total_degree()) * max(
-            (max(ie, default=0) for _, ie in images.values()), default=0)
-        by_var = [images[i] for i in range(self.nvars)]
-        keys = _pack([ie for _, ie in by_var], top)
-        coeffs = [_canonical(ic) for ic, _ in by_var]
-        zero = [i for i, ic in enumerate(coeffs) if ic == 0]
-        scaled = [(i, ic) for i, ic in enumerate(coeffs) if ic != 0 and ic != 1]
-        powers: dict[tuple[int, int], Coeff] = {}
-        acc: dict[int, Coeff] = {}
-        get = acc.get
-        for exp, c in self.terms.items():
-            if zero and any(map(exp.__getitem__, zero)):
-                continue
-            for i, ic in scaled:
-                k = exp[i]
-                if k:
-                    p = powers.get((i, k))
-                    if p is None:
-                        p = powers[(i, k)] = ic**k
-                    c = c * p
-            key = sum(map(mul, exp, keys))
-            acc[key] = get(key, 0) + c
-        acc = {k: c for k, c in acc.items() if c != 0}
-        vals = [_canonical(c) for c in acc.values()]
-        return MultiPoly(nvars_out, dict(zip(_unpack(acc, top, nvars_out), vals)))
-
     def specialize(self, fixed: Mapping[int, int | Fraction]) -> "MultiPoly":
         """Set each variable ``i`` in ``fixed`` to the constant ``fixed[i]``.
 
         The other variables are kept, in their order, as the variables of
-        the result.
+        the result.  Term by term: each coefficient takes the powers of the
+        fixed values, a term whose coefficient becomes 0 is dropped, and the
+        rest are summed by their kept entries, each key in the place of its
+        first term; sums that cancel are dropped at the end.
         """
         kept = [i for i in range(self.nvars) if i not in fixed]
-        nv = len(kept)
-        images = {i: (c, (0,) * nv) for i, c in fixed.items()}
-        for pos, i in enumerate(kept):
-            images[i] = (1, tuple(int(k == pos) for k in range(nv)))
-        return self.substitute_monomials(nv, images)
+        acc: dict[Exponent, Coeff] = {}
+        get = acc.get
+        for exp, c in self.terms.items():
+            for i, v in fixed.items():
+                k = exp[i]
+                if k:
+                    c = c * v**k
+            if c:
+                key = tuple([exp[i] for i in kept])
+                acc[key] = get(key, 0) + c
+        return MultiPoly(len(kept), {e: _canonical(c) for e, c in acc.items() if c})
 
     def evaluate(self, values: list[Fraction | int]) -> Coeff:
         if len(values) != self.nvars:

