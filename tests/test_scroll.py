@@ -1194,32 +1194,29 @@ def test_sampler_raises_on_a_rational_point_off_the_conic(monkeypatch):
 
 
 def test_sampler_tests_every_point_in_integers(monkeypatch):
-    # the reference verdicts first: the reference evaluates at Fraction and QuadExt points
     cases = _sampler_cases()
-    want = []
-    for _, h, conic in cases:
-        for seed in range(2):
-            rng = random.Random(seed)
-            try:
-                verdict = _reference_vanishes(h, conic, rng)
-            except RuntimeError as exc:
-                verdict = str(exc)
-            want.append((verdict, rng.getstate()))
+
+    def outcomes(sampler):
+        out = []
+        for _, h, conic in cases:
+            for seed in range(2):
+                rng = random.Random(seed)
+                try:
+                    verdict = sampler(h, conic, rng)
+                except RuntimeError as exc:
+                    verdict = str(exc)
+                out.append((verdict, rng.getstate()))
+        return out
+
+    # the reference first: it evaluates at Fraction and QuadExt points
+    want = outcomes(_reference_vanishes)
 
     def refuse(*args):
         raise AssertionError("the sampler evaluated a polynomial at a point")
 
     monkeypatch.setattr(scroll, "eval_poly_at", refuse)
     monkeypatch.setattr(MultiPoly, "evaluate", refuse)
-    got = []
-    for _, h, conic in cases:
-        for seed in range(2):
-            rng = random.Random(seed)
-            try:
-                verdict = scroll._vanishes_at_a_sample(h, conic, rng)
-            except RuntimeError as exc:
-                verdict = str(exc)
-            got.append((verdict, rng.getstate()))
+    got = outcomes(scroll._vanishes_at_a_sample)
     assert got == want
     assert any(verdict is True for verdict, _ in got)
     assert any(verdict is False for verdict, _ in got)
