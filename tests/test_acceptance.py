@@ -1,37 +1,20 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
 Every criterion prints a single PASS/FAIL line (run with -s to stream).
-All comparisons are exact equalities; runtime bounds are asserted where
+Every criterion but 7 reads the records ``dsolid verify`` prints, through
+``report.run``; criterion 7 still probes its own seeded instances.  All
+comparisons are exact equalities; runtime bounds are asserted where
 stated.
 """
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
-from dsolid.axioms import AxiomRegistry, MissingAxiom, default_registry
-from dsolid.checks import (
-    CheckContext,
-    Model,
-    check_elimination_ladder,
-    check_elimination_run,
-    check_net_ledger,
-)
-from dsolid.incidence import (
-    bundle_algebra_verify,
-    complete_pairings,
-    irreducibility_guard,
-    cylinder_tables_verify,
-    m1_tables_verify,
-    nonvan_ledgers,
-    restriction_ledger_h0,
-    pairing_system,
-    rr_threefold,
-    solve_pairings,
-)
-from dsolid.lattice import build_surface
-from dsolid.report import RunConfig, run as run_report
+from dsolid.axioms import AxiomRegistry
+from dsolid.report import RunConfig, run as run_report, selected_checks
 from dsolid.scroll import (
     double_conic_verify,
     double_curve_degree,
@@ -39,28 +22,33 @@ from dsolid.scroll import (
     smoothness_probe,
     splitting_conic_rank,
 )
-from dsolid.systems import (
-    anticanonical_fixed_part,
-    confluence_orders,
-    expected_m_restrictions,
-    pluri_anticanonical_stripping,
-)
+
+NS = range(4, 17)
 
 
 def _report(num: int, ok: bool, msg: str) -> None:
     print(f"criterion-{num}: {'PASS' if ok else 'FAIL'} - {msg}")
 
 
-def _all_pass(check_id: str, ns: range) -> bool:
-    """Whether every record of one check passes over ``ns``, as the CLI reports it."""
-    records = run_report(RunConfig(ns=tuple(ns), filter=check_id)).checks
-    return bool(records) and all(r.status == "pass" for r in records)
+def _records(check_ids, ns) -> list:
+    """The records of ``check_ids`` over ``ns``, as the CLI reports them.
+
+    A filter is one glob, so each check id runs on its own.
+    """
+    return [rec for cid in check_ids for rec in run_report(RunConfig(ns=tuple(ns), filter=cid)).checks]
+
+
+def _all_pass(records, record_ids, ns) -> bool:
+    """Whether each of ``record_ids`` has exactly one record at every n of ``ns``, and it passes."""
+    got = sorted((r.id, r.n, r.status) for r in records if r.id in record_ids)
+    return got == sorted((rid, n, "pass") for rid in record_ids for n in ns)
 
 
 def test_criterion_1_surface_profile():
     # the lattice.profile records: cycle profile (1-n, -2 x (n-3), -1) and K^2 = 8-2n
     t0 = time.perf_counter()
-    ok = _all_pass("lattice.profile", range(4, 17))
+    ok = _all_pass(_records(["lattice.profile"], NS),
+                   {"lattice.profile", "lattice.canonical-square"}, NS)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     _report(1, ok, f"profiles and K^2 for n=4..16 in {elapsed:.3f}s")
@@ -68,32 +56,23 @@ def test_criterion_1_surface_profile():
 
 
 def test_criterion_2_fixed_components():
-    ok = True
-    for n in range(4, 17):
-        tower = build_surface(n)
-        res = pluri_anticanonical_stripping(tower)
-        if res.fixed != anticanonical_fixed_part(tower):
-            ok = False
-        if not confluence_orders(tower, shuffles=20, seed=n, ref=res):
-            ok = False
+    # the stripping's fixed part against the closed form, and 20 shuffled orders
+    ok = _all_pass(_records(["systems.fixed-components"], NS),
+                   {"systems.fixed-components", "systems.stripping-confluent"}, NS)
     _report(2, ok, "stripping multiplicities exact and confluent (20 orders), n=4..16")
     assert ok
 
 
 def test_criterion_3_cylinder_tables():
+    # the cell-exact degree tables, and the completion re-solved in shuffled orders
     ok = True
     slowest = 0.0
-    for n in range(4, 17):
+    for n in NS:
         t0 = time.perf_counter()
-        cx = Model(n).complex
-        system = pairing_system(cx)
-        table = complete_pairings(cx, system)
-        _, good = cylinder_tables_verify(table)
-        if not good:
-            ok = False
-        if solve_pairings(system, shuffle_seed=n) != table.nu:
-            ok = False
+        records = _records(["incidence.completion", "incidence.cylinder-tables"], (n,))
         slowest = max(slowest, time.perf_counter() - t0)
+        ok = ok and _all_pass(records, {"incidence.cylinder-tables", "incidence.completion-unique"},
+                              (n,))
     ok = ok and slowest < 5.0
     _report(3, ok, f"degree tables cell-exact with unique completion, n=4..16; "
                    f"slowest n took {slowest:.2f}s")
@@ -101,34 +80,24 @@ def test_criterion_3_cylinder_tables():
 
 
 def test_criterion_4_ledger_dimensions():
+    # (value, total) = (n, n+1), each n on a fresh registry that lists what it consumed
     ok = True
-    for n in range(4, 17):
-        reg = default_registry()
-        res = restriction_ledger_h0(Model(n).table, reg)
-        if res.value != n or res.total != n + 1 or not res.axioms_used:
-            ok = False
-        if not reg.consumed:
-            ok = False
+    for n in NS:
+        report = run_report(RunConfig(ns=(n,), filter="incidence.ledger-h0"))
+        consumed = {a["id"] for a in report.to_json()["axioms"]}
+        ok = ok and _all_pass(report.checks, {"incidence.ledger-h0"}, (n,)) and all(
+            rec.axioms_used and set(rec.axioms_used) <= consumed for rec in report.checks)
     _report(4, ok, "restricted section counts n and n+1 with explicit assumption lists")
     assert ok
 
 
 def test_criterion_5_tables_and_identities():
-    ok = True
-    for n in range(4, 17):
-        model = Model(n)
-        if model.m_table != expected_m_restrictions(n):
-            ok = False
-        _, good = m1_tables_verify(model.table, model.m_table)
-        if not good:
-            ok = False
-        if not bundle_algebra_verify(n)["ok"]:
-            ok = False
-        guard = irreducibility_guard(n)
-        if not (guard["phi_half"] == -2 and guard["phi_half_swapped"] == 2 and guard["ok"]):
-            ok = False
-    if rr_threefold({"a3": 0, "a2c1": -4, "ac": 0, "c1c2": 24}) != 0:
-        ok = False
+    checks = ("systems.half-bundle", "incidence.half-bundle-tables", "incidence.bundle-algebra",
+              "incidence.irreducibility", "incidence.euler-characteristic")
+    ok = _all_pass(_records(checks, NS),
+                   {"systems.half-bundle-table", "incidence.half-bundle-tables",
+                    "incidence.bundle-algebra", "incidence.irreducibility",
+                    "incidence.euler-characteristic"}, NS)
     _report(5, ok, "restriction tables, bundle identities, Euler value 0, guard -2/+2")
     assert ok
 
@@ -186,7 +155,8 @@ def test_criterion_7_quartic_instances(n):
 
 def test_criterion_8_moduli_arithmetic():
     # the scroll.moduli record: every dimension formula for k = 2..n
-    ok = _all_pass("scroll.moduli", range(4, 33))
+    ns = range(4, 33)
+    ok = _all_pass(_records(["scroll.moduli"], ns), {"scroll.moduli"}, ns)
     _report(8, ok, "dimension formulas and decrement-by-two stratification, n=4..32")
     assert ok
 
@@ -210,20 +180,17 @@ def test_criterion_9_honesty():
     ):
         if fid not in flagged:
             ok = False
-    # an empty registry must break every ledger operation
-    empty = AxiomRegistry()
-    for op in (
-        lambda: restriction_ledger_h0(Model(4).table, empty),
-        lambda: nonvan_ledgers(Model(4).table, empty),
-        lambda: check_net_ledger(4, CheckContext(registry=empty)),
-        lambda: check_elimination_run(4, CheckContext(registry=empty)),
-        lambda: check_elimination_ladder(4, CheckContext(registry=empty)),
-    ):
-        try:
-            op()
-            ok = False
-        except MissingAxiom:
-            pass
+    # an empty registry fails exactly the checks that consume an assumption,
+    # each with the missing assumption, the ledger operations among them
+    config = RunConfig(ns=(4,), instances=3)
+    consuming = {cid for cid in selected_checks("*")
+                 if run_report(replace(config, filter=cid)).to_json()["axioms"]}
+    failed = [r for r in run_report(config, registry=AxiomRegistry()).checks if r.status == "fail"]
+    missing = {r.id for r in failed if str(r.computed).startswith("MissingAxiom")}
+    ledgers = {"incidence.ledger-h0", "incidence.pencil-ledgers", "systems.net-ledger",
+               "elimination.run", "elimination.ladder"}
+    if not (ledgers <= consuming and consuming == missing == {r.id for r in failed}):
+        ok = False
     _report(9, ok, "all consumed assumptions reported; flagged questions surface; "
                    "empty registry fails closed")
     assert ok

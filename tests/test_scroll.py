@@ -1650,15 +1650,21 @@ def test_moduli_formulas():
     r = moduli_formulas(6, 4)
     assert r.h1_tangent_threefold == 27
     assert r.moduli_dim == 9
-    assert r.consistent
+    assert r.moduli_dim == r.pencil_member_family_dim - 1
     assert moduli_formulas(7, 5).stratum_dim == 9
     assert moduli_formulas(5, 5).stratum_dim == 4
 
 
 @pytest.mark.parametrize("n", range(4, 33))
 def test_moduli_consistency_sweep(n):
-    for k in range(2, n + 1):
-        assert moduli_formulas(n, k).consistent
+    records = [moduli_formulas(n, k) for k in range(2, n + 1)]
+    # the member family loses h0 of the anticanonical twist (one) to moduli
+    assert all(r.moduli_dim == r.pencil_member_family_dim - 1 for r in records)
+    # the strata drop by two per step in k below k = n, and the last
+    # (k = n) has the dimension of the family less five, n - 1
+    dims = [r.stratum_dim for r in records]
+    assert all(a - b == 2 for a, b in zip(dims[:-2], dims[1:-1]))
+    assert dims[-1] == records[-1].pencil_member_family_dim - 5 == n - 1
 
 
 def test_moduli_k_range():
