@@ -203,7 +203,7 @@ def check_movable(n: int, ctx: CheckContext) -> list[CheckRecord]:
     lp = res.movable + k + tower.tracked["C2"] + tower.tracked["Cb2"]
     chi_lp = sys_.riemann_roch(tower, lp)
     chi_negk = sys_.riemann_roch(tower, -k)
-    out = [
+    return [
         _record("systems.movable-invariants", n, (2, 1, 1),
                 (inv.square, inv.degree_on_c2, inv.arithmetic_genus),
                 "movable part: square 2, degree 1 on C2, arithmetic genus 1"),
@@ -214,15 +214,9 @@ def check_movable(n: int, ctx: CheckContext) -> list[CheckRecord]:
                 "Euler characteristic of the net kernel class equals 1"),
         _record("systems.chi-anticanonical", n, 9 - 2 * n, chi_negk,
                 "Euler characteristic of the anticanonical class equals 9-2n"),
+        _record("systems.small-multiples", n, True, sys_.small_multiples_square_zero(tower),
+                "movable parts of m-fold anticanonical systems (m < n-2) have square zero"),
     ]
-    sq_ok = True
-    for m in range(0, n - 2):
-        r = sys_.strip_fixed_components((-k).scale(m), tower)
-        if r.movable.dot(r.movable) != 0:
-            sq_ok = False
-    out.append(_record("systems.small-multiples", n, True, sq_ok,
-                       "movable parts of m-fold anticanonical systems (m < n-2) have square zero"))
-    return out
 
 
 def check_half_bundle_surface(n: int, ctx: CheckContext) -> list[CheckRecord]:

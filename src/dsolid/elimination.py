@@ -21,14 +21,16 @@ from types import MappingProxyType
 from .incidence import Curve, PairingTable, adjusted_bundle
 
 
+# the degrees a stage after the second keeps: none
+_NO_DEGREES: MappingProxyType[Curve, int] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class StageRecord:
     """One blowup stage: the scanned components, their union as the centers,
     and degrees after the blowup.  Stage 2 keeps every nonzero degree and
     the centers', which ``elimination.stage2`` reads; later stages keep
-    only the two isolated seeds C[n-1,1] and Cb[n-1,1].  No check reads a
-    degree beyond stage 2: the seeds' later degrees record the ladder's
-    climb of one per stage, which only the tests compare."""
+    none, since no check reads a degree beyond stage 2."""
 
     stage: int
     components: tuple[frozenset[Curve], ...]
@@ -172,11 +174,10 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     """Run the full elimination on a completed pairing table.
 
     Stages 2..n-2 each scan the base curves and blow up every curve of the
-    scan; the trace keeps each stage's scanned components, centers and
-    degrees (all of stage 2's, the seeds' later), read-only since every
-    check of one n shares it.  The checks count what they compare from the
-    components and centers, and read degrees at stage 2 only; the seeds'
-    later degrees are for the tests.  The scan after stage n-2 is kept as
+    scan; the trace keeps each stage's scanned components and centers, and
+    stage 2's degrees, read-only since every check of one n shares it.  The
+    checks count what they compare from the components and centers, and
+    read degrees at stage 2 only.  The scan after stage n-2 is kept as
     it is, so a machine that does not terminate leaves a non-empty
     ``final_scan``.
 
@@ -202,11 +203,10 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         )
         centers = frozenset().union(*comps)
         blow_up_curves(state, centers)
+        after = _NO_DEGREES
         if stage == 2:
-            after = {k: v for k, v in state.degrees.items() if v != 0 or k in centers}
-        else:
-            after = {k: state.degrees[k] for k in seeds}
-        stages.append(StageRecord(stage, tuple(comps), centers, MappingProxyType(after)))
+            after = MappingProxyType({k: v for k, v in state.degrees.items() if v != 0 or k in centers})
+        stages.append(StageRecord(stage, tuple(comps), centers, after))
     final = tuple(base_curve_scan(state))
     return EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one, final)
 

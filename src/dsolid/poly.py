@@ -15,8 +15,10 @@ variable, in a base above the largest product exponent) so that a
 monomial product is one integer addition, and divides by the product of
 the two denominators once per output term.  A square ``p * p`` (the same
 object on both sides) adds up only the pairs i <= j of terms, the diagonal
-once and each cross term doubled; this stays inside ``__mul__``, so one
-square is still one product call with the same output terms.
+once and each cross term doubled, in ``square_into``; one square is still
+one product call with the same output terms.  The branch quartic of
+``scroll`` squares its packed Q with ``square_into`` too, straight into the
+accumulator of F, with no product call.
 
 Byte-digit keys are unpacked through ``_exponents``, one table per
 variable count from packed key to exponent tuple.  A table holds only
@@ -104,6 +106,26 @@ def _unpack(keys: Iterable[int], top: int, nvars: int) -> list[Exponent]:
     return [tuple([(k >> s) & mask for s in shifts]) for k in keys]
 
 
+def square_into(acc: dict[int, int], terms: list[tuple[int, int]], scale: int) -> None:
+    """Add ``scale`` times the square of ``terms`` into ``acc``, in place.
+
+    ``terms`` are (packed exponent, integer coefficient) pairs, packed by
+    ``_pack`` with digits wide enough for twice the largest entry.  Only the
+    pairs i <= j are visited, the diagonal once and each cross term doubled;
+    a key not yet in ``acc`` is inserted when its first pair is reached.
+    Sums that cancel stay in ``acc`` as 0.
+    """
+    get = acc.get
+    for i, (ka, ca) in enumerate(terms):
+        m = scale * ca
+        k = ka + ka
+        acc[k] = get(k, 0) + m * ca
+        m += m
+        for kb, cb in terms[i + 1:]:
+            k = ka + kb
+            acc[k] = get(k, 0) + m * cb
+
+
 def _quotient(v: int, den: int) -> Coeff:
     """``v / den`` in canonical form."""
     q, r = divmod(v, den)
@@ -177,16 +199,10 @@ class MultiPoly:
         top = max(map(max, self.terms)) + max(map(max, other.terms)) if nv else 0
         pa = list(zip(_pack(self.terms, top), na))
         acc: dict[int, int] = {}
-        get = acc.get
         if square:
-            for i, (ka, ca) in enumerate(pa):
-                k = ka + ka
-                acc[k] = get(k, 0) + ca * ca
-                c2 = 2 * ca
-                for kb, cb in pa[i + 1:]:
-                    k = ka + kb
-                    acc[k] = get(k, 0) + c2 * cb
+            square_into(acc, pa, 1)
         else:
+            get = acc.get
             pb = list(zip(_pack(other.terms, top), nb))
             for ka, ca in pa:
                 for kb, cb in pb:

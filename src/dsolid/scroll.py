@@ -28,9 +28,12 @@ whatever Q is: the identity reads only the n - 1 terms of the shifted f, and
 Q cancels.  The transversality probe reads the same pullback: it samples
 only points of the conic Q∘φ = 0 over each root, where the Q terms of
 ∂_{u1}(F∘φ) vanish.  So no check squares Q on the chart.  The ambient F,
-with O(n^4) terms, is built only to write or read an instance file
-(``_written_big_f``, and ``QuarticInstance.big_f`` for a stored F that is
-spelled otherwise).
+with O(n^4) terms, is built only to write or read an instance file, and
+never as a polynomial product: ``QuarticInstance._ambient_quartic`` squares
+Q and subtracts it from the shifted f in one pass over packed integer
+exponents.  ``_written_big_f`` spells its terms for a file, and
+``QuarticInstance.big_f`` (for tests, and a stored F that is spelled
+otherwise) unpacks the same terms into a ``MultiPoly``.
 The binary form g, whose coefficients are also those of f, comes from
 ``_root_form``.  A coordinate hyperplane of the chart is a term filter: the
 cone z_{n-1} = 0 keeps the terms without a, the cone z_n = 0 those without
@@ -60,13 +63,16 @@ strings differ.  F is built again only for a read of another instance than
 the last one asked, or to compare a stored F that is spelled otherwise.
 The key of each exponent in a term map, ``"e0,e1,.."``, comes from a
 spelling table that, like the image table, holds one variable count at a
-time, so each exponent is spelled about once per n.
+time, so each exponent is spelled about once per n: ``_spellings``, keyed
+by exponent tuple, for Q and f, and ``_quartic_keys``, keyed by packed
+exponent, for F, which checks the degree of each new key.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -75,7 +81,8 @@ from operator import mul
 from pathlib import Path
 from types import MappingProxyType
 
-from .poly import Coeff, Exponent, MultiPoly, _canonical, _integral
+from .poly import (Coeff, Exponent, MultiPoly, _canonical, _integral, _pack, _quotient, _unpack,
+                   square_into)
 # eval_poly_at is not called here; it stays importable from this module
 # because the benchmark's tracing self-test checks this binding site
 from .qfield import eval_poly_at, sqrt_fraction  # noqa: F401
@@ -298,12 +305,37 @@ class QuarticInstance:
         n, nv = self.n, self.n + 1
         return MultiPoly(nv, {_exp(nv, 0, exp.index(1), n - 1, n): c for exp, c in self.f.terms.items()})
 
-    def _ambient_quartic(self) -> MultiPoly:
-        """F = z0 z_{n-1} z_n f - Q^2, built afresh from the instance's value."""
-        big_f = self._shifted_f() - self.q * self.q
-        if set(map(sum, big_f.terms)) != {4}:
-            raise RuntimeError("F = z0 z_{n-1} z_n f - Q^2 is not a homogeneous quartic")
-        return big_f
+    def _ambient_quartic(self) -> tuple[_QuarticKeys, int, dict[int, int]]:
+        """F = z0 z_{n-1} z_n f - Q^2, built afresh from the instance's value.
+
+        Returns the key table of F's exponents (``_quartic_key_table``), a
+        common denominator ``den`` and the numerators over ``den`` of F's
+        terms, keyed by their exponents as the table packs them; a sum that
+        cancelled is still there, as 0.  One integer pass: with dq and df
+        the lcms of the denominators of Q and of ``_shifted_f`` (as
+        ``MultiPoly.__mul__`` scales a factor), ``den`` is the lcm of dq^2
+        and df, the accumulator starts from the shifted f's numerators, and
+        ``square_into`` subtracts the pairs i <= j of Q's terms from it, the
+        diagonal once and each cross term doubled.  So the nonzero terms,
+        their values over ``den`` and their order are those of the MultiPoly
+        ``_shifted_f() - q * q``: the shifted f's first, then Q^2's.  Both
+        readers of F, ``_written_big_f`` and ``big_f``, look every nonzero
+        term up in the table, which checks its degree.
+        """
+        shifted, q = self._shifted_f(), self.q
+        nv = q.nvars
+        if shifted.nvars != nv:
+            raise ValueError("variable count mismatch")
+        top = max(2 * max(map(max, q.terms), default=0), max(map(max, shifted.terms), default=0))
+        dq, nq = _integral(q.terms)
+        df, nf = _integral(shifted.terms)
+        den = math.lcm(dq * dq, df)
+        sq, sf = den // (dq * dq), den // df
+        acc = dict(zip(_pack(shifted.terms, top), nf if sf == 1 else [c * sf for c in nf]))
+        square_into(acc, list(zip(_pack(q.terms, top), nq)), -sq)
+        if not any(acc.values()):
+            raise RuntimeError(_NOT_A_QUARTIC)
+        return _quartic_key_table(nv, top), den, acc
 
     @functools.cached_property
     def big_f(self) -> MultiPoly:
@@ -311,10 +343,16 @@ class QuarticInstance:
 
         Built on first use, by tests and by a reader whose stored F is not
         spelled as ``_written_big_f`` spells it; a file's F comes from that
-        memo.  No check reads F: the tangency identity and the probe read
-        the pullback of ``_shifted_f`` alone.
+        memo.  Both read one ``_ambient_quartic``: the memo spells its keys
+        and this unpacks them, so ``big_f`` has the terms of the file's F in
+        the same order.  No check reads F: the tangency identity and the
+        probe read the pullback of ``_shifted_f`` alone.
         """
-        return self._ambient_quartic()
+        keys, den, acc = self._ambient_quartic()
+        terms = {k: _quotient(v, den) for k, v in acc.items() if v}
+        for k in terms:
+            keys[k]  # the degree check of the memo's spelling
+        return MultiPoly(keys.nvars, dict(zip(_unpack(terms, keys.top, keys.nvars), terms.values())))
 
     @functools.cached_property
     def pulled_q(self) -> MultiPoly:
@@ -642,6 +680,55 @@ _spelling_nvars = 0
 _spellings = _Spellings()
 
 
+_NOT_A_QUARTIC = "F = z0 z_{n-1} z_n f - Q^2 is not a homogeneous quartic"
+
+
+# byte k < 10 to the ASCII digit of k
+_DECIMAL_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+class _QuarticKeys(dict):
+    """Packed exponent of a term of F to its key in a file, ``"e0,e1,.."``,
+    for one variable count and exponents packed by ``poly._pack`` for
+    entries up to ``top``.
+
+    A key not yet seen is unpacked and spelled once, by ``__missing__``,
+    which raises unless it is the exponent of a quartic monomial: so F's
+    degree is checked once per new monomial, under ``python -O`` too, and
+    every key the table holds is a quartic's.
+    """
+
+    def __init__(self, nvars: int, top: int):
+        super().__init__()
+        self.nvars, self.top = nvars, top
+
+    def __missing__(self, key: int) -> str:
+        [exp] = _unpack((key,), self.top, self.nvars)
+        if sum(exp) != 4:
+            raise RuntimeError(_NOT_A_QUARTIC)
+        # every entry is at most 4, so one decimal digit
+        spelled = self[key] = ",".join(bytes(exp).translate(_DECIMAL_DIGITS).decode())
+        return spelled
+
+
+# the key of every packed exponent of F spelled so far, for the variable count
+# and packing of ``_quartic_keys`` only; every drawn instance packs with top 4
+_quartic_keys = _QuarticKeys(0, 0)
+
+
+def _quartic_key_table(nvars: int, top: int) -> _QuarticKeys:
+    """``_quartic_keys``, replaced first when ``nvars`` or ``top`` changes."""
+    global _quartic_keys
+    if _quartic_keys.nvars != nvars or _quartic_keys.top != top:
+        _quartic_keys = _QuarticKeys(nvars, top)
+    return _quartic_keys
+
+
+def _spelled(c: Coeff) -> str:
+    """A coefficient as written to a file, ``"num/den"``."""
+    return f"{c}/1" if type(c) is int else f"{c.numerator}/{c.denominator}"
+
+
 def _terms_json(p: MultiPoly) -> dict[str, str]:
     """The term map of ``p`` as written to a file: ``"e0,e1,..": "num/den"``.
 
@@ -654,10 +741,7 @@ def _terms_json(p: MultiPoly) -> dict[str, str]:
     global _spelling_nvars, _spellings
     if p.nvars != _spelling_nvars:
         _spelling_nvars, _spellings = p.nvars, _Spellings()
-    keys = map(_spellings.__getitem__, p.terms)
-    vals = [f"{c}/1" if type(c) is int else f"{c.numerator}/{c.denominator}"
-            for c in p.terms.values()]
-    return dict(zip(keys, vals))
+    return dict(zip(map(_spellings.__getitem__, p.terms), map(_spelled, p.terms.values())))
 
 
 @functools.lru_cache(maxsize=1)
@@ -668,9 +752,16 @@ def _written_big_f(inst: QuarticInstance) -> Mapping[str, str]:
     F: the instance that ``instance_from_json`` rebuilds equals the one just
     written, so the reader finds the writer's spelling here.  F is built from
     that value, never read from the ``big_f`` cache, so an instance whose
-    ``big_f`` was set by hand cannot put another F here.
+    ``big_f`` was set by hand cannot put another F here.  Each nonzero term
+    of ``_ambient_quartic`` is spelled in one pass, its key through the key
+    table; F is never a ``MultiPoly`` here.
     """
-    return MappingProxyType(_terms_json(inst._ambient_quartic()))
+    keys, den, acc = inst._ambient_quartic()
+    if den == 1:
+        spelled = {keys[k]: f"{v}/1" for k, v in acc.items() if v}
+    else:
+        spelled = {keys[k]: _spelled(Fraction(v, den)) for k, v in acc.items() if v}
+    return MappingProxyType(spelled)
 
 
 def instance_to_json(inst: QuarticInstance) -> dict:

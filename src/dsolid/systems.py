@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import BlowupTower, DivisorClass, LatticeError
+from .lattice import BlowupTower, DivisorClass, LatticeError, anticanonical_cycle_check
 
 
 class StrippingDivergence(RuntimeError):
@@ -144,6 +144,41 @@ def anticanonical_fixed_part(tower: BlowupTower) -> dict[str, int]:
 def pluri_anticanonical_stripping(tower: BlowupTower, order: list[str] | None = None) -> StrippingResult:
     cls = (-tower.canonical).scale(tower.n - 2)
     return strip_fixed_components(cls, tower, order=order)
+
+
+def small_multiples_square_zero(tower: BlowupTower) -> bool:
+    """Whether the movable part of |-mK| has square zero for every m < n - 2.
+
+    One stripping decides it when the cycle components sum to -K
+    (``anticanonical_cycle_check``) and the stripping of -(n-3)K returns
+    multiplicity n - 3 on every component and a zero movable class: then
+    every movable part is zero.  Otherwise each m is stripped in turn, so a
+    failing case still fails.
+
+    Proof.  Write V(D) for the vectors y >= 0 with (D - sum y_c c).c' >= 0
+    for every component c'.  A finished stripping of D lies in V(D) and
+    below every element of it (the minimality argument in
+    ``strip_fixed_components``), so it is the least element x*(D); and a
+    stripping whose V(D) holds a vector below the multiplicity cap does not
+    diverge.  If -K = sum c, the remainders of y against -mK and of y + 1
+    against -(m+1)K are equal, so y is in V(-mK) exactly when y + 1 is in
+    V(-(m+1)K).  Let x*(-(m+1)K) = (m+1)1, all entries at least 1.  Then m1
+    is in V(-mK), so x*(-mK) <= m1 (and the stripping of -mK finishes, as
+    n - 3 is below the cap); and x*(-mK) + 1 is in V(-(m+1)K), so
+    (m+1)1 <= x*(-mK) + 1.  Hence x*(-mK) = m1, whose remainder
+    m(-K - sum c) is zero.  Down from m = n - 3, every m < n - 2 has a zero
+    movable part, of square zero.
+    """
+    top = tower.n - 3
+    if anticanonical_cycle_check(tower):
+        res = strip_fixed_components((-tower.canonical).scale(top), tower)
+        if set(res.fixed.values()) == {top} and not any(res.movable.coeffs):
+            return True
+    for m in range(tower.n - 2):
+        mov = strip_fixed_components((-tower.canonical).scale(m), tower).movable
+        if mov.dot(mov) != 0:
+            return False
+    return True
 
 
 def confluence_orders(tower: BlowupTower, shuffles: int, seed: int, ref: StrippingResult) -> bool:

@@ -162,24 +162,30 @@ def test_verify_output_does_not_depend_on_the_hash_seed():
     assert outs[0] == outs[1]
 
 
-def test_emit_instance_roundtrip_forms_one_ambient_square(tmp_path, monkeypatch):
+def test_emit_instance_roundtrip_builds_f_once(tmp_path, monkeypatch):
     n = 7
     scroll._written_big_f.cache_clear()
-    squares = []
-    mul = MultiPoly.__mul__
+    builds, products = [], []
+    build, mul = scroll.QuarticInstance._ambient_quartic, MultiPoly.__mul__
 
-    def counting(a, b):
-        if a is b and a.nvars == n + 1:  # Q * Q; the chart's products have 5 variables
-            squares.append(a)
+    def counting_build(inst):
+        builds.append(inst)
+        return build(inst)
+
+    def counting_mul(a, b):
+        if a.nvars == n + 1:  # the chart's products have 5 variables
+            products.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(scroll.QuarticInstance, "_ambient_quartic", counting_build)
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
     out = tmp_path / "inst.json"
     assert main(["emit-instance", "--n", str(n), "--seed", "42", "--out", str(out),
                  "--verify-roundtrip"]) == 0
     # the writer builds F; the reader's rebuilt instance equals the written one
-    # and is checked against the writer's spelling of F
-    assert len(squares) == 1
+    # and is checked against the writer's spelling of F.  F is one integer
+    # pass, with no polynomial product on the ambient space.
+    assert len(builds) == 1 and products == []
 
 
 def _dsolid_env():

@@ -294,8 +294,15 @@ def test_cone_degree_fails_on_a_wrong_side(monkeypatch):
 @pytest.mark.parametrize("n", [5, 8, 11])
 def test_ladder_degree_sequence(n):
     # the isolated seed's degree climbs by one per stage: (4-n) + (stage-2)
-    trace = Model(n).trace
+    # after each blowup, replayed by hand since the trace keeps stage 2's only
+    model = Model(n)
+    state = _initial_state(model.table)
     seed = ("C", n - 1, 1)
-    for rec in trace.stages:
-        assert rec.degrees_after[seed] == (4 - n) + (rec.stage - 2)
-    assert trace.stages[-1].degrees_after[seed] == 0
+    for stage in range(2, n - 1):
+        blow_up_curves(state, frozenset().union(*base_curve_scan(state)))
+        assert state.degrees[seed] == (4 - n) + (stage - 2)
+    assert state.degrees[seed] == 0
+    trace = model.trace
+    assert [rec.stage for rec in trace.stages] == list(range(2, n - 1))
+    assert trace.stages[0].degrees_after[seed] == 4 - n
+    assert all(not rec.degrees_after for rec in trace.stages[1:])

@@ -1606,12 +1606,108 @@ def test_big_f_raises_on_a_non_quartic(monkeypatch):
         instance_to_json(inst)
 
 
+def _oracle_f(inst):
+    """F as the MultiPoly expression z0 z_{n-1} z_n f - Q * Q.
+
+    The product is of Q and a copy of it, so it takes the general product's
+    loop over all pairs, not the square's ``poly.square_into`` that F is
+    built with; its new keys still come in the square's order.
+    """
+    return inst._shifted_f() - inst.q * MultiPoly(inst.q.nvars, dict(inst.q.terms))
+
+
+def _assert_f_matches_the_oracle(inst):
+    scroll._written_big_f.cache_clear()
+    oracle = _oracle_f(inst)
+    assert list(scroll._written_big_f(inst).items()) == list(scroll._terms_json(oracle).items())
+    assert _typed_terms(inst.big_f) == _typed_terms(oracle)
+    assert all(type(e) is tuple for e in inst.big_f.terms)
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_f_of_drawn_instances_matches_the_multipoly_oracle(n):
+    for seed in (n, n + 100):
+        inst = _valid_instance(n, seed)
+        _assert_f_matches_the_oracle(inst)
+        _assert_f_matches_the_oracle(_non_integral(inst))
+
+
+def _hand_built_qs(inst):
+    """Quadrics on the ambient space of ``inst``, named by what they test."""
+    nv = inst.n + 1
+    n = inst.n
+    c0 = inst.f.coefficient(scroll._exp(nv, 0))
+
+    def q(*terms):
+        return MultiPoly.from_terms(nv, [(scroll._exp(nv, i, j), c) for i, j, c in terms])
+
+    return {
+        # 2 (c0 z0 z_{n-1}) (1/2 z0 z_n) cancels the shifted f's c0 z0^2 z_{n-1} z_n;
+        # 2 (z0 z2)(z1^2) and 2 (z0 z1)(-z1 z2) cancel each other in Q^2
+        "cancelling": q((0, n - 1, c0), (0, n, Fraction(1, 2)), (0, 2, 1), (1, 1, 1),
+                        (0, 1, 1), (1, 2, -1), (n - 1, n, 3)),
+        # denominators 2, 3 and 4 on Q: lcm 12, and Q^2 over 144
+        "mixed-denominators": q((0, 0, Fraction(1, 2)), (1, n, Fraction(-2, 3)),
+                                (n - 1, n - 1, Fraction(3, 4)), (2, n - 1, 5)),
+        "integral": q((0, 0, 2), (1, 3, -3), (n - 2, n, 1), (n, n, -7)),
+    }
+
+
+@pytest.mark.parametrize("case", ["cancelling", "mixed-denominators", "integral"])
+@pytest.mark.parametrize("scale", [1, Fraction(1, 6)])
+def test_f_of_hand_built_instances_matches_the_multipoly_oracle(case, scale):
+    base = _valid_instance(7, 3)
+    f = MultiPoly(base.f.nvars, {e: poly._canonical(c * scale) for e, c in base.f.terms.items()})
+    inst = QuarticInstance(base.n, base.roots, f, _hand_built_qs(base)[case])
+    _assert_f_matches_the_oracle(inst)
+    oracle = _oracle_f(inst)
+    if case == "cancelling" and scale == 1:
+        # the two cancellations happen: neither monomial is a term of F
+        nv = inst.n + 1
+        assert scroll._exp(nv, 0, 0, 6, 7) not in oracle.terms
+        assert scroll._exp(nv, 0, 1, 1, 2) not in oracle.terms
+    if case == "mixed-denominators":
+        assert any(type(c) is Fraction for c in oracle.terms.values())
+
+
+def test_f_with_wide_digits_matches_the_multipoly_oracle(monkeypatch):
+    # a Q term with an entry of 128 packs Q^2 in digits wider than a byte; the
+    # shifted f is patched to cancel every term it makes, so F is a quartic
+    inst = _valid_instance(6, 7)
+    high = MultiPoly.from_terms(7, [((128, 0, 0, 0, 0, 0, 0), 1)])
+    wide = QuarticInstance(inst.n, inst.roots, inst.f, inst.q + high)
+    shifted = QuarticInstance._shifted_f
+    extra = high * high + high * inst.q + inst.q * high
+    monkeypatch.setattr(QuarticInstance, "_shifted_f",
+                        lambda self: shifted(self) + extra if self is wide else shifted(self))
+    _assert_f_matches_the_oracle(wide)
+    assert scroll._quartic_keys.top == 256  # digits of 9 bits
+    assert dict(scroll._written_big_f(wide)) == dict(scroll._written_big_f(inst))
+    assert scroll._quartic_keys.top == 4  # the table holds one packing at a time
+
+
+def test_f_of_a_non_quadric_q_raises_on_both_routes():
+    inst = _valid_instance(6, 8)
+    scroll._written_big_f(inst)  # this n's quartic keys are in the table
+    linear = QuarticInstance(inst.n, inst.roots, inst.f, inst.q + _unit(7, 0))
+    cubic = QuarticInstance(inst.n, inst.roots, inst.f, _mono(7, 0, 1, 2))
+    for bad in (linear, cubic):
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="not a homogeneous quartic"):
+                scroll._written_big_f(bad)
+            with pytest.raises(RuntimeError, match="not a homogeneous quartic"):
+                bad.big_f
+    keys = scroll._quartic_keys
+    assert keys.nvars == 7 and all(sum(map(int, k.split(","))) == 4 for k in keys.values())
+
+
 def _cold_tables(monkeypatch):
     monkeypatch.setattr(poly, "_exponents", {})
     monkeypatch.setattr(scroll, "_table_nvars", 0)
     monkeypatch.setattr(scroll, "_table", {})
     monkeypatch.setattr(scroll, "_spelling_nvars", 0)
     monkeypatch.setattr(scroll, "_spellings", scroll._Spellings())
+    monkeypatch.setattr(scroll, "_quartic_keys", scroll._QuarticKeys(0, 0))
     scroll._written_big_f.cache_clear()
 
 
@@ -1643,7 +1739,11 @@ def test_term_keys_match_in_cold_warm_and_alternating_tables(monkeypatch):
             assert list(scroll._terms_json(p).items()) == _spelled(p)
         assert scroll._spelling_nvars == inst.n + 1
         assert {len(e) for e in scroll._spellings} == {inst.n + 1}  # one variable count
+        instance_to_json(dataclasses.replace(inst))  # a new value: F is spelled again
+        assert scroll._quartic_keys.nvars == inst.n + 1
+        assert {k.count(",") for k in scroll._quartic_keys.values()} == {inst.n}
     assert all(type(e) is tuple and type(k) is str for e, k in scroll._spellings.items())
+    assert all(type(p) is int and type(k) is str for p, k in scroll._quartic_keys.items())
 
 
 def test_moduli_formulas():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from dsolid import systems
 from dsolid.lattice import LatticeBasis, DivisorClass, build_surface
 from dsolid.systems import (
     HalfClass,
     StrippingDivergence,
+    StrippingResult,
     anticanonical_fixed_part,
     confluence_orders,
     expected_half_bundle_fixed,
@@ -20,6 +22,7 @@ from dsolid.systems import (
     movable_invariants,
     pluri_anticanonical_stripping,
     riemann_roch,
+    small_multiples_square_zero,
     strip_fixed_components,
 )
 from dsolid.lattice import LatticeError
@@ -116,6 +119,59 @@ def test_small_multiples_square_zero(n):
     for m in range(0, n - 2):
         res = strip_fixed_components((-tower.canonical).scale(m), tower)
         assert res.movable.dot(res.movable) == 0
+
+
+def _small_multiples_by_loop(tower):
+    """The verdict of stripping every m < n - 2 in turn."""
+    for m in range(tower.n - 2):
+        mov = systems.strip_fixed_components((-tower.canonical).scale(m), tower).movable
+        if mov.dot(mov) != 0:
+            return False
+    return True
+
+
+def _counting_strips(monkeypatch, strip):
+    calls = []
+
+    def counting(cls, tower, order=None):
+        calls.append(cls)
+        return strip(cls, tower, order)
+
+    monkeypatch.setattr(systems, "strip_fixed_components", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_small_multiples_lemma_agrees_with_the_loop(monkeypatch, n):
+    tower = build_surface(n)
+    # the lemma's prediction: -mK strips to m on every component, movable part zero
+    for m in range(n - 2):
+        res = strip_fixed_components((-tower.canonical).scale(m), tower)
+        assert set(res.fixed.values()) == {m} and res.movable == tower.basis.zero()
+    assert _small_multiples_by_loop(tower)
+    calls = _counting_strips(monkeypatch, strip_fixed_components)
+    assert small_multiples_square_zero(tower)
+    assert calls == [(-tower.canonical).scale(n - 3)]  # one stripping decided it
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+@pytest.mark.parametrize("keep_movable", [True, False])
+def test_small_multiples_fall_back_to_the_loop(monkeypatch, n, keep_movable):
+    # a stripping that leaves C1 at multiplicity 0, moving its copies into the
+    # movable part or not: the lemma does not apply, and the loop decides
+    def skipping_c1(cls, tower, order=None):
+        res = strip_fixed_components(cls, tower, order)
+        c1 = res.fixed["C1"]
+        movable = res.movable if keep_movable else res.movable + tower.tracked["C1"].scale(c1)
+        return StrippingResult({**res.fixed, "C1": 0}, movable)
+
+    tower = build_surface(n)
+    calls = _counting_strips(monkeypatch, skipping_c1)
+    want = _small_multiples_by_loop(tower)
+    assert want is keep_movable
+    loop_calls = len(calls)
+    assert small_multiples_square_zero(tower) is want
+    assert len(calls) - loop_calls == 1 + loop_calls  # the one stripping, then the loop
 
 
 def test_divergent_input_capped():
