@@ -9,7 +9,8 @@ and the cylinder degree tables in ``incidence.cylinder_tables_verify`` and
 ``incidence.m1_tables_verify``.
 The per-n objects (tower, stripping, half bundle, pairing system and
 table, elimination trace) come from one ``Model`` per n, which
-``CheckContext.model`` shares between the checks of that n.
+``CheckContext.model`` shares between the checks of that n; the seeded
+quartic instances come from ``CheckContext.instance``, one seed per (n, k).
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ class CheckContext:
 
     def rng(self, check_id: str, n: int) -> random.Random:
         return random.Random(f"{self.seed}:{check_id}:{n}")
+
+    def instance(self, n: int, k: int) -> scr.QuarticInstance:
+        """Instance k of the seeded batch for n, drawn again on each call.
+
+        Each instance has its own seed, so ``scroll.instances``,
+        ``scroll.tangency`` and ``elimination.cone-degree`` read the same
+        instances, and (seed, n, k) alone replays any one of them.  The
+        batch is not held: that would keep ``instances`` quartics alive.
+        """
+        return scr.random_instance(n, random.Random(f"{self.seed}:scroll.instances:{n}:{k}"))
 
     def model(self, n: int) -> Model:
         """The model for n, shared by consecutive calls with the same n."""
@@ -520,9 +531,7 @@ def check_twistor_lines(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 def check_cone_degree(n: int, ctx: CheckContext) -> list[CheckRecord]:
     want = 2 * (n - 2)
-    rng = ctx.rng("cone-degree", n)
-    inst = scr.random_instance(n, rng)
-    got = scr.double_curve_degree(inst, rng)
+    got = scr.double_curve_degree(ctx.instance(n, 0))
     return [
         _record("elimination.cone-degree", n, (want, want), got,
                 "cone double-curve degree 2(n-2), cross-checked against an instance"),
@@ -543,12 +552,11 @@ def check_hankel(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_instances(n: int, ctx: CheckContext) -> list[CheckRecord]:
-    rng = ctx.rng("instances", n)
     count = ctx.instances
     all_ok = True
     detail = ""
     for k in range(count):
-        inst = scr.random_instance(n, rng)
+        inst = ctx.instance(n, k)
         # a linear f and a quadric Q make F = z0 z_{n-1} z_n f - Q^2 a quartic
         if set(map(sum, inst.f.terms)) != {1} or set(map(sum, inst.q.terms)) != {2}:
             all_ok, detail = False, f"instance {k}: quartic shape broken"
@@ -559,7 +567,7 @@ def check_instances(n: int, ctx: CheckContext) -> list[CheckRecord]:
         if not scr.double_conic_verify(inst):
             all_ok, detail = False, f"instance {k}: tangency identities"
             break
-        side_n, side_n1 = scr.double_curve_degree(inst, rng)
+        side_n, side_n1 = scr.double_curve_degree(inst)
         if side_n != 2 * (n - 2):
             all_ok, detail = False, f"instance {k}: cone degree (side n)"
             break
@@ -576,12 +584,12 @@ def check_instances(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_tangency(n: int, ctx: CheckContext) -> list[CheckRecord]:
-    rng = ctx.rng("tangency", n)
     count = max(1, ctx.instances // 10)
     ok = True
     detail = ""
     for k in range(count):
-        bad_root = scr.smoothness_probe(scr.random_instance(n, rng), rng)
+        rng = random.Random(f"{ctx.seed}:scroll.tangency:{n}:{k}")
+        bad_root = scr.smoothness_probe(ctx.instance(n, k), rng)
         if bad_root is not None:
             ok, detail = False, f"instance {k}, root {bad_root}"
             break

@@ -41,8 +41,9 @@ b, and the ridge line z0 = .. = z_{n-2} = 0 those without s.  Any other
 restriction fixes chart variables to constants with ``MultiPoly.specialize``:
 the fiber over (p:q) fixes {U0: p, U1: q}, and a line of a fiber plane fixes
 its first two coordinates.  On a cone, Q is a quadratic form in (s, c)
-whose coefficients are binary forms in (u0, u1); these are coefficient maps
-keyed by the u1 exponent, and their products are plain convolutions.
+whose coefficients are binary forms in (u0, u1), and the degree of its
+double curve, a resultant's degree, is read off the exponents of the terms
+the cone keeps: ``double_curve_degree`` draws no hyperplane.
 
 The chart sends each ambient monomial to one chart monomial, so a pullback
 is a relabelling of exponents followed by sums of the terms that share an
@@ -425,18 +426,19 @@ def splitting_conic_rank(inst: QuarticInstance) -> int:
     return _matrix_rank3(splitting_matrix(inst.q))
 
 
-def double_curve_degree(inst: QuarticInstance, rng: random.Random) -> tuple[int, int]:
+def double_curve_degree(inst: QuarticInstance) -> tuple[int, int]:
     """Degrees of the double curve on the two cone sections of the scroll.
 
     Side n is the cone z_{n-1} = 0, side n+1 the cone z_n = 0; the pair is
     returned in that order.  Each cone, and the ridge line, is a term filter
     on the pullback of Q.  On a cone, Q = A s^2 + B s c + C c^2 with c the
-    kept last coordinate and A, B, C binary forms in (u0, u1); the curve
-    {Q = 0} is intersected with a generic hyperplane D s + E c = 0 through
-    the resultant A E^2 - B D E + C D^2, computed by convolving coefficient
-    maps keyed by the u1 exponent.  The count (with multiplicity) is the
-    resultant's degree, the sum of its factors' degrees as read off the
-    pullback's exponents.  Up to 12 random hyperplanes are tried per side.
+    kept last coordinate and A, B, C binary forms in (u0, u1).  A hyperplane
+    D s + E c = 0, with D of degree n - 2 and E constant, meets the curve
+    {Q = 0} in the zeros of the resultant A E^2 - B D E + C D^2, which is
+    not zero for generic D and E as long as the cone keeps a term of Q.  Its
+    degree, the count with multiplicity, is that of each term: a term
+    u0^i u1^j s^k of the cone contributes i + j + (2 - k)(n - 2).  So the
+    degree is read off the kept exponents, and no hyperplane is drawn.
     """
     n = inst.n
     pulled = inst.pulled_q
@@ -444,35 +446,13 @@ def double_curve_degree(inst: QuarticInstance, rng: random.Random) -> tuple[int,
         raise RidgeDegenerate("Q contains the ridge line; degree count excluded")
     degrees = []
     for cone in (A, B):
-        # forms[k] is the coefficient of s^k c^{2-k}, of degree degree[k]
-        forms: dict[int, dict[int, Coeff]] = {2: {}, 1: {}, 0: {}}
-        degree: dict[int, int] = {}
-        for exp, coef in pulled.terms.items():
-            if exp[cone] == 0:
-                forms[exp[S]][exp[U1]] = coef
-                degree[exp[S]] = exp[U0] + exp[U1]
-        for _ in range(12):
-            # D = sum dd[j] u0^{n-2-j} u1^j, of degree n - 2
-            dd = {j: rng.randint(-9, 9) for j in range(n - 1)}
-            ee = rng.randint(1, 9)
-            # resultant of (A s^2 + B s c + C c^2, D s + E c) in (s, c): the form
-            # of s^k c^{2-k} times E^k (-D)^{2-k}, which adds (2-k)(n-2) to its degree
-            neg_d = {j: -c for j, c in dd.items()}
-            cofactors = {2: {0: ee * ee}, 1: {j: ee * c for j, c in neg_d.items()},
-                         0: _convolve(neg_d, neg_d)}
-            res: dict[tuple[int, int], Coeff] = {}  # keyed by (total degree, u1 exponent)
-            for k, deg in degree.items():
-                for j, c in _convolve(forms[k], cofactors[k]).items():
-                    key = (deg + (2 - k) * (n - 2), j)
-                    res[key] = res.get(key, 0) + c
-            res_degrees = {deg for (deg, _), c in res.items() if c != 0}
-            if res_degrees:
-                if len(res_degrees) > 1:
-                    raise RuntimeError("resultant lost homogeneity")
-                degrees.append(res_degrees.pop())
-                break
-        else:
-            raise RidgeDegenerate("no generic hyperplane found; intersection is degenerate")
+        side = {exp[U0] + exp[U1] + (2 - exp[S]) * (n - 2)
+                for exp in pulled.terms if exp[cone] == 0}
+        if not side:
+            raise RidgeDegenerate("Q vanishes on the cone; degree count excluded")
+        if len(side) > 1:
+            raise RuntimeError("resultant lost homogeneity")
+        degrees.append(side.pop())
     return degrees[0], degrees[1]
 
 

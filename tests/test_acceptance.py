@@ -139,7 +139,7 @@ def test_criterion_7_quartic_instances(n):
         if splitting_conic_rank(inst) != 2:
             ok = False
             break
-        if double_curve_degree(inst, rng) != (2 * (n - 2), 2 * (n - 2)):
+        if double_curve_degree(inst) != (2 * (n - 2), 2 * (n - 2)):
             ok = False
             break
         # every root of the instance is probed

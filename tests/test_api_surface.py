@@ -171,3 +171,23 @@ def test_only_incidence_reads_the_table_storage():
                     and node.attr in STORAGE_ATTRIBUTES):
                 readers.append(f"{path.name}:{node.lineno} {node.attr}")
     assert readers == []
+
+
+def _naming_sites(node, name, where=()):
+    """The enclosing class and function names of each place ``node`` names ``name``."""
+    if ((isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))):
+        yield where
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        where += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _naming_sites(child, name, where)
+
+
+def test_checks_draw_instances_only_through_the_context():
+    # scroll.instances, scroll.tangency and elimination.cone-degree read one
+    # seeded batch; a second call site would fork its stream again
+    path = PACKAGE / "checks.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_naming_sites(tree, "random_instance")) == [("CheckContext", "instance")]

@@ -280,8 +280,8 @@ def test_decrement_stages_match_machine(n):
 def test_cone_degree_fails_on_a_wrong_side(monkeypatch):
     real = scroll.double_curve_degree
 
-    def off_on_second_side(inst, rng):
-        side_n, side_n1 = real(inst, rng)
+    def off_on_second_side(inst):
+        side_n, side_n1 = real(inst)
         return side_n, side_n1 + 2
 
     ctx = CheckContext(registry=default_registry(), seed=42)

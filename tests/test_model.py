@@ -1,12 +1,13 @@
 """The per-n model: built once per n, shared by every check, never changed by one."""
 
+import dataclasses
 import hashlib
 import json
 import time
 
 import pytest
 
-from dsolid import elimination, incidence, lattice, systems
+from dsolid import elimination, incidence, lattice, scroll, systems
 from dsolid.axioms import default_registry
 from dsolid.checks import (
     CHECKS,
@@ -196,42 +197,78 @@ def test_context_keeps_one_model_at_a_time():
     assert ctx.model(6) is not model and ctx.model(6).n == 6
 
 
-# sha256 (first 16 hex digits) of repr(rng.getstate()) after each instance-driven
-# check at seed 42 with the default 100 instances, for the one Random that
-# CheckContext.rng hands it.  A passing report does not depend on which
-# instances were drawn, so only this pins the order and number of draws.
-# "instances" was re-recorded when tangency stopped drawing a generic fiber.
-RNG_STATE_AFTER_CHECK = {
-    "instances": ("79c5d5522243121a", "7925c07ef0eab7e6", "10b8cfe86032aa5d",
-                  "4581387f0f1e8ae8", "6c230aefdb3e22aa", "855cdef6b04a59ca",
-                  "a4d3311b1b5bc676"),
-    "tangency": ("66c24f68b8fe88d5", "88059d2fd0ad068d", "5884baba60a79a29",
-                 "c1384e6ff6d3dcb8", "6e1a66c9db4ef25e", "00c1e4ec79cfa0c3",
-                 "49f3422a66e48014"),
-    "cone-degree": ("824718057bffffa2", "c0cdaf22f436f66b", "d18b7f4e13f6f22a",
-                    "9f38a1f7b0bb5744", "a79fa45f811212e2", "ee490132d8072871",
-                    "794215320ee82279"),
+# sha256 of instance k of the seeded batch for n at seed 42, spelled as its
+# instance file is.  A passing report does not depend on which instances were
+# drawn, so only this pins the per-instance seeds and the draws that build each
+# instance.  Recorded when the three instance-driven checks began to share one
+# batch; it replaced the rng states those checks left behind.
+INSTANCE_SHA256 = {
+    (4, 0): "43e0ca0208648f94335868255d665c2ce3108b8dd75955c813e063611ed8a1ca",
+    (4, 99): "1a6fee0663ed66b475564a33d8dda9b3ebd4edb38652e0d1a16479f99a702fdd",
+    (7, 0): "e4698804ad8f5162b07d61799885fee32dbe21e112aad9b5e1863231b6de0d76",
+    (7, 99): "fb7788d5f8db8e127666e8f9b3c7feb114002adcebe1f741f044a7993baed1d6",
+    (10, 0): "8564d4b235ae982a72ea1ab01797ed9d6dd1e25f7ce18f1a8de68859477210db",
+    (10, 99): "2505997be3f4e3f10bb142e207d480d163a4795f0ffa5314749b0dc2ca5de7f4",
 }
+
+
+@pytest.mark.parametrize("n, k", sorted(INSTANCE_SHA256))
+def test_batch_instances_are_frozen(n, k):
+    inst = CheckContext(registry=default_registry(), seed=42).instance(n, k)
+    spelled = json.dumps(scroll.instance_to_json(inst), indent=1, sort_keys=True)
+    assert hashlib.sha256(spelled.encode()).hexdigest() == INSTANCE_SHA256[(n, k)]
+
+
 INSTANCE_CHECKS = {"instances": check_instances, "tangency": check_tangency,
                    "cone-degree": check_cone_degree}
 
 
-@pytest.mark.parametrize("name", sorted(RNG_STATE_AFTER_CHECK))
-def test_instance_checks_draw_a_frozen_stream(name, monkeypatch):
-    handed = []
-    real = CheckContext.rng
+def test_instance_checks_draw_only_through_the_context(monkeypatch):
+    asked, drawn = [], []
+    real_instance, real_draw = CheckContext.instance, scroll.random_instance
 
-    def recording(self, check_id, n):
-        rng = real(self, check_id, n)
-        handed.append(rng)
-        return rng
+    def asking(self, n, k):
+        asked.append((n, k))
+        return real_instance(self, n, k)
 
-    monkeypatch.setattr(CheckContext, "rng", recording)
-    got = []
-    for n in range(4, 11):
-        handed.clear()
-        recs = INSTANCE_CHECKS[name](n, CheckContext(registry=default_registry(), seed=42))
-        assert [r.status for r in recs] == ["pass"]
-        [rng] = handed
-        got.append(hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16])
-    assert tuple(got) == RNG_STATE_AFTER_CHECK[name]
+    def drawing(n, rng):
+        drawn.append(n)
+        return real_draw(n, rng)
+
+    monkeypatch.setattr(CheckContext, "instance", asking)
+    monkeypatch.setattr(scroll, "random_instance", drawing)
+    ctx = CheckContext(registry=default_registry(), seed=42, instances=25)
+    # scroll.instances reads every k, scroll.tangency the first instances // 10
+    # and elimination.cone-degree the first: all from the one batch
+    want = {"instances": range(25), "tangency": range(2), "cone-degree": range(1)}
+    for name, check in INSTANCE_CHECKS.items():
+        asked.clear()
+        drawn.clear()
+        assert [r.status for r in check(6, ctx)] == ["pass"]
+        assert asked == [(6, k) for k in want[name]], name
+        assert drawn == [6] * len(asked), name  # no draw outside the context
+
+
+def test_a_failing_instance_replays_from_seed_n_and_index(monkeypatch):
+    n, seed, bad_k = 6, 42, 7
+    target = CheckContext(registry=default_registry(), seed=seed).instance(n, bad_k)
+    seen = []
+    draw = scroll.random_instance
+
+    def one_bad(n, rng):
+        # a fault that shows on one drawn instance: its f no longer matches its roots
+        inst = draw(n, rng)
+        if inst == target:
+            moved = scroll.linear_form_from_roots(n, list(inst.roots[1:]) + [(1, 997)])
+            inst = dataclasses.replace(inst, f=moved)
+        seen.append(inst)
+        return inst
+
+    monkeypatch.setattr(scroll, "random_instance", one_bad)
+    [rec] = check_instances(n, CheckContext(registry=default_registry(), seed=seed,
+                                            instances=10))
+    assert (rec.status, rec.detail) == ("fail", f"instance {bad_k}: tangency identities")
+    # the record's (seed, n, k) alone draws the failing instance again
+    k = int(rec.detail.split(":")[0].removeprefix("instance "))
+    replayed = CheckContext(registry=default_registry(), seed=seed).instance(n, k)
+    assert replayed == seen[k] and not scroll.double_conic_verify(replayed)
