@@ -9,8 +9,10 @@ Centers lose adjacency to curves outside their tracking surface after the
 blowup.  Two outcomes are read off the scans themselves: that the scan
 after stage n-2 is empty (termination), and that every seed-free scanned
 component bottoms out at degree -1 (each exceptional divisor enters with
-multiplicity one).  Curves are ``incidence.Curve`` tuples throughout;
-scans, centers and the trace are sets of them, in no order.
+multiplicity one).  The machine runs on dense node ids: ``_initial_state``
+numbers the tracked curves once, and the state, the scans and the centers
+hold ints.  Only the trace names ``incidence.Curve`` tuples; its scans and
+centers are sets of them, in no order.
 """
 
 from __future__ import annotations
@@ -38,52 +40,32 @@ class StageRecord:
     degrees_after: MappingProxyType[Curve, int]
 
 
-@dataclass(frozen=True)
-class NodeFacts:
-    """What the machine reads of one tracked curve; fixed for the whole run."""
-
-    # surface in which the curve's successor is tracked if it is blown up
-    surface: str
-    # the pencil-member half and the cylinder component containing the curve
-    sides: tuple[str, str]
-    # self-intersection inside the tracking surface
-    self_int: int
-
-
 @dataclass
 class BlowupState:
-    """Mutable elimination state for a single n."""
+    """Mutable elimination state for a single n, on dense node ids.
+
+    Node k is the curve ``nodes[k]``, and every list is indexed by node id.
+    ``degrees`` and ``adjacency`` change stage by stage.  The rest is fixed
+    for the whole run: the surface in which a node's successor is tracked
+    if it is blown up, its sides (the pencil-member half and the cylinder
+    component containing it), both as ids of interned surface names, and
+    its self-intersection inside the tracking surface.
+    """
 
     n: int
+    nodes: list[Curve]
+    degrees: list[int]
+    adjacency: list[set[int]]
+    surface: list[int]
+    sides: list[tuple[int, int]]
+    self_int: list[int]
     stage: int = 1
-    degrees: dict[Curve, int] = field(default_factory=dict)
-    adjacency: dict[Curve, set[Curve]] = field(default_factory=dict)
-    facts: dict[Curve, NodeFacts] = field(default_factory=dict)
     odp_census: dict[str, int] = field(default_factory=dict)
 
 
 def _initial_state(table: PairingTable) -> BlowupState:
-    cx = table.complex
-    n = cx.n
-    state = BlowupState(n=n)
-    l1 = adjusted_bundle(n)
-    for i in range(1, n):
-        nodes = cx.fiber_cycle(i)
-        m = len(nodes)
-        for nd in nodes:
-            state.degrees[nd] = table.degree(l1, nd)
-            state.adjacency[nd] = set()
-            state.facts[nd] = _node_facts(table, nd)
-        for k in range(m):
-            a, b = nodes[k], nodes[(k + 1) % m]
-            state.adjacency[a].add(b)
-            state.adjacency[b].add(a)
-    state.odp_census["initial"] = len(cx.odps)
-    return state
-
-
-def _node_facts(table: PairingTable, c: Curve) -> NodeFacts:
-    """The per-curve facts of a fiber-cycle curve, read from the complex and table.
+    """Number the curves of each fiber cycle, in ``fiber_cycle`` order, and
+    read what the machine needs of each one once.
 
     Chain centers stay tracked inside their degree-one surface (the half
     ``cx.half``); the two isolated seed curves (fiber n-1, component 1) are
@@ -91,28 +73,43 @@ def _node_facts(table: PairingTable, c: Curve) -> NodeFacts:
     host ``cx.home``.  Inside a degree-one surface the square follows the
     cross rule: it is the table's cell at that component.  A seed inside its
     cylinder component is a section through one blown point, square -1,
-    unchanged by repeated blowups along it.
+    unchanged by repeated blowups along it.  The initial degrees are the
+    adjusted bundle's, evaluated once per distinct table row.
     """
     cx = table.complex
-    home = cx.home(c)
-    half = cx.half(c)
-    surface = home if c[1:] == (cx.n - 1, 1) else half
-    self_int = table.value(home, c) if surface.startswith(("Sm", "Sp")) else -1
-    return NodeFacts(surface, (half, home), self_int)
+    n = cx.n
+    nodes: list[Curve] = []
+    adjacency: list[set[int]] = []
+    for i in range(1, n):
+        cycle = cx.fiber_cycle(i)
+        base, m = len(nodes), len(cycle)
+        nodes += cycle
+        adjacency += [{base + (k - 1) % m, base + (k + 1) % m} for k in range(m)]
+    homes, halves = list(map(cx.home, nodes)), list(map(cx.half, nodes))
+    ids = {name: k for k, name in enumerate(dict.fromkeys(halves + homes))}
+    seeds = {("C", n - 1, 1), ("Cb", n - 1, 1)}
+    surface = [ids[home if c in seeds else half] for c, half, home in zip(nodes, halves, homes)]
+    sides = [(ids[half], ids[home]) for half, home in zip(halves, homes)]
+    self_int = [-1 if c in seeds else table.value(home, c) for c, home in zip(nodes, homes)]
+    degrees = table.degrees_on(adjusted_bundle(n), nodes)
+    state = BlowupState(n, nodes, degrees, adjacency, surface, sides, self_int)
+    state.odp_census["initial"] = len(cx.odps)
+    return state
 
 
-def base_curve_scan(state: BlowupState) -> list[frozenset[Curve]]:
-    """Connected components of the current base curves.
+def base_curve_scan(state: BlowupState) -> list[frozenset[int]]:
+    """Connected components of the current base curves, as node ids.
 
     Base = negative-degree tracked curves, closed under adjacency through
     zero-degree curves; so each component is what a negative curve reaches
-    through curves of degree at most zero.
+    through curves of degree at most zero.  Components come in the order
+    of their lowest negative node.
     """
     degrees, adjacency = state.degrees, state.adjacency
-    comps: list[frozenset[Curve]] = []
-    seen: set[Curve] = set()
-    for nd, d in degrees.items():
-        if d >= 0 or nd in seen:
+    comps: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for nd in [k for k, d in enumerate(degrees) if d < 0]:
+        if nd in seen:
             continue
         comp = {nd}
         stack = [nd]
@@ -126,35 +123,37 @@ def base_curve_scan(state: BlowupState) -> list[frozenset[Curve]]:
     return comps
 
 
-def blow_up_curves(state: BlowupState, curves: frozenset[Curve]) -> None:
-    """Blow up the given centers and update the tracked state in place."""
+def blow_up_curves(state: BlowupState, curves: frozenset[int]) -> None:
+    """Blow up the given centers (node ids) and update the tracked state in place.
+
+    Only curves outside the centers lose one per adjacent center, so each
+    center's own new degree reads its degree before the blowup.  Whether
+    a center's edge is severed depends only on fixed facts, so the edges
+    are collected in the same pass and severed after it.
+    """
     stage = state.stage + 1
     centers = frozenset(curves)
-    facts = state.facts
-    decrements: dict[Curve, int] = {}
-    successor_deg: dict[Curve, int] = {}
+    degrees, adjacency = state.degrees, state.adjacency
+    self_int, surface, sides = state.self_int, state.surface, state.sides
     # ODPs appear over the nodes of reducible centers: one per adjacent center pair
     inner_total = 0
+    # edges across surfaces the successor no longer touches
+    severed = []
     for c in centers:
         inner = 0
-        for nb in state.adjacency[c]:
+        surf = surface[c]
+        for nb in adjacency[c]:
             if nb in centers:
                 inner += 1
             else:
-                decrements[nb] = decrements.get(nb, 0) + 1
+                degrees[nb] -= 1
+            if surf not in sides[nb]:
+                severed.append((c, nb))
         inner_total += inner
-        successor_deg[c] = state.degrees[c] - facts[c].self_int - inner
-    for nd, dv in decrements.items():
-        state.degrees[nd] -= dv
-    for c, v in successor_deg.items():
-        state.degrees[c] = v
-    # sever adjacency across surfaces the successor no longer touches
-    for c in centers:
-        surf = facts[c].surface
-        for nb in list(state.adjacency[c]):
-            if surf not in facts[nb].sides:
-                state.adjacency[c].discard(nb)
-                state.adjacency[nb].discard(c)
+        degrees[c] -= self_int[c] + inner
+    for c, nb in severed:
+        adjacency[c].discard(nb)
+        adjacency[nb].discard(c)
     state.stage = stage
     state.odp_census[f"stage{stage}"] = inner_total // 2
 
@@ -181,16 +180,15 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     it is, so a machine that does not terminate leaves a non-empty
     ``final_scan``.
 
-    What the stages read of a curve but never change (its tracking
-    surface, sides and self-intersection) is computed once per run, as the
-    state's ``NodeFacts``; the initial degrees are the adjusted bundle's
-    ``table.degree`` on each tracked curve.
+    The stages run on the node ids of ``_initial_state``; components,
+    centers and degrees are named by their curves only as the trace keeps
+    them.
     """
     state = _initial_state(table)
-    n = state.n
-    seeds = (("C", n - 1, 1), ("Cb", n - 1, 1))
+    n, nodes, degrees = state.n, state.nodes, state.degrees
+    curve = nodes.__getitem__
+    seeds = {nodes.index(("C", n - 1, 1)), nodes.index(("Cb", n - 1, 1))}
     stages: list[StageRecord] = []
-    degree = state.degrees.__getitem__
     mult_one = True
     for stage in range(2, n - 1):
         comps = base_curve_scan(state)
@@ -199,15 +197,16 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         # scanned at 3-n and climb by one per stage, and their multiplicity
         # rests on the ladder's ruled types (assert.ladder-ruled-types).
         mult_one = mult_one and all(
-            min(map(degree, comp)) == -1 for comp in comps if comp.isdisjoint(seeds)
+            min(map(degrees.__getitem__, comp)) == -1 for comp in comps if comp.isdisjoint(seeds)
         )
         centers = frozenset().union(*comps)
         blow_up_curves(state, centers)
         after = _NO_DEGREES
         if stage == 2:
-            after = MappingProxyType({k: v for k, v in state.degrees.items() if v != 0 or k in centers})
-        stages.append(StageRecord(stage, tuple(comps), centers, after))
-    final = tuple(base_curve_scan(state))
+            after = MappingProxyType({curve(k): v for k, v in enumerate(degrees) if v != 0 or k in centers})
+        named = tuple(frozenset(map(curve, comp)) for comp in comps)
+        stages.append(StageRecord(stage, named, frozenset().union(*named), after))
+    final = tuple(frozenset(map(curve, comp)) for comp in base_curve_scan(state))
     return EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one, final)
 
 

@@ -29,7 +29,8 @@ cells share one ``CurveCells``: every section over a fiber with no blown
 point on its component shares that component's one object, so the map holds
 9(n-1) distinct objects for its 2(n-1)^2 + 5(n-1) curves.  The projection
 constraints and the table assembly walk the distinct objects, not every
-curve; the triviality test reads the map.
+curve, and every curve of one object holds the same read-only row; the
+triviality test reads the map.
 The constraints are solved by an indexed fraction-free elimination over Z
 that back-substitutes in ``int`` (``_solve``).
 """
@@ -342,13 +343,14 @@ def build_incidence(tower: BlowupTower) -> IncidenceComplex:
 class PairingTable:
     """Completed integer pairing (divisor symbol x curve symbol).
 
-    ``rows`` maps every curve to a dict of its nonzero cells over the
-    divisors T, E_j and Eb_j, read-only at the top level; a missing cell
-    pairs to 0.  ``nu`` holds the solved normal-bundle degrees.
+    ``rows`` maps every curve to a read-only map of its nonzero cells over
+    the divisors T, E_j and Eb_j; a missing cell pairs to 0.  Curves whose
+    cells are one ``CurveCells`` object share one row object.  ``nu`` holds
+    the solved normal-bundle degrees.
     """
 
     complex: IncidenceComplex
-    rows: MappingProxyType[Curve, dict[str, int]]
+    rows: MappingProxyType[Curve, MappingProxyType[str, int]]
     nu: dict[Unknown, int] = field(default_factory=dict)
 
     def value(self, div: str, c: Curve) -> int:
@@ -365,6 +367,18 @@ class PairingTable:
             if d in coeffs:
                 total += coeffs[d] * e
         return total
+
+    def degrees_on(self, coeffs: dict[str, int | Fraction], curves: Sequence[Curve]) -> list[int | Fraction]:
+        """``degree(coeffs, c)`` for each curve in order, summed once per
+        distinct row object."""
+        by_row: dict[int, int | Fraction] = {}  # by id of a row the table holds
+        out = []
+        for c in curves:
+            key = id(self.rows[c])
+            if key not in by_row:
+                by_row[key] = self.degree(coeffs, c)
+            out.append(by_row[key])
+        return out
 
 
 def _anchor_equations(cx: IncidenceComplex) -> list[Equation]:
@@ -576,41 +590,49 @@ def complete_pairings(cx: IncidenceComplex, system: System) -> PairingTable:
     ``system`` is ``pairing_system(cx)``.  Assembly reads only the complex
     and ``nu``: ``cx.cell_map`` gives each curve's known cells and, on each
     divisor containing it, the class that is paired with ``nu``.  Each
-    distinct ``CurveCells`` is evaluated against ``nu`` once; every curve
-    gets its own copy of the result as its row, so no two rows alias and
-    the shared map is only read.  The table is therefore a deterministic
-    function of ``(cx, nu)``, and equal ``nu`` give equal tables; comparing
-    solved ``nu`` (as ``incidence.completion-unique`` does) is no weaker
-    than comparing assembled tables.
+    distinct ``CurveCells`` is evaluated against ``nu`` once, into one
+    read-only row that every curve sharing those cells holds, so neither
+    the rows nor the shared map can be written through the table.  The
+    table is therefore a deterministic function of ``(cx, nu)``, and equal
+    ``nu`` give equal tables; comparing solved ``nu`` (as
+    ``incidence.completion-unique`` does) is no weaker than comparing
+    assembled tables.
     """
     nu = solve_pairings(system)
-    evaluated: dict[int, dict[str, int]] = {}  # by id of a cells object the map holds
-    rows: dict[Curve, dict[str, int]] = {}
+    evaluated: dict[int, MappingProxyType[str, int]] = {}  # by id of a cells object the map holds
+    rows: dict[Curve, MappingProxyType[str, int]] = {}
     for c, cells in cx.cell_map.items():
         row = evaluated.get(id(cells))
         if row is None:
-            row = evaluated[id(cells)] = {div: v for div, v in cells.known if v}
+            cellrow = {div: v for div, v in cells.known if v}
             for div, cls in cells.classes:
                 if v := sum(co * nu[u] for u, co in cls):
-                    row[div] = v
-        rows[c] = row.copy()
+                    cellrow[div] = v
+            row = evaluated[id(cells)] = MappingProxyType(cellrow)
+        rows[c] = row
     return PairingTable(complex=cx, rows=MappingProxyType(rows), nu=nu)
 
 
 def is_equivariant(table: PairingTable) -> bool:
     """Whether every cell equals the cell at its barred/unbarred conjugate.
 
-    Walking the stored cells is enough.  Conjugation is an involution on
-    cells, so a cell that differs from its conjugate has a nonzero value on
-    at least one side of the pair; that side is stored in its curve's row
-    and is compared here with the conjugate row's cell, read as 0 when missing.
+    A row stores its nonzero cells only, so a curve's cells agree with its
+    conjugate's exactly when the row, its divisors conjugated, equals the
+    conjugate row.  Each distinct pair of (row, conjugate row) objects is
+    compared once, however many curves share it.
     """
     rows = table.rows
     conj = {d: conjugate_divisor(d) for d in ["T", *table.complex.exceptional_divisors()]}
-    return all(
-        v == rows[conjugate_curve(c)].get(conj[div], 0)
-        for c, row in rows.items() for div, v in row.items()
-    )
+    compared: set[tuple[int, int]] = set()  # ids of rows the table holds
+    for c, row in rows.items():
+        other = rows[conjugate_curve(c)]
+        pair = (id(row), id(other))
+        if pair in compared:
+            continue
+        if {conj[d]: v for d, v in row.items()} != other:
+            return False
+        compared.add(pair)
+    return True
 
 
 def seam_anchor_resolution(table: PairingTable) -> dict:

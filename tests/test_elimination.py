@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -20,11 +21,26 @@ from dsolid.elimination import (
     twistor_line_degree,
     _initial_state,
 )
+from dsolid.incidence import adjusted_bundle
 from dsolid.report import RunConfig, run
 
 
+def _named(state, comps):
+    """A scan's components, node ids replaced by their curves."""
+    return [frozenset(state.nodes[k] for k in comp) for comp in comps]
+
+
+def _degree(state, curve):
+    return state.degrees[state.nodes.index(curve)]
+
+
+def _ids(state, curves):
+    return frozenset(state.nodes.index(c) for c in curves)
+
+
 def test_stage1_scan_n7():
-    comps = base_curve_scan(_initial_state(Model(7).table))
+    state = _initial_state(Model(7).table)
+    comps = _named(state, base_curve_scan(state))
     expected = set()
     for i in range(3, 6):
         expected.add(frozenset(("C", i, j) for j in range(3, i + 1)))
@@ -35,7 +51,8 @@ def test_stage1_scan_n7():
 
 
 def test_stage1_scan_n4_only_isolated_pair():
-    comps = base_curve_scan(_initial_state(Model(4).table))
+    state = _initial_state(Model(4).table)
+    comps = _named(state, base_curve_scan(state))
     assert set(comps) == {frozenset([("C", 3, 1)]), frozenset([("Cb", 3, 1)])}
 
 
@@ -90,7 +107,7 @@ def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
     def scan_leaving_the_seed(state):
         comps = real(state)
         if state.stage == state.n - 2:
-            return comps or [frozenset([("C", state.n - 1, 1)])]
+            return comps or [_ids(state, [("C", state.n - 1, 1)])]
         return comps
 
     config = RunConfig(ns=(6,), filter="elimination.run", seed=42)
@@ -107,19 +124,23 @@ def test_termination_fails_when_the_final_scan_is_not_empty(monkeypatch):
     assert recs[0].detail == "scan=[[('C', 5, 1)]]"
 
 
+def _with_a_deeper_chain(initial_state):
+    """``initial_state`` with C[5,5] one degree lower."""
+
+    def state_with_a_deeper_chain(table):
+        state = initial_state(table)
+        state.degrees[state.nodes.index(("C", 5, 5))] -= 1
+        return state
+
+    return state_with_a_deeper_chain
+
+
 def test_multiplicity_one_fails_on_a_chain_curve_below_minus_one(monkeypatch):
     # C[5,5] one lower bottoms its stage-2 component out at -2, and the
     # chain no longer clears by the last stage
-    real = elimination._initial_state
-
-    def state_with_a_deeper_chain(table):
-        state = real(table)
-        state.degrees[("C", 5, 5)] -= 1
-        return state
-
     config = RunConfig(ns=(7,), filter="elimination.run", seed=42)
     assert [r.status for r in run(config).checks] == ["pass"] * 4
-    monkeypatch.setattr(elimination, "_initial_state", state_with_a_deeper_chain)
+    monkeypatch.setattr(elimination, "_initial_state", _with_a_deeper_chain(elimination._initial_state))
     recs = {r.id: r for r in run(config).checks}
     assert recs["elimination.multiplicity-one"].status == "fail"
     term = recs["elimination.termination"]
@@ -136,15 +157,16 @@ def test_scanned_minima_replayed_by_hand(n):
     state = _initial_state(Model(n).table)
     seeds = {("C", n - 1, 1), ("Cb", n - 1, 1)}
     for stage in range(2, n - 1):
-        comps = base_curve_scan(state)
+        ids = base_curve_scan(state)
+        comps = _named(state, ids)
         seeded = [comp for comp in comps if comp & seeds]
         assert len(seeded) == 2 and set(seeded) == {frozenset([seed]) for seed in seeds}
         for seed in seeds:
-            assert state.degrees[seed] == stage + 1 - n
+            assert _degree(state, seed) == stage + 1 - n
         for comp in comps:
             if comp not in seeded:
-                assert min(state.degrees[c] for c in comp) == -1, (stage, sorted(comp))
-        blow_up_curves(state, frozenset().union(*comps))
+                assert min(_degree(state, c) for c in comp) == -1, (stage, sorted(comp))
+        blow_up_curves(state, frozenset().union(*ids))
     assert base_curve_scan(state) == []
 
 
@@ -300,9 +322,138 @@ def test_ladder_degree_sequence(n):
     seed = ("C", n - 1, 1)
     for stage in range(2, n - 1):
         blow_up_curves(state, frozenset().union(*base_curve_scan(state)))
-        assert state.degrees[seed] == (4 - n) + (stage - 2)
-    assert state.degrees[seed] == 0
+        assert _degree(state, seed) == (4 - n) + (stage - 2)
+    assert _degree(state, seed) == 0
     trace = model.trace
     assert [rec.stage for rec in trace.stages] == list(range(2, n - 1))
     assert trace.stages[0].degrees_after[seed] == 4 - n
     assert all(not rec.degrees_after for rec in trace.stages[1:])
+
+
+# -- the Curve-keyed machine the dense-id one replaced, kept as an oracle ------
+
+
+@dataclasses.dataclass
+class _CurveState:
+    n: int
+    stage: int = 1
+    degrees: dict = dataclasses.field(default_factory=dict)
+    adjacency: dict = dataclasses.field(default_factory=dict)
+    # per curve: (tracking surface, (half, home), self-intersection)
+    facts: dict = dataclasses.field(default_factory=dict)
+    odp_census: dict = dataclasses.field(default_factory=dict)
+
+
+def _curve_initial_state(table, shifts):
+    cx = table.complex
+    n = cx.n
+    state = _CurveState(n=n)
+    l1 = adjusted_bundle(n)
+    for i in range(1, n):
+        nodes = cx.fiber_cycle(i)
+        m = len(nodes)
+        for nd in nodes:
+            state.degrees[nd] = table.degree(l1, nd) + shifts.get(nd, 0)
+            state.adjacency[nd] = set()
+            home, half = cx.home(nd), cx.half(nd)
+            surface = home if nd[1:] == (n - 1, 1) else half
+            self_int = table.value(home, nd) if surface.startswith(("Sm", "Sp")) else -1
+            state.facts[nd] = (surface, (half, home), self_int)
+        for k in range(m):
+            a, b = nodes[k], nodes[(k + 1) % m]
+            state.adjacency[a].add(b)
+            state.adjacency[b].add(a)
+    state.odp_census["initial"] = len(cx.odps)
+    return state
+
+
+def _curve_scan(state):
+    degrees, adjacency = state.degrees, state.adjacency
+    comps, seen = [], set()
+    for nd, d in degrees.items():
+        if d >= 0 or nd in seen:
+            continue
+        comp, stack = {nd}, [nd]
+        while stack:
+            for nb in adjacency[stack.pop()]:
+                if nb not in comp and degrees[nb] <= 0:
+                    comp.add(nb)
+                    stack.append(nb)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _curve_blow_up(state, centers):
+    stage = state.stage + 1
+    facts = state.facts
+    decrements, successor_deg = {}, {}
+    inner_total = 0
+    for c in centers:
+        inner = 0
+        for nb in state.adjacency[c]:
+            if nb in centers:
+                inner += 1
+            else:
+                decrements[nb] = decrements.get(nb, 0) + 1
+        inner_total += inner
+        successor_deg[c] = state.degrees[c] - facts[c][2] - inner
+    for nd, dv in decrements.items():
+        state.degrees[nd] -= dv
+    for c, v in successor_deg.items():
+        state.degrees[c] = v
+    for c in centers:
+        surf = facts[c][0]
+        for nb in list(state.adjacency[c]):
+            if surf not in facts[nb][1]:
+                state.adjacency[c].discard(nb)
+                state.adjacency[nb].discard(c)
+    state.stage = stage
+    state.odp_census[f"stage{stage}"] = inner_total // 2
+
+
+def _curve_keyed_trace(table, shifts):
+    """The trace as the Curve-keyed machine computed it, each tracked curve's
+    initial degree moved by ``shifts``."""
+    state = _curve_initial_state(table, shifts)
+    n = state.n
+    seeds = (("C", n - 1, 1), ("Cb", n - 1, 1))
+    stages, mult_one = [], True
+    for stage in range(2, n - 1):
+        comps = _curve_scan(state)
+        mult_one = mult_one and all(
+            min(state.degrees[c] for c in comp) == -1 for comp in comps if comp.isdisjoint(seeds)
+        )
+        centers = frozenset().union(*comps)
+        _curve_blow_up(state, centers)
+        after = MappingProxyType({})
+        if stage == 2:
+            after = MappingProxyType({k: v for k, v in state.degrees.items() if v != 0 or k in centers})
+        stages.append(elimination.StageRecord(stage, tuple(comps), centers, after))
+    final = tuple(_curve_scan(state))
+    return elimination.EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one, final)
+
+
+def _assert_same_trace(got, want):
+    # tuple equality keeps the component order; the maps' items are compared
+    # in order as well, which mapping equality alone would not
+    assert got == want
+    assert [list(s.degrees_after.items()) for s in got.stages] == [
+        list(s.degrees_after.items()) for s in want.stages
+    ]
+    assert list(got.odp_census.items()) == list(want.odp_census.items())
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_trace_matches_the_curve_keyed_machine(n):
+    table = Model(n).table
+    _assert_same_trace(elimination.run_elimination(table), _curve_keyed_trace(table, {}))
+
+
+def test_deeper_chain_trace_matches_the_curve_keyed_machine(monkeypatch):
+    # the multiplicity-one mutation's table: both machines must fail alike
+    table = Model(7).table
+    want = _curve_keyed_trace(table, {("C", 5, 5): -1})
+    assert not want.multiplicity_one and want.final_scan
+    monkeypatch.setattr(elimination, "_initial_state", _with_a_deeper_chain(elimination._initial_state))
+    _assert_same_trace(elimination.run_elimination(table), want)
