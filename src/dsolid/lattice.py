@@ -67,23 +67,35 @@ class LatticeBasis:
             v[self.index(name)] += c
         return DivisorClass(self, tuple(v))
 
-    def determinant(self) -> int:
-        """Exact determinant of the pairing matrix (Bareiss elimination over Z).
+    def leading_minors(self) -> list[int]:
+        """Exact determinant of every leading r-block of the form, r = 1..rank.
 
-        After step k every remaining entry is a (k+1)-minor of the row-permuted
-        form, so each division by the previous pivot is exact.  A row swap
-        flips the sign; a column without a pivot means the form is singular.
+        One Bareiss elimination over Z (Bareiss, Math. Comp. 22, 1968).  After
+        step k every remaining entry is a (k+1)-minor of the row-permuted form,
+        so each division by the previous pivot is exact, and the pivot of step
+        k is the leading (k+1)-minor of the row-permuted form.  ``reach`` is
+        the largest row index a pivot search has swapped in so far.  While
+        ``reach <= k`` the first k+1 rows are the original rows 0..k, permuted
+        by the swaps so far, so that block's determinant is ``sign * pivot``.
+        Once a search at step j swaps in a row ``piv``, the rows j..piv-1 it
+        passed over are zero in column j after elimination by the rows above,
+        so every block of a size r with j < r <= piv has a column that is zero
+        below row j, and is singular: the block is 0 whenever ``reach > k``.
+        A column with no pivot at all makes its block and every later one
+        singular.  The last entry is the determinant of the whole form.
         """
         m = self.rank
         rows = [dict(r) for r in self.sparse_rows]
-        sign, prev = 1, 1
+        sign, prev, reach = 1, 1, 0
+        minors: list[int] = []
         for k in range(m):
             piv = next((r for r in range(k, m) if rows[r].get(k)), None)
             if piv is None:
-                return 0
+                return minors + [0] * (m - k)
             if piv != k:
                 rows[k], rows[piv] = rows[piv], rows[k]
                 sign = -sign
+                reach = max(reach, piv)
             top = rows[k]
             p = top[k]
             for r in range(k + 1, m):
@@ -98,7 +110,8 @@ class LatticeBasis:
                 elif p != prev:
                     rows[r] = {j: p * x // prev for j, x in row.items()}
             prev = p
-        return sign * prev
+            minors.append(0 if reach > k else sign * p)
+        return minors
 
 
 @dataclass(frozen=True)
@@ -205,14 +218,12 @@ class BlowupTower:
         return tuple(tuple(row) for row in rows)
 
     def stage_determinants(self) -> list[int]:
-        """Pairing-matrix determinant after each blowup step (plus the base)."""
-        dets = []
-        for r in (2, *range(3, self.basis.rank + 1)):
-            sub = LatticeBasis(
-                self.basis.names[:r], tuple(row[:r] for row in self.basis.form[:r])
-            )
-            dets.append(sub.determinant())
-        return dets
+        """Pairing-matrix determinant after each blowup step (plus the base).
+
+        These are the leading minors of the full form from the 2-block on,
+        all read off one elimination.
+        """
+        return self.basis.leading_minors()[1:]
 
 
 def _full_basis(n: int) -> LatticeBasis:

@@ -75,8 +75,11 @@ def strip_fixed_components(
     a strip of component ``c`` subtracts the Gram row ``c.c'``, which for
     the cycle is nonzero only at ``c`` and its two neighbours.  The rows are
     the tower's ``cycle_gram``, paired once per tower; ``order`` only maps
-    each name to its row there.  The movable class is formed once, at the
-    end, from the sparse support of each stripped component.
+    each name to its row there.  The core starts once that vector and the
+    re-indexed rows are set up: ``_strip_pairings`` runs the loop on them
+    alone, and ``confluence_orders`` calls it directly on its shuffles.
+    The movable class is formed once, at the end, from the sparse support
+    of each stripped component.
 
     ``order`` only changes the selection sequence, not the fixpoint, as
     long as distinct components pair non-negatively (true for the cycle).
@@ -93,7 +96,6 @@ def strip_fixed_components(
     names = order if order is not None else sorted(components)
     if set(names) != set(components):
         raise LatticeError("order must be a permutation of the component names")
-    cap = 4 * (len(components) // 2 + 1)
     # a repeated name is never reached again before its first occurrence
     keys = list(dict.fromkeys(names))
     # each key's Gram row, re-indexed from tower positions to key positions
@@ -101,7 +103,20 @@ def strip_fixed_components(
     slot = {row_of[nm]: p for p, nm in enumerate(keys)}
     rows = tower.cycle_gram
     gram = [[(slot[q], g) for q, g in rows[row_of[nm]]] for nm in keys]
-    pairing = [components[nm].dot(cls) for nm in keys]
+    mult = _strip_pairings(keys, [components[nm].dot(cls) for nm in keys], gram)
+    fixed = {nm: 0 for nm in components}
+    fixed.update(zip(keys, mult))
+    return StrippingResult(fixed, _movable(cls, [components[nm] for nm in keys], mult))
+
+
+def _strip_pairings(keys: list[str], pairing: list[int], gram: list[list[tuple[int, int]]]) -> list[int]:
+    """The negative-pairing loop: the multiplicity stripped of each key.
+
+    ``pairing[p]`` is the class paired with component ``keys[p]``, and
+    ``gram[p]`` that component's sparse Gram row in key positions; the
+    lowest negative position is hit first.  ``pairing`` is used up.
+    """
+    cap = 4 * (len(keys) // 2 + 1)
     negative = {p for p, v in enumerate(pairing) if v < 0}
     mult = [0] * len(keys)
     while negative:
@@ -119,14 +134,17 @@ def strip_fixed_components(
                 negative.add(q)
             else:
                 negative.discard(q)
-    fixed = {nm: 0 for nm in components}
+    return mult
+
+
+def _movable(cls: DivisorClass, components: list[DivisorClass], mult: list[int]) -> DivisorClass:
+    """``cls`` minus each component times its multiplicity, from sparse supports."""
     movable = list(cls.coeffs)
-    for nm, f in zip(keys, mult):
-        fixed[nm] = f
+    for c, f in zip(components, mult):
         if f:
-            for i, a in components[nm].support:
+            for i, a in c.support:
                 movable[i] -= f * a
-    return StrippingResult(fixed, DivisorClass(cls.basis, tuple(movable)))
+    return DivisorClass(cls.basis, tuple(movable))
 
 
 def fixed_multiplicity(n: int, j: int) -> int:
@@ -141,9 +159,8 @@ def anticanonical_fixed_part(tower: BlowupTower) -> dict[str, int]:
     return {f"{kind}{j}": fixed_multiplicity(n, j) for kind in ("C", "Cb") for j in range(1, n)}
 
 
-def pluri_anticanonical_stripping(tower: BlowupTower, order: list[str] | None = None) -> StrippingResult:
-    cls = (-tower.canonical).scale(tower.n - 2)
-    return strip_fixed_components(cls, tower, order=order)
+def pluri_anticanonical_stripping(tower: BlowupTower) -> StrippingResult:
+    return strip_fixed_components((-tower.canonical).scale(tower.n - 2), tower)
 
 
 def small_multiples_square_zero(tower: BlowupTower) -> bool:
@@ -184,15 +201,29 @@ def small_multiples_square_zero(tower: BlowupTower) -> bool:
 def confluence_orders(tower: BlowupTower, shuffles: int, seed: int, ref: StrippingResult) -> bool:
     """Re-run the pluri-anticanonical stripping under random orders; all agree.
 
-    ``ref`` is the stripping in the default order.
+    ``ref`` is the stripping in the default order; each run must give its
+    fixed multiplicities and its movable class.  The class is paired with
+    the components once, in tower order.  A shuffle only permutes that
+    vector and the tower's Gram rows, then runs the stripping loop of
+    ``strip_fixed_components`` on them.
     """
     rng = random.Random(seed)
-    names = tower.cycle_names()
+    components = tower.cycle_classes()
+    names = list(components)
+    comps = list(components.values())
+    cls = (-tower.canonical).scale(tower.n - 2)
+    pairing = [c.dot(cls) for c in comps]
+    rows = tower.cycle_gram
     for _ in range(shuffles):
-        order = names[:]
+        order = list(range(len(names)))
         rng.shuffle(order)
-        res = pluri_anticanonical_stripping(tower, order=order)
-        if res.fixed != ref.fixed or res.movable != ref.movable:
+        slot = {p: k for k, p in enumerate(order)}
+        gram = [[(slot[q], g) for q, g in rows[p]] for p in order]
+        keys = [names[p] for p in order]
+        mult = _strip_pairings(keys, [pairing[p] for p in order], gram)
+        if dict(zip(keys, mult)) != ref.fixed:
+            return False
+        if _movable(cls, [comps[p] for p in order], mult) != ref.movable:
             return False
     return True
 

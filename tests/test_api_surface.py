@@ -139,7 +139,6 @@ PARAMETERS_WITH_DEFAULTS = {
     ("incidence", "half_bundle_class", "swap_first_two"),
     ("report", "run", "registry"),
     ("systems", "strip_fixed_components", "order"),
-    ("systems", "pluri_anticanonical_stripping", "order"),
 }
 
 

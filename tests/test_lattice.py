@@ -220,7 +220,7 @@ def test_dot_accepts_an_equal_basis_object():
     assert t1.tracked["C1"].dot(t2.tracked["C1"]) == -4
 
 
-@pytest.mark.parametrize("n", [4, 7, 10])
+@pytest.mark.parametrize("n", [4, 7, 10, 16])
 def test_stage_determinants_match_fraction_elimination(n):
     basis = build_surface(n).basis
     want = [
@@ -230,31 +230,81 @@ def test_stage_determinants_match_fraction_elimination(n):
     assert build_surface(n).stage_determinants() == want
 
 
+def _assert_leading_minors(form):
+    """Every leading block's minor against the Fraction oracle of that block."""
+    minors = LatticeBasis(_names(len(form)), form).leading_minors()
+    want = [_fraction_determinant(tuple(row[:r] for row in form[:r])) for r in range(1, len(form) + 1)]
+    assert minors == want
+    return minors
+
+
 @settings(max_examples=80, deadline=None)
 @given(form=symmetric_forms())
 def test_determinant_matches_fraction_elimination(form):
-    assert LatticeBasis(_names(len(form)), form).determinant() == _fraction_determinant(form)
+    _assert_leading_minors(form)
 
 
 @settings(max_examples=60, deadline=None)
 @given(form=symmetric_forms(zero_diagonal=True))
 def test_determinant_with_row_swaps(form):
     # a zero diagonal forces a row swap wherever the form is not singular
-    assert LatticeBasis(_names(len(form)), form).determinant() == _fraction_determinant(form)
+    _assert_leading_minors(form)
 
 
 @settings(max_examples=60, deadline=None)
 @given(form=singular_forms())
 def test_determinant_of_singular_form_is_zero(form):
-    assert _fraction_determinant(form) == 0
-    assert LatticeBasis(_names(len(form)), form).determinant() == 0
+    assert _assert_leading_minors(form)[-1] == 0
 
 
 def test_determinant_examples():
-    def det(form):
-        return LatticeBasis(_names(len(form)), form).determinant()
+    def minors(form):
+        return _assert_leading_minors(form)
 
-    assert det(((0, 1), (1, 0))) == -1
-    assert det(((0, 2, 1), (2, 0, 3), (1, 3, 0))) == 12
-    assert det(((0, 0), (0, 5))) == 0
-    assert det(((2, 1), (1, 2))) == 3
+    assert minors(((0, 1), (1, 0))) == [0, -1]
+    assert minors(((0, 2, 1), (2, 0, 3), (1, 3, 0))) == [0, -4, 12]
+    assert minors(((0, 0), (0, 5))) == [0, 0]
+    assert minors(((2, 1), (1, 2))) == [2, 3]
+    # row 2 is swapped in at step 0, so the 2-block is singular though the 3-block is not
+    assert minors(((0, 0, 1), (0, 1, 0), (1, 0, 0))) == [0, 0, -1]
+
+
+def test_unimodular_record_fails_on_a_wrong_exceptional_square(monkeypatch):
+    # e1 squaring to -2 makes every stage from e1 on of determinant +-2
+    from dsolid import lattice
+    from dsolid.axioms import default_registry
+    from dsolid.checks import CheckContext, check_lattice_cycle
+
+    full = lattice._full_basis
+
+    def wrong_e1(n):
+        basis = full(n)
+        form = [list(row) for row in basis.form]
+        form[basis.index("e1")][basis.index("e1")] = -2
+        return LatticeBasis(basis.names, tuple(tuple(row) for row in form))
+
+    monkeypatch.setattr(lattice, "_full_basis", wrong_e1)
+    assert 2 in map(abs, build_surface(6).stage_determinants())
+    records = check_lattice_cycle(6, CheckContext(registry=default_registry()))
+    assert {r.id: r.status for r in records}["lattice.unimodular"] == "fail"
+
+
+def test_unimodular_record_builds_no_basis(monkeypatch):
+    # every stage determinant comes from the one tower basis: a per-stage
+    # LatticeBasis rebuild is O(n^4) work and fails here
+    from dsolid.axioms import default_registry
+    from dsolid.checks import CheckContext, check_lattice_cycle
+
+    ctx = CheckContext(registry=default_registry(), seed=42)
+    ctx.model(20).tower.cycle_gram
+    built = []
+    post_init = LatticeBasis.__post_init__
+
+    def counting(self):
+        built.append(self.rank)
+        post_init(self)
+
+    monkeypatch.setattr(LatticeBasis, "__post_init__", counting)
+    records = check_lattice_cycle(20, ctx)
+    assert [r.status for r in records] == ["pass"] * 4
+    assert built == []

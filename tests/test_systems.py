@@ -49,9 +49,59 @@ def test_stripping_order_independent_random(seed):
     rng = random.Random(seed)
     order = names[:]
     rng.shuffle(order)
+    cls = (-tower.canonical).scale(tower.n - 2)
     ref = pluri_anticanonical_stripping(tower)
-    res = pluri_anticanonical_stripping(tower, order=order)
+    res = strip_fixed_components(cls, tower, order=order)
     assert res.fixed == ref.fixed and res.movable == ref.movable
+
+
+def _spy_core(monkeypatch):
+    """Record every call of the stripping loop and of the movable remainder."""
+    loops, movables = [], []
+    core, movable = systems._strip_pairings, systems._movable
+
+    def loop(keys, pairing, gram):
+        args = (list(keys), list(pairing), [list(row) for row in gram])
+        mult = core(keys, pairing, gram)
+        loops.append((*args, list(mult)))
+        return mult
+
+    def remainder(cls, components, mult):
+        movables.append(movable(cls, components, mult))
+        return movables[-1]
+
+    monkeypatch.setattr(systems, "_strip_pairings", loop)
+    monkeypatch.setattr(systems, "_movable", remainder)
+    return loops, movables
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_confluence_shuffles_strip_as_strip_fixed_components(monkeypatch, n):
+    # the shared set-up hands the loop exactly what strip_fixed_components
+    # builds for the same order, and gets the same stripping back
+    tower = build_surface(n)
+    cls = (-tower.canonical).scale(n - 2)
+    ref = pluri_anticanonical_stripping(tower)
+    loops, movables = _spy_core(monkeypatch)
+    assert confluence_orders(tower, shuffles=30, seed=n, ref=ref)
+    shared, shared_movables = loops[:], movables[:]
+    assert len(shared) == len(shared_movables) == 30
+    assert len({tuple(keys) for keys, *_ in shared}) > 1
+    for (keys, pairing, gram, mult), movable in zip(shared, shared_movables):
+        del loops[:], movables[:]
+        res = strip_fixed_components(cls, tower, order=keys)
+        assert loops == [(keys, pairing, gram, mult)]
+        assert res.fixed == dict(zip(keys, mult)) and res.movable == movable
+
+
+def test_confluence_fails_on_a_wrong_reference():
+    tower = build_surface(8)
+    ref = pluri_anticanonical_stripping(tower)
+    one_off = StrippingResult({**ref.fixed, "C3": ref.fixed["C3"] + 1}, ref.movable)
+    moved = StrippingResult(ref.fixed, ref.movable + tower.basis.unit("e1"))
+    assert confluence_orders(tower, shuffles=20, seed=1, ref=ref)
+    assert not confluence_orders(tower, shuffles=20, seed=1, ref=one_off)
+    assert not confluence_orders(tower, shuffles=20, seed=1, ref=moved)
 
 
 @pytest.mark.parametrize("n", [4, 6])
