@@ -16,7 +16,6 @@ quartic instances come from ``CheckContext.instance``, one seed per (n, k).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -427,16 +426,10 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
     trace = ctx.model(n).trace
     ladder_types = ctx.registry.consume("assert.ladder-ruled-types", "elimination-ladder")
     # one component retires per stage on each of the two conjugate halves
-    counts = [len(s.components) for s in trace.stages] + [len(trace.final_scan)]
+    counts = [*trace.component_counts, len(trace.final_scan)]
     monotone = all(counts[k] - counts[k + 1] == 2 for k in range(len(counts) - 1))
-    # the number of centers of fiber i's chain on the unbarred half, for
-    # each stage that has any, counted in one pass over each stage's centers
-    alive: dict[int, list[int]] = {}
-    for s in trace.stages:
-        per_fiber = Counter(c[1] for c in s.centers if c[0] == "C")
-        for i, k in per_fiber.items():
-            alive.setdefault(i, []).append(k)
-    fam_ok = all(alive.get(i, []) == list(range(i - 2, 0, -1)) for i in range(3, n - 1))
+    # fiber i's chain centers on the unbarred half, at each stage that has any
+    fam_ok = all(trace.family_counts.get(i, ()) == tuple(range(i - 2, 0, -1)) for i in range(3, n - 1))
     # sorted, so the detail does not depend on the hash seed
     final = sorted(sorted(c) for c in trace.final_scan)
     return [
@@ -454,7 +447,7 @@ def check_elimination_run(n: int, ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_elimination_stage2(n: int, ctx: CheckContext) -> list[CheckRecord]:
-    after = ctx.model(n).trace.stages[0].degrees_after
+    after = ctx.model(n).trace.stage2_degrees
     want = {}
     for i in range(4, n - 1):
         want[("C", i, 3)] = 1
@@ -473,8 +466,7 @@ def check_elimination_stage2(n: int, ctx: CheckContext) -> list[CheckRecord]:
 def check_elimination_ladder(n: int, ctx: CheckContext) -> list[CheckRecord]:
     # one ladder component per stage that blows up the isolated seed; its
     # ruled type is metadata resting on the registry axiom consumed here
-    seed = ("C", n - 1, 1)
-    count = sum(seed in s.centers for s in ctx.model(n).trace.stages)
+    count = len(ctx.model(n).trace.seed_stages)
     types = [f"ruled-degree-{n-k-1}" for k in range(2, 2 + count)]
     ladder_types = ctx.registry.consume("assert.ladder-ruled-types", "elimination-ladder")
     return [

@@ -11,33 +11,19 @@ after stage n-2 is empty (termination), and that every seed-free scanned
 component bottoms out at degree -1 (each exceptional divisor enters with
 multiplicity one).  The machine runs on dense node ids: ``_initial_state``
 numbers the tracked curves once, and the state, the scans and the centers
-hold ints.  Only the trace names ``incidence.Curve`` tuples; its scans and
-centers are sets of them, in no order.
+hold ints.  The trace keeps only what the checks compare, counted after
+each blowup: every stage's named scan and centers would be about 2n³/3
+curve entries that the checks only counted again.  Only stage 2's degrees
+and the final scan name ``incidence.Curve`` tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .incidence import Curve, PairingTable, adjusted_bundle
-
-
-# the degrees a stage after the second keeps: none
-_NO_DEGREES: MappingProxyType[Curve, int] = MappingProxyType({})
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """One blowup stage: the scanned components, their union as the centers,
-    and degrees after the blowup.  Stage 2 keeps every nonzero degree and
-    the centers', which ``elimination.stage2`` reads; later stages keep
-    none, since no check reads a degree beyond stage 2."""
-
-    stage: int
-    components: tuple[frozenset[Curve], ...]
-    centers: frozenset[Curve]
-    degrees_after: MappingProxyType[Curve, int]
 
 
 @dataclass
@@ -160,7 +146,19 @@ def blow_up_curves(state: BlowupState, curves: frozenset[int]) -> None:
 
 @dataclass(frozen=True)
 class EliminationTrace:
-    stages: tuple[StageRecord, ...]
+    """What the checks read of one run, O(n²) entries in all; read-only,
+    since every check of one n shares it."""
+
+    # the number of scanned components at stages 2, 3, .., n-2
+    component_counts: tuple[int, ...]
+    # fiber i -> the number of ("C", i, .) centers at each stage that has any
+    family_counts: MappingProxyType[int, tuple[int, ...]]
+    # the stages whose centers hold the isolated seed ("C", n-1, 1)
+    seed_stages: tuple[int, ...]
+    # i -> the stages whose centers hold the diagonal ("C", i, i), i = 1..n-2
+    diagonal_stages: MappingProxyType[int, tuple[int, ...]]
+    # the degrees after the stage-2 blowup that are nonzero or a center's
+    stage2_degrees: MappingProxyType[Curve, int]
     odp_census: MappingProxyType[str, int]
     # whether every seed-free component of every stage's scan had minimum
     # degree -1 when scanned
@@ -173,22 +171,23 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
     """Run the full elimination on a completed pairing table.
 
     Stages 2..n-2 each scan the base curves and blow up every curve of the
-    scan; the trace keeps each stage's scanned components and centers, and
-    stage 2's degrees, read-only since every check of one n shares it.  The
-    checks count what they compare from the components and centers, and
-    read degrees at stage 2 only.  The scan after stage n-2 is kept as
-    it is, so a machine that does not terminate leaves a non-empty
-    ``final_scan``.
-
-    The stages run on the node ids of ``_initial_state``; components,
-    centers and degrees are named by their curves only as the trace keeps
-    them.
+    scan.  After each blowup the stage's counts go into the trace: its
+    number of components, its ``("C", i, .)`` centers per fiber, and
+    whether the seed and each diagonal were centers; only stage 2 keeps
+    degrees.  The scan after stage n-2 is kept as it is, named, so a
+    machine that does not terminate leaves a non-empty ``final_scan``.
     """
     state = _initial_state(table)
     n, nodes, degrees = state.n, state.nodes, state.degrees
-    curve = nodes.__getitem__
-    seeds = {nodes.index(("C", n - 1, 1)), nodes.index(("Cb", n - 1, 1))}
-    stages: list[StageRecord] = []
+    seed = nodes.index(("C", n - 1, 1))
+    seeds = {seed, nodes.index(("Cb", n - 1, 1))}
+    diagonals = {c[1]: k for k, c in enumerate(nodes) if c[0] == "C" and c[1] == c[2] < n - 1}
+    # the fiber of each ("C", i, j) node; 0, which no fiber is, for the rest
+    c_fiber = [c[1] if c[0] == "C" else 0 for c in nodes]
+    counts: list[int] = []
+    families: dict[int, list[int]] = {i: [] for i in range(n)}
+    blown: dict[int, list[int]] = {k: [] for k in (seed, *diagonals.values())}
+    stage2: dict[Curve, int] = {}
     mult_one = True
     for stage in range(2, n - 1):
         comps = base_curve_scan(state)
@@ -201,13 +200,20 @@ def run_elimination(table: PairingTable) -> EliminationTrace:
         )
         centers = frozenset().union(*comps)
         blow_up_curves(state, centers)
-        after = _NO_DEGREES
+        counts.append(len(comps))
+        for i, k in Counter(map(c_fiber.__getitem__, centers)).items():
+            families[i].append(k)
+        for k, stages in blown.items():
+            if k in centers:
+                stages.append(stage)
         if stage == 2:
-            after = MappingProxyType({curve(k): v for k, v in enumerate(degrees) if v != 0 or k in centers})
-        named = tuple(frozenset(map(curve, comp)) for comp in comps)
-        stages.append(StageRecord(stage, named, frozenset().union(*named), after))
-    final = tuple(frozenset(map(curve, comp)) for comp in base_curve_scan(state))
-    return EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one, final)
+            stage2 = {nodes[k]: v for k, v in enumerate(degrees) if v != 0 or k in centers}
+    final = tuple(frozenset(map(nodes.__getitem__, comp)) for comp in base_curve_scan(state))
+    return EliminationTrace(
+        tuple(counts), MappingProxyType({i: tuple(ks) for i, ks in families.items() if i and ks}),
+        tuple(blown[seed]), MappingProxyType({i: tuple(blown[k]) for i, k in diagonals.items()}),
+        MappingProxyType(stage2), MappingProxyType(state.odp_census), mult_one, final,
+    )
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,8 @@ def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) ->
     """Degree bookkeeping of the i-th fixed line under the elimination.
 
     The initial degree comes from the completed pairing table; the degree
-    drops by two at each stage of the trace whose centers contain the
-    diagonal curve C[i,i] of fiber i.  The closed formula 2(i-1) misses
+    drops by two at each stage at which the trace saw the diagonal curve
+    C[i,i] of fiber i among the centers.  The closed formula 2(i-1) misses
     the first line, whose computed initial degree is 2; the mismatch is
     surfaced, never forced.
     """
@@ -232,7 +238,7 @@ def twistor_line_degree(table: PairingTable, trace: EliminationTrace, i: int) ->
         raise ValueError(f"line index {i} must satisfy 1 <= i < n-1 (the end line splits)")
     l1 = adjusted_bundle(n)
     initial = table.degree(l1, ("L", i))
-    decrement_stages = tuple(s.stage for s in trace.stages if ("C", i, i) in s.centers)
+    decrement_stages = trace.diagonal_stages[i]
     final = initial - 2 * len(decrement_stages)
     return TwistorLineDegrees(
         initial=initial,

@@ -317,6 +317,12 @@ def degree_one_restriction(tower: BlowupTower, i: int) -> HalfClass:
     return HalfClass.of(DivisorClass(tower.basis, tuple(coeff[nm] for nm in tower.basis.names)))
 
 
+def _packed(c: DivisorClass) -> int:
+    """The coefficients as one int, 64 bits apiece: linear in ``c``, and
+    one-to-one while every coefficient is below 2**63 in size."""
+    return sum(a << (64 * k) for k, a in c.support)
+
+
 def half_cycle_matches(tower: BlowupTower) -> dict[int, tuple[str, ...]]:
     """Match every degree-one class (i = 1..n-1) against a contiguous half of the cycle.
 
@@ -325,22 +331,27 @@ def half_cycle_matches(tower: BlowupTower) -> dict[int, tuple[str, ...]]:
     m-cycle; the match is the first one through C1, by start and then by
     length, and no orientation is guessed.  With prefix sums P over the
     cycle read twice, the arc of length l from start s has class
-    P[s+l] - P[s], so each start needs one lookup of P[s] + target.
+    P[s+l] - P[s], so each start needs one lookup of P[s] + target.  The
+    lookup adds packed keys, not classes (``_packed`` is linear), and a hit
+    is confirmed on the classes themselves.
     """
     names = tower.cycle_names()
     m = len(names)
-    prefix = [tower.basis.zero()]
+    prefix, keys = [tower.basis.zero()], [0]
     for nm in names + names:
-        prefix.append(prefix[-1] + tower.tracked[nm])
-    ends: dict[tuple[int, ...], list[int]] = {}
-    for j, p in enumerate(prefix):
-        ends.setdefault(p.coeffs, []).append(j)
+        c = tower.tracked[nm]
+        prefix.append(prefix[-1] + c)
+        keys.append(keys[-1] + _packed(c))
+    ends: dict[int, list[int]] = {}
+    for j, key in enumerate(keys):
+        ends.setdefault(key, []).append(j)
     c1 = names.index("C1")
 
     def first_arc(target: DivisorClass) -> tuple[str, ...]:
+        want = _packed(target)
         for s in range(m):
-            for j in ends.get((prefix[s] + target).coeffs, ()):
-                if s < j < s + m and (c1 - s) % m < j - s:
+            for j in ends.get(keys[s] + want, ()):
+                if s < j < s + m and (c1 - s) % m < j - s and (prefix[j] - prefix[s]).coeffs == target.coeffs:
                     return tuple(names[k % m] for k in range(s, j))
         return ()
 

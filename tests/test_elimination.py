@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+from collections import Counter
+from collections.abc import Mapping
 from types import MappingProxyType
 
 import pytest
@@ -57,10 +59,11 @@ def test_stage1_scan_n4_only_isolated_pair():
 
 
 def test_stage2_scan_n7():
-    trace = Model(7).trace
+    state = _initial_state(Model(7).table)
+    blow_up_curves(state, frozenset().union(*base_curve_scan(state)))
     # the second scan (before the stage-3 blowup) consists of the shortened
     # chains plus the isolated seeds
-    comps = set(trace.stages[1].components)
+    comps = set(_named(state, base_curve_scan(state)))
     expected = set()
     for i in range(4, 6):
         expected.add(frozenset(("C", i, j) for j in range(4, i + 1)))
@@ -72,7 +75,7 @@ def test_stage2_scan_n7():
 
 def test_stage2_degrees_n6():
     trace = Model(6).trace
-    after = trace.stages[0].degrees_after
+    after = trace.stage2_degrees
     for i in range(4, 5):
         assert after[("C", i, 3)] == 1
         assert after[("C", i, i)] == -1
@@ -80,15 +83,20 @@ def test_stage2_degrees_n6():
 
 
 def _times_blown(trace, curve):
-    return sum(curve in s.centers for s in trace.stages)
+    """How many stages blew up ``curve``: a diagonal C[i,i] or the seed C[n-1,1]."""
+    n = len(trace.component_counts) + 3
+    if curve == ("C", curve[1], curve[1]):
+        return len(trace.diagonal_stages[curve[1]])
+    assert curve == ("C", n - 1, 1)
+    return len(trace.seed_stages)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_termination_and_counts(n):
     trace = Model(n).trace
-    assert trace.stages[-1].stage == n - 2
-    assert len(trace.stages) == n - 3
-    counts = [len(s.components) for s in trace.stages] + [0]
+    assert trace.seed_stages[-1] == n - 2
+    assert len(trace.component_counts) == n - 3
+    counts = [*trace.component_counts, 0]
     assert all(counts[k] - counts[k + 1] == 2 for k in range(len(counts) - 1))
     assert trace.multiplicity_one
     assert trace.final_scan == ()
@@ -189,28 +197,37 @@ def test_odp_census_fails_on_a_complex_missing_a_double_point(monkeypatch):
 
 
 def test_stage2_fails_when_the_trace_has_no_stages(monkeypatch):
+    # every per-stage field empty: no stage 2 degrees, so every one reads 0
     real = elimination.run_elimination
+    empty = MappingProxyType({})
 
     def run_without_stages(table):
-        return dataclasses.replace(real(table), stages=[])
+        return dataclasses.replace(
+            real(table), component_counts=(), family_counts=empty, seed_stages=(),
+            diagonal_stages=empty, stage2_degrees=empty,
+        )
 
     monkeypatch.setattr(elimination, "run_elimination", run_without_stages)
     [rec] = run(RunConfig(ns=(6,), filter="elimination.stage2", seed=42)).checks
     assert (rec.id, rec.status) == ("elimination.stage2", "fail")
-    assert rec.computed.startswith("IndexError")
+    assert rec.computed == {name: 0 for name in rec.expected}
 
 
 @pytest.mark.parametrize("n,stop_stage", [(4, 2), (5, 3)])
 def test_small_n_stop_stages(n, stop_stage):
     trace = Model(n).trace
-    assert trace.stages[-1].stage == stop_stage
+    assert len(trace.component_counts) == stop_stage - 1
+    assert trace.seed_stages[-1] == stop_stage
 
 
 def test_ladder_components_n8():
-    trace = Model(8).trace
-    # the seed and its conjugate are centers at stages 2..6, one ladder component each
+    model = Model(8)
+    # the seed and its conjugate are centers at stages 2..6, one ladder
+    # component each; the trace follows the seed, the Curve-keyed machine both
+    assert model.trace.seed_stages == (2, 3, 4, 5, 6)
+    stages = _curve_keyed_stages(model.table, {})[1]
     for seed in (("C", 7, 1), ("Cb", 7, 1)):
-        assert [s.stage for s in trace.stages if seed in s.centers] == [2, 3, 4, 5, 6]
+        assert [stage for stage, (_, centers) in enumerate(stages, 2) if seed in centers] == [2, 3, 4, 5, 6]
     [rec] = check_elimination_ladder(8, CheckContext(registry=default_registry()))
     assert rec.status == "pass"
     assert rec.computed == {"count": 5, "sections": 4}
@@ -244,13 +261,17 @@ def test_the_trace_is_read_only():
     with pytest.raises(TypeError):
         trace.odp_census["stage2"] = 0
     with pytest.raises(TypeError):
-        trace.stages[0].degrees_after[("C", 5, 1)] = 0
-    with pytest.raises(TypeError):
-        trace.stages[0] = trace.stages[1]
-    with pytest.raises(TypeError):
-        trace.stages[0].components[0] = frozenset()
+        trace.stage2_degrees[("C", 5, 1)] = 0
+    for stage_lists in (trace.family_counts, trace.diagonal_stages):
+        with pytest.raises(TypeError):
+            stage_lists[4] = ()
+        with pytest.raises(TypeError):
+            stage_lists[4][0] = 0
+    for counts in (trace.component_counts, trace.seed_stages):
+        with pytest.raises(TypeError):
+            counts[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        trace.stages[0].centers = frozenset()
+        trace.seed_stages = ()
     # the records built from the read-only census still serialise as plain dicts
     [census, _] = check_elimination_odp(6, CheckContext(registry=default_registry()))
     assert json.loads(json.dumps(census.to_json()))["computed"] == dict(trace.odp_census)
@@ -325,9 +346,8 @@ def test_ladder_degree_sequence(n):
         assert _degree(state, seed) == (4 - n) + (stage - 2)
     assert _degree(state, seed) == 0
     trace = model.trace
-    assert [rec.stage for rec in trace.stages] == list(range(2, n - 1))
-    assert trace.stages[0].degrees_after[seed] == 4 - n
-    assert all(not rec.degrees_after for rec in trace.stages[1:])
+    assert len(trace.component_counts) == n - 3
+    assert trace.stage2_degrees[seed] == 4 - n
 
 
 # -- the Curve-keyed machine the dense-id one replaced, kept as an oracle ------
@@ -412,13 +432,15 @@ def _curve_blow_up(state, centers):
     state.odp_census[f"stage{stage}"] = inner_total // 2
 
 
-def _curve_keyed_trace(table, shifts):
-    """The trace as the Curve-keyed machine computed it, each tracked curve's
-    initial degree moved by ``shifts``."""
+def _curve_keyed_stages(table, shifts):
+    """Run the Curve-keyed machine, each tracked curve's initial degree moved
+    by ``shifts``: its final state, each stage's named scan and centers,
+    stage 2's degrees, whether every seed-free component bottomed out at -1,
+    and the scan after the last stage."""
     state = _curve_initial_state(table, shifts)
     n = state.n
     seeds = (("C", n - 1, 1), ("Cb", n - 1, 1))
-    stages, mult_one = [], True
+    stages, after, mult_one = [], {}, True
     for stage in range(2, n - 1):
         comps = _curve_scan(state)
         mult_one = mult_one and all(
@@ -426,22 +448,44 @@ def _curve_keyed_trace(table, shifts):
         )
         centers = frozenset().union(*comps)
         _curve_blow_up(state, centers)
-        after = MappingProxyType({})
         if stage == 2:
-            after = MappingProxyType({k: v for k, v in state.degrees.items() if v != 0 or k in centers})
-        stages.append(elimination.StageRecord(stage, tuple(comps), centers, after))
-    final = tuple(_curve_scan(state))
-    return elimination.EliminationTrace(tuple(stages), MappingProxyType(state.odp_census), mult_one, final)
+            after = {k: v for k, v in state.degrees.items() if v != 0 or k in centers}
+        stages.append((tuple(comps), centers))
+    return state, stages, after, mult_one, tuple(_curve_scan(state))
+
+
+def _curve_keyed_trace(table, shifts):
+    """The trace counted from the Curve-keyed machine's named stages, as the
+    checks counted them when the trace kept those names."""
+    state, stages, after, mult_one, final = _curve_keyed_stages(table, shifts)
+    n = state.n
+
+    def blown(curve):
+        return tuple(stage for stage, (_, centers) in enumerate(stages, 2) if curve in centers)
+
+    families = {}
+    for _, centers in stages:
+        for i, k in Counter(c[1] for c in centers if c[0] == "C").items():
+            families.setdefault(i, []).append(k)
+    return elimination.EliminationTrace(
+        component_counts=tuple(len(comps) for comps, _ in stages),
+        family_counts=MappingProxyType({i: tuple(families[i]) for i in sorted(families)}),
+        seed_stages=blown(("C", n - 1, 1)),
+        diagonal_stages=MappingProxyType({i: blown(("C", i, i)) for i in range(1, n - 1)}),
+        stage2_degrees=MappingProxyType(after),
+        odp_census=MappingProxyType(state.odp_census),
+        multiplicity_one=mult_one,
+        final_scan=final,
+    )
 
 
 def _assert_same_trace(got, want):
     # tuple equality keeps the component order; the maps' items are compared
     # in order as well, which mapping equality alone would not
     assert got == want
-    assert [list(s.degrees_after.items()) for s in got.stages] == [
-        list(s.degrees_after.items()) for s in want.stages
-    ]
-    assert list(got.odp_census.items()) == list(want.odp_census.items())
+    for f in dataclasses.fields(got):
+        if isinstance(getattr(got, f.name), Mapping):
+            assert list(getattr(got, f.name).items()) == list(getattr(want, f.name).items()), f.name
 
 
 @pytest.mark.parametrize("n", range(4, 41))
@@ -457,3 +501,23 @@ def test_deeper_chain_trace_matches_the_curve_keyed_machine(monkeypatch):
     assert not want.multiplicity_one and want.final_scan
     monkeypatch.setattr(elimination, "_initial_state", _with_a_deeper_chain(elimination._initial_state))
     _assert_same_trace(elimination.run_elimination(table), want)
+
+
+def _entries(x):
+    """The container entries reachable from ``x``.  A curve name counts as one
+    entry: it is what the trace names a curve by, not a set of curves."""
+    if dataclasses.is_dataclass(x):
+        return sum(_entries(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, Mapping):
+        return sum(1 + _entries(k) + _entries(v) for k, v in x.items())
+    if isinstance(x, tuple) and x and isinstance(x[0], str):
+        return 0
+    if isinstance(x, (tuple, list, set, frozenset)):
+        return sum(1 + _entries(e) for e in x)
+    return 0
+
+
+def test_the_trace_holds_quadratically_many_entries():
+    # per-stage sets of named curves would hold about 2n³/3 entries
+    n = 64
+    assert _entries(Model(n).trace) <= 4 * n * n

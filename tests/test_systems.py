@@ -305,6 +305,48 @@ def test_half_cycle_matches_take_the_first_arc_through_c1(n):
     assert half_cycle_matches(tower) == want
 
 
+def _dense_half_cycle_matches(tower):
+    """``half_cycle_matches`` as it was with one dense class sum per start."""
+    from dsolid.systems import degree_one_restriction
+
+    names = tower.cycle_names()
+    m = len(names)
+    prefix = [tower.basis.zero()]
+    for nm in names + names:
+        prefix.append(prefix[-1] + tower.tracked[nm])
+    ends = {}
+    for j, p in enumerate(prefix):
+        ends.setdefault(p.coeffs, []).append(j)
+    c1 = names.index("C1")
+
+    def first_arc(target):
+        for s in range(m):
+            for j in ends.get((prefix[s] + target).coeffs, ()):
+                if s < j < s + m and (c1 - s) % m < j - s:
+                    return tuple(names[k % m] for k in range(s, j))
+        return ()
+
+    return {i: first_arc(degree_one_restriction(tower, i).half) for i in range(1, tower.n)}
+
+
+@pytest.mark.parametrize("n", range(4, 41))
+def test_half_cycle_matches_agree_with_dense_sums(n):
+    tower = build_surface(n)
+    assert half_cycle_matches(tower) == _dense_half_cycle_matches(tower)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9])
+def test_half_cycle_matches_confirm_a_colliding_key(n, monkeypatch):
+    # a key that sends every class to 0 makes every end a candidate; the
+    # confirmation on the classes still picks the first true arc
+    from dsolid import systems
+
+    tower = build_surface(n)
+    want = _dense_half_cycle_matches(tower)
+    monkeypatch.setattr(systems, "_packed", lambda c: 0)
+    assert half_cycle_matches(tower) == want
+
+
 @pytest.mark.parametrize("n", [4, 5, 7])
 def test_half_cycle_matches_skip_arcs_without_c1(n, monkeypatch):
     # every arc class as the target: arcs that miss C1 never match
