@@ -10,11 +10,12 @@ blowup.  Two outcomes are read off the scans themselves: that the scan
 after stage n-2 is empty (termination), and that every seed-free scanned
 component bottoms out at degree -1 (each exceptional divisor enters with
 multiplicity one).  The machine runs on dense node ids: ``_initial_state``
-numbers the tracked curves once, and the state, the scans and the centers
-hold ints.  The trace keeps only what the checks compare, counted after
-each blowup: every stage's named scan and centers would be about 2n³/3
-curve entries that the checks only counted again.  Only stage 2's degrees
-and the final scan name ``incidence.Curve`` tuples.
+numbers the tracked curves once, reading their surfaces from the complex's
+per-fiber and per-component names, and the state, the scans and the
+centers hold ints.  The trace keeps only what the checks compare, counted
+after each blowup: every stage's named scan and centers would be about
+2n³/3 curve entries that the checks only counted again.  Only stage 2's
+degrees and the final scan name ``incidence.Curve`` tuples.
 """
 
 from __future__ import annotations
@@ -51,32 +52,47 @@ class BlowupState:
 
 def _initial_state(table: PairingTable) -> BlowupState:
     """Number the curves of each fiber cycle, in ``fiber_cycle`` order, and
-    read what the machine needs of each one once.
+    read what the machine needs of each one from the complex's per-component
+    and per-fiber names (``cx.cylinder_index``), not curve by curve.
 
-    Chain centers stay tracked inside their degree-one surface (the half
-    ``cx.half``); the two isolated seed curves (fiber n-1, component 1) are
-    tracked inside the end cylinder component they lie on, the curve's one
-    host ``cx.home``.  Inside a degree-one surface the square follows the
-    cross rule: it is the table's cell at that component.  A seed inside its
-    cylinder component is a section through one blown point, square -1,
-    unchanged by repeated blowups along it.  The initial degrees are the
-    adjusted bundle's, evaluated once per distinct table row.
+    A cycle starts at C[i,1] and changes half only at its two
+    small-resolution curves: the arcs before D[i] and after Db[i] lie on
+    C[i,1]'s half, the arc between them on Cb[i,1]'s.  A section's home is
+    read at its component, a resolution curve's at its fiber.  Chain centers
+    stay tracked inside their degree-one surface (the half); the two
+    isolated seed curves (fiber n-1, component 1) are tracked inside the
+    end cylinder component they lie on, their home.  Inside a degree-one
+    surface the square follows the cross rule: it is the table's cell at
+    that component.  A seed inside its cylinder component is a section
+    through one blown point, square -1, unchanged by repeated blowups along
+    it.  The initial degrees are the adjusted bundle's, evaluated once per
+    distinct table row.
     """
     cx = table.complex
     n = cx.n
+    index = cx.cylinder_index
+    homes, halves = index.homes, index.halves
+    ids = {name: k for k, name in enumerate(dict.fromkeys(
+        name for names in (*halves.values(), *homes.values()) for name in names))}
     nodes: list[Curve] = []
+    home_names: list[str] = []
+    surface: list[int] = []
     adjacency: list[set[int]] = []
     for i in range(1, n):
         cycle = cx.fiber_cycle(i)
         base, m = len(nodes), len(cycle)
+        d, db = cycle.index(("D", i)), cycle.index(("Db", i))
+        outer, inner, hd, hdb = (ids[halves[kind][i - 1]] for kind in ("C", "Cb", "D", "Db"))
+        surface += [outer] * d + [hd] + [inner] * (db - d - 1) + [hdb] + [outer] * (m - db - 1)
+        home_names += [homes[c[0]][c[-1] - 1] for c in cycle]
         nodes += cycle
         adjacency += [{base + (k - 1) % m, base + (k + 1) % m} for k in range(m)]
-    homes, halves = list(map(cx.home, nodes)), list(map(cx.half, nodes))
-    ids = {name: k for k, name in enumerate(dict.fromkeys(halves + homes))}
-    seeds = {("C", n - 1, 1), ("Cb", n - 1, 1)}
-    surface = [ids[home if c in seeds else half] for c, half, home in zip(nodes, halves, homes)]
-    sides = [(ids[half], ids[home]) for half, home in zip(halves, homes)]
-    self_int = [-1 if c in seeds else table.value(home, c) for c, home in zip(nodes, homes)]
+    sides = list(zip(surface, map(ids.__getitem__, home_names)))
+    self_int = list(map(table.value, home_names, nodes))
+    for seed in (("C", n - 1, 1), ("Cb", n - 1, 1)):
+        k = nodes.index(seed)
+        surface[k] = sides[k][1]
+        self_int[k] = -1
     degrees = table.degrees_on(adjusted_bundle(n), nodes)
     state = BlowupState(n, nodes, degrees, adjacency, surface, sides, self_int)
     state.odp_census["initial"] = len(cx.odps)

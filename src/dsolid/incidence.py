@@ -27,10 +27,12 @@ only through ``value`` and ``degree``.  The cells are computed once per
 complex (``IncidenceComplex.cell_map``, read-only), and curves with equal
 cells share one ``CurveCells``: every section over a fiber with no blown
 point on its component shares that component's one object, so the map holds
-9(n-1) distinct objects for its 2(n-1)^2 + 5(n-1) curves.  The projection
-constraints and the table assembly walk the distinct objects, not every
-curve, and every curve of one object holds the same read-only row; the
-triviality test reads the map.
+9(n-1) distinct objects for its 2(n-1)^2 + 5(n-1) curves.  Those objects
+are built from per-component and per-fiber names (``CylinderIndex``), so
+the only per-curve work is filling the map.  The projection constraints and
+the table assembly walk the distinct objects (``distinct_cells``), and every
+curve of one object holds the same read-only row; the triviality test reads
+the curves inside each component (``contained``) off the map once.
 The constraints are solved by an indexed fraction-free elimination over Z
 that back-substitutes in ``int`` (``_solve``).
 """
@@ -43,6 +45,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -113,13 +116,29 @@ class CurveCells(NamedTuple):
 
     ``known`` holds T's cell (1 on seams, 0 in fibers) and a cell of 1 for
     each divisor the curve meets transversally.  ``classes`` holds, for each
-    divisor containing the curve, its ``curve_class`` there as
+    divisor containing the curve, its class in that divisor's Picard basis as
     ``((divisor, symbol), coefficient)`` pairs; that cell is the class
     paired with the normal-bundle degrees nu.
     """
 
     known: tuple[tuple[str, int], ...]
     classes: tuple[tuple[str, tuple[tuple[Unknown, int], ...]], ...]
+
+
+class CylinderIndex(NamedTuple):
+    """The homes and halves of a complex's fiber-cycle curves, per component
+    and per fiber: each entry is read once from ``home`` or ``half``, so the
+    two are called 8(n-1) times in all, however many curves there are.
+
+    ``homes["C"]`` and ``homes["Cb"]`` list, by j - 1, the component holding
+    the sections (kind, ., j); ``homes["D"]`` and ``homes["Db"]`` list, by
+    i - 1, the component holding (kind, i).  ``halves["C"]`` and
+    ``halves["Cb"]`` list, by i - 1, the half of (kind, i, 1), that is Sm_i
+    and Sp_i; ``halves["D"]`` and ``halves["Db"]`` the half of (kind, i).
+    """
+
+    homes: MappingProxyType[str, tuple[str, ...]]
+    halves: MappingProxyType[str, tuple[str, ...]]
 
 
 @dataclass
@@ -185,13 +204,6 @@ class IncidenceComplex:
         b = f"{side}{i+1}" if i < n - 1 else f"{other}1"
         return a, b
 
-    def hosts(self, c: Curve) -> tuple[str, ...]:
-        """Every exceptional divisor containing the curve: two for a seam, else its home."""
-        if c[0] in ("G", "Gb"):
-            return self.seam_hosts(c)
-        home = self.home(c)
-        return () if home is None else (home,)
-
     @cached_property
     def odp_of(self) -> dict[str | Curve, OdpPoint]:
         """Each double point under its name and under its exceptional curve."""
@@ -208,25 +220,19 @@ class IncidenceComplex:
                     index.setdefault((div, key), []).append((side, name))
         return index
 
-    def curve_class(self, div: str, c: Curve) -> tuple[tuple[Unknown, int], ...]:
-        """Class of a contained curve in the Picard basis of ``div``, as
-        ``((div, symbol), coefficient)`` pairs: the section or fiber class
-        less the blown points on the curve, or one blown point's class."""
-        kind = c[0]
-        if kind in ("C", "Cb"):
-            lead, key = (div, "s"), c[1]
-        elif kind in ("G", "Gb"):
-            lead, key = (div, "f"), c
-        elif kind in ("D", "Db"):
-            return (((div, f"d:{self.odp_of[c].name}"), 1),)
-        else:
-            raise ValueError(c)
-        blown = self._blown_on.get((div, key), ())
-        return ((lead, 1), *[((div, f"d:{name}"), -1) for _, name in blown])
-
     @cached_property
+    def cylinder_index(self) -> CylinderIndex:
+        """Each component's and each fiber's names, read once (``CylinderIndex``)."""
+        fibers = range(1, self.n)
+        homes = {kind: tuple([self.home((kind, 1, j)) for j in fibers]) for kind in ("C", "Cb")}
+        homes |= {kind: tuple([self.home((kind, i)) for i in fibers]) for kind in ("D", "Db")}
+        halves = {kind: tuple([self.half((kind, i, 1)) for i in fibers]) for kind in ("C", "Cb")}
+        halves |= {kind: tuple([self.half((kind, i)) for i in fibers]) for kind in ("D", "Db")}
+        return CylinderIndex(MappingProxyType(homes), MappingProxyType(halves))
+
+    @property
     def cell_map(self) -> MappingProxyType[Curve, CurveCells]:
-        """Every curve's ``CurveCells``, in ``curves`` order.
+        """Every curve's ``CurveCells``, in ``curves`` order, read-only.
 
         The transversal meets: a fiber section meets both neighbours of its
         component around the cylinder, except on a side where its fiber's
@@ -235,47 +241,96 @@ class IncidenceComplex:
         divisors outside the blown pair; L[i] meets E_i and Eb_i; a seam
         meets none.  A section over a fiber with no blown point on its
         component has the same cells as every other such section there, so
-        they all share that component's one read-only object, built once;
-        every other curve gets its own.  The map holds 9(n-1) distinct
-        objects.
+        they all share that component's one object; every other curve gets
+        its own.  The map holds 9(n-1) distinct objects (``distinct_cells``).
         """
-        ring = self.exceptional_divisors()  # E1..E_{n-1}, Eb1..Eb_{n-1}, cyclically
+        return self._cells[0]
+
+    @property
+    def distinct_cells(self) -> tuple[tuple[Curve, CurveCells], ...]:
+        """Each distinct object of ``cell_map`` once, with the first curve
+        that holds it, in order of that curve in ``curves``."""
+        return self._cells[1]
+
+    @cached_property
+    def _cells(self) -> tuple[MappingProxyType[Curve, CurveCells], tuple[tuple[Curve, CurveCells], ...]]:
+        """``cell_map`` and ``distinct_cells``, built together.
+
+        The 9(n-1) objects are built from ``cylinder_index`` and the blown
+        points: each component's name and neighbours, and each curve's
+        hosts, are read from there, never from ``home`` per curve.  A
+        curve's class on a host is the section class s (fiber sections) or
+        the fiber class f (seams) less the blown points on it, or one blown
+        point's class d (resolution curves).  The curves with cells of their
+        own (the sections over a fiber blown on their component, the seams,
+        the resolution curves and the lines) are built first, one per blown
+        point or fiber; each component's shared object is built at its
+        first section in ``curves``.  Filling the map, one lookup per curve,
+        is then the only per-curve work.
+        """
+        n = self.n
+        homes = self.cylinder_index.homes
+        ring = homes["C"] + homes["Cb"]  # E1..E_{n-1}, Eb1..Eb_{n-1}, cyclically
         neighbors = {d: (ring[k - 1], ring[(k + 1) % len(ring)]) for k, d in enumerate(ring)}
         blown_on = self._blown_on
 
-        def cells(c: Curve) -> CurveCells:
-            kind = c[0]
-            hosts = self.hosts(c)
-            if kind in ("C", "Cb"):
-                home = hosts[0]
-                minus, plus = neighbors[home]
-                sides = {side for side, _ in blown_on.get((home, c[1]), ())}
-                known = [("T", 0)]
-                if "minus" not in sides:
-                    known.append((minus, 1))
-                if "plus" not in sides:
-                    known.append((plus, 1))
-            elif kind in ("D", "Db"):
-                odp = self.odp_of[c]
-                # only E/Eb enter the table
-                known = [("T", 0)] + [(d, 1) for d in odp.divisors
-                                      if d not in odp.blown_pair and d in self.blown]
-            elif kind == "L":
-                known = [("T", 0), (f"E{c[1]}", 1), (f"Eb{c[1]}", 1)]
-            else:
-                known = [("T", 1)]
-            return CurveCells(tuple(known), tuple([(div, self.curve_class(div, c)) for div in hosts]))
+        def less_blown(div: str, symbol: str, blown: Sequence[tuple[str, str]]) -> tuple[tuple[Unknown, int], ...]:
+            return (((div, symbol), 1), *[((div, "d:" + name), -1) for _, name in blown])
 
-        built: dict[str | Curve, CurveCells] = {}  # keyed by the component for shared cells
-        out = {}
+        def section(home: str, blown: Sequence[tuple[str, str]]) -> CurveCells:
+            """The cells of a section of ``home`` through its ``blown`` points."""
+            minus, plus = neighbors[home]
+            sides = [side for side, _ in blown]
+            known = [("T", 0)]
+            if "minus" not in sides:
+                known.append((minus, 1))
+            if "plus" not in sides:
+                known.append((plus, 1))
+            return CurveCells(tuple(known), ((home, less_blown(home, "s", blown)),))
+
+        own: dict[Curve, CurveCells] = {}
+        for kind in ("C", "Cb"):
+            for j, home in enumerate(homes[kind], 1):
+                for fiber, _, _ in self.blown[home]:
+                    own[kind, fiber, j] = section(home, blown_on[home, fiber])
+        for i in range(1, n):
+            for seam in (("G", i), ("Gb", i)):
+                own[seam] = CurveCells((("T", 1),), tuple([
+                    (host, less_blown(host, "f", blown_on.get((host, seam), ())))
+                    for host in self.seam_hosts(seam)]))
+            for kind in ("D", "Db"):
+                odp, home = self.odp_of[kind, i], homes[kind][i - 1]
+                # only E/Eb enter the table
+                known = (("T", 0), *[(d, 1) for d in odp.divisors
+                                     if d not in odp.blown_pair and d in self.blown])
+                own[kind, i] = CurveCells(known, ((home, (((home, "d:" + odp.name), 1),)),))
+            own["L", i] = CurveCells((("T", 0), (homes["C"][i - 1], 1), (homes["Cb"][i - 1], 1)), ())
+        # by kind and j - 1: the component's shared object, once built
+        shared: dict[str, list[CurveCells | None]] = {kind: [None] * (n - 1) for kind in ("C", "Cb")}
+        out: dict[Curve, CurveCells] = {}
+        distinct: list[tuple[Curve, CurveCells]] = []
         for c in self.curves:
-            home = self.home(c)
-            shared = c[0] in ("C", "Cb") and (home, c[1]) not in blown_on
-            key = home if shared else c
-            if key not in built:
-                built[key] = cells(c)
-            out[c] = built[key]
-        return MappingProxyType(out)
+            value = own.get(c)
+            if value is None:
+                kind, _, j = c
+                value = shared[kind][j - 1]
+                if value is not None:
+                    out[c] = value
+                    continue
+                value = shared[kind][j - 1] = section(homes[kind][j - 1], ())
+            out[c] = value
+            distinct.append((c, value))
+        return MappingProxyType(out), tuple(distinct)
+
+    @cached_property
+    def contained(self) -> MappingProxyType[str, tuple[Curve, ...]]:
+        """The curves inside each exceptional divisor, in ``curves`` order:
+        those whose cells hold a class on it."""
+        inside: dict[str, list[Curve]] = {}
+        for c, cells in self.cell_map.items():
+            for host, _ in cells.classes:
+                inside.setdefault(host, []).append(c)
+        return MappingProxyType({div: tuple(cs) for div, cs in inside.items()})
 
     def fiber_cycle(self, i: int) -> list[Curve]:
         """Cycle of fiber curves over the i-th reducible pencil member."""
@@ -324,14 +379,8 @@ def build_incidence(tower: BlowupTower) -> IncidenceComplex:
         cx.blown[target].append((odp.fiber, side, odp.name))
 
     for i in range(1, n):
-        for j in range(1, n):
-            cx.curves.append(("C", i, j))
-            cx.curves.append(("Cb", i, j))
-        cx.curves.append(("G", i))
-        cx.curves.append(("Gb", i))
-        cx.curves.append(("D", i))
-        cx.curves.append(("Db", i))
-        cx.curves.append(("L", i))
+        cx.curves += [(kind, i, j) for j in range(1, n) for kind in ("C", "Cb")]
+        cx.curves += [("G", i), ("Gb", i), ("D", i), ("Db", i), ("L", i)]
 
     for j in range(1, n):
         cx.section_rhs[f"C{j}"] = anticanonical_degree(tower, f"C{j}")
@@ -371,14 +420,10 @@ class PairingTable:
     def degrees_on(self, coeffs: dict[str, int | Fraction], curves: Sequence[Curve]) -> list[int | Fraction]:
         """``degree(coeffs, c)`` for each curve in order, summed once per
         distinct row object."""
-        by_row: dict[int, int | Fraction] = {}  # by id of a row the table holds
-        out = []
-        for c in curves:
-            key = id(self.rows[c])
-            if key not in by_row:
-                by_row[key] = self.degree(coeffs, c)
-            out.append(by_row[key])
-        return out
+        ids = list(map(id, map(self.rows.__getitem__, curves)))  # of rows the table holds
+        # one curve per distinct row: any curve holding a row gives its degree
+        by_row = {key: self.degree(coeffs, c) for key, c in dict(zip(ids, curves)).items()}
+        return list(map(by_row.__getitem__, ids))
 
 
 def _anchor_equations(cx: IncidenceComplex) -> list[Equation]:
@@ -421,33 +466,32 @@ def _anchor_equations(cx: IncidenceComplex) -> list[Equation]:
 
 
 def _projection_equations(cx: IncidenceComplex) -> list[Equation]:
-    """Pullback-degree constraints, one per distinct (cells, rhs) pair.
+    """Pullback-degree constraints, one per distinct cells object.
 
     Contracted curves pair to zero against the pulled-back pencil class
     T + sum(E) + sum(Eb); fiber sections pair to the anticanonical degree
     of their image component.  Each divisor enters with coefficient one,
     so a curve's known cells move to the right-hand side and its classes
-    on its hosts form the left.  Curves that share one ``CurveCells`` and
-    one rhs impose the same constraint: only the first is emitted, under
-    its own label and in its own place.
+    on its hosts form the left.  Curves that share one ``CurveCells`` are
+    sections of one component, with one rhs, so they impose one
+    constraint: the walk over ``cx.distinct_cells`` emits it once, under the
+    label of the first curve holding it and in that curve's place.  The
+    sections' right-hand sides are read from one list per kind, by j.
     """
+    n = cx.n
+    section_rhs = {kind: [cx.section_rhs[f"{kind}{j}"] for j in range(1, n)] for kind in ("C", "Cb")}
     eqs = []
-    emitted: set[tuple[int, int]] = set()
-    for c, cells in cx.cell_map.items():
-        if c[0] == "L":
+    for c, cells in cx.distinct_cells:
+        kind = c[0]
+        if kind == "L":
             continue  # lines meet the cylinder transversally; no unknowns involved
-        if c[0] in ("C", "Cb"):
-            rhs = cx.section_rhs[("C" if c[0] == "C" else "Cb") + str(c[2])]
-        else:
-            rhs = 0
-        # the map holds its cells objects, so their ids are stable here
-        key = (id(cells), rhs)
-        if key in emitted:
-            continue
-        emitted.add(key)
-        lhs = {u: co for _, cls in cells.classes for u, co in cls}
-        const = sum(v for _, v in cells.known)
-        eqs.append((f"projection {curve_name(c)}", lhs, rhs - const))
+        rhs = section_rhs[kind][c[2] - 1] if kind in section_rhs else 0
+        lhs: dict[Unknown, int] = {}
+        for _, cls in cells.classes:
+            lhs.update(cls)
+        for _, v in cells.known:
+            rhs -= v
+        eqs.append(("projection " + curve_name(c), lhs, rhs))
     return eqs
 
 
@@ -588,28 +632,30 @@ def complete_pairings(cx: IncidenceComplex, system: System) -> PairingTable:
     """Solve ``system`` for nu, then assemble the nonzero cells of the table.
 
     ``system`` is ``pairing_system(cx)``.  Assembly reads only the complex
-    and ``nu``: ``cx.cell_map`` gives each curve's known cells and, on each
-    divisor containing it, the class that is paired with ``nu``.  Each
-    distinct ``CurveCells`` is evaluated against ``nu`` once, into one
-    read-only row that every curve sharing those cells holds, so neither
-    the rows nor the shared map can be written through the table.  The
-    table is therefore a deterministic function of ``(cx, nu)``, and equal
-    ``nu`` give equal tables; comparing solved ``nu`` (as
-    ``incidence.completion-unique`` does) is no weaker than comparing
-    assembled tables.
+    and ``nu``: each of ``cx.distinct_cells`` gives its known cells and, on
+    each divisor containing its curves, the class that is paired with ``nu``.
+    Each distinct ``CurveCells`` is evaluated against ``nu`` once, into one
+    read-only row, and the curves of ``cx.cell_map`` are then filled in with
+    the row of their object, so neither the rows nor the shared map can be
+    written through the table.  The table is therefore a deterministic
+    function of ``(cx, nu)``, and equal ``nu`` give equal tables; comparing
+    solved ``nu`` (as ``incidence.completion-unique`` does) is no weaker than
+    comparing assembled tables.
     """
     nu = solve_pairings(system)
     evaluated: dict[int, MappingProxyType[str, int]] = {}  # by id of a cells object the map holds
-    rows: dict[Curve, MappingProxyType[str, int]] = {}
-    for c, cells in cx.cell_map.items():
-        row = evaluated.get(id(cells))
-        if row is None:
-            cellrow = {div: v for div, v in cells.known if v}
-            for div, cls in cells.classes:
-                if v := sum(co * nu[u] for u, co in cls):
-                    cellrow[div] = v
-            row = evaluated[id(cells)] = MappingProxyType(cellrow)
-        rows[c] = row
+    value = itemgetter(1)  # of a known cell
+    for _, cells in cx.distinct_cells:
+        cellrow = dict(filter(value, cells.known))  # the nonzero known cells
+        for div, cls in cells.classes:
+            v = 0
+            for u, co in cls:
+                v += co * nu[u]
+            if v:
+                cellrow[div] = v
+        evaluated[id(cells)] = MappingProxyType(cellrow)
+    cell_map = cx.cell_map
+    rows = dict(zip(cell_map, map(evaluated.__getitem__, map(id, cell_map.values()))))
     return PairingTable(complex=cx, rows=MappingProxyType(rows), nu=nu)
 
 
@@ -619,20 +665,14 @@ def is_equivariant(table: PairingTable) -> bool:
     A row stores its nonzero cells only, so a curve's cells agree with its
     conjugate's exactly when the row, its divisors conjugated, equals the
     conjugate row.  Each distinct pair of (row, conjugate row) objects is
-    compared once, however many curves share it.
+    compared once, however many curves share it, in order of its first curve.
     """
     rows = table.rows
     conj = {d: conjugate_divisor(d) for d in ["T", *table.complex.exceptional_divisors()]}
-    compared: set[tuple[int, int]] = set()  # ids of rows the table holds
-    for c, row in rows.items():
-        other = rows[conjugate_curve(c)]
-        pair = (id(row), id(other))
-        if pair in compared:
-            continue
-        if {conj[d]: v for d, v in row.items()} != other:
-            return False
-        compared.add(pair)
-    return True
+    others = list(map(rows.__getitem__, map(conjugate_curve, rows)))
+    # keyed by the ids of the two rows, which the table holds
+    pairs = dict(zip(zip(map(id, rows.values()), map(id, others)), zip(rows.values(), others)))
+    return all({conj[d]: v for d, v in row.items()} == other for row, other in pairs.values())
 
 
 def seam_anchor_resolution(table: PairingTable) -> dict:
@@ -766,12 +806,9 @@ def cylinder_tables_verify(table: PairingTable) -> tuple[Tables, bool]:
 
 
 def divisor_trivial(table: PairingTable, expr: Vector, div: str) -> bool:
-    """True iff the expression has degree zero on every curve inside ``div``."""
-    for c, cells in table.complex.cell_map.items():
-        for host, _ in cells.classes:
-            if host == div and table.degree(expr, c) != 0:
-                return False
-    return True
+    """True iff the expression has degree zero on every curve inside ``div``
+    (``IncidenceComplex.contained``), each distinct row summed once."""
+    return not any(table.degrees_on(expr, table.complex.contained.get(div, ())))
 
 
 def triviality_check(table: PairingTable) -> bool:
@@ -803,8 +840,9 @@ def cascade_precondition_check(table: PairingTable) -> tuple[bool, list[tuple[in
     current = kernel_bundle(n)
     trace = []
     ok = True
+    generic = {j: cx.generic_fiber_index(f"E{j}") for j in range(1, n)}
     for r, j in cascade_schedule(n):
-        gen = cx.generic_fiber_index(f"E{j}")
+        gen = generic[j]
         deg = table.degree(current, ("C", gen, j))
         degb = table.degree(current, ("Cb", gen, j))
         trace.append((r, j, deg))

@@ -157,7 +157,7 @@ def test_parameters_with_defaults_are_frozen():
 
 # incidence.py alone knows how the pairing table and the cell map are
 # stored; every other module reads the table through ``value``/``degree``
-STORAGE_ATTRIBUTES = {"cell_map", "rows"}
+STORAGE_ATTRIBUTES = {"cell_map", "distinct_cells", "rows"}
 
 
 def test_only_incidence_reads_the_table_storage():

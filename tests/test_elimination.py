@@ -387,6 +387,25 @@ def _curve_initial_state(table, shifts):
     return state
 
 
+@pytest.mark.parametrize("n", [*range(4, 41), 64])
+def test_initial_state_matches_the_per_curve_facts(n):
+    # surface, sides and squares are read from the complex's per-component and
+    # per-fiber names; mapped back to names, they are the per-curve rule's
+    table = Model(n).table
+    state = _initial_state(table)
+    facts = _curve_initial_state(table, {}).facts
+    assert state.nodes == list(facts)
+    name = {}  # surface id -> surface name, one to one
+    for k, nd in enumerate(state.nodes):
+        for key, want in zip(state.sides[k], facts[nd][1]):
+            assert name.setdefault(key, want) == want, nd
+    assert len(set(name.values())) == len(name)
+    got = {nd: (name[state.surface[k]], (name[state.sides[k][0]], name[state.sides[k][1]]),
+                state.self_int[k])
+           for k, nd in enumerate(state.nodes)}
+    assert got == facts
+
+
 def _curve_scan(state):
     degrees, adjacency = state.degrees, state.adjacency
     comps, seen = [], set()

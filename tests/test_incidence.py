@@ -287,6 +287,39 @@ def test_cell_map_matches_the_per_call_rule(n):
             assert [(sym, co) for (_, sym), co in cls] == list(classes[div].items()), c
 
 
+@pytest.mark.parametrize("n", [*range(4, 21), 64])
+def test_rows_share_exactly_as_the_cells_do(n):
+    # table.rows partitions the curves into the same classes as the cell map's
+    # objects, and distinct_cells lists each class once, at its first curve
+    table = Model(n).table
+    cx = table.complex
+    by_cells, by_row = {}, {}
+    for c in cx.curves:
+        by_cells.setdefault(id(cx.cell_map[c]), []).append(c)
+        by_row.setdefault(id(table.rows[c]), []).append(c)
+    assert sorted(by_cells.values()) == sorted(by_row.values())
+    assert [(c, id(cells)) for c, cells in cx.distinct_cells] == [
+        (cs[0], key) for key, cs in by_cells.items()]
+
+
+def test_the_model_reads_home_and_half_per_component_and_fiber(monkeypatch):
+    # a machine-independent work counter: the cell map and the elimination's
+    # initial state read each component's and each fiber's names, 8(n-1)
+    # calls in all, not one call per curve (about 24,800 at n=64)
+    from dsolid.incidence import IncidenceComplex
+
+    n = 64
+    calls = {"home": 0, "half": 0}
+    for name in calls:
+        def spy(self, c, real=getattr(IncidenceComplex, name), name=name):
+            calls[name] += 1
+            return real(self, c)
+
+        monkeypatch.setattr(IncidenceComplex, name, spy)
+    assert Model(n).trace.final_scan == ()
+    assert sum(calls.values()) <= 8 * n
+
+
 def test_the_cell_map_is_read_only():
     cx = Model(6).complex
     c = ("C", 2, 3)
@@ -336,7 +369,7 @@ def _per_curve_system(cx):
     return unknowns, tuple(eqs)
 
 
-@pytest.mark.parametrize("n", [*range(4, 21), 64])
+@pytest.mark.parametrize("n", [*range(4, 21), 64, 128])
 def test_system_matches_the_per_curve_system(n):
     # labels, order, lhs and rhs all take part in the tuple equality
     cx = Model(n).complex

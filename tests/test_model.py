@@ -65,6 +65,24 @@ def test_module_report_bytes_frozen(pattern, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MODULE_REPORT_4_16_SHA256[pattern]
 
 
+# sha256 of the threefold-large-n benchmark workload's two reports at its first
+# seed, `dsolid verify --range 16..18 --seed 126 --format json --filter F`;
+# recorded while the incidence model was still built curve by curve
+THREEFOLD_16_18_SHA256 = {
+    "incidence.*": "8778a7017733471f0f9bc7764ad02ba21af9495cd859699ab85d27b2d42a1ee0",
+    "elimination.[!c]*": "a349aed01a4d28d5e760070e221a5b1594489817f47b3b4a8fcc8bbdd7ba6892",
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(THREEFOLD_16_18_SHA256))
+def test_threefold_workload_report_bytes_frozen(pattern, capsys):
+    code = main(["verify", "--range", "16..18", "--seed", "126", "--format", "json",
+                 "--filter", pattern])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THREEFOLD_16_18_SHA256[pattern]
+
+
 def test_light_threefold_checks_at_n32():
     # besides the n=64 run below, no other test reaches the incidence and
     # elimination checks above n=16
