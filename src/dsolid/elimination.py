@@ -76,19 +76,20 @@ def _initial_state(table: PairingTable) -> BlowupState:
         name for names in (*halves.values(), *homes.values()) for name in names))}
     nodes: list[Curve] = []
     home_names: list[str] = []
-    surface: list[int] = []
+    half_ids: list[int] = []
     adjacency: list[set[int]] = []
     for i in range(1, n):
         cycle = cx.fiber_cycle(i)
         base, m = len(nodes), len(cycle)
         d, db = cycle.index(("D", i)), cycle.index(("Db", i))
         outer, inner, hd, hdb = (ids[halves[kind][i - 1]] for kind in ("C", "Cb", "D", "Db"))
-        surface += [outer] * d + [hd] + [inner] * (db - d - 1) + [hdb] + [outer] * (m - db - 1)
+        half_ids += [outer] * d + [hd] + [inner] * (db - d - 1) + [hdb] + [outer] * (m - db - 1)
         home_names += [homes[c[0]][c[-1] - 1] for c in cycle]
         nodes += cycle
         adjacency += [{base + (k - 1) % m, base + (k + 1) % m} for k in range(m)]
-    sides = list(zip(surface, map(ids.__getitem__, home_names)))
+    sides = list(zip(half_ids, map(ids.__getitem__, home_names)))
     self_int = list(map(table.value, home_names, nodes))
+    surface = half_ids  # every node's half, but a seed's home
     for seed in (("C", n - 1, 1), ("Cb", n - 1, 1)):
         k = nodes.index(seed)
         surface[k] = sides[k][1]
